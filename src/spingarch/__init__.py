@@ -14,7 +14,6 @@ from .diagnostics import (
     ResidualSeries,
     cumulative_periodogram,
     dispersion_ratio,
-    iterated_forecasts,
     one_step_forecasts,
     pacf_from_acf,
     pearson_residuals,
@@ -26,13 +25,10 @@ from .distributions import RngStream, nb_log_pmf, nb_sample, poisson_log_pmf, po
 from .estimate import (
     FitResult,
     OptimizerOptions,
-    StudyCell,
-    StudyTable,
     fit_cml,
     information_criteria,
     init_params,
     negloglik,
-    simulation_study,
     standard_errors,
 )
 from .exceptions import ConvergenceWarning, DataError, NumericError, ParameterError
@@ -59,5 +55,15 @@ from .neural import (
     select_hidden_units,
     slfn_forward,
 )
-from .simulate import EmpiricalMoments, MomentRow, SimConfig, empirical_moments, moment_study, simulate_path
+from .simulate import (
+    EmpiricalMoments,
+    MomentRow,
+    SimConfig,
+    StudyCell,
+    StudyTable,
+    empirical_moments,
+    moment_study,
+    simulate_path,
+    simulation_study,
+)
 from .special import log_gamma, logistic, relu, softplus, softplus_deriv, softplus_inverse

@@ -15,7 +15,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,7 +36,7 @@ from .estimate import FitResult, OptimizerOptions, fit_cml
 from .exceptions import DataError, NumericError, ParameterError
 from .model import NEGBIN, NEURAL, POISSON, SOFTPLUS_LINEAR, LinearParams, ModelSpec
 from .neural import NeuralWeights, fit_neural, weights_from_flat
-from .simulate import SimConfig, moment_study, simulate_path
+from .simulate import SimConfig, moment_study, simulate_path, simulation_study
 from .textdoc import dumps, format_float
 
 __all__ = ["RunConfig", "parse_counts_csv", "run", "main", "entry", "fit_to_tree", "fit_from_tree"]
@@ -79,14 +79,10 @@ class RunConfig:
     grid: Optional[str] = None
 
     def provenance(self) -> Dict[str, object]:
-        fields_in_order = (
-            "command input out family link p q c hidden seed restarts split max_lag "
-            "length burn_in alpha0 alpha beta n weights sizes replications models "
-            "criterion grid"
-        ).split()
+        """The set fields in declaration order; None and empty tuples are left out."""
         out: Dict[str, object] = {}
-        for name in fields_in_order:
-            value = getattr(self, name)
+        for field in fields(self):
+            name, value = field.name, getattr(self, field.name)
             if value is None or (isinstance(value, tuple) and not value):
                 continue
             out[name] = list(value) if isinstance(value, tuple) else value
@@ -478,8 +474,6 @@ def _cmd_study(config: RunConfig) -> int:
     if spec.link != SOFTPLUS_LINEAR:
         raise UsageError("study supports the softplus-linear link")
     truth = _params_from_config(config, spec)
-    from .estimate import simulation_study
-
     opts = _opts_from_config(config, default_restarts=0)
     table = simulation_study(spec, truth, config.sizes, config.replications,
                              seed=config.seed, opts=opts, burn_in=config.burn_in)
@@ -492,13 +486,8 @@ def _cmd_study(config: RunConfig) -> int:
         size_tree: Dict[str, object] = {"excluded": table.excluded[size]}
         for name in table.param_names:
             cell = table.cells[size].get(name)
-            if cell is None:
-                continue
-            size_tree[name] = {
-                "mean": cell.mean,
-                "abs_bias": cell.abs_bias,
-                "mse": cell.mse,
-            }
+            if cell is not None:
+                size_tree[name] = asdict(cell)
         body["study"][f"size_{size}"] = size_tree
     _write_text(config.out, _document(config, body))
     return 0
@@ -668,6 +657,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# argparse reads a word such as "-0.3,0.1" as an option, not as the value of
+# the option before it; these list options take their value as one word.
+_LIST_OPTIONS = ("--alpha", "--beta", "--weights")
+_NEGATIVE_NUMBER_RE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_lists(argv: Sequence[str]) -> List[str]:
+    """Rewrite `--alpha -0.3,0.1` as `--alpha=-0.3,0.1`."""
+    out: List[str] = []
+    for word in argv:
+        if out and out[-1] in _LIST_OPTIONS and _NEGATIVE_NUMBER_RE.match(word):
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     kwargs = {}
     for name in RunConfig.__dataclass_fields__:
@@ -683,7 +689,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments and run; returns the exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
         if not getattr(args, "command", None):
             raise UsageError("a command is required (simulate, fit, moments, study, diagnose, forecast)")
         return run(_config_from_args(args))

@@ -1,4 +1,4 @@
-"""Count series container and coercion helpers."""
+"""Count series container, coercion helpers, and the sample ACF."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exceptions import DataError
+from .exceptions import DataError, ParameterError
 
-__all__ = ["CountSeries", "as_counts"]
+__all__ = ["CountSeries", "as_counts", "sample_acf"]
 
 
 @dataclass
@@ -37,7 +37,23 @@ class CountSeries:
 
 
 def as_counts(series) -> np.ndarray:
-    """Coerce a CountSeries or array-like of counts to a float64 array."""
+    """Coerce a CountSeries or array-like of counts to a float64 array.
+
+    An array-like is validated on every call; a CountSeries was validated when
+    it was built, so callers that evaluate one series many times wrap it once.
+    """
     if isinstance(series, CountSeries):
         return np.asarray(series.values, dtype=float)
     return np.asarray(CountSeries(np.asarray(series)).values, dtype=float)
+
+
+def sample_acf(series, max_lag: int) -> np.ndarray:
+    """Sample autocorrelations at lags 1..max_lag (divisor-N autocovariance)."""
+    y = np.asarray(series, dtype=float)
+    if max_lag < 1 or y.size <= max_lag:
+        raise ParameterError("need series length > max_lag >= 1")
+    d = y - y.mean()
+    denom = float(d @ d)
+    if denom <= 0.0:
+        raise DataError("degenerate series: zero variance")
+    return np.array([float(d[: y.size - h] @ d[h:]) / denom for h in range(1, max_lag + 1)])

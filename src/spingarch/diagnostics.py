@@ -18,9 +18,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .data import as_counts
+from .data import as_counts, sample_acf
 from .exceptions import DataError, ParameterError
 from .model import POISSON, SOFTPLUS_LINEAR, ModelSpec, conditional_mean_path, presample_init
+from .neural import neural_lambda_path, slfn_forward
+from .special import softplus
 
 __all__ = [
     "ResidualSeries",
@@ -30,7 +32,6 @@ __all__ = [
     "pacf_from_acf",
     "cumulative_periodogram",
     "one_step_forecasts",
-    "iterated_forecasts",
     "rmse",
     "dispersion_ratio",
 ]
@@ -61,18 +62,6 @@ def pearson_residuals(fit, series) -> ResidualSeries:
     if not np.all(np.isfinite(z)):
         raise DataError("non-finite residuals")
     return ResidualSeries(values=z, family=family, spec=fit.spec)
-
-
-def sample_acf(series, max_lag: int) -> np.ndarray:
-    """Sample autocorrelations at lags 1..max_lag (divisor-N autocovariance)."""
-    y = np.asarray(series, dtype=float)
-    if max_lag < 1 or y.size <= max_lag:
-        raise ParameterError("need series length > max_lag >= 1")
-    d = y - y.mean()
-    denom = float(d @ d)
-    if denom <= 0.0:
-        raise DataError("degenerate series: zero variance")
-    return np.array([float(d[: y.size - h] @ d[h:]) / denom for h in range(1, max_lag + 1)])
 
 
 def pacf_from_acf(rho) -> np.ndarray:
@@ -127,35 +116,6 @@ def cumulative_periodogram(residuals) -> Tuple[np.ndarray, np.ndarray, float]:
     return freqs, fractions, band
 
 
-def _forecast_paths(fit, history):
-    """Conditional-mean path over the full history plus one step beyond it."""
-    hist = as_counts(history)
-    spec = fit.spec
-    train_len = len(fit.lambda_path)
-    if hist.size < train_len:
-        raise DataError("history must extend the training series")
-    lam_init = presample_init(hist[:train_len])
-    if spec.link == SOFTPLUS_LINEAR:
-        path = conditional_mean_path(spec, fit.estimates, hist, lambda_init=lam_init)
-        params = fit.estimates
-        eta = params.alpha0
-        for i in range(1, spec.p + 1):
-            eta += params.alpha[i - 1] * (hist[-i] if i <= hist.size else lam_init)
-        for j in range(1, spec.q + 1):
-            eta += params.beta[j - 1] * (path[-j] if j <= path.size else lam_init)
-        from .special import softplus
-
-        one_beyond = float(softplus(eta, spec.c))
-    else:
-        from .neural import neural_lambda_path, slfn_forward
-
-        path = neural_lambda_path(fit.estimates, spec, hist)
-        lags = [float(hist[-i]) if i <= hist.size else lam_init for i in range(1, spec.p + 1)]
-        lam_lags = [float(path[-j]) if j <= path.size else lam_init for j in range(1, spec.q + 1)]
-        one_beyond = slfn_forward(fit.estimates, np.array([1.0, *lags, *lam_lags]))
-    return hist, path, one_beyond, train_len
-
-
 def one_step_forecasts(fit, history, horizon: int) -> np.ndarray:
     """Rolling one-step-ahead conditional means with observed-value feedback.
 
@@ -166,7 +126,27 @@ def one_step_forecasts(fit, history, horizon: int) -> np.ndarray:
     """
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
-    hist, path, one_beyond, train_len = _forecast_paths(fit, history)
+    hist = as_counts(history)
+    spec = fit.spec
+    train_len = len(fit.lambda_path)
+    if hist.size < train_len:
+        raise DataError("history must extend the training series")
+    lam_init = presample_init(hist[:train_len])
+    # conditional means over the full history, then one step beyond it
+    if spec.link == SOFTPLUS_LINEAR:
+        path = conditional_mean_path(spec, fit.estimates, hist, lambda_init=lam_init)
+        params = fit.estimates
+        eta = params.alpha0
+        for i in range(1, spec.p + 1):
+            eta += params.alpha[i - 1] * (hist[-i] if i <= hist.size else lam_init)
+        for j in range(1, spec.q + 1):
+            eta += params.beta[j - 1] * (path[-j] if j <= path.size else lam_init)
+        one_beyond = float(softplus(eta, spec.c))
+    else:
+        path = neural_lambda_path(fit.estimates, spec, hist)
+        lags = [float(hist[-i]) if i <= hist.size else lam_init for i in range(1, spec.p + 1)]
+        lam_lags = [float(path[-j]) if j <= path.size else lam_init for j in range(1, spec.q + 1)]
+        one_beyond = slfn_forward(fit.estimates, np.array([1.0, *lags, *lam_lags]))
     if train_len + horizon > hist.size + 1:
         raise DataError(
             f"insufficient history: horizon {horizon} needs observations up to "
@@ -174,47 +154,6 @@ def one_step_forecasts(fit, history, horizon: int) -> np.ndarray:
         )
     full = np.append(path, one_beyond)
     return full[train_len : train_len + horizon]
-
-
-def iterated_forecasts(fit, history, horizon: int) -> np.ndarray:
-    """Multi-step forecasts feeding predicted means back in as pseudo-counts.
-
-    Experimental: unlike `one_step_forecasts`, no test observations are used;
-    each predicted mean substitutes for the unseen count.
-    """
-    if horizon < 1:
-        raise ParameterError("horizon must be >= 1")
-    hist, path, one_beyond, train_len = _forecast_paths(fit, hist_prefix(history, fit))
-    spec = fit.spec
-    xprev = list(hist[::-1][: spec.p])
-    lprev = list(path[::-1][: spec.q])
-    out = []
-    lam = one_beyond
-    for _ in range(horizon):
-        out.append(lam)
-        xprev = [lam] + xprev[: spec.p - 1] if spec.p else xprev
-        lprev = [lam] + lprev[: spec.q - 1] if spec.q else lprev
-        if spec.link == SOFTPLUS_LINEAR:
-            params = fit.estimates
-            eta = params.alpha0
-            for i in range(spec.p):
-                eta += params.alpha[i] * xprev[i]
-            for j in range(spec.q):
-                eta += params.beta[j] * lprev[j]
-            from .special import softplus
-
-            lam = float(softplus(eta, spec.c))
-        else:
-            from .neural import slfn_forward
-
-            lam = slfn_forward(fit.estimates, np.array([1.0, *xprev[: spec.p], *lprev[: spec.q]]))
-    return np.asarray(out)
-
-
-def hist_prefix(history, fit):
-    """Truncate history to the training prefix (iterated mode sees no test data)."""
-    hist = as_counts(history)
-    return hist[: len(fit.lambda_path)]
 
 
 def rmse(forecasts, actuals) -> float:

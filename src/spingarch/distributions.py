@@ -22,6 +22,7 @@ from .exceptions import ParameterError
 
 __all__ = [
     "RngStream",
+    "loglik_terms",
     "nb_log_pmf",
     "poisson_log_pmf",
     "nb_sample",
@@ -75,6 +76,23 @@ def _validate_positive(v, name):
     return v
 
 
+def loglik_terms(x: np.ndarray, lam: np.ndarray, n=None) -> np.ndarray:
+    """Per-observation log pmf at counts x and means lam, without validation.
+
+    n is the negative binomial dispersion; n=None gives the Poisson terms.
+    The one expression behind both likelihoods and both public pmfs.
+    """
+    if n is None:
+        return x * np.log(lam) - lam - gammaln(x + 1.0)
+    return (
+        x * (np.log(lam) - np.log(n + lam))
+        - n * np.log1p(lam / n)
+        + gammaln(x + n)
+        - gammaln(n)
+        - gammaln(x + 1.0)
+    )
+
+
 def nb_log_pmf(x, n, lam):
     """Log pmf of NB with dispersion n and mean lambda at count x.
 
@@ -82,24 +100,14 @@ def nb_log_pmf(x, n, lam):
     binomial coefficient evaluated through log-gamma so real-valued n is
     supported.  Broadcasts over array inputs.
     """
-    x = _validate_count(x)
-    n = _validate_positive(n, "n")
-    lam = _validate_positive(lam, "lambda")
-    out = (
-        gammaln(x + n)
-        - gammaln(n)
-        - gammaln(x + 1.0)
-        + x * (np.log(lam) - np.log(n + lam))
-        - n * np.log1p(lam / n)
-    )
+    x, n, lam = _validate_count(x), _validate_positive(n, "n"), _validate_positive(lam, "lambda")
+    out = loglik_terms(x, lam, n)
     return out if out.ndim else float(out)
 
 
 def poisson_log_pmf(x, lam):
     """Log pmf of Poisson(lambda) at count x: x*log(lambda) - lambda - log(x!)."""
-    x = _validate_count(x)
-    lam = _validate_positive(lam, "lambda")
-    out = x * np.log(lam) - lam - gammaln(x + 1.0)
+    out = loglik_terms(_validate_count(x), _validate_positive(lam, "lambda"))
     return out if out.ndim else float(out)
 
 

@@ -20,24 +20,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln
 
-from .data import as_counts
-from .distributions import RngStream
-from .exceptions import ConvergenceWarning, NumericError, ParameterError
-from .model import (
-    NEGBIN,
-    POISSON,
-    SOFTPLUS_LINEAR,
-    LinearParams,
-    ModelSpec,
-    check_stationarity,
-    conditional_mean_path,
-)
+from .data import CountSeries, as_counts, sample_acf
+from .distributions import RngStream, loglik_terms
+from .exceptions import ConvergenceWarning, DataError, NumericError, ParameterError
+from .model import NEGBIN, SOFTPLUS_LINEAR, LinearParams, ModelSpec, _family_n, conditional_mean_path
 
 __all__ = [
     "OptimizerOptions",
@@ -47,9 +38,6 @@ __all__ = [
     "fit_cml",
     "standard_errors",
     "information_criteria",
-    "simulation_study",
-    "StudyCell",
-    "StudyTable",
 ]
 
 _PENALTY = 1e15
@@ -103,20 +91,8 @@ def negloglik(spec: ModelSpec, params: LinearParams, series) -> float:
     if spec.link != SOFTPLUS_LINEAR:
         raise ParameterError("negloglik handles the softplus-linear link")
     x = as_counts(series)
-    lam = conditional_mean_path(spec, params, x)
-    if spec.family == POISSON:
-        ll = np.sum(x * np.log(lam) - lam - gammaln(x + 1.0))
-    else:
-        n = params.n
-        if n is None:
-            raise ParameterError("negbin family requires dispersion n")
-        ll = np.sum(
-            x * (np.log(lam) - np.log(n + lam))
-            - n * np.log1p(lam / n)
-            + gammaln(x + n)
-            - gammaln(n)
-            - gammaln(x + 1.0)
-        )
+    lam = conditional_mean_path(spec, params, series)
+    ll = np.sum(loglik_terms(x, lam, _family_n(spec.family, params.n)))
     if not np.isfinite(ll):
         raise NumericError("non-finite log-likelihood")
     return float(-ll)
@@ -137,14 +113,6 @@ def _decode(theta: np.ndarray, spec: ModelSpec) -> LinearParams:
     beta = tuple(theta[1 + p : 1 + p + q])
     n = math.exp(float(theta[1 + p + q])) if spec.family == NEGBIN else None
     return LinearParams(alpha0=alpha0, alpha=alpha, beta=beta, n=n)
-
-
-def _sample_acf(x: np.ndarray, max_lag: int) -> np.ndarray:
-    d = x - x.mean()
-    denom = float(d @ d)
-    if denom <= 0.0:
-        return np.zeros(max_lag)
-    return np.array([float(d[: len(d) - h] @ d[h:]) / denom for h in range(1, max_lag + 1)])
 
 
 def _dispersion_n(xbar: float, disp: float) -> float:
@@ -171,7 +139,10 @@ def init_params(spec: ModelSpec, series) -> LinearParams:
     xbar = float(x.mean())
     var = float(x.var(ddof=1))
     disp = var / xbar if xbar > 0 else 1.0
-    rho = _sample_acf(x, max(spec.p, 2))
+    try:
+        rho = sample_acf(x, max(spec.p, 2))
+    except DataError:  # constant series: no autocorrelation to match
+        rho = np.zeros(max(spec.p, 2))
 
     if (spec.p, spec.q) == (1, 1):
         r1, r2 = float(rho[0]), float(rho[1])
@@ -217,11 +188,9 @@ def init_params(spec: ModelSpec, series) -> LinearParams:
 
 
 def _objective(spec: ModelSpec, series):
-    x = as_counts(series)
-
     def fobj(theta):
         try:
-            value = negloglik(spec, _decode(theta, spec), x)
+            value = negloglik(spec, _decode(theta, spec), series)
         except (NumericError, ParameterError, OverflowError):
             return _PENALTY
         return value if math.isfinite(value) else _PENALTY
@@ -240,11 +209,11 @@ def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None) ->
     on non-convergence: `converged=False` carries the best point found.
     """
     opts = opts if opts is not None else OptimizerOptions()
-    x = as_counts(series)
-    s = x.size
-    start = init_params(spec, x)
+    # validated once here; every later as_counts on a CountSeries skips the checks
+    series = series if isinstance(series, CountSeries) else CountSeries(series)
+    start = init_params(spec, series)
     theta0 = _encode(start, spec.family)
-    fobj = _objective(spec, x)
+    fobj = _objective(spec, series)
 
     best = None  # (fun, order, theta, success, iterations)
     attempts = 0
@@ -252,9 +221,7 @@ def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None) ->
         if attempt == 0:
             theta_start = theta0
         else:
-            gen = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=opts.seed, spawn_key=(attempt,)))
-            )
+            gen = RngStream(opts.seed, attempt).generator()
             theta_start = theta0 * gen.uniform(0.8, 1.2, size=theta0.size)
         res_nm = minimize(
             fobj,
@@ -293,13 +260,10 @@ def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None) ->
     converged = success and math.isfinite(loglik)
     if not converged:
         warnings.warn("CML optimization did not meet its tolerances", ConvergenceWarning)
-    lambda_path = conditional_mean_path(spec, estimates, x)
+    lambda_path = conditional_mean_path(spec, estimates, series)
     k = estimates.k(spec.family)
-    aic, bic = information_criteria(loglik, k, s)
-    if converged:
-        se = standard_errors(spec, estimates, x)
-    else:
-        se = np.full(k, np.nan)
+    aic, bic = information_criteria(loglik, k, len(series))
+    se = standard_errors(spec, estimates, series) if converged else np.full(k, np.nan)
     return FitResult(
         spec=spec,
         estimates=estimates,
@@ -340,7 +304,7 @@ def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:
     inverse-Hessian diagonal is not positive (or the whole vector when the
     Hessian is singular) are reported as NaN rather than complex numbers.
     """
-    x = as_counts(series)
+    series = series if isinstance(series, CountSeries) else CountSeries(series)
     if isinstance(estimates, LinearParams):
         theta = np.asarray([estimates.alpha0, *estimates.alpha, *estimates.beta], dtype=float)
         if spec.family == NEGBIN:
@@ -353,7 +317,7 @@ def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:
                 return _PENALTY
             params = LinearParams(float(t[0]), tuple(t[1 : 1 + p]), tuple(t[1 + p : 1 + p + q]), n)
             try:
-                return negloglik(spec, params, x)
+                return negloglik(spec, params, series)
             except (NumericError, ParameterError):
                 return _PENALTY
 
@@ -365,7 +329,7 @@ def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:
         def f(t):
             try:
                 w = weights_from_flat(t, spec, log_n=False)
-                return neural_negloglik(w, spec, x)
+                return neural_negloglik(w, spec, series)
             except (NumericError, ParameterError):
                 return _PENALTY
 
@@ -380,112 +344,3 @@ def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:
     cov = np.linalg.inv(H)
     diag = np.diag(cov)
     return np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)
-
-
-@dataclass(frozen=True)
-class StudyCell:
-    """Per-parameter summary over the converged replications of one size."""
-
-    mean: float
-    abs_bias: float
-    mse: float
-
-
-@dataclass
-class StudyTable:
-    """Bias/MSE recovery study over a grid of sample sizes."""
-
-    spec: ModelSpec
-    truth: LinearParams
-    sizes: Tuple[int, ...]
-    replications: int
-    param_names: Tuple[str, ...]
-    cells: Dict[int, Dict[str, StudyCell]]
-    excluded: Dict[int, int]
-
-    def exclusion_rate(self, size: int) -> float:
-        return self.excluded[size] / self.replications
-
-
-def _param_vector(params: LinearParams, family: str) -> np.ndarray:
-    vec = [params.alpha0, *params.alpha, *params.beta]
-    if family == NEGBIN:
-        vec.append(params.n)
-    return np.asarray(vec, dtype=float)
-
-
-def _param_names(spec: ModelSpec) -> Tuple[str, ...]:
-    names = ["alpha0"]
-    names += [f"alpha{i}" for i in range(1, spec.p + 1)]
-    names += [f"beta{j}" for j in range(1, spec.q + 1)]
-    if spec.family == NEGBIN:
-        names.append("n")
-    return tuple(names)
-
-
-def simulation_study(
-    spec: ModelSpec,
-    truth: LinearParams,
-    sizes: Sequence[int],
-    replications: int,
-    seed: int,
-    opts: Optional[OptimizerOptions] = None,
-    burn_in: int = 500,
-) -> StudyTable:
-    """Simulate-and-refit study reporting mean, absolute bias and MSE.
-
-    For each sample size, `replications` independent paths are generated (one
-    RngStream per replication, keyed by the study seed and a global
-    replication index) and refitted.  Replications whose fit does not
-    converge are excluded from the summaries; the exclusion count is kept so
-    the rate can be reported alongside.
-    """
-    from .simulate import SimConfig, simulate_path
-
-    if replications < 1:
-        raise ParameterError("need at least one replication")
-    report = check_stationarity(truth, spec.family)
-    if report.applicable and not report.first_order_ok:
-        warnings.warn("study truth violates the first-order stationarity condition", UserWarning)
-    opts = opts if opts is not None else OptimizerOptions()
-    truth_vec = _param_vector(truth, spec.family)
-    names = _param_names(spec)
-    cells: Dict[int, Dict[str, StudyCell]] = {}
-    excluded: Dict[int, int] = {}
-    for size_idx, size in enumerate(sizes):
-        draws: List[np.ndarray] = []
-        failed = 0
-        for rep in range(replications):
-            stream = RngStream(seed, size_idx * replications + rep)
-            config = SimConfig(spec=spec, params=truth, length=int(size), burn_in=burn_in, rng=stream)
-            try:
-                path = simulate_path(config)
-                fit = fit_cml(spec, path, opts)
-            except (ParameterError, NumericError):
-                failed += 1
-                continue
-            if not fit.converged:
-                failed += 1
-                continue
-            draws.append(_param_vector(fit.estimates, spec.family))
-        excluded[int(size)] = failed
-        table: Dict[str, StudyCell] = {}
-        if draws:
-            mat = np.vstack(draws)
-            for idx, name in enumerate(names):
-                err = mat[:, idx] - truth_vec[idx]
-                table[name] = StudyCell(
-                    mean=float(mat[:, idx].mean()),
-                    abs_bias=float(np.abs(err).mean()),
-                    mse=float((err**2).mean()),
-                )
-        cells[int(size)] = table
-    return StudyTable(
-        spec=spec,
-        truth=truth,
-        sizes=tuple(int(s) for s in sizes),
-        replications=replications,
-        param_names=names,
-        cells=cells,
-        excluded=excluded,
-    )

@@ -168,13 +168,19 @@ def presample_init(series, floor: float = MEAN_FLOOR) -> float:
     return max(float(x.mean()), floor)
 
 
-def _omega0(family: str, n: Optional[float]) -> float:
-    """Variance inflation 1 + 1/n; the Poisson family is the explicit n->inf limit."""
+def _family_n(family: str, n: Optional[float]) -> Optional[float]:
+    """Dispersion the family uses: None for Poisson, the required n for NB."""
     if family == POISSON:
-        return 1.0
+        return None
     if n is None:
         raise ParameterError("negbin family requires dispersion n")
-    return 1.0 + 1.0 / n
+    return n
+
+
+def _omega0(family: str, n: Optional[float]) -> float:
+    """Variance inflation 1 + 1/n; the Poisson family is the explicit n->inf limit."""
+    n = _family_n(family, n)
+    return 1.0 if n is None else 1.0 + 1.0 / n
 
 
 def conditional_mean_path(spec: ModelSpec, params: LinearParams, series, lambda_init=None) -> np.ndarray:
@@ -197,21 +203,20 @@ def conditional_mean_path(spec: ModelSpec, params: LinearParams, series, lambda_
         raise ParameterError("parameter orders do not match the model spec")
     x = as_counts(series)
     s = x.size
-    init_x = presample_init(x)
+    init_x = max(float(x.mean()), MEAN_FLOOR)
     lam0 = init_x if lambda_init is None else float(lambda_init)
     if not (math.isfinite(lam0) and lam0 > 0):
         raise ParameterError("lambda_init must be finite and > 0")
 
     p, q, c = spec.p, spec.q, spec.c
-    a0 = params.alpha0
-    alpha = params.alpha
-    beta = params.beta
+    alpha, beta = params.alpha, params.beta
+    # observation part alpha0 + sum_i alpha_i x_{t-i}, vectorised for every q
+    padded = np.concatenate([np.full(p, init_x), x])
+    eta = np.full(s, params.alpha0)
+    for i in range(1, p + 1):
+        eta += alpha[i - 1] * padded[p - i : p - i + s]
 
     if q == 0:
-        padded = np.concatenate([np.full(p, init_x), x])
-        eta = np.full(s, a0)
-        for i in range(1, p + 1):
-            eta += alpha[i - 1] * padded[p - i : p - i + s]
         lam = np.atleast_1d(softplus(eta, c))
         good = np.isfinite(lam) & (lam > 0.0)
         if not np.all(good):
@@ -219,39 +224,22 @@ def conditional_mean_path(spec: ModelSpec, params: LinearParams, series, lambda_
             raise NumericError(f"conditional mean invalid at step {bad}", index=bad)
         return lam
 
-    # Feedback recursion: a tight scalar loop, with the dominant (1,1) case
-    # special-cased to keep likelihood evaluation cheap.
+    # Feedback part: one scalar loop, beta_1 inline and beta_2..beta_q after it.
     exp, log1p, isfinite = math.exp, math.log1p, math.isfinite
-    xs = x.tolist()
-    lam = np.empty(s)
-    if p == 1 and q == 1:
-        a1, b1 = alpha[0], beta[0]
-        xm1, lm1 = init_x, lam0
-        for t in range(s):
-            eta = a0 + a1 * xm1 + b1 * lm1
-            v = eta + c * log1p(exp(-eta / c)) if eta > 0.0 else c * log1p(exp(eta / c))
-            if not (isfinite(v) and v > 0.0):
-                raise NumericError(f"conditional mean invalid at step {t + 1}", index=t + 1)
-            lam[t] = v
-            lm1 = v
-            xm1 = xs[t]
-        return lam
-
-    xprev = [init_x] * p
-    lprev = [lam0] * q
-    for t in range(s):
-        eta = a0
-        for i in range(p):
-            eta += alpha[i] * xprev[i]
-        for j in range(q):
-            eta += beta[j] * lprev[j]
-        v = eta + c * log1p(exp(-eta / c)) if eta > 0.0 else c * log1p(exp(eta / c))
+    b1, taps = beta[0], tuple(enumerate(beta[1:], 2))
+    lam = [lam0] * q  # pre-sample means, then lambda_1..lambda_s
+    v = lam0
+    for e in eta.tolist():
+        e += b1 * v
+        if taps:
+            for j, b in taps:
+                e += b * lam[-j]
+        v = e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))
         if not (isfinite(v) and v > 0.0):
-            raise NumericError(f"conditional mean invalid at step {t + 1}", index=t + 1)
-        lam[t] = v
-        xprev = [xs[t]] + xprev[:-1]
-        lprev = [v] + lprev[:-1]
-    return lam
+            t = len(lam) - q + 1
+            raise NumericError(f"conditional mean invalid at step {t}", index=t)
+        lam.append(v)
+    return np.array(lam[q:])
 
 
 def check_stationarity(params: LinearParams, family: str) -> StationarityReport:

@@ -23,9 +23,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import digamma, expit, gammaln
+from scipy.special import digamma, expit
 
-from .data import as_counts
+from .data import CountSeries, as_counts
+from .distributions import RngStream, loglik_terms
 from .estimate import (
     FitResult,
     OptimizerOptions,
@@ -35,7 +36,7 @@ from .estimate import (
     standard_errors,
 )
 from .exceptions import ConvergenceWarning, NumericError, ParameterError
-from .model import NEGBIN, NEURAL, POISSON, ModelSpec, presample_init
+from .model import NEGBIN, NEURAL, POISSON, ModelSpec, _family_n, presample_init
 from .special import softplus, softplus_inverse
 
 __all__ = [
@@ -133,7 +134,7 @@ def neural_lambda_path(weights: NeuralWeights, spec: ModelSpec, series) -> np.nd
     """Conditional means from the network, fed its own lagged outputs when q > 0."""
     _check_spec(weights, spec)
     x = as_counts(series)
-    init = presample_init(x)
+    init = presample_init(series)
     s = x.size
     if spec.q == 0:
         B = _lag_matrix(x, spec.p, init)
@@ -168,25 +169,11 @@ def _check_spec(weights: NeuralWeights, spec: ModelSpec):
         raise ParameterError("weight shapes do not match the model spec")
 
 
-def _loglik_terms(x: np.ndarray, g: np.ndarray, family: str, n: Optional[float]) -> np.ndarray:
-    if family == POISSON:
-        return x * np.log(g) - g - gammaln(x + 1.0)
-    if n is None:
-        raise ParameterError("negbin family requires dispersion n")
-    return (
-        x * (np.log(g) - np.log(n + g))
-        - n * np.log1p(g / n)
-        + gammaln(x + n)
-        - gammaln(n)
-        - gammaln(x + 1.0)
-    )
-
-
 def neural_negloglik(weights: NeuralWeights, spec: ModelSpec, series) -> float:
     """Negated conditional log-likelihood under the network response."""
     x = as_counts(series)
-    g = neural_lambda_path(weights, spec, x)
-    ll = float(np.sum(_loglik_terms(x, g, spec.family, weights.n)))
+    g = neural_lambda_path(weights, spec, series)
+    ll = float(np.sum(loglik_terms(x, g, _family_n(spec.family, weights.n))))
     if not math.isfinite(ll):
         raise NumericError("non-finite log-likelihood")
     return -ll
@@ -215,7 +202,7 @@ def neural_gradient(weights: NeuralWeights, spec: ModelSpec, series) -> np.ndarr
     """
     _check_spec(weights, spec)
     x = as_counts(series)
-    init = presample_init(x)
+    init = presample_init(series)
     s = x.size
     K, L = weights.input_width, weights.hidden
     W = K * L + L
@@ -307,8 +294,9 @@ def fit_neural(
     given `opts.seed`.
     """
     opts = opts if opts is not None else OptimizerOptions(restarts=10)
-    x = as_counts(series)
-    s = x.size
+    # validated once here; every later as_counts on a CountSeries skips the checks
+    series = series if isinstance(series, CountSeries) else CountSeries(series)
+    s = len(series)
     K, L = spec.input_width, spec.hidden
     floor = 20 * (K * L + L) / (spec.p + spec.q + 1)
     if s < floor:
@@ -320,20 +308,18 @@ def fit_neural(
     def fun(flat):
         try:
             w = weights_from_flat(flat, spec)
-            value = neural_negloglik(w, spec, x)
-            grad = neural_gradient(w, spec, x)
+            value = neural_negloglik(w, spec, series)
+            grad = neural_gradient(w, spec, series)
         except (NumericError, ParameterError, OverflowError):
             return _PENALTY, np.zeros(flat.size)
         if not (math.isfinite(value) and np.all(np.isfinite(grad))):
             return _PENALTY, np.zeros(flat.size)
         return value, grad
 
-    starts = []
-    for k in range(opts.restarts + 1):
-        gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=opts.seed, spawn_key=(k,)))
-        )
-        starts.append(weights_to_flat(_initial_weights(spec, x, gen)))
+    starts = [
+        weights_to_flat(_initial_weights(spec, series, RngStream(opts.seed, k).generator()))
+        for k in range(opts.restarts + 1)
+    ]
     starts.extend(weights_to_flat(w) for w in extra_starts)
 
     best = None
@@ -356,10 +342,10 @@ def fit_neural(
     converged = success and math.isfinite(loglik)
     if not converged:
         warnings.warn("neural training did not meet its tolerances", ConvergenceWarning)
-    lambda_path = neural_lambda_path(estimates, spec, x)
+    lambda_path = neural_lambda_path(estimates, spec, series)
     k = estimates.count(spec.family)
     aic, bic = information_criteria(loglik, k, s)
-    se = standard_errors(spec, estimates, x) if converged else np.full(k, np.nan)
+    se = standard_errors(spec, estimates, series) if converged else np.full(k, np.nan)
     return FitResult(
         spec=spec,
         estimates=estimates,

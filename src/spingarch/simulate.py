@@ -1,4 +1,5 @@
-"""Path simulation for all model variants and the moment-comparison study.
+"""Path simulation for all model variants, the moment-comparison study, and
+the estimator recovery study.
 
 A simulated path iterates the conditional-mean recursion, draws each count
 from the conditional distribution at that mean, discards a burn-in prefix,
@@ -8,18 +9,22 @@ single RngStream, so identical configurations reproduce identical series.
 `moment_study` packages the comparison between empirical moments of softplus
 (1,1) paths and the closed-form linear-model approximations: one row per
 configuration with mean, dispersion ratio, and ACF at the first few lags.
+`simulation_study` simulates paths from a known truth and refits them,
+reporting the bias and MSE of the estimates per sample size.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .data import as_counts
+from .data import as_counts, sample_acf
 from .distributions import RngStream
+from .estimate import OptimizerOptions, fit_cml
 from .exceptions import DataError, NumericError, ParameterError
 from .model import (
     NEGBIN,
@@ -28,6 +33,7 @@ from .model import (
     LinearMoments,
     LinearParams,
     ModelSpec,
+    check_stationarity,
     linear_moments_11,
 )
 from .neural import NeuralWeights, slfn_forward
@@ -40,6 +46,9 @@ __all__ = [
     "empirical_moments",
     "MomentRow",
     "moment_study",
+    "simulation_study",
+    "StudyCell",
+    "StudyTable",
 ]
 
 
@@ -145,10 +154,7 @@ def empirical_moments(series, max_lag: int) -> EmpiricalMoments:
     if var <= 0.0:
         raise DataError("degenerate series: sample variance is zero")
     mean = float(x.mean())
-    d = x - mean
-    denom = float(d @ d)
-    acf = np.array([float(d[: x.size - h] @ d[h:]) / denom for h in range(1, max_lag + 1)])
-    return EmpiricalMoments(mean=mean, dispersion=var / mean, acf=acf)
+    return EmpiricalMoments(mean=mean, dispersion=var / mean, acf=sample_acf(x, max_lag))
 
 
 @dataclass
@@ -186,3 +192,110 @@ def moment_study(grid: Sequence[SimConfig], max_lag: int = 3) -> List[MomentRow]
             flagged = True
         rows.append(MomentRow(config=config, empirical=emp, linear=lin, flagged=flagged))
     return rows
+
+
+@dataclass(frozen=True)
+class StudyCell:
+    """Per-parameter summary over the converged replications of one size."""
+
+    mean: float
+    abs_bias: float
+    mse: float
+
+
+@dataclass
+class StudyTable:
+    """Bias/MSE recovery study over a grid of sample sizes."""
+
+    spec: ModelSpec
+    truth: LinearParams
+    sizes: Tuple[int, ...]
+    replications: int
+    param_names: Tuple[str, ...]
+    cells: Dict[int, Dict[str, StudyCell]]
+    excluded: Dict[int, int]
+
+    def exclusion_rate(self, size: int) -> float:
+        return self.excluded[size] / self.replications
+
+
+def _param_vector(params: LinearParams, family: str) -> np.ndarray:
+    vec = [params.alpha0, *params.alpha, *params.beta]
+    if family == NEGBIN:
+        vec.append(params.n)
+    return np.asarray(vec, dtype=float)
+
+
+def _param_names(spec: ModelSpec) -> Tuple[str, ...]:
+    names = ["alpha0"]
+    names += [f"alpha{i}" for i in range(1, spec.p + 1)]
+    names += [f"beta{j}" for j in range(1, spec.q + 1)]
+    if spec.family == NEGBIN:
+        names.append("n")
+    return tuple(names)
+
+
+def simulation_study(
+    spec: ModelSpec,
+    truth: LinearParams,
+    sizes: Sequence[int],
+    replications: int,
+    seed: int,
+    opts: Optional[OptimizerOptions] = None,
+    burn_in: int = 500,
+) -> StudyTable:
+    """Simulate-and-refit study reporting mean, absolute bias and MSE.
+
+    For each sample size, `replications` independent paths are generated (one
+    RngStream per replication, keyed by the study seed and a global
+    replication index) and refitted.  Replications whose fit does not
+    converge are excluded from the summaries; the exclusion count is kept so
+    the rate can be reported alongside.
+    """
+    if replications < 1:
+        raise ParameterError("need at least one replication")
+    report = check_stationarity(truth, spec.family)
+    if report.applicable and not report.first_order_ok:
+        warnings.warn("study truth violates the first-order stationarity condition", UserWarning)
+    opts = opts if opts is not None else OptimizerOptions()
+    truth_vec = _param_vector(truth, spec.family)
+    names = _param_names(spec)
+    cells: Dict[int, Dict[str, StudyCell]] = {}
+    excluded: Dict[int, int] = {}
+    for size_idx, size in enumerate(sizes):
+        draws: List[np.ndarray] = []
+        failed = 0
+        for rep in range(replications):
+            stream = RngStream(seed, size_idx * replications + rep)
+            config = SimConfig(spec=spec, params=truth, length=int(size), burn_in=burn_in, rng=stream)
+            try:
+                path = simulate_path(config)
+                fit = fit_cml(spec, path, opts)
+            except (ParameterError, NumericError):
+                failed += 1
+                continue
+            if not fit.converged:
+                failed += 1
+                continue
+            draws.append(_param_vector(fit.estimates, spec.family))
+        excluded[int(size)] = failed
+        table: Dict[str, StudyCell] = {}
+        if draws:
+            mat = np.vstack(draws)
+            for idx, name in enumerate(names):
+                err = mat[:, idx] - truth_vec[idx]
+                table[name] = StudyCell(
+                    mean=float(mat[:, idx].mean()),
+                    abs_bias=float(np.abs(err).mean()),
+                    mse=float((err**2).mean()),
+                )
+        cells[int(size)] = table
+    return StudyTable(
+        spec=spec,
+        truth=truth,
+        sizes=tuple(int(s) for s in sizes),
+        replications=replications,
+        param_names=names,
+        cells=cells,
+        excluded=excluded,
+    )

@@ -251,6 +251,27 @@ class TestCommands:
         assert "size_120" in doc["study"]
 
 
+class TestNegativeListOptions:
+    def test_negative_first_value_as_separate_word(self, tmp_path):
+        base = ["simulate", "--p", "2", "--q", "2", "--alpha0", "1.5", "--n", "3",
+                "--length", "50", "--seed", "2"]
+        out = tmp_path / "sim.csv"
+        assert main(base + ["--alpha=-0.3,0.2", "--beta=-0.1,0.2", "--out", str(out)]) == 0
+        joined = out.read_bytes()
+        assert main(base + ["--alpha", "-0.3,0.2", "--beta", "-0.1,0.2", "--out", str(out)]) == 0
+        assert out.read_bytes() == joined
+
+    def test_negative_first_weight_as_separate_word(self, tmp_path):
+        out = tmp_path / "nsim.csv"
+        code = main([
+            "simulate", "--family", "negbin", "--link", "neural", "--p", "1", "--q", "1",
+            "--hidden", "1", "--weights", "-1.0,0.2,0.1,2.0", "--n", "3",
+            "--length", "40", "--seed", "4", "--out", str(out),
+        ])
+        assert code == 0
+        assert len(parse_counts_csv(out)) == 40
+
+
 class TestExitCodes:
     def test_usage_errors(self, tmp_path):
         assert main([]) == 1

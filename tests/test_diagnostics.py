@@ -26,7 +26,6 @@ from spingarch import (
     simulate_path,
     softplus,
 )
-from spingarch.diagnostics import iterated_forecasts
 from spingarch.estimate import FitResult
 from spingarch.exceptions import DataError
 
@@ -211,15 +210,6 @@ class TestOneStepForecasts:
             baseline = rmse(np.full(300, train.mean()), actual)
             wins += model_rmse < baseline
         assert wins >= 16
-
-    def test_iterated_mode_returns_positive_means(self):
-        spec = nb_spec()
-        params = LinearParams(1.5, (0.25,), (0.3,), 3.0)
-        history = simulate_path(SimConfig(spec=spec, params=params, length=100, rng=RngStream(7)))
-        fit = make_fit(spec, params, history)
-        preds = iterated_forecasts(fit, history, 10)
-        assert preds.shape == (10,)
-        assert np.all(preds > 0)
 
 
 class TestRmse:

@@ -92,6 +92,29 @@ class TestConditionalMeanPath:
             eta = 1.0 + 0.25 * padded[t + 1] - 0.1 * padded[t]
             assert lam[t] == pytest.approx(float(softplus(eta)), rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [((0.3, -0.15), (0.25,)), ((0.4,), (0.3, -0.2)), ((0.2, 0.1), (-0.3, 0.25))],
+        ids=["p2q1", "p1q2", "p2q2"],
+    )
+    @pytest.mark.parametrize("lambda_init", [None, 2.5], ids=["default-init", "explicit-init"])
+    def test_higher_order_feedback_matches_manual_recursion(self, alpha, beta, lambda_init):
+        p, q = len(alpha), len(beta)
+        params = LinearParams(0.6, alpha, beta, 2.0)
+        series = [4, 1, 0, 6, 2, 3, 5, 0, 1]
+        lam = conditional_mean_path(ModelSpec(NEGBIN, SOFTPLUS_LINEAR, p, q, 0.8), params, series,
+                                    lambda_init=lambda_init)
+        xbar = float(np.mean(series))
+        xs = [xbar] * p + series  # x_{t-i} sits at xs[p + t - i]
+        lams = [xbar if lambda_init is None else lambda_init] * q  # lambda_{t-j} at lams[q + t - j]
+        for t in range(len(series)):
+            eta = 0.6
+            eta += sum(a * xs[p + t - i] for i, a in enumerate(alpha, 1))
+            eta += sum(b * lams[q + t - j] for j, b in enumerate(beta, 1))
+            expected = float(softplus(eta, 0.8))
+            assert lam[t] == pytest.approx(expected, rel=1e-14)
+            lams.append(expected)
+
     def test_order_mismatch(self):
         with pytest.raises(ParameterError):
             conditional_mean_path(spec11(), LinearParams(1.0, (0.1,), (), 3.0), [1, 2])
