@@ -2,7 +2,9 @@
 
 The conditional mean becomes g(1, X_{t-1}..X_{t-p}, lambda_{t-1}..lambda_{t-q})
 where g is a feedforward network with logistic hidden units and a softplus
-output unit.  The likelihood gradient is exact backpropagation; when q > 0
+output unit.  The network weights take the place of the linear coefficients
+everywhere: `negloglik`, `conditional_mean_path` and `simulate_path` serve
+both links.  The likelihood gradient is exact backpropagation; when q > 0
 the lagged conditional means depend on the weights too, so the gradient is
 accumulated through the recursion (a truncated gradient would be wrong, and
 the finite-difference gate below would catch it).
@@ -21,13 +23,12 @@ from spingarch import (
     RngStream,
     SimConfig,
     fit_neural,
+    negloglik,
     neural_gradient,
-    neural_negloglik,
     select_hidden_units,
     simulate_path,
     slfn_forward,
 )
-from spingarch.neural import weights_from_flat
 
 warnings.filterwarnings("ignore")
 
@@ -40,14 +41,14 @@ rng = np.random.default_rng(5)
 spec = ModelSpec(POISSON, NEURAL, 1, 1, hidden=2)
 series = rng.integers(0, 9, 60)
 flat = rng.uniform(-0.7, 0.7, spec.input_width * 2 + 2)
-w = weights_from_flat(flat, spec)
+w = NeuralWeights.from_flat(flat, spec)
 analytic = neural_gradient(w, spec, series)
 numeric = np.empty_like(flat)
 for i in range(flat.size):
     e = np.zeros(flat.size); e[i] = 1e-6
     numeric[i] = (
-        neural_negloglik(weights_from_flat(flat + e, spec), spec, series)
-        - neural_negloglik(weights_from_flat(flat - e, spec), spec, series)
+        negloglik(spec, NeuralWeights.from_flat(flat + e, spec), series)
+        - negloglik(spec, NeuralWeights.from_flat(flat - e, spec), series)
     ) / 2e-6
 err = np.max(np.abs(analytic - numeric)) / max(1.0, np.max(np.abs(numeric)))
 print(f"  max relative error: {err:.2e}  (training is blocked unless < 1e-5)")
@@ -58,7 +59,7 @@ truth = NeuralWeights(np.array([[1.0], [0.25]]), np.array([2.2]))
 path = simulate_path(SimConfig(spec=gen_spec, params=truth, length=500, rng=RngStream(3)))
 fit = fit_neural(gen_spec, path, OptimizerOptions(restarts=5, seed=1))
 print(f"  fitted loglik {fit.loglik:.3f} vs generating weights "
-      f"{-neural_negloglik(truth, gen_spec, path):.3f}")
+      f"{-negloglik(gen_spec, truth, path):.3f}")
 
 print("\nhow many hidden units? let the information criteria decide")
 best, fits = select_hidden_units(gen_spec, path, [1, 2, 3],

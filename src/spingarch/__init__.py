@@ -50,8 +50,6 @@ from .neural import (
     NeuralWeights,
     fit_neural,
     neural_gradient,
-    neural_lambda_path,
-    neural_negloglik,
     select_hidden_units,
     slfn_forward,
 )

@@ -35,7 +35,7 @@ from .distributions import RngStream
 from .estimate import FitResult, OptimizerOptions, fit_cml
 from .exceptions import DataError, NumericError, ParameterError
 from .model import NEGBIN, NEURAL, POISSON, SOFTPLUS_LINEAR, LinearParams, ModelSpec
-from .neural import NeuralWeights, fit_neural, weights_from_flat
+from .neural import NeuralWeights, fit_neural
 from .simulate import SimConfig, moment_study, simulate_path, simulation_study
 from .textdoc import dumps, format_float
 
@@ -208,9 +208,6 @@ def fit_to_tree(fit: FitResult) -> Dict[str, object]:
             "alpha": [float(a) for a in est.alpha],
             "beta": [float(b) for b in est.beta],
         }
-        if est.n is not None:
-            sub["n"] = float(est.n)
-        tree["k"] = est.k(fit.spec.family)
     else:
         sub = {
             "kind": "neural",
@@ -219,9 +216,9 @@ def fit_to_tree(fit: FitResult) -> Dict[str, object]:
             "family": fit.spec.family,
             "weights": [float(w) for w in np.concatenate([est.u0.ravel(), est.u1])],
         }
-        if est.n is not None:
-            sub["n"] = float(est.n)
-        tree["k"] = est.count(fit.spec.family)
+    if est.n is not None:
+        sub["n"] = float(est.n)
+    tree["k"] = est.k(fit.spec.family)
     tree["estimates"] = sub
     tree["std_errors"] = [float(v) for v in np.asarray(fit.std_errors, dtype=float)]
     tree["lambda_path"] = [float(v) for v in np.asarray(fit.lambda_path, dtype=float)]
@@ -304,7 +301,7 @@ def _params_from_config(config: RunConfig, spec: ModelSpec):
             raise UsageError("negbin family needs --n")
         flat = flat + [math.log(config.n)]
     try:
-        return weights_from_flat(np.asarray(flat, dtype=float), spec)
+        return NeuralWeights.from_flat(flat, spec)
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -314,10 +311,11 @@ def _opts_from_config(config: RunConfig, default_restarts: int) -> OptimizerOpti
     return OptimizerOptions(restarts=restarts, seed=config.seed)
 
 
-def _fit_one(spec: ModelSpec, series, opts: OptimizerOptions) -> FitResult:
+def _fit_one(spec: ModelSpec, series, config: RunConfig) -> FitResult:
+    """Fit with the link's driver; --restarts defaults to 10 for neural and 2 for linear fits."""
     if spec.link == NEURAL:
-        return fit_neural(spec, series, opts)
-    return fit_cml(spec, series, opts)
+        return fit_neural(spec, series, _opts_from_config(config, default_restarts=10))
+    return fit_cml(spec, series, _opts_from_config(config, default_restarts=2))
 
 
 def _write_text(path, text: str):
@@ -370,8 +368,6 @@ def _cmd_fit(config: RunConfig) -> int:
     if config.input is None or config.out is None:
         raise UsageError("fit needs an input CSV and --out")
     series = parse_counts_csv(config.input)
-    opts_linear = _opts_from_config(config, default_restarts=2)
-    opts_neural = _opts_from_config(config, default_restarts=10)
 
     if config.models:
         fits: Dict[str, FitResult] = {}
@@ -379,8 +375,7 @@ def _cmd_fit(config: RunConfig) -> int:
             family, link, p, q = _parse_model_token(token)
             hidden = (config.hidden or 1) if link == NEURAL else None
             spec = ModelSpec(family, link, p, q, config.c, hidden)
-            opts = opts_neural if link == NEURAL else opts_linear
-            fits[token] = _fit_one(spec, series, opts)
+            fits[token] = _fit_one(spec, series, config)
         crit = config.criterion
         ranked = sorted(
             fits.items(),
@@ -397,8 +392,7 @@ def _cmd_fit(config: RunConfig) -> int:
         return 0 if fits[best_label].converged else 4
 
     spec = _spec_from_config(config)
-    opts = opts_neural if spec.link == NEURAL else opts_linear
-    fit = _fit_one(spec, series, opts)
+    fit = _fit_one(spec, series, config)
     body = {"series": _series_summary(series), "fit": fit_to_tree(fit)}
     _write_text(config.out, _document(config, body))
     return 0 if fit.converged else 4
@@ -410,6 +404,8 @@ def _cmd_moments(config: RunConfig) -> int:
     length = config.length if config.length is not None else 100000
     if length < 1:
         raise UsageError("moments needs --length >= 1")
+    if config.max_lag < 1:
+        raise UsageError("moments needs --max-lag >= 1")
     grid_path = Path(config.grid)
     if not grid_path.exists():
         raise DataError(f"grid file not found: {grid_path}")
@@ -430,7 +426,7 @@ def _cmd_moments(config: RunConfig) -> int:
                 SimConfig(spec=spec, params=params, length=length, burn_in=config.burn_in,
                           rng=RngStream(config.seed, idx))
             )
-    lags = config.max_lag if config.max_lag else 3
+    lags = config.max_lag
     rows = moment_study(entries, max_lag=lags)
     header = ["model", "alpha0", "alpha1", "beta1", "n", "c", "flagged",
               "sp_mean", "sp_dispersion"]
@@ -496,10 +492,11 @@ def _cmd_study(config: RunConfig) -> int:
 def _cmd_diagnose(config: RunConfig) -> int:
     if config.input is None or config.out is None:
         raise UsageError("diagnose needs an input CSV and --out directory")
+    if config.max_lag < 1:
+        raise UsageError("diagnose needs --max-lag >= 1")
     series = parse_counts_csv(config.input)
     spec = _spec_from_config(config)
-    opts = _opts_from_config(config, default_restarts=10 if spec.link == NEURAL else 2)
-    fit = _fit_one(spec, series, opts)
+    fit = _fit_one(spec, series, config)
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     body = {"series": _series_summary(series), "fit": fit_to_tree(fit)}
@@ -535,8 +532,7 @@ def _cmd_forecast(config: RunConfig) -> int:
         raise UsageError(f"--split must lie in [1, {s - 1}]")
     spec = _spec_from_config(config)
     train = CountSeries(series.values[: config.split])
-    opts = _opts_from_config(config, default_restarts=10 if spec.link == NEURAL else 2)
-    fit = _fit_one(spec, train, opts)
+    fit = _fit_one(spec, train, config)
     horizon = s - config.split
     preds = one_step_forecasts(fit, series, horizon)
     actuals = series.values[config.split :]

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .data import as_counts, sample_acf
 from .exceptions import DataError, ParameterError
-from .model import POISSON, SOFTPLUS_LINEAR, ModelSpec, conditional_mean_path, presample_init
-from .neural import neural_lambda_path, slfn_forward
-from .special import softplus
+from .model import POISSON, ModelSpec, conditional_mean_path, presample_init
 
 __all__ = [
     "ResidualSeries",
@@ -122,38 +120,33 @@ def one_step_forecasts(fit, history, horizon: int) -> np.ndarray:
     `history` must contain the training series as its prefix; forecasts cover
     the `horizon` steps after it, each computed from the fitted response and
     the observations available up to the previous step (test observations are
-    fed in as they arrive, parameters stay fixed at the fit).
+    fed in as they arrive, parameters stay fixed at the fit).  Pre-sample
+    means come from the training prefix, as in the fit.
     """
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
     hist = as_counts(history)
-    spec = fit.spec
+    spec, params = fit.spec, fit.estimates
     train_len = len(fit.lambda_path)
     if hist.size < train_len:
         raise DataError("history must extend the training series")
-    lam_init = presample_init(hist[:train_len])
-    # conditional means over the full history, then one step beyond it
-    if spec.link == SOFTPLUS_LINEAR:
-        path = conditional_mean_path(spec, fit.estimates, hist, lambda_init=lam_init)
-        params = fit.estimates
-        eta = params.alpha0
-        for i in range(1, spec.p + 1):
-            eta += params.alpha[i - 1] * (hist[-i] if i <= hist.size else lam_init)
-        for j in range(1, spec.q + 1):
-            eta += params.beta[j - 1] * (path[-j] if j <= path.size else lam_init)
-        one_beyond = float(softplus(eta, spec.c))
-    else:
-        path = neural_lambda_path(fit.estimates, spec, hist)
-        lags = [float(hist[-i]) if i <= hist.size else lam_init for i in range(1, spec.p + 1)]
-        lam_lags = [float(path[-j]) if j <= path.size else lam_init for j in range(1, spec.q + 1)]
-        one_beyond = slfn_forward(fit.estimates, np.array([1.0, *lags, *lam_lags]))
     if train_len + horizon > hist.size + 1:
         raise DataError(
             f"insufficient history: horizon {horizon} needs observations up to "
             f"step {train_len + horizon - 1}, have {hist.size}"
         )
+    lam_init = presample_init(hist[:train_len])
+    # conditional means over the full history, then one step beyond it
+    path = conditional_mean_path(spec, params, hist, lambda_init=lam_init)
+    one_beyond = params.step(spec, _latest(hist, spec.p, presample_init(hist)),
+                             _latest(path, spec.q, lam_init))
     full = np.append(path, one_beyond)
     return full[train_len : train_len + horizon]
+
+
+def _latest(values: np.ndarray, k: int, pad: float) -> List[float]:
+    """The last k values, newest first, padded with `pad` before the start."""
+    return [float(values[-i]) if i <= values.size else pad for i in range(1, k + 1)]
 
 
 def rmse(forecasts, actuals) -> float:

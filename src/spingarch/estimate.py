@@ -28,7 +28,7 @@ from scipy.optimize import minimize
 from .data import CountSeries, as_counts, sample_acf
 from .distributions import RngStream, loglik_terms
 from .exceptions import ConvergenceWarning, DataError, NumericError, ParameterError
-from .model import NEGBIN, SOFTPLUS_LINEAR, LinearParams, ModelSpec, _family_n, conditional_mean_path
+from .model import NEGBIN, LinearParams, ModelSpec, _family_n, conditional_mean_path
 
 __all__ = [
     "OptimizerOptions",
@@ -86,33 +86,14 @@ def information_criteria(loglik: float, k: int, s: int) -> Tuple[float, float]:
     return aic, bic
 
 
-def negloglik(spec: ModelSpec, params: LinearParams, series) -> float:
-    """Negated conditional log-likelihood of a softplus-linear model."""
-    if spec.link != SOFTPLUS_LINEAR:
-        raise ParameterError("negloglik handles the softplus-linear link")
+def negloglik(spec: ModelSpec, params, series) -> float:
+    """Negated conditional log-likelihood; `params` is LinearParams or NeuralWeights."""
     x = as_counts(series)
     lam = conditional_mean_path(spec, params, series)
     ll = np.sum(loglik_terms(x, lam, _family_n(spec.family, params.n)))
     if not np.isfinite(ll):
         raise NumericError("non-finite log-likelihood")
     return float(-ll)
-
-
-def _encode(params: LinearParams, family: str) -> np.ndarray:
-    """Pack params into the optimizer vector; n enters as ln n."""
-    theta = [params.alpha0, *params.alpha, *params.beta]
-    if family == NEGBIN:
-        theta.append(math.log(params.n))
-    return np.asarray(theta, dtype=float)
-
-
-def _decode(theta: np.ndarray, spec: ModelSpec) -> LinearParams:
-    p, q = spec.p, spec.q
-    alpha0 = float(theta[0])
-    alpha = tuple(theta[1 : 1 + p])
-    beta = tuple(theta[1 + p : 1 + p + q])
-    n = math.exp(float(theta[1 + p + q])) if spec.family == NEGBIN else None
-    return LinearParams(alpha0=alpha0, alpha=alpha, beta=beta, n=n)
 
 
 def _dispersion_n(xbar: float, disp: float) -> float:
@@ -190,7 +171,7 @@ def init_params(spec: ModelSpec, series) -> LinearParams:
 def _objective(spec: ModelSpec, series):
     def fobj(theta):
         try:
-            value = negloglik(spec, _decode(theta, spec), series)
+            value = negloglik(spec, LinearParams.from_flat(theta, spec), series)
         except (NumericError, ParameterError, OverflowError):
             return _PENALTY
         return value if math.isfinite(value) else _PENALTY
@@ -212,7 +193,7 @@ def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None) ->
     # validated once here; every later as_counts on a CountSeries skips the checks
     series = series if isinstance(series, CountSeries) else CountSeries(series)
     start = init_params(spec, series)
-    theta0 = _encode(start, spec.family)
+    theta0 = start.to_flat()
     fobj = _objective(spec, series)
 
     best = None  # (fun, order, theta, success, iterations)
@@ -254,12 +235,23 @@ def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None) ->
         if best[3]:  # stop restarting once the best point comes from a converged run
             break
 
-    fun, _, theta_hat, success, iterations = best
-    estimates = _decode(theta_hat, spec)
+    return _fit_result(spec, series, LinearParams, best, attempts - 1, "CML optimization")
+
+
+def _fit_result(spec: ModelSpec, series, kind, best, restarts_used: int, stage: str) -> FitResult:
+    """The end every fit driver shares.
+
+    `best` is the winning (objective, order, flat point, success, iterations)
+    of the driver's starts; `kind` is the parameter type that decodes the
+    point.  Warns when the fit did not converge, and adds the lambda path,
+    the information criteria and the standard errors.
+    """
+    fun, _, flat, success, iterations = best
+    estimates = kind.from_flat(flat, spec)
     loglik = -fun
     converged = success and math.isfinite(loglik)
     if not converged:
-        warnings.warn("CML optimization did not meet its tolerances", ConvergenceWarning)
+        warnings.warn(f"{stage} did not meet its tolerances", ConvergenceWarning)
     lambda_path = conditional_mean_path(spec, estimates, series)
     k = estimates.k(spec.family)
     aic, bic = information_criteria(loglik, k, len(series))
@@ -274,7 +266,7 @@ def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None) ->
         lambda_path=lambda_path,
         converged=converged,
         iterations=iterations,
-        restarts_used=attempts - 1,
+        restarts_used=restarts_used,
     )
 
 
@@ -305,33 +297,13 @@ def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:
     Hessian is singular) are reported as NaN rather than complex numbers.
     """
     series = series if isinstance(series, CountSeries) else CountSeries(series)
-    if isinstance(estimates, LinearParams):
-        theta = np.asarray([estimates.alpha0, *estimates.alpha, *estimates.beta], dtype=float)
-        if spec.family == NEGBIN:
-            theta = np.append(theta, estimates.n)
+    theta = estimates.to_flat(log_n=False)
 
-        def f(t):
-            p, q = spec.p, spec.q
-            n = float(t[1 + p + q]) if spec.family == NEGBIN else None
-            if n is not None and n <= 0:
-                return _PENALTY
-            params = LinearParams(float(t[0]), tuple(t[1 : 1 + p]), tuple(t[1 + p : 1 + p + q]), n)
-            try:
-                return negloglik(spec, params, series)
-            except (NumericError, ParameterError):
-                return _PENALTY
-
-    else:
-        from .neural import neural_negloglik, weights_from_flat, weights_to_flat
-
-        theta = weights_to_flat(estimates, log_n=False)
-
-        def f(t):
-            try:
-                w = weights_from_flat(t, spec, log_n=False)
-                return neural_negloglik(w, spec, series)
-            except (NumericError, ParameterError):
-                return _PENALTY
+    def f(t):
+        try:
+            return negloglik(spec, estimates.from_flat(t, spec, log_n=False), series)
+        except (NumericError, ParameterError):
+            return _PENALTY
 
     H = _numeric_hessian(f, theta)
     if not np.all(np.isfinite(H)):

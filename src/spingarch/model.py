@@ -132,6 +132,77 @@ class LinearParams:
         """Number of free parameters under the given family."""
         return 1 + self.p + self.q + (1 if family == NEGBIN else 0)
 
+    def to_flat(self, log_n: bool = True) -> np.ndarray:
+        """Flatten to [alpha0, alpha, beta, (ln) n]; the optimizer works on ln n."""
+        flat = [self.alpha0, *self.alpha, *self.beta]
+        if self.n is not None:
+            flat.append(math.log(self.n) if log_n else self.n)
+        return np.asarray(flat, dtype=float)
+
+    @classmethod
+    def from_flat(cls, flat, spec: ModelSpec, log_n: bool = True) -> "LinearParams":
+        """Inverse of `to_flat` for the orders and family of `spec`."""
+        p, q = spec.p, spec.q
+        expected = 1 + p + q + (1 if spec.family == NEGBIN else 0)
+        if len(flat) != expected:
+            raise ParameterError(f"flat parameter vector must have {expected} entries, got {len(flat)}")
+        n = None
+        if spec.family == NEGBIN:
+            n = math.exp(float(flat[-1])) if log_n else float(flat[-1])
+        return cls(float(flat[0]), tuple(flat[1 : 1 + p]), tuple(flat[1 + p : 1 + p + q]), n)
+
+    def _check(self, spec: ModelSpec):
+        if spec.link != SOFTPLUS_LINEAR:
+            raise ParameterError("linear parameters require the softplus-linear link")
+        if self.p != spec.p or self.q != spec.q:
+            raise ParameterError("parameter orders do not match the model spec")
+
+    def mean_path(self, spec: ModelSpec, x: np.ndarray, lambda_init: Optional[float]) -> np.ndarray:
+        """The recursion behind `conditional_mean_path` on the coerced series x;
+        unchecked, and `lambda_init=None` means the pre-sample count value."""
+        self._check(spec)
+        p, q, c = spec.p, spec.q, spec.c
+        s = x.size
+        init, padded = _pre_sample(x, p)
+        # observation part alpha0 + sum_i alpha_i x_{t-i}, vectorised for every q
+        eta = np.full(s, self.alpha0)
+        for i in range(1, p + 1):
+            eta += self.alpha[i - 1] * padded[p - i : p - i + s]
+        if q == 0:
+            return np.atleast_1d(softplus(eta, c))
+
+        # Feedback part: one scalar loop, beta_1 inline and beta_2..beta_q after it.
+        exp, log1p = math.exp, math.log1p
+        b1, taps = self.beta[0], tuple(enumerate(self.beta[1:], 2))
+        v = init if lambda_init is None else lambda_init
+        lam = [v] * q  # pre-sample means, then lambda_1..lambda_s
+        for e in eta.tolist():
+            e += b1 * v
+            if taps:
+                for j, b in taps:
+                    e += b * lam[-j]
+            v = e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))
+            lam.append(v)
+        return np.array(lam[q:])
+
+    def step(self, spec: ModelSpec, x_lags, lam_lags) -> float:
+        """One conditional mean from the p latest counts and q latest means, newest first."""
+        eta = self.alpha0
+        for a, v in zip(self.alpha, x_lags):
+            eta += a * v
+        for b, v in zip(self.beta, lam_lags):
+            eta += b * v
+        c = spec.c
+        return eta + c * math.log1p(math.exp(-eta / c)) if eta > 0.0 else c * math.log1p(math.exp(eta / c))
+
+    def chain_start(self, spec: ModelSpec) -> float:
+        """Start of a simulated chain: the softplus of the approximate stationary
+        linear mean when the first-order condition holds, else of the intercept."""
+        self._check(spec)
+        cbar = sum(max(0.0, a) for a in self.alpha) + sum(max(0.0, b) for b in self.beta)
+        level = self.alpha0 / (1.0 - cbar) if cbar < 1.0 else self.alpha0
+        return float(softplus(level, spec.c))
+
 
 @dataclass(frozen=True)
 class StationarityReport:
@@ -168,6 +239,19 @@ def presample_init(series, floor: float = MEAN_FLOOR) -> float:
     return max(float(x.mean()), floor)
 
 
+def _pre_sample(x: np.ndarray, p: int) -> Tuple[float, np.ndarray]:
+    """The `presample_init` value of x, which stands in for counts and means
+    before the first step, and x with p such counts in front."""
+    init = max(float(x.mean()), MEAN_FLOOR)
+    return init, np.concatenate([np.full(p, init), x])
+
+
+def _lag_matrix(padded: np.ndarray, p: int) -> np.ndarray:
+    """Rows (1, x_{t-1}, ..., x_{t-p}) for t = 1..s from `_pre_sample`'s padded x."""
+    s = padded.size - p
+    return np.column_stack([np.ones(s)] + [padded[p - i : p - i + s] for i in range(1, p + 1)])
+
+
 def _family_n(family: str, n: Optional[float]) -> Optional[float]:
     """Dispersion the family uses: None for Poisson, the required n for NB."""
     if family == POISSON:
@@ -183,13 +267,14 @@ def _omega0(family: str, n: Optional[float]) -> float:
     return 1.0 if n is None else 1.0 + 1.0 / n
 
 
-def conditional_mean_path(spec: ModelSpec, params: LinearParams, series, lambda_init=None) -> np.ndarray:
+def conditional_mean_path(spec: ModelSpec, params, series, lambda_init=None) -> np.ndarray:
     """Conditional means lambda_1..lambda_s implied by params on the given series.
 
-    Pre-sample observations and conditional means are replaced by the sample
-    mean of the series (floored at 1e-4), or by `lambda_init` for the lambda
-    side when supplied.  Every returned entry is strictly positive by the
-    softplus range.
+    Serves both links: `params` (LinearParams or NeuralWeights) runs its own
+    recursion through its `mean_path` method.  Pre-sample observations and
+    conditional means are replaced by the sample mean of the series (floored
+    at 1e-4), or by `lambda_init` for the lambda side when supplied.  Every
+    returned entry is strictly positive by the softplus range.
 
     Raises
     ------
@@ -197,49 +282,17 @@ def conditional_mean_path(spec: ModelSpec, params: LinearParams, series, lambda_
         If the recursion produces a non-finite value; the error carries the
         1-based index of the offending step.
     """
-    if spec.link != SOFTPLUS_LINEAR:
-        raise ParameterError("conditional_mean_path handles the softplus-linear link")
-    if params.p != spec.p or params.q != spec.q:
-        raise ParameterError("parameter orders do not match the model spec")
     x = as_counts(series)
-    s = x.size
-    init_x = max(float(x.mean()), MEAN_FLOOR)
-    lam0 = init_x if lambda_init is None else float(lambda_init)
-    if not (math.isfinite(lam0) and lam0 > 0):
-        raise ParameterError("lambda_init must be finite and > 0")
-
-    p, q, c = spec.p, spec.q, spec.c
-    alpha, beta = params.alpha, params.beta
-    # observation part alpha0 + sum_i alpha_i x_{t-i}, vectorised for every q
-    padded = np.concatenate([np.full(p, init_x), x])
-    eta = np.full(s, params.alpha0)
-    for i in range(1, p + 1):
-        eta += alpha[i - 1] * padded[p - i : p - i + s]
-
-    if q == 0:
-        lam = np.atleast_1d(softplus(eta, c))
-        good = np.isfinite(lam) & (lam > 0.0)
-        if not np.all(good):
-            bad = int(np.flatnonzero(~good)[0]) + 1
-            raise NumericError(f"conditional mean invalid at step {bad}", index=bad)
-        return lam
-
-    # Feedback part: one scalar loop, beta_1 inline and beta_2..beta_q after it.
-    exp, log1p, isfinite = math.exp, math.log1p, math.isfinite
-    b1, taps = beta[0], tuple(enumerate(beta[1:], 2))
-    lam = [lam0] * q  # pre-sample means, then lambda_1..lambda_s
-    v = lam0
-    for e in eta.tolist():
-        e += b1 * v
-        if taps:
-            for j, b in taps:
-                e += b * lam[-j]
-        v = e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))
-        if not (isfinite(v) and v > 0.0):
-            t = len(lam) - q + 1
-            raise NumericError(f"conditional mean invalid at step {t}", index=t)
-        lam.append(v)
-    return np.array(lam[q:])
+    if lambda_init is not None:
+        lambda_init = float(lambda_init)
+        if not (math.isfinite(lambda_init) and lambda_init > 0):
+            raise ParameterError("lambda_init must be finite and > 0")
+    lam = params.mean_path(spec, x, lambda_init)
+    good = np.isfinite(lam) & (lam > 0.0)
+    if not np.all(good):
+        bad = int(np.flatnonzero(~good)[0]) + 1
+        raise NumericError(f"conditional mean invalid at step {bad}", index=bad)
+    return lam
 
 
 def check_stationarity(params: LinearParams, family: str) -> StationarityReport:

@@ -26,29 +26,18 @@ from scipy.optimize import minimize
 from scipy.special import digamma, expit
 
 from .data import CountSeries, as_counts
-from .distributions import RngStream, loglik_terms
-from .estimate import (
-    FitResult,
-    OptimizerOptions,
-    _PENALTY,
-    _dispersion_n,
-    information_criteria,
-    standard_errors,
-)
-from .exceptions import ConvergenceWarning, NumericError, ParameterError
-from .model import NEGBIN, NEURAL, POISSON, ModelSpec, _family_n, presample_init
+from .distributions import RngStream
+from .estimate import FitResult, OptimizerOptions, _PENALTY, _dispersion_n, _fit_result, negloglik
+from .exceptions import NumericError, ParameterError
+from .model import NEGBIN, NEURAL, POISSON, ModelSpec, _lag_matrix, _pre_sample
 from .special import softplus, softplus_inverse
 
 __all__ = [
     "NeuralWeights",
     "slfn_forward",
-    "neural_lambda_path",
-    "neural_negloglik",
     "neural_gradient",
     "fit_neural",
     "select_hidden_units",
-    "weights_to_flat",
-    "weights_from_flat",
 ]
 
 
@@ -84,32 +73,65 @@ class NeuralWeights:
     def hidden(self) -> int:
         return self.u0.shape[1]
 
-    def count(self, family: str) -> int:
+    def k(self, family: str) -> int:
         """Number of free parameters under the given family."""
         return self.u0.size + self.u1.size + (1 if family == NEGBIN else 0)
 
+    def to_flat(self, log_n: bool = True) -> np.ndarray:
+        """Flatten to [u0 row-major, u1, (ln) n]; the optimizer works on ln n."""
+        flat = np.concatenate([self.u0.ravel(), self.u1])
+        if self.n is not None:
+            flat = np.append(flat, math.log(self.n) if log_n else self.n)
+        return flat
 
-def weights_to_flat(weights: NeuralWeights, log_n: bool = True) -> np.ndarray:
-    """Flatten to [u0 row-major, u1, (ln) n]; the optimizer works on ln n."""
-    flat = np.concatenate([weights.u0.ravel(), weights.u1])
-    if weights.n is not None:
-        flat = np.append(flat, math.log(weights.n) if log_n else weights.n)
-    return flat
+    @classmethod
+    def from_flat(cls, flat, spec: ModelSpec, log_n: bool = True) -> "NeuralWeights":
+        """Inverse of `to_flat` for the network shape and family of `spec`."""
+        K, L = spec.input_width, spec.hidden
+        flat = np.asarray(flat, dtype=float)
+        expected = K * L + L + (1 if spec.family == NEGBIN else 0)
+        if flat.size != expected:
+            raise ParameterError(f"flat weight vector must have {expected} entries, got {flat.size}")
+        n = None
+        if spec.family == NEGBIN:
+            n = math.exp(float(flat[-1])) if log_n else float(flat[-1])
+        return cls(u0=flat[: K * L].reshape(K, L), u1=flat[K * L : K * L + L], n=n)
 
+    def _check(self, spec: ModelSpec):
+        if spec.link != NEURAL:
+            raise ParameterError("neural weights require the neural link")
+        if self.input_width != spec.input_width or self.hidden != spec.hidden:
+            raise ParameterError("weight shapes do not match the model spec")
 
-def weights_from_flat(flat: np.ndarray, spec: ModelSpec, log_n: bool = True) -> NeuralWeights:
-    K, L = spec.input_width, spec.hidden
-    flat = np.asarray(flat, dtype=float)
-    expected = K * L + L + (1 if spec.family == NEGBIN else 0)
-    if flat.size != expected:
-        raise ParameterError(f"flat weight vector must have {expected} entries, got {flat.size}")
-    u0 = flat[: K * L].reshape(K, L)
-    u1 = flat[K * L : K * L + L]
-    n = None
-    if spec.family == NEGBIN:
-        raw = float(flat[-1])
-        n = math.exp(raw) if log_n else raw
-    return NeuralWeights(u0=u0, u1=u1, n=n)
+    def _respond(self, inputs: np.ndarray) -> float:
+        """Network output for one input vector (1, x lags, lambda lags)."""
+        z = float(self.u1 @ expit(self.u0.T @ inputs))
+        return float(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
+
+    def mean_path(self, spec: ModelSpec, x: np.ndarray, lambda_init: Optional[float]) -> np.ndarray:
+        """The recursion behind `conditional_mean_path` on the coerced series x:
+        the network, fed its own lagged outputs when q > 0.  Unchecked, and
+        `lambda_init=None` means the pre-sample count value."""
+        self._check(spec)
+        init, padded = _pre_sample(x, spec.p)
+        lags = _lag_matrix(padded, spec.p)
+        if spec.q == 0:
+            return np.atleast_1d(softplus(expit(lags @ self.u0) @ self.u1, 1.0))
+        lam = np.empty(x.size)
+        lprev = [init if lambda_init is None else lambda_init] * spec.q
+        for t, x_lags in enumerate(lags[:, 1:].tolist()):
+            lam[t] = v = self.step(spec, x_lags, lprev)
+            lprev = [v] + lprev[:-1]
+        return lam
+
+    def step(self, spec: ModelSpec, x_lags, lam_lags) -> float:
+        """One conditional mean from the p latest counts and q latest means, newest first."""
+        return self._respond(np.array([1.0, *x_lags, *lam_lags]))
+
+    def chain_start(self, spec: ModelSpec) -> float:
+        """Start of a simulated chain: the network output with every lag input zero."""
+        self._check(spec)
+        return self.step(spec, [0.0] * spec.p, [0.0] * spec.q)
 
 
 def slfn_forward(weights: NeuralWeights, x) -> float:
@@ -117,66 +139,7 @@ def slfn_forward(weights: NeuralWeights, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (weights.input_width,):
         raise ParameterError(f"input must have {weights.input_width} entries, got {x.shape}")
-    hidden = expit(weights.u0.T @ x)
-    return float(softplus(float(weights.u1 @ hidden), 1.0))
-
-
-def _lag_matrix(x: np.ndarray, p: int, init: float) -> np.ndarray:
-    s = x.size
-    cols = [np.ones(s)]
-    padded = np.concatenate([np.full(p, init), x])
-    for i in range(1, p + 1):
-        cols.append(padded[p - i : p - i + s])
-    return np.column_stack(cols)
-
-
-def neural_lambda_path(weights: NeuralWeights, spec: ModelSpec, series) -> np.ndarray:
-    """Conditional means from the network, fed its own lagged outputs when q > 0."""
-    _check_spec(weights, spec)
-    x = as_counts(series)
-    init = presample_init(series)
-    s = x.size
-    if spec.q == 0:
-        B = _lag_matrix(x, spec.p, init)
-        z = expit(B @ weights.u0) @ weights.u1
-        lam = np.atleast_1d(softplus(z, 1.0))
-        good = np.isfinite(lam) & (lam > 0.0)
-        if not np.all(good):
-            bad = int(np.flatnonzero(~good)[0]) + 1
-            raise NumericError(f"conditional mean invalid at step {bad}", index=bad)
-        return lam
-
-    p, q = spec.p, spec.q
-    lam = np.empty(s)
-    xprev = [init] * p
-    lprev = [init] * q
-    for t in range(s):
-        xt = np.array([1.0, *xprev, *lprev])
-        hidden = expit(weights.u0.T @ xt)
-        v = float(softplus(float(weights.u1 @ hidden), 1.0))
-        if not (math.isfinite(v) and v > 0.0):
-            raise NumericError(f"conditional mean invalid at step {t + 1}", index=t + 1)
-        lam[t] = v
-        xprev = [float(x[t])] + xprev[:-1]
-        lprev = [v] + lprev[:-1]
-    return lam
-
-
-def _check_spec(weights: NeuralWeights, spec: ModelSpec):
-    if spec.link != NEURAL:
-        raise ParameterError("neural operations require the neural link")
-    if weights.input_width != spec.input_width or weights.hidden != spec.hidden:
-        raise ParameterError("weight shapes do not match the model spec")
-
-
-def neural_negloglik(weights: NeuralWeights, spec: ModelSpec, series) -> float:
-    """Negated conditional log-likelihood under the network response."""
-    x = as_counts(series)
-    g = neural_lambda_path(weights, spec, series)
-    ll = float(np.sum(loglik_terms(x, g, _family_n(spec.family, weights.n))))
-    if not math.isfinite(ll):
-        raise NumericError("non-finite log-likelihood")
-    return -ll
+    return weights._respond(x)
 
 
 def _outer_dldg(x: np.ndarray, g: np.ndarray, family: str, n: Optional[float]) -> np.ndarray:
@@ -193,24 +156,24 @@ def _dldn(x: np.ndarray, g: np.ndarray, n: float) -> float:
 
 
 def neural_gradient(weights: NeuralWeights, spec: ModelSpec, series) -> np.ndarray:
-    """Exact gradient of `neural_negloglik` in the flat layout of
-    `weights_to_flat` (u0 row-major, u1, then ln n for the NB family).
+    """Exact gradient of `negloglik` in the flat layout of
+    `NeuralWeights.to_flat` (u0 row-major, u1, then ln n for the NB family).
 
     For q > 0 this is the total derivative: the sensitivity of each lambda_t
     to the weights is accumulated forward through the recursion, including the
     dependence through lagged conditional means.
     """
-    _check_spec(weights, spec)
+    weights._check(spec)
     x = as_counts(series)
-    init = presample_init(series)
     s = x.size
     K, L = weights.input_width, weights.hidden
     W = K * L + L
     u0, u1 = weights.u0, weights.u1
     p, q = spec.p, spec.q
+    init, padded = _pre_sample(x, p)
 
     if q == 0:
-        B = _lag_matrix(x, p, init)
+        B = _lag_matrix(padded, p)
         A = B @ u0
         Hm = expit(A)
         z = Hm @ u1
@@ -307,8 +270,8 @@ def fit_neural(
 
     def fun(flat):
         try:
-            w = weights_from_flat(flat, spec)
-            value = neural_negloglik(w, spec, series)
+            w = NeuralWeights.from_flat(flat, spec)
+            value = negloglik(spec, w, series)
             grad = neural_gradient(w, spec, series)
         except (NumericError, ParameterError, OverflowError):
             return _PENALTY, np.zeros(flat.size)
@@ -317,10 +280,10 @@ def fit_neural(
         return value, grad
 
     starts = [
-        weights_to_flat(_initial_weights(spec, series, RngStream(opts.seed, k).generator()))
+        _initial_weights(spec, series, RngStream(opts.seed, k).generator()).to_flat()
         for k in range(opts.restarts + 1)
     ]
-    starts.extend(weights_to_flat(w) for w in extra_starts)
+    starts.extend(w.to_flat() for w in extra_starts)
 
     best = None
     for idx, start in enumerate(starts):
@@ -336,28 +299,7 @@ def fit_neural(
         if best is None or cand[0] < best[0]:
             best = cand
 
-    fun_val, _, flat_hat, success, iterations = best
-    estimates = weights_from_flat(flat_hat, spec)
-    loglik = -fun_val
-    converged = success and math.isfinite(loglik)
-    if not converged:
-        warnings.warn("neural training did not meet its tolerances", ConvergenceWarning)
-    lambda_path = neural_lambda_path(estimates, spec, series)
-    k = estimates.count(spec.family)
-    aic, bic = information_criteria(loglik, k, s)
-    se = standard_errors(spec, estimates, series) if converged else np.full(k, np.nan)
-    return FitResult(
-        spec=spec,
-        estimates=estimates,
-        std_errors=se,
-        loglik=loglik,
-        aic=aic,
-        bic=bic,
-        lambda_path=lambda_path,
-        converged=converged,
-        iterations=iterations,
-        restarts_used=len(starts) - 1,
-    )
+    return _fit_result(spec, series, NeuralWeights, best, len(starts) - 1, "neural training")
 
 
 def extend_with_idle_unit(weights: NeuralWeights) -> NeuralWeights:

@@ -28,7 +28,6 @@ from .estimate import OptimizerOptions, fit_cml
 from .exceptions import DataError, NumericError, ParameterError
 from .model import (
     NEGBIN,
-    POISSON,
     SOFTPLUS_LINEAR,
     LinearMoments,
     LinearParams,
@@ -36,8 +35,7 @@ from .model import (
     check_stationarity,
     linear_moments_11,
 )
-from .neural import NeuralWeights, slfn_forward
-from .special import softplus
+from .neural import NeuralWeights
 
 __all__ = [
     "SimConfig",
@@ -69,68 +67,36 @@ class SimConfig:
             raise ParameterError("burn_in must be >= 0")
 
 
-def _chain_start(spec: ModelSpec, params) -> float:
-    """Starting value for the lambda chain and pre-sample pseudo-observations.
-
-    For the linear link: the softplus of the approximate stationary linear
-    mean when the first-order condition holds, else softplus of the intercept.
-    For the neural link: the network output with all lag inputs zeroed.
-    """
-    if spec.link == SOFTPLUS_LINEAR:
-        cbar = sum(max(0.0, a) for a in params.alpha) + sum(max(0.0, b) for b in params.beta)
-        if cbar < 1.0:
-            return float(softplus(params.alpha0 / (1.0 - cbar), spec.c))
-        return float(softplus(params.alpha0, spec.c))
-    probe = np.zeros(spec.input_width)
-    probe[0] = 1.0
-    return slfn_forward(params, probe)
-
-
 def simulate_path(config: SimConfig) -> np.ndarray:
-    """Generate one count series; deterministic given the config's RngStream."""
-    spec, params = config.spec, config.params
-    if spec.family == NEGBIN:
-        n = params.n
-        if n is None or n <= 0:
-            raise ParameterError("negbin simulation requires dispersion n > 0")
-    gen = config.rng.generator()
-    total = config.burn_in + config.length
-    p, q = spec.p, spec.q
-    start = _chain_start(spec, params)
-    xprev = [start] * max(p, 1)
-    lprev = [start] * max(q, 1)
-    out = np.empty(total, dtype=np.int64)
+    """Generate one count series; deterministic given the config's RngStream.
 
-    linear = spec.link == SOFTPLUS_LINEAR
-    if linear:
-        a0, alpha, beta, c = params.alpha0, params.alpha, params.beta, spec.c
-        exp, log1p = math.exp, math.log1p
-    for t in range(total):
-        if linear:
-            eta = a0
-            for i in range(p):
-                eta += alpha[i] * xprev[i]
-            for j in range(q):
-                eta += beta[j] * lprev[j]
-            lam = eta + c * log1p(exp(-eta / c)) if eta > 0.0 else c * log1p(exp(eta / c))
-        else:
-            xt = np.array([1.0, *xprev[:p], *lprev[:q]])
-            lam = slfn_forward(params, xt)
-        if not math.isfinite(lam):
+    The chain starts at `params.chain_start(spec)` for every pre-sample count
+    and mean, and each step's mean comes from `params.step`.
+    """
+    spec, params = config.spec, config.params
+    n = params.n if spec.family == NEGBIN else None  # None: Poisson draws
+    if spec.family == NEGBIN and (n is None or n <= 0):
+        raise ParameterError("negbin simulation requires dispersion n > 0")
+    gen = config.rng.generator()
+    poisson, gamma, isfinite = gen.poisson, gen.gamma, math.isfinite
+    q = spec.q
+    start = params.chain_start(spec)
+    xprev = [start] * spec.p
+    lprev = [start] * q
+    step = params.step
+    out = np.empty(config.burn_in + config.length, dtype=np.int64)
+    for t in range(out.size):
+        lam = step(spec, xprev, lprev)
+        if not isfinite(lam):
             raise NumericError(f"non-finite conditional mean at simulation step {t + 1}", index=t + 1)
         try:
-            if spec.family == POISSON:
-                draw = int(gen.poisson(lam))
-            else:
-                mu = (lam / params.n) * gen.gamma(shape=params.n, scale=1.0)
-                draw = int(gen.poisson(mu))
+            draw = int(poisson(lam if n is None else (lam / n) * gamma(n)))
         except ValueError as exc:
             raise NumericError(
                 f"conditional mean overflow at simulation step {t + 1}", index=t + 1
             ) from exc
         out[t] = draw
-        if p:
-            xprev = [float(draw)] + xprev[:-1]
+        xprev = [float(draw)] + xprev[:-1]
         if q:
             lprev = [lam] + lprev[:-1]
     return out[config.burn_in :]
@@ -219,13 +185,6 @@ class StudyTable:
         return self.excluded[size] / self.replications
 
 
-def _param_vector(params: LinearParams, family: str) -> np.ndarray:
-    vec = [params.alpha0, *params.alpha, *params.beta]
-    if family == NEGBIN:
-        vec.append(params.n)
-    return np.asarray(vec, dtype=float)
-
-
 def _param_names(spec: ModelSpec) -> Tuple[str, ...]:
     names = ["alpha0"]
     names += [f"alpha{i}" for i in range(1, spec.p + 1)]
@@ -258,7 +217,7 @@ def simulation_study(
     if report.applicable and not report.first_order_ok:
         warnings.warn("study truth violates the first-order stationarity condition", UserWarning)
     opts = opts if opts is not None else OptimizerOptions()
-    truth_vec = _param_vector(truth, spec.family)
+    truth_vec = truth.to_flat(log_n=False)
     names = _param_names(spec)
     cells: Dict[int, Dict[str, StudyCell]] = {}
     excluded: Dict[int, int] = {}
@@ -277,7 +236,7 @@ def simulation_study(
             if not fit.converged:
                 failed += 1
                 continue
-            draws.append(_param_vector(fit.estimates, spec.family))
+            draws.append(fit.estimates.to_flat(log_n=False))
         excluded[int(size)] = failed
         table: Dict[str, StudyCell] = {}
         if draws:

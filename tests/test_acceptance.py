@@ -22,6 +22,7 @@ from spingarch import (
     SOFTPLUS_LINEAR,
     LinearParams,
     ModelSpec,
+    NeuralWeights,
     OptimizerOptions,
     RngStream,
     SimConfig,
@@ -29,8 +30,8 @@ from spingarch import (
     fit_cml,
     linear_moments_11,
     nb_log_pmf,
+    negloglik,
     neural_gradient,
-    neural_negloglik,
     poisson_log_pmf,
     relu,
     simulate_path,
@@ -40,7 +41,6 @@ from spingarch import (
 )
 from spingarch.cli import main as cli_main
 from spingarch.cli import parse_counts_csv
-from spingarch.neural import weights_from_flat
 
 
 def report(criterion: int, message: str):
@@ -113,8 +113,8 @@ def _fd_gradient(spec, series, flat, h=1e-6):
     for i in range(flat.size):
         e = np.zeros(flat.size)
         e[i] = h
-        up = neural_negloglik(weights_from_flat(flat + e, spec), spec, series)
-        dn = neural_negloglik(weights_from_flat(flat - e, spec), spec, series)
+        up = negloglik(spec, NeuralWeights.from_flat(flat + e, spec), series)
+        dn = negloglik(spec, NeuralWeights.from_flat(flat - e, spec), series)
         grad[i] = (up - dn) / (2 * h)
     return grad
 
@@ -130,7 +130,7 @@ def test_criterion_5_gradient_gate():
             series = rng.integers(0, 9, 30)
             size = spec.input_width * L + L + (1 if family == NEGBIN else 0)
             flat = rng.uniform(-0.8, 0.8, size)
-            w = weights_from_flat(flat, spec)
+            w = NeuralWeights.from_flat(flat, spec)
             analytic = neural_gradient(w, spec, series)
             numeric = _fd_gradient(spec, series, flat)
             err = np.max(np.abs(analytic - numeric)) / max(1.0, np.max(np.abs(numeric)))

@@ -280,6 +280,18 @@ class TestExitCodes:
         assert main(["fit"]) == 1  # missing input
         assert main(["frobnicate"]) == 1
 
+    def test_bad_max_lag_is_usage_error(self, tmp_path):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3\n")
+        for lag in ("0", "-2"):
+            out = tmp_path / f"mom{lag}.csv"
+            assert main(["moments", "--grid", str(grid), "--length", "200", "--max-lag", lag,
+                         "--out", str(out)]) == 1
+            assert not out.exists()
+        data = write_series(tmp_path, seed=4, n=120)
+        assert main(["diagnose", str(data), "--p", "1", "--q", "0", "--max-lag", "0",
+                     "--out", str(tmp_path / "diag")]) == 1
+
     def test_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("count\n2\n-1\n")

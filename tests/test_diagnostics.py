@@ -7,10 +7,12 @@ import pytest
 
 from spingarch import (
     NEGBIN,
+    NEURAL,
     POISSON,
     SOFTPLUS_LINEAR,
     LinearParams,
     ModelSpec,
+    NeuralWeights,
     OptimizerOptions,
     RngStream,
     SimConfig,
@@ -178,6 +180,31 @@ class TestOneStepForecasts:
         init = presample_init(history[:100])
         path = conditional_mean_path(spec, params, history, lambda_init=init)
         np.testing.assert_allclose(preds, path[100:150], rtol=1e-14)
+
+    def test_definitional_consistency_neural(self):
+        # the pre-sample mean comes from the short training prefix (mean 0.75),
+        # not from the whole history (mean 2.25)
+        from spingarch.model import conditional_mean_path, presample_init
+
+        spec = ModelSpec(NEGBIN, NEURAL, 1, 1, hidden=1)
+        weights = NeuralWeights(np.array([[0.8], [0.15], [0.5]]), np.array([2.5]), 3.0)
+        sim = simulate_path(SimConfig(spec=spec, params=weights, length=40, rng=RngStream(6)))
+        history = np.concatenate([[1, 0, 2, 0], sim])
+        fit = make_fit(spec, weights, history[:4])
+        preds = one_step_forecasts(fit, history, 40)
+        path = conditional_mean_path(spec, weights, history, lambda_init=presample_init(history[:4]))
+        np.testing.assert_allclose(preds, path[4:44], rtol=1e-14)
+
+    def test_one_beyond_neural(self):
+        from spingarch import slfn_forward
+
+        spec = ModelSpec(NEGBIN, NEURAL, 1, 1, hidden=1)
+        weights = NeuralWeights(np.array([[0.8], [0.15], [0.5]]), np.array([2.5]), 3.0)
+        history = np.array([2, 3, 1, 5])
+        fit = make_fit(spec, weights, history)
+        pred = one_step_forecasts(fit, history, 1)
+        expected = slfn_forward(weights, np.array([1.0, 5.0, fit.lambda_path[-1]]))
+        assert pred[0] == expected
 
     def test_one_beyond_history(self):
         spec = nb_spec(q=0)

@@ -26,7 +26,7 @@ from spingarch import (
     softplus,
     standard_errors,
 )
-from spingarch.estimate import _decode, _encode, _objective
+from spingarch.estimate import _objective
 from spingarch.exceptions import ParameterError
 
 
@@ -88,11 +88,11 @@ class TestNegloglik:
         series = table_path(200, 4)
         params = LinearParams(0.8, (0.2,), (0.4,), 2.5)
         fobj = _objective(spec, series)
-        theta = _encode(params, spec.family)
+        theta = params.to_flat()
         # the optimizer's view of the objective is exactly the public
         # likelihood at the decoded parameters (bit-identical)
-        assert fobj(theta) == negloglik(spec, _decode(theta, spec), series)
-        assert negloglik(spec, _decode(theta, spec), series) == pytest.approx(
+        assert fobj(theta) == negloglik(spec, LinearParams.from_flat(theta, spec), series)
+        assert negloglik(spec, LinearParams.from_flat(theta, spec), series) == pytest.approx(
             negloglik(spec, params, series), rel=1e-12
         )
 
@@ -168,7 +168,7 @@ class TestFitCml:
         spec = nb_spec()
         path = table_path(1000, 12)
         fit = fit_cml(spec, path, OptimizerOptions(restarts=1))
-        theta = _encode(fit.estimates, spec.family)
+        theta = fit.estimates.to_flat()
         fobj = _objective(spec, path)
         f0 = fobj(theta)
         for i in range(theta.size):

@@ -5,11 +5,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spingarch"
 
-# estimate.standard_errors imports neural lazily because neural imports
-# estimate; the neural standard-error policy is due for a rewrite (ROADMAP
-# item 3), which removes this import with it.
-ALLOWED = {("estimate.py", "standard_errors")}
-
 
 class _FunctionImports(ast.NodeVisitor):
     def __init__(self):
@@ -35,6 +30,5 @@ def test_no_function_level_relative_imports():
     for path in paths:
         finder = _FunctionImports()
         finder.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        offenders += [f"{path.name}:{line} in {func}()" for func, line in finder.found
-                      if (path.name, func) not in ALLOWED]
+        offenders += [f"{path.name}:{line} in {func}()" for func, line in finder.found]
     assert not offenders, "relative imports inside functions: " + ", ".join(offenders)

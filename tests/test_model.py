@@ -5,6 +5,7 @@ import pytest
 
 from spingarch import (
     NEGBIN,
+    NEURAL,
     POISSON,
     SOFTPLUS_LINEAR,
     LinearParams,
@@ -118,6 +119,37 @@ class TestConditionalMeanPath:
     def test_order_mismatch(self):
         with pytest.raises(ParameterError):
             conditional_mean_path(spec11(), LinearParams(1.0, (0.1,), (), 3.0), [1, 2])
+
+    def test_link_mismatch(self):
+        spec = ModelSpec(NEGBIN, NEURAL, 1, 1, hidden=1)
+        with pytest.raises(ParameterError):
+            conditional_mean_path(spec, LinearParams(1.0, (0.1,), (0.2,), 3.0), [1, 2])
+
+
+class TestLinearResponse:
+    def test_flat_round_trip(self):
+        spec = ModelSpec(NEGBIN, SOFTPLUS_LINEAR, 2, 1)
+        params = LinearParams(0.6, (0.3, -0.15), (0.25,), 2.0)
+        np.testing.assert_array_equal(params.to_flat(log_n=False), [0.6, 0.3, -0.15, 0.25, 2.0])
+        assert params.to_flat()[-1] == np.log(2.0)
+        assert LinearParams.from_flat(params.to_flat(log_n=False), spec, log_n=False) == params
+        assert LinearParams.from_flat(params.to_flat(), spec).n == pytest.approx(2.0, rel=1e-15)
+        poisson = LinearParams(0.6, (0.3, -0.15), (0.25,))
+        assert poisson.to_flat().size == poisson.k(POISSON) == 4
+
+    def test_from_flat_checks_size(self):
+        with pytest.raises(ParameterError):
+            LinearParams.from_flat([0.6, 0.3, 0.25], spec11())
+
+    def test_step_reproduces_path(self):
+        spec = ModelSpec(NEGBIN, SOFTPLUS_LINEAR, 2, 1, 0.8)
+        params = LinearParams(0.6, (0.3, -0.15), (0.25,), 2.0)
+        series = [4, 1, 0, 6, 2, 3, 5, 0, 1]
+        lam = conditional_mean_path(spec, params, series)
+        xbar = float(np.mean(series))
+        xs, lams = [xbar, xbar] + series, [xbar] + list(lam)
+        steps = [params.step(spec, [xs[t + 1], xs[t]], [lams[t]]) for t in range(len(series))]
+        np.testing.assert_array_equal(steps, lam)
 
 
 class TestCheckStationarity:

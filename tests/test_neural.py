@@ -14,17 +14,17 @@ from spingarch import (
     OptimizerOptions,
     RngStream,
     SimConfig,
+    conditional_mean_path,
     fit_neural,
+    negloglik,
     neural_gradient,
-    neural_lambda_path,
-    neural_negloglik,
     poisson_log_pmf,
     select_hidden_units,
     simulate_path,
     slfn_forward,
 )
 from spingarch.exceptions import ParameterError
-from spingarch.neural import extend_with_idle_unit, weights_from_flat, weights_to_flat
+from spingarch.neural import extend_with_idle_unit
 
 LN2 = math.log(2.0)
 
@@ -38,8 +38,8 @@ def finite_diff_gradient(spec, series, flat, h=1e-6):
     for i in range(flat.size):
         e = np.zeros(flat.size)
         e[i] = h
-        up = neural_negloglik(weights_from_flat(flat + e, spec), spec, series)
-        dn = neural_negloglik(weights_from_flat(flat - e, spec), spec, series)
+        up = negloglik(spec, NeuralWeights.from_flat(flat + e, spec), series)
+        dn = negloglik(spec, NeuralWeights.from_flat(flat - e, spec), series)
         grad[i] = (up - dn) / (2 * h)
     return grad
 
@@ -76,7 +76,7 @@ class TestLambdaPath:
     def test_all_zero_weights_constant(self):
         spec = nspec(p=1, q=1, L=2)
         w = NeuralWeights(np.zeros((3, 2)), np.zeros(2))
-        lam = neural_lambda_path(w, spec, [3, 1, 4, 1, 5])
+        lam = conditional_mean_path(spec, w, [3, 1, 4, 1, 5])
         np.testing.assert_allclose(lam, LN2, atol=1e-15)
 
     def test_q0_matches_per_step_forward(self):
@@ -84,7 +84,7 @@ class TestLambdaPath:
         rng = np.random.default_rng(1)
         w = NeuralWeights(rng.normal(scale=0.4, size=(3, 2)), rng.normal(scale=0.4, size=2))
         series = rng.integers(0, 6, 20)
-        lam = neural_lambda_path(w, spec, series)
+        lam = conditional_mean_path(spec, w, series)
         xbar = series.mean()
         padded = np.concatenate([[xbar, xbar], series.astype(float)])
         for t in range(20):
@@ -97,16 +97,42 @@ class TestLambdaPath:
         u0 = np.zeros((3, 2))
         u0[0] = [0.7, -0.4]
         w = NeuralWeights(u0, np.array([1.1, 0.3]))
-        lam = neural_lambda_path(w, spec, [9, 0, 3, 7])
+        lam = conditional_mean_path(spec, w, [9, 0, 3, 7])
         expected = slfn_forward(w, np.array([1.0, 123.0, 456.0]))  # lags irrelevant
         np.testing.assert_allclose(lam, expected, rtol=1e-14)
+
+    def test_step_reproduces_path_exactly(self):
+        spec = nspec(NEGBIN, p=2, q=1, L=2)
+        rng = np.random.default_rng(3)
+        w = NeuralWeights(rng.normal(scale=0.5, size=(4, 2)), rng.normal(scale=0.5, size=2), 2.0)
+        series = [int(v) for v in rng.integers(0, 9, 25)]
+        lam = conditional_mean_path(spec, w, series, lambda_init=1.7)
+        xbar = float(np.mean(series))
+        xs, lams = [xbar, xbar] + series, [1.7] + list(lam)
+        steps = [w.step(spec, [xs[t + 1], xs[t]], [lams[t]]) for t in range(len(series))]
+        np.testing.assert_array_equal(steps, lam)
+
+    def test_flat_round_trip_and_size_check(self):
+        spec = nspec(NEGBIN, p=1, q=1, L=2)
+        flat = np.arange(9.0) / 10.0
+        w = NeuralWeights.from_flat(flat, spec, log_n=False)
+        assert w.n == 0.8
+        np.testing.assert_array_equal(w.to_flat(log_n=False), flat)
+        assert w.k(NEGBIN) == flat.size
+        with pytest.raises(ParameterError):
+            NeuralWeights.from_flat(flat[:-1], spec)
+
+    def test_link_mismatch(self):
+        w = NeuralWeights(np.zeros((2, 1)), np.zeros(1))
+        with pytest.raises(ParameterError):
+            conditional_mean_path(ModelSpec(POISSON, "softplus-linear", 1, 0), w, [1, 2])
 
     def test_positivity(self):
         rng = np.random.default_rng(2)
         spec = nspec(p=1, q=1, L=3)
         for _ in range(20):
             w = NeuralWeights(rng.normal(size=(3, 3)), rng.normal(size=3))
-            lam = neural_lambda_path(w, spec, rng.integers(0, 30, 50))
+            lam = conditional_mean_path(spec, w, rng.integers(0, 30, 50))
             assert np.all(lam > 0)
 
 
@@ -114,14 +140,14 @@ class TestNegloglik:
     def test_zero_weights_zero_series(self):
         spec = nspec()
         w = NeuralWeights(np.zeros((2, 1)), np.zeros(1))
-        assert neural_negloglik(w, spec, [0]) == pytest.approx(LN2, abs=1e-14)
+        assert negloglik(spec, w, [0]) == pytest.approx(LN2, abs=1e-14)
 
     def test_nb_large_n_matches_poisson(self):
         rng = np.random.default_rng(3)
         series = rng.integers(0, 9, 100)
         w = NeuralWeights(rng.normal(scale=0.3, size=(2, 2)), np.array([1.0, 1.4]))
-        pois = neural_negloglik(w, nspec(L=2), series)
-        nb = neural_negloglik(NeuralWeights(w.u0, w.u1, 1e6), nspec(NEGBIN, L=2), series)
+        pois = negloglik(nspec(L=2), w, series)
+        nb = negloglik(nspec(NEGBIN, L=2), NeuralWeights(w.u0, w.u1, 1e6), series)
         assert abs(pois - nb) < 1e-3
 
     def test_term_by_term_oracle(self):
@@ -142,7 +168,7 @@ class TestNegloglik:
                 + rising - math.lgamma(xt + 1.0)
             )
             prev_x, prev_l = float(xt), g
-        assert neural_negloglik(w, spec, series) == pytest.approx(-total, rel=1e-9)
+        assert negloglik(spec, w, series) == pytest.approx(-total, rel=1e-9)
 
 
 class TestGradient:
@@ -156,7 +182,7 @@ class TestGradient:
         grad = neural_gradient(w, spec, x)
         expected = -np.sum(x / LN2 - 1.0) * 0.25
         np.testing.assert_allclose(grad[4:6], expected, rtol=1e-12)
-        fd = finite_diff_gradient(spec, x, weights_to_flat(w))
+        fd = finite_diff_gradient(spec, x, w.to_flat())
         np.testing.assert_allclose(grad, fd, atol=1e-7)
 
     @pytest.mark.parametrize("family", [POISSON, NEGBIN])
@@ -170,7 +196,7 @@ class TestGradient:
             series = rng.integers(0, 8, 30)
             size = spec.input_width * L + L + (1 if family == NEGBIN else 0)
             flat = rng.uniform(-0.8, 0.8, size)
-            w = weights_from_flat(flat, spec)
+            w = NeuralWeights.from_flat(flat, spec)
             err = relative_gradient_error(
                 neural_gradient(w, spec, series), finite_diff_gradient(spec, series, flat)
             )
@@ -188,7 +214,7 @@ class TestGradient:
             series = rng.integers(0, 8, 30)
             size = spec.input_width * L + L + (1 if family == NEGBIN else 0)
             flat = rng.uniform(-0.8, 0.8, size)
-            w = weights_from_flat(flat, spec)
+            w = NeuralWeights.from_flat(flat, spec)
             err = relative_gradient_error(
                 neural_gradient(w, spec, series), finite_diff_gradient(spec, series, flat)
             )
@@ -202,12 +228,12 @@ class TestGradient:
         spec = nspec(POISSON, p=1, q=1, L=1)
         series = rng.integers(0, 8, 40)
         flat = rng.uniform(-0.8, 0.8, 4)  # K*L + L with K=3, L=1
-        w = weights_from_flat(flat, spec)
+        w = NeuralWeights.from_flat(flat, spec)
         full = neural_gradient(w, spec, series)
         fd = finite_diff_gradient(spec, series, flat)
 
         # truncated variant: differentiate treating lagged lambdas as data
-        lam = neural_lambda_path(w, spec, series)
+        lam = conditional_mean_path(spec, w, series)
         xbar = max(series.mean(), 1e-4)
         lam_lag = np.concatenate([[xbar], lam[:-1]])
         x_lag = np.concatenate([[xbar], series[:-1].astype(float)])
@@ -228,11 +254,11 @@ class TestGradient:
         spec = nspec(p=1, q=0, L=1)
         w = NeuralWeights(np.array([[0.3], [0.1]]), np.array([0.9]))
         x = [4]
-        g = neural_lambda_path(w, spec, x)[0]
+        g = conditional_mean_path(spec, w, x)[0]
         grad = neural_gradient(w, spec, x)
         h = 1e-7
         w2 = NeuralWeights(w.u0, w.u1 + h)
-        dg = (neural_lambda_path(w2, spec, x)[0] - g) / h
+        dg = (conditional_mean_path(spec, w2, x)[0] - g) / h
         assert grad[-1] == pytest.approx(-(4.0 / g - 1.0) * dg, rel=1e-5)
 
 
@@ -243,7 +269,7 @@ class TestFitNeural:
         path = simulate_path(SimConfig(spec=spec, params=truth, length=400, rng=RngStream(3)))
         fit = fit_neural(spec, path, OptimizerOptions(restarts=3, seed=1))
         assert fit.converged
-        assert fit.loglik >= -neural_negloglik(truth, spec, path) - 1e-3
+        assert fit.loglik >= -negloglik(spec, truth, path) - 1e-3
 
     def test_deterministic(self):
         spec = nspec(p=1, q=1, L=1)
@@ -270,7 +296,7 @@ class TestFitNeural:
         series = rng.poisson(3.0, 200)
         fit = fit_neural(spec, series, OptimizerOptions(restarts=1, seed=0))
         k = 3 * 2 + 2 + 1  # K*L + L + dispersion
-        assert fit.estimates.count(NEGBIN) == k
+        assert fit.estimates.k(NEGBIN) == k
         assert fit.bic - fit.aic == pytest.approx(k * (math.log(200) - 2.0), abs=1e-9)
 
     def test_short_series_warns(self):
@@ -287,7 +313,7 @@ class TestNesting:
         fit1 = fit_neural(spec, series, OptimizerOptions(restarts=2, seed=4))
         warm = extend_with_idle_unit(fit1.estimates)
         spec2 = nspec(p=1, q=1, L=2)
-        assert neural_negloglik(warm, spec2, series) == pytest.approx(-fit1.loglik, rel=1e-12)
+        assert negloglik(spec2, warm, series) == pytest.approx(-fit1.loglik, rel=1e-12)
         fit2 = fit_neural(spec2, series, OptimizerOptions(restarts=2, seed=4), extra_starts=[warm])
         assert fit2.loglik >= fit1.loglik - 1e-6
 

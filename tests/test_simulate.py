@@ -5,15 +5,18 @@ import pytest
 
 from spingarch import (
     NEGBIN,
+    NEURAL,
     POISSON,
     SOFTPLUS_LINEAR,
     LinearParams,
     ModelSpec,
+    NeuralWeights,
     RngStream,
     SimConfig,
     empirical_moments,
     moment_study,
     simulate_path,
+    slfn_forward,
     softplus,
 )
 from spingarch.exceptions import DataError, ParameterError
@@ -89,6 +92,23 @@ class TestSimulatePath:
                                        length=100_000, rng=RngStream(13)))
         emp = empirical_moments(path, 1)
         assert abs(emp.dispersion - 1.0) < 0.05
+
+    def test_neural_matches_forward_reference(self):
+        # a hand loop over slfn_forward with the same gamma-Poisson draws
+        spec = ModelSpec(NEGBIN, NEURAL, 1, 1, hidden=2)
+        w = NeuralWeights(np.array([[0.4, -0.3], [0.12, 0.05], [0.3, -0.2]]),
+                          np.array([1.6, 0.9]), 2.5)
+        path = simulate_path(SimConfig(spec=spec, params=w, length=300, burn_in=50,
+                                       rng=RngStream(21)))
+        gen = RngStream(21).generator()
+        x_lag = lam_lag = slfn_forward(w, np.array([1.0, 0.0, 0.0]))
+        expected = []
+        for _ in range(350):
+            lam = slfn_forward(w, np.array([1.0, x_lag, lam_lag]))
+            draw = int(gen.poisson((lam / w.n) * gen.gamma(shape=w.n, scale=1.0)))
+            expected.append(draw)
+            x_lag, lam_lag = float(draw), lam
+        np.testing.assert_array_equal(path, expected[50:])
 
     def test_explosive_parameters_raise(self):
         from spingarch.exceptions import NumericError
