@@ -1,8 +1,10 @@
 """Conditional maximum likelihood: one fit in detail, then a recovery study.
 
-A fit proceeds in three steps: moment-matched starting values, a simplex
-search into the right basin, and quasi-Newton polish.  The dispersion n is
-optimized on the log scale; the regression coefficients are unconstrained.
+A fit proceeds in two steps: moment-matched starting values, then
+quasi-Newton (L-BFGS-B) search on the exact likelihood gradient, with
+jittered restarts only if that does not converge.  Standard errors come from
+central differences of the same gradient.  The dispersion n is optimized on
+the log scale; the regression coefficients are unconstrained.
 The recovery study repeats simulate-and-refit across sample sizes and
 summarizes mean estimate, absolute bias, and MSE per parameter.
 """

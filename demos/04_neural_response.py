@@ -6,8 +6,8 @@ output unit.  The network weights take the place of the linear coefficients
 everywhere: `negloglik`, `conditional_mean_path` and `simulate_path` serve
 both links.  The likelihood gradient is exact backpropagation; when q > 0
 the lagged conditional means depend on the weights too, so the gradient is
-accumulated through the recursion (a truncated gradient would be wrong, and
-the finite-difference gate below would catch it).
+carried backward through the recursion (a truncated gradient would be wrong,
+and the finite-difference gate below would catch it).
 """
 
 import warnings

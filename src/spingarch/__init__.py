@@ -29,6 +29,7 @@ from .estimate import (
     information_criteria,
     init_params,
     negloglik,
+    negloglik_and_grad,
     standard_errors,
 )
 from .exceptions import ConvergenceWarning, DataError, NumericError, ParameterError

@@ -379,7 +379,7 @@ def _cmd_fit(config: RunConfig) -> int:
         crit = config.criterion
         ranked = sorted(
             fits.items(),
-            key=lambda item: (getattr(item[1], crit), fit_to_tree(item[1])["k"],
+            key=lambda item: (getattr(item[1], crit), item[1].estimates.k(item[1].spec.family),
                               item[1].spec.p + item[1].spec.q),
         )
         best_label = ranked[0][0]

@@ -16,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betaln, digamma, gammaln
 
 from .exceptions import ParameterError
 
 __all__ = [
     "RngStream",
     "loglik_terms",
+    "loglik_scores",
     "nb_log_pmf",
     "poisson_log_pmf",
     "nb_sample",
@@ -80,17 +81,30 @@ def loglik_terms(x: np.ndarray, lam: np.ndarray, n=None) -> np.ndarray:
     """Per-observation log pmf at counts x and means lam, without validation.
 
     n is the negative binomial dispersion; n=None gives the Poisson terms.
-    The one expression behind both likelihoods and both public pmfs.
+    The one expression behind both likelihoods and both public pmfs.  The NB
+    coefficient log C(x+n-1, x) is -log x - betaln(n, x) (0 at x = 0), which
+    stays accurate as n grows where gammaln(x+n) - gammaln(n) cancels.
     """
     if n is None:
         return x * np.log(lam) - lam - gammaln(x + 1.0)
-    return (
-        x * (np.log(lam) - np.log(n + lam))
-        - n * np.log1p(lam / n)
-        + gammaln(x + n)
-        - gammaln(n)
-        - gammaln(x + 1.0)
-    )
+    x1 = np.maximum(x, 1.0)
+    log_coef = np.where(x > 0, -np.log(x1) - betaln(n, x1), 0.0)
+    return x * (np.log(lam) - np.log(n + lam)) - n * np.log1p(lam / n) + log_coef
+
+
+def loglik_scores(x: np.ndarray, lam: np.ndarray, n=None):
+    """Derivatives of `loglik_terms`: the per-observation d/d lam, and the sum
+    over observations of d/d n (None for the Poisson family, n=None)."""
+    if n is None:
+        return x / lam - 1.0, None
+    d_lam = x / lam - (n + x) / (n + lam)
+    if n < 1e3:
+        gap = digamma(x + n) - digamma(n)
+    else:  # the asymptotic series of digamma, differenced term by term, where the direct form cancels
+        u, m = x / n, n + x
+        gap = np.log1p(u) + u / (2.0 * m) + u * (2.0 + u) / (12.0 * m) / m
+    d_n = gap - np.log1p(lam / n) + (lam - x) / (n + lam)
+    return d_lam, float(np.sum(d_n))
 
 
 def nb_log_pmf(x, n, lam):

@@ -8,11 +8,14 @@ binomial family each term is
     x_t ln(lambda_t/n) - (n + x_t) ln(1 + lambda_t/n)
         + sum_{v=1..x_t} ln(v + n - 1) - ln(x_t!),
 
-and for Poisson it is x_t ln(lambda_t) - lambda_t - ln(x_t!).  Optimization
-runs a derivative-free simplex search into the right basin followed by a
-quasi-Newton polish; the dispersion n is optimized on the log scale so it
-stays positive, while the regression coefficients are unconstrained (negative
-values are a feature, not an error).
+and for Poisson it is x_t ln(lambda_t) - lambda_t - ln(x_t!).  Its gradient
+is exact for both links: `negloglik_and_grad` runs the score recursion
+backward (reverse mode, backpropagation through time), at about the cost of
+one extra pass over the series.  One driver fits both links with L-BFGS-B on
+that gradient, and standard errors come from central differences of it.  The
+dispersion n is optimized on the log scale so it stays positive, while the
+regression coefficients are unconstrained (negative values are a feature, not
+an error).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .data import CountSeries, as_counts, sample_acf
-from .distributions import RngStream, loglik_terms
+from .distributions import RngStream, loglik_scores, loglik_terms
 from .exceptions import ConvergenceWarning, DataError, NumericError, ParameterError
 from .model import NEGBIN, LinearParams, ModelSpec, _family_n, conditional_mean_path
 
@@ -34,6 +37,7 @@ __all__ = [
     "OptimizerOptions",
     "FitResult",
     "negloglik",
+    "negloglik_and_grad",
     "init_params",
     "fit_cml",
     "standard_errors",
@@ -50,13 +54,12 @@ class OptimizerOptions:
 
     max_iterations: int = 400
     f_tol: float = 1e-9
-    x_tol: float = 1e-7
     restarts: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        if self.f_tol <= 0 or self.x_tol <= 0:
-            raise ParameterError("tolerances must be > 0")
+        if self.f_tol <= 0:
+            raise ParameterError("f_tol must be > 0")
         if self.max_iterations < 1 or self.restarts < 0:
             raise ParameterError("max_iterations >= 1 and restarts >= 0 required")
 
@@ -86,14 +89,37 @@ def information_criteria(loglik: float, k: int, s: int) -> Tuple[float, float]:
     return aic, bic
 
 
-def negloglik(spec: ModelSpec, params, series) -> float:
-    """Negated conditional log-likelihood; `params` is LinearParams or NeuralWeights."""
+def _negloglik_at(spec: ModelSpec, params, series):
+    """The coerced counts, the conditional means, the family dispersion and
+    the negated log-likelihood of params on `series`."""
     x = as_counts(series)
     lam = conditional_mean_path(spec, params, series)
-    ll = np.sum(loglik_terms(x, lam, _family_n(spec.family, params.n)))
+    n = _family_n(spec.family, params.n)
+    ll = np.sum(loglik_terms(x, lam, n))
     if not np.isfinite(ll):
         raise NumericError("non-finite log-likelihood")
-    return float(-ll)
+    return x, lam, n, float(-ll)
+
+
+def negloglik(spec: ModelSpec, params, series) -> float:
+    """Negated conditional log-likelihood; `params` is LinearParams or NeuralWeights."""
+    return _negloglik_at(spec, params, series)[3]
+
+
+def negloglik_and_grad(spec: ModelSpec, params, series, log_n: bool = True) -> Tuple[float, np.ndarray]:
+    """`negloglik` and its exact gradient in the layout of `params.to_flat(log_n)`.
+
+    Reverse mode: the family's score d l_t / d lambda_t weights the
+    conditional means in one vector-Jacobian product of the parameter type
+    (`vjp`), so the gradient costs about one extra pass over the series; the
+    dispersion enters the likelihood directly, not through lambda.
+    """
+    x, lam, n, value = _negloglik_at(spec, params, series)
+    d_lam, d_n = loglik_scores(x, lam, n)
+    grad = -params.vjp(spec, x, lam, d_lam)
+    if n is not None:
+        grad = np.append(grad, -(n * d_n if log_n else d_n))
+    return value, grad
 
 
 def _dispersion_n(xbar: float, disp: float) -> float:
@@ -168,87 +194,44 @@ def init_params(spec: ModelSpec, series) -> LinearParams:
     return LinearParams(alpha0=alpha0, alpha=alpha, beta=beta, n=n)
 
 
-def _objective(spec: ModelSpec, series):
-    def fobj(theta):
+def _objective(spec: ModelSpec, series, kind):
+    """The optimizer's view of the likelihood: value and gradient at a flat
+    point of the parameter type `kind`, or (_PENALTY, zeros) off the valid region."""
+
+    def fun(flat):
         try:
-            value = negloglik(spec, LinearParams.from_flat(theta, spec), series)
+            value, grad = negloglik_and_grad(spec, kind.from_flat(flat, spec), series)
         except (NumericError, ParameterError, OverflowError):
-            return _PENALTY
-        return value if math.isfinite(value) else _PENALTY
+            return _PENALTY, np.zeros(flat.size)
+        if not np.all(np.isfinite(grad)):
+            return _PENALTY, np.zeros(flat.size)
+        return value, grad
 
-    return fobj
+    return fun
 
 
-def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None) -> FitResult:
-    """Fit a softplus-linear model by conditional maximum likelihood.
+def _fit(spec: ModelSpec, series, kind, starts, opts: OptimizerOptions, stage: str,
+         until_converged: bool = False) -> FitResult:
+    """The one fit driver: L-BFGS-B on the exact gradient from each start in turn.
 
-    Runs a Nelder-Mead stage followed by L-BFGS-B refinement from the
-    method-of-moments start; if that attempt does not converge, up to
-    `opts.restarts` jittered restarts (multiplicative 1 +/- 0.2 on the start)
-    are tried.  The best log-likelihood wins, ties broken by the earliest
-    attempt.  The result is deterministic given `opts.seed` and never raises
-    on non-convergence: `converged=False` carries the best point found.
+    The lowest objective wins, ties broken by the earliest start.  With
+    `until_converged` the remaining starts are skipped once the best point
+    comes from a converged run.  Warns when the fit did not converge, and adds
+    the lambda path, the information criteria and the standard errors.
     """
-    opts = opts if opts is not None else OptimizerOptions()
-    # validated once here; every later as_counts on a CountSeries skips the checks
-    series = series if isinstance(series, CountSeries) else CountSeries(series)
-    start = init_params(spec, series)
-    theta0 = start.to_flat()
-    fobj = _objective(spec, series)
-
-    best = None  # (fun, order, theta, success, iterations)
-    attempts = 0
-    for attempt in range(opts.restarts + 1):
-        if attempt == 0:
-            theta_start = theta0
-        else:
-            gen = RngStream(opts.seed, attempt).generator()
-            theta_start = theta0 * gen.uniform(0.8, 1.2, size=theta0.size)
-        res_nm = minimize(
-            fobj,
-            theta_start,
-            method="Nelder-Mead",
-            options={
-                "maxiter": opts.max_iterations * theta0.size,
-                "fatol": opts.f_tol,
-                "xatol": opts.x_tol,
-            },
-        )
-        res = minimize(
-            fobj,
-            res_nm.x,
-            method="L-BFGS-B",
-            options={"maxiter": opts.max_iterations, "ftol": opts.f_tol},
-        )
-        iterations = int(res_nm.nit) + int(res.nit)
-        # The polish stage may abort its line search when the simplex already
-        # met both tolerances; either stage meeting its criteria counts.
-        if res.fun <= res_nm.fun:
-            fun_val, x_val = float(res.fun), res.x.copy()
-        else:
-            fun_val, x_val = float(res_nm.fun), res_nm.x.copy()
-        success = bool((res.success or res_nm.success) and fun_val < _PENALTY)
-        attempts = attempt + 1
-        cand = (fun_val, attempt, x_val, success, iterations)
-        if best is None or cand[0] < best[0]:
-            best = cand
-        if best[3]:  # stop restarting once the best point comes from a converged run
+    fun = _objective(spec, series, kind)
+    best = None  # (objective, flat point, success, iterations)
+    for restarts_used, start in enumerate(starts):
+        res = minimize(fun, start, jac=True, method="L-BFGS-B",
+                       options={"maxiter": opts.max_iterations, "ftol": opts.f_tol})
+        if best is None or res.fun < best[0]:
+            best = (float(res.fun), res.x.copy(), bool(res.success and res.fun < _PENALTY), int(res.nit))
+        if until_converged and best[2]:
             break
 
-    return _fit_result(spec, series, LinearParams, best, attempts - 1, "CML optimization")
-
-
-def _fit_result(spec: ModelSpec, series, kind, best, restarts_used: int, stage: str) -> FitResult:
-    """The end every fit driver shares.
-
-    `best` is the winning (objective, order, flat point, success, iterations)
-    of the driver's starts; `kind` is the parameter type that decodes the
-    point.  Warns when the fit did not converge, and adds the lambda path,
-    the information criteria and the standard errors.
-    """
-    fun, _, flat, success, iterations = best
+    fun_val, flat, success, iterations = best
     estimates = kind.from_flat(flat, spec)
-    loglik = -fun
+    loglik = -fun_val
     converged = success and math.isfinite(loglik)
     if not converged:
         warnings.warn(f"{stage} did not meet its tolerances", ConvergenceWarning)
@@ -270,49 +253,59 @@ def _fit_result(spec: ModelSpec, series, kind, best, restarts_used: int, stage: 
     )
 
 
-def _numeric_hessian(f, theta: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian with per-coordinate steps max(1e-5, 1e-4 |theta_i|)."""
-    k = theta.size
-    h = np.maximum(1e-5, 1e-4 * np.abs(theta))
-    H = np.empty((k, k))
-    f0 = f(theta)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h[i]
-        H[i, i] = (f(theta + ei) - 2.0 * f0 + f(theta - ei)) / h[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = h[j]
-            H[i, j] = H[j, i] = (
-                f(theta + ei + ej) - f(theta + ei - ej) - f(theta - ei + ej) + f(theta - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return H
+def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None) -> FitResult:
+    """Fit a softplus-linear model by conditional maximum likelihood.
+
+    Runs L-BFGS-B on the exact gradient from the method-of-moments start; if
+    that attempt does not converge, up to `opts.restarts` jittered restarts
+    (multiplicative 1 +/- 0.2 on the start) are tried.  The best
+    log-likelihood wins, ties broken by the earliest attempt.  The result is
+    deterministic given `opts.seed` and never raises on non-convergence:
+    `converged=False` carries the best point found.
+    """
+    opts = opts if opts is not None else OptimizerOptions()
+    # validated once here; every later as_counts on a CountSeries skips the checks
+    series = series if isinstance(series, CountSeries) else CountSeries(series)
+    theta0 = init_params(spec, series).to_flat()
+    starts = [theta0] + [
+        theta0 * RngStream(opts.seed, attempt).generator().uniform(0.8, 1.2, size=theta0.size)
+        for attempt in range(1, opts.restarts + 1)
+    ]
+    return _fit(spec, series, LinearParams, starts, opts, "CML optimization", until_converged=True)
 
 
 def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:
-    """Asymptotic standard errors from the inverse numerical Hessian.
+    """Asymptotic standard errors from the inverse Hessian of the negated
+    log-likelihood, taken by central differences of its exact gradient with
+    per-coordinate steps max(1e-5, 1e-4 |theta_i|).
 
-    Computed in the natural parameter space at the estimates; entries whose
-    inverse-Hessian diagonal is not positive (or the whole vector when the
-    Hessian is singular) are reported as NaN rather than complex numbers.
+    Computed in the natural parameter space at the estimates.  Every entry is
+    NaN when a difference step leaves the valid region or the Hessian is not
+    finite, singular or not positive definite; single entries whose
+    inverse-Hessian diagonal is not positive are NaN as well.
     """
     series = series if isinstance(series, CountSeries) else CountSeries(series)
     theta = estimates.to_flat(log_n=False)
+    nan = np.full(theta.size, np.nan)
 
-    def f(t):
-        try:
-            return negloglik(spec, estimates.from_flat(t, spec, log_n=False), series)
-        except (NumericError, ParameterError):
-            return _PENALTY
+    def grad(t):
+        return negloglik_and_grad(spec, estimates.from_flat(t, spec, log_n=False), series, log_n=False)[1]
 
-    H = _numeric_hessian(f, theta)
+    H = np.empty((theta.size, theta.size))
+    try:
+        for i, h in enumerate(np.maximum(1e-5, 1e-4 * np.abs(theta))):
+            e = np.zeros(theta.size)
+            e[i] = h
+            H[i] = (grad(theta + e) - grad(theta - e)) / (2.0 * h)
+    except (NumericError, ParameterError, OverflowError):
+        return nan
+    H = (H + H.T) / 2.0
     if not np.all(np.isfinite(H)):
-        return np.full(theta.size, np.nan)
+        return nan
     # a flat or collinear direction makes the Hessian (numerically) singular;
     # flag every entry rather than report garbage magnitudes
-    eigvals = np.linalg.eigvalsh((H + H.T) / 2.0)
+    eigvals = np.linalg.eigvalsh(H)
     if eigvals[0] <= 0 or eigvals[0] < 1e-12 * max(eigvals[-1], 1.0):
-        return np.full(theta.size, np.nan)
-    cov = np.linalg.inv(H)
-    diag = np.diag(cov)
+        return nan
+    diag = np.diag(np.linalg.inv(H))
     return np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)

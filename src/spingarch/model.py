@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.special import expit
 
 from .data import as_counts
 from .exceptions import NumericError, ParameterError
@@ -185,6 +187,16 @@ class LinearParams:
             lam.append(v)
         return np.array(lam[q:])
 
+    def vjp(self, spec: ModelSpec, x: np.ndarray, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """sum_t r_t d lambda_t / d theta for theta = [alpha0, alpha, beta], where
+        lam = mean_path(spec, x, None): the per-step partials vectorised, and the
+        feedback through lagged means carried backward by `_lag_adjoint`."""
+        B = _inputs(x, lam, spec.p, spec.q)
+        theta = np.array([self.alpha0, *self.alpha, *self.beta])
+        d = expit(B @ theta / spec.c)  # sp'(eta_t)
+        a = _lag_adjoint(r, d[:, None] * theta[1 + spec.p :]) if spec.q else r
+        return B.T @ (d * a)
+
     def step(self, spec: ModelSpec, x_lags, lam_lags) -> float:
         """One conditional mean from the p latest counts and q latest means, newest first."""
         eta = self.alpha0
@@ -250,6 +262,39 @@ def _lag_matrix(padded: np.ndarray, p: int) -> np.ndarray:
     """Rows (1, x_{t-1}, ..., x_{t-p}) for t = 1..s from `_pre_sample`'s padded x."""
     s = padded.size - p
     return np.column_stack([np.ones(s)] + [padded[p - i : p - i + s] for i in range(1, p + 1)])
+
+
+def _inputs(x: np.ndarray, lam: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Rows (1, x_{t-1..t-p}, lambda_{t-1..t-q}) for t = 1..s, with the
+    `_pre_sample` value standing in before the first step."""
+    init, padded = _pre_sample(x, p)
+    rows = _lag_matrix(padded, p)
+    if q == 0:
+        return rows
+    return np.column_stack([rows, _lag_matrix(np.concatenate([np.full(q, init), lam]), q)[:, 1:]])
+
+
+def _lag_adjoint(r: np.ndarray, partials: np.ndarray) -> np.ndarray:
+    """Adjoints a_t = r_t + sum_j partials[t+j, j-1] a_{t+j} of lambda_1..lambda_s,
+    where partials[t, j-1] is the direct d lambda_t / d lambda_{t-j}: the
+    lambda-lag feedback of a reverse-mode pass, as one backward scalar loop."""
+    s, q = partials.shape
+    coef = np.zeros((s, q))  # coef[t, j-1] = partials[t+j, j-1], zero past the end
+    for j in range(1, min(q + 1, s)):
+        coef[: s - j, j - 1] = partials[j:, j - 1]
+    # One scalar loop, the j = 1 term inline and j = 2..q after it; the full
+    # coef rows are only unpacked when there are such terms.
+    taps = tuple(range(2, q + 1))
+    rows = coef[::-1].tolist() if taps else repeat(None, s)
+    rev = [0.0] * q  # zeros past the end, then a_s, ..., a_1
+    a = 0.0
+    for rt, c1, ct in zip(r[::-1].tolist(), coef[::-1, 0].tolist(), rows):
+        a = rt + c1 * a
+        if taps:
+            for j in taps:
+                a += ct[j - 1] * rev[-j]
+        rev.append(a)
+    return np.array(rev[q:])[::-1]
 
 
 def _family_n(family: str, n: Optional[float]) -> Optional[float]:

@@ -9,9 +9,9 @@ with logistic hidden activation f0 and softplus output activation f1 (c = 1),
 applied to the input vector x = (1, X_{t-1}..X_{t-p}, lambda_{t-1}..lambda_{t-q})
 of width K = p + q + 1.  Since f1' = f0 and f0' = f0 (1 - f0), backpropagation
 needs only the forward activations.  When q > 0 the lambda lags themselves
-depend on the weights, so the likelihood gradient accumulates those recursive
-sensitivities through the time loop (forward accumulation of d lambda_t / dw)
-rather than truncating at the per-step partials.
+depend on the weights, so `NeuralWeights.vjp` carries the likelihood's
+sensitivity backward through the lagged means (reverse mode over the time
+loop) rather than truncating at the per-step partials.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import digamma, expit
+from scipy.special import expit
 
 from .data import CountSeries, as_counts
 from .distributions import RngStream
-from .estimate import FitResult, OptimizerOptions, _PENALTY, _dispersion_n, _fit_result, negloglik
-from .exceptions import NumericError, ParameterError
-from .model import NEGBIN, NEURAL, POISSON, ModelSpec, _lag_matrix, _pre_sample
+from .estimate import FitResult, OptimizerOptions, _dispersion_n, _fit, negloglik_and_grad
+from .exceptions import ParameterError
+from .model import NEGBIN, NEURAL, ModelSpec, _inputs, _lag_adjoint, _lag_matrix, _pre_sample
 from .special import softplus, softplus_inverse
 
 __all__ = [
@@ -124,6 +123,18 @@ class NeuralWeights:
             lprev = [v] + lprev[:-1]
         return lam
 
+    def vjp(self, spec: ModelSpec, x: np.ndarray, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """sum_t r_t d lambda_t / d w for w = [u0 row-major, u1], where
+        lam = mean_path(spec, x, None): backpropagation through the network,
+        vectorised over t, and through the lagged means by `_lag_adjoint`."""
+        B = _inputs(x, lam, spec.p, spec.q)
+        H = expit(B @ self.u0)
+        f1p = expit(H @ self.u1)  # f1' = f0 at the output
+        dz_da = H * (1.0 - H) * self.u1
+        a = _lag_adjoint(r, f1p[:, None] * (dz_da @ self.u0[1 + spec.p :].T)) if spec.q else r
+        w = a * f1p
+        return np.concatenate([(B.T @ (dz_da * w[:, None])).ravel(), H.T @ w])
+
     def step(self, spec: ModelSpec, x_lags, lam_lags) -> float:
         """One conditional mean from the p latest counts and q latest means, newest first."""
         return self._respond(np.array([1.0, *x_lags, *lam_lags]))
@@ -142,85 +153,12 @@ def slfn_forward(weights: NeuralWeights, x) -> float:
     return weights._respond(x)
 
 
-def _outer_dldg(x: np.ndarray, g: np.ndarray, family: str, n: Optional[float]) -> np.ndarray:
-    """d log pmf / d mean, per observation."""
-    if family == POISSON:
-        return x / g - 1.0
-    return x / g - (n + x) / (n + g)
-
-
-def _dldn(x: np.ndarray, g: np.ndarray, n: float) -> float:
-    """d log-likelihood / d n for the negative binomial family."""
-    terms = math.log(n) + 1.0 - np.log(n + g) - (n + x) / (n + g) + digamma(x + n) - digamma(n)
-    return float(np.sum(terms))
-
-
 def neural_gradient(weights: NeuralWeights, spec: ModelSpec, series) -> np.ndarray:
     """Exact gradient of `negloglik` in the flat layout of
-    `NeuralWeights.to_flat` (u0 row-major, u1, then ln n for the NB family).
-
-    For q > 0 this is the total derivative: the sensitivity of each lambda_t
-    to the weights is accumulated forward through the recursion, including the
-    dependence through lagged conditional means.
-    """
-    weights._check(spec)
-    x = as_counts(series)
-    s = x.size
-    K, L = weights.input_width, weights.hidden
-    W = K * L + L
-    u0, u1 = weights.u0, weights.u1
-    p, q = spec.p, spec.q
-    init, padded = _pre_sample(x, p)
-
-    if q == 0:
-        B = _lag_matrix(padded, p)
-        A = B @ u0
-        Hm = expit(A)
-        z = Hm @ u1
-        g = np.atleast_1d(softplus(z, 1.0))
-        if not np.all(np.isfinite(g) & (g > 0.0)):
-            raise NumericError("conditional mean invalid in gradient pass")
-        f1p = expit(z)
-        outer = _outer_dldg(x, g, spec.family, weights.n) * f1p
-        grad_u1 = Hm.T @ outer
-        inner = Hm * (1.0 - Hm) * u1[None, :] * outer[:, None]
-        grad_u0 = B.T @ inner
-        grad = -np.concatenate([grad_u0.ravel(), grad_u1])
-    else:
-        lam = np.empty(s)
-        sens = np.zeros((s, W))
-        xprev = [init] * p
-        lprev = [init] * q
-        lag_sens = [np.zeros(W) for _ in range(q)]
-        for t in range(s):
-            xt = np.array([1.0, *xprev, *lprev])
-            a = u0.T @ xt
-            hm = expit(a)
-            z = float(u1 @ hm)
-            gt = float(softplus(z, 1.0))
-            f1p = float(expit(z))
-            hprime = hm * (1.0 - hm)
-            d_u0 = f1p * np.outer(xt, u1 * hprime)
-            d_u1 = f1p * hm
-            d_x = f1p * (u0 @ (u1 * hprime))
-            st = np.concatenate([d_u0.ravel(), d_u1])
-            for j in range(q):
-                st = st + d_x[1 + p + j] * lag_sens[j]
-            lam[t] = gt
-            sens[t] = st
-            xprev = [float(x[t])] + xprev[:-1]
-            lprev = [gt] + lprev[:-1]
-            lag_sens = [st] + lag_sens[:-1]
-        if not np.all(np.isfinite(lam) & (lam > 0.0)):
-            raise NumericError("conditional mean invalid in gradient pass")
-        outer = _outer_dldg(x, lam, spec.family, weights.n)
-        grad = -(outer[:, None] * sens).sum(axis=0)
-        g = lam
-
-    if spec.family == NEGBIN:
-        # lambda does not depend on n, so the ln-n component is direct
-        grad = np.append(grad, -weights.n * _dldn(x, g, weights.n))
-    return grad
+    `NeuralWeights.to_flat` (u0 row-major, u1, then ln n for the NB family):
+    the gradient half of `negloglik_and_grad`.  For q > 0 it is the total
+    derivative, through the lagged conditional means included."""
+    return negloglik_and_grad(spec, weights, series)[1]
 
 
 def _initial_weights(spec: ModelSpec, series, gen: np.random.Generator) -> NeuralWeights:
@@ -268,38 +206,12 @@ def fit_neural(
             UserWarning,
         )
 
-    def fun(flat):
-        try:
-            w = NeuralWeights.from_flat(flat, spec)
-            value = negloglik(spec, w, series)
-            grad = neural_gradient(w, spec, series)
-        except (NumericError, ParameterError, OverflowError):
-            return _PENALTY, np.zeros(flat.size)
-        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
-            return _PENALTY, np.zeros(flat.size)
-        return value, grad
-
     starts = [
         _initial_weights(spec, series, RngStream(opts.seed, k).generator()).to_flat()
         for k in range(opts.restarts + 1)
     ]
     starts.extend(w.to_flat() for w in extra_starts)
-
-    best = None
-    for idx, start in enumerate(starts):
-        res = minimize(
-            fun,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": opts.max_iterations, "ftol": opts.f_tol},
-        )
-        success = bool(res.success and res.fun < _PENALTY)
-        cand = (float(res.fun), idx, res.x.copy(), success, int(res.nit))
-        if best is None or cand[0] < best[0]:
-            best = cand
-
-    return _fit_result(spec, series, NeuralWeights, best, len(starts) - 1, "neural training")
+    return _fit(spec, series, NeuralWeights, starts, opts, "neural training")
 
 
 def extend_with_idle_unit(weights: NeuralWeights) -> NeuralWeights:

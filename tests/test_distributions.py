@@ -1,11 +1,13 @@
 """Poisson and negative binomial pmfs and samplers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from spingarch import RngStream, nb_log_pmf, nb_sample, poisson_log_pmf, poisson_sample
+from spingarch.distributions import loglik_scores, loglik_terms
 from spingarch.exceptions import ParameterError
 
 PARAM_GRID = [(n, lam) for n in (0.5, 1.0, 3.0, 10.0) for lam in (0.5, 2.0, 6.0, 12.0)]
@@ -60,6 +62,45 @@ class TestNbLogPmf:
         xs = np.arange(truncation_point(1e6, lam) + 1)
         gap = np.abs(np.exp(nb_log_pmf(xs, 1e6, lam)) - np.exp(poisson_log_pmf(xs, lam)))
         assert gap.max() < 1e-4
+
+    def test_terms_match_poisson_at_huge_dispersion(self):
+        # the gap to the Poisson terms is O(x^2/n), about 1e-10 here; a
+        # gammaln(x+n) - gammaln(n) difference loses ~1e-3 to cancellation
+        x = np.arange(0.0, 40.0)
+        lam = np.linspace(0.1, 20.0, x.size)
+        np.testing.assert_allclose(loglik_terms(x, lam, 1e12), loglik_terms(x, lam), rtol=0, atol=1e-9)
+
+
+class TestLoglikScores:
+    @pytest.mark.parametrize("n", [None, 0.7, 5.0])
+    def test_lambda_score_matches_central_differences(self, n):
+        x = np.array([0.0, 1.0, 3.0, 7.0, 12.0])
+        lam = np.array([0.4, 2.0, 3.5, 5.0, 9.0])
+        h = 1e-6 * lam
+        fd = (loglik_terms(x, lam + h, n) - loglik_terms(x, lam - h, n)) / (2 * h)
+        np.testing.assert_allclose(loglik_scores(x, lam, n)[0], fd, rtol=1e-7)
+
+    @pytest.mark.parametrize("n", [0.7, 5.0, 999.0, 5e3, 1e6, 1e9])
+    def test_dispersion_score_against_finite_sum(self, n):
+        # psi(x + n) - psi(n) is the finite sum of 1/(n + v) over v < x for integer x
+        x = np.array([0.0, 1.0, 3.0, 7.0, 12.0, 40.0])
+        lam = np.array([0.4, 2.0, 3.5, 5.0, 9.0, 30.0])
+        terms = [math.fsum(1.0 / (n + v) for v in range(int(xt))) - math.log1p(lt / n) + (lt - xt) / (n + lt)
+                 for xt, lt in zip(x, lam)]
+        assert loglik_scores(x, lam, n)[1] == pytest.approx(math.fsum(terms), rel=1e-6, abs=0)
+
+    @pytest.mark.parametrize("n", [1e100, 1e160, 1e300])
+    def test_dispersion_score_far_past_the_poisson_limit(self, n):
+        # NB fits on Poisson data drive n this far; the series must not overflow
+        x = np.array([0.0, 1.0, 3.0, 7.0, 12.0, 40.0])
+        lam = np.array([0.4, 2.0, 3.5, 5.0, 9.0, 30.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d_n = loglik_scores(x, lam, n)[1]
+        assert math.isfinite(d_n) and abs(d_n) * n < 1e-6
+
+    def test_poisson_has_no_dispersion_score(self):
+        assert loglik_scores(np.array([1.0]), np.array([2.0]))[1] is None
 
 
 class TestPoissonLogPmf:

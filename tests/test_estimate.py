@@ -20,14 +20,16 @@ from spingarch import (
     information_criteria,
     init_params,
     negloglik,
+    negloglik_and_grad,
     nb_log_pmf,
     simulate_path,
     simulation_study,
     softplus,
     standard_errors,
 )
-from spingarch.estimate import _objective
-from spingarch.exceptions import ParameterError
+from spingarch import estimate
+from spingarch.estimate import _PENALTY, _fit, _objective
+from spingarch.exceptions import NumericError, ParameterError
 
 
 def nb_spec(p=1, q=1, c=1.0):
@@ -87,14 +89,52 @@ class TestNegloglik:
         spec = nb_spec()
         series = table_path(200, 4)
         params = LinearParams(0.8, (0.2,), (0.4,), 2.5)
-        fobj = _objective(spec, series)
+        fobj = _objective(spec, series, LinearParams)
         theta = params.to_flat()
         # the optimizer's view of the objective is exactly the public
         # likelihood at the decoded parameters (bit-identical)
-        assert fobj(theta) == negloglik(spec, LinearParams.from_flat(theta, spec), series)
+        assert fobj(theta)[0] == negloglik(spec, LinearParams.from_flat(theta, spec), series)
         assert negloglik(spec, LinearParams.from_flat(theta, spec), series) == pytest.approx(
             negloglik(spec, params, series), rel=1e-12
         )
+
+
+class TestGradient:
+    @pytest.mark.parametrize("family", [POISSON, NEGBIN])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("log_n", [True, False])
+    def test_gate_against_central_differences(self, family, p, q, log_n):
+        rng = np.random.default_rng(100 + 10 * p + q)
+        spec = ModelSpec(family, SOFTPLUS_LINEAR, p, q)
+        series = rng.integers(0, 10, 60)
+        params = LinearParams(rng.uniform(0.5, 2.0), tuple(rng.uniform(-0.4, 0.4, p)),
+                              tuple(rng.uniform(-0.4, 0.4, q)),
+                              rng.uniform(1.0, 5.0) if family == NEGBIN else None)
+        value, grad = negloglik_and_grad(spec, params, series, log_n)
+        assert value == negloglik(spec, params, series)
+        theta = params.to_flat(log_n)
+        fd = np.empty(theta.size)
+        for i in range(theta.size):
+            h = 1e-6 * max(1.0, abs(theta[i]))
+            e = np.zeros(theta.size)
+            e[i] = h
+            fd[i] = (negloglik(spec, LinearParams.from_flat(theta + e, spec, log_n), series)
+                     - negloglik(spec, LinearParams.from_flat(theta - e, spec, log_n), series)) / (2 * h)
+        assert np.max(np.abs(grad - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-6
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_series_not_longer_than_q(self, size):
+        # only pre-sample means feed back; the lag taps past the end are zero
+        spec = ModelSpec(POISSON, SOFTPLUS_LINEAR, 1, 3)
+        params = LinearParams(1.0, (0.2,), (0.3, -0.2, 0.1))
+        series = np.array([4, 1, 6][:size])
+        grad = negloglik_and_grad(spec, params, series)[1]
+        theta = params.to_flat()
+        fd = np.array([(negloglik(spec, LinearParams.from_flat(theta + e, spec), series)
+                        - negloglik(spec, LinearParams.from_flat(theta - e, spec), series)) / 2e-6
+                       for e in 1e-6 * np.eye(theta.size)])
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
 
 class TestInitParams:
@@ -169,15 +209,52 @@ class TestFitCml:
         path = table_path(1000, 12)
         fit = fit_cml(spec, path, OptimizerOptions(restarts=1))
         theta = fit.estimates.to_flat()
-        fobj = _objective(spec, path)
-        f0 = fobj(theta)
+        fobj = _objective(spec, path, LinearParams)
+        f0 = fobj(theta)[0]
         for i in range(theta.size):
             h = 1e-6 * max(1.0, abs(theta[i]))
             e = np.zeros(theta.size)
             e[i] = h
-            grad = (fobj(theta + e) - fobj(theta - e)) / (2 * h)
+            grad = (fobj(theta + e)[0] - fobj(theta - e)[0]) / (2 * h)
             scaled = abs(grad) * max(1.0, abs(theta[i])) / max(1.0, abs(f0))
             assert scaled <= 1e-3
+
+    def test_line_search_backs_off_from_penalty_region(self, monkeypatch):
+        # from beta1 = 0.9 with alpha0 far too small, the first L-BFGS-B trial
+        # step lands where the lambda recursion overflows on this long
+        # negative-alpha1 series; the objective answers (_PENALTY, zeros) and
+        # the line search must back off and still find the optimum
+        spec = nb_spec()
+        path = table_path(2000, 5, LinearParams(3.0, (-0.3,), (0.5,), 4.0))
+        reference = fit_cml(spec, path, OptimizerOptions(restarts=0))
+        values = []
+
+        def recording(*args, **kwargs):
+            try:
+                out = negloglik_and_grad(*args, **kwargs)
+            except (NumericError, ParameterError, OverflowError):
+                values.append(_PENALTY)
+                raise
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(estimate, "negloglik_and_grad", recording)
+        start = np.array([0.2, 0.0, 0.9, 0.0])
+        fit = _fit(spec, path, LinearParams, [start], OptimizerOptions(restarts=0), "CML optimization")
+        assert values[1] == _PENALTY  # the first trial step
+        assert fit.converged
+        assert fit.loglik == pytest.approx(reference.loglik, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_negbin_fit_at_the_poisson_limit(self, seed):
+        # on Poisson data the NB dispersion runs off toward infinity; the NB
+        # likelihood must approach the Poisson one from below, not drift
+        # upward on cancellation noise in the NB coefficient
+        series = np.random.default_rng(seed).poisson(5.0, 300)
+        nb = fit_cml(ModelSpec(NEGBIN, SOFTPLUS_LINEAR, 1, 0), series)
+        poisson = fit_cml(ModelSpec(POISSON, SOFTPLUS_LINEAR, 1, 0), series)
+        assert nb.loglik < 0
+        assert nb.loglik == pytest.approx(poisson.loglik, abs=1e-3)
 
     def test_information_criteria_identity_on_fit(self):
         path = table_path(300, 13)
@@ -199,8 +276,6 @@ class TestStandardErrors:
         assert np.all(ratio > 0.24) and np.all(ratio < 0.42)
 
     def test_delta_method_invariance(self):
-        from spingarch.estimate import _numeric_hessian
-
         spec = nb_spec(q=0)
         truth = LinearParams(2.0, (0.4,), (), 3.0)
         path = simulate_path(SimConfig(spec=spec, params=truth, length=10_000, rng=RngStream(22)))
@@ -208,11 +283,23 @@ class TestStandardErrors:
         est = fit.estimates
         direct = standard_errors(spec, est, path)
 
+        # Hessian on the optimizer's ln-n scale from likelihood values only
+        # (2k^2+1 second differences), independent of the gradient code
         def f_log(t):
             params = LinearParams(float(t[0]), (float(t[1]),), (), math.exp(float(t[2])))
             return negloglik(spec, params, path)
 
-        H = _numeric_hessian(f_log, np.array([est.alpha0, est.alpha[0], math.log(est.n)]))
+        theta = est.to_flat(log_n=True)
+        h = np.maximum(1e-5, 1e-4 * np.abs(theta))
+        step = np.diag(h)
+        H = np.empty((3, 3))
+        for i in range(3):
+            H[i, i] = (f_log(theta + step[i]) - 2.0 * f_log(theta) + f_log(theta - step[i])) / h[i] ** 2
+            for j in range(i + 1, 3):
+                H[i, j] = H[j, i] = (
+                    f_log(theta + step[i] + step[j]) - f_log(theta + step[i] - step[j])
+                    - f_log(theta - step[i] + step[j]) + f_log(theta - step[i] - step[j])
+                ) / (4.0 * h[i] * h[j])
         se_log = np.sqrt(np.diag(np.linalg.inv(H)))
         se_log[2] *= est.n  # delta method back to the n scale
         np.testing.assert_allclose(se_log, direct, rtol=2e-2)

@@ -1,4 +1,6 @@
-"""Source layout checks: no relative import hides inside a function body."""
+"""Source layout checks: no relative import hides inside a function body, and
+one fit driver: only `estimate.py` uses `scipy.optimize`, and no module runs a
+Nelder-Mead search."""
 
 import ast
 from pathlib import Path
@@ -32,3 +34,39 @@ def test_no_function_level_relative_imports():
         finder.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         offenders += [f"{path.name}:{line} in {func}()" for func, line in finder.found]
     assert not offenders, "relative imports inside functions: " + ", ".join(offenders)
+
+
+def _optimizer_uses(tree):
+    """(line, what) for every import from scipy.optimize and every call
+    passing method="Nelder-Mead"."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.optimize"):
+            found.append((node.lineno, "imports scipy.optimize"))
+        elif isinstance(node, ast.Import) and any(a.name.startswith("scipy.optimize") for a in node.names):
+            found.append((node.lineno, "imports scipy.optimize"))
+        elif isinstance(node, ast.Call) and any(
+            kw.arg == "method" and isinstance(kw.value, ast.Constant) and kw.value.value == "Nelder-Mead"
+            for kw in node.keywords
+        ):
+            found.append((node.lineno, "calls Nelder-Mead"))
+    return found
+
+
+def test_one_fit_driver():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for line, what in _optimizer_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if what == "calls Nelder-Mead" or path.name != "estimate.py":
+                offenders.append(f"{path.name}:{line} {what}")
+    assert not offenders, "outside the one fit driver: " + ", ".join(offenders)
+
+
+def test_one_fit_driver_check_has_teeth():
+    source = (
+        "from scipy.optimize import minimize\n"
+        "import scipy.optimize\n"
+        "minimize(f, x0, method='Nelder-Mead')\n"
+    )
+    assert [what for _, what in _optimizer_uses(ast.parse(source))] == [
+        "imports scipy.optimize", "imports scipy.optimize", "calls Nelder-Mead"]
