@@ -21,7 +21,7 @@ from .diagnostics import (
     sample_acf,
     sample_pacf,
 )
-from .distributions import RngStream, nb_log_pmf, nb_sample, poisson_log_pmf, poisson_sample
+from .distributions import RngStream, nb_log_pmf, nb_sample, poisson_log_pmf
 from .estimate import (
     FitResult,
     OptimizerOptions,
@@ -65,4 +65,4 @@ from .simulate import (
     simulate_path,
     simulation_study,
 )
-from .special import log_gamma, logistic, relu, softplus, softplus_deriv, softplus_inverse
+from .special import logistic, relu, softplus, softplus_deriv, softplus_inverse

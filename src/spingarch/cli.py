@@ -1,6 +1,7 @@
 """Command-line front end: CSV ingestion, the five workflows, serialization.
 
-Subcommands: `simulate`, `fit`, `moments`, `study`, `diagnose`, `forecast`.
+Subcommands: `simulate`, `fit`, `moments`, `study`, `diagnose`, `forecast`;
+each accepts only the options it reads, and `RunConfig` holds the defaults.
 Every run is fully determined by its flags and input file -- no clocks, no
 hidden state -- so rerunning a command reproduces its outputs byte for byte.
 Exit codes: 0 ok, 1 usage, 2 parse, 3 numeric, 4 non-convergence (the fit
@@ -16,6 +17,7 @@ import re
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields
+from datetime import datetime
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -144,8 +146,6 @@ def parse_counts_csv(path) -> CountSeries:
 
 
 def _warn_on_gaps(stamps: Sequence[str]):
-    from datetime import datetime
-
     values: List[float] = []
     for stamp in stamps:
         try:
@@ -164,33 +164,13 @@ def _warn_on_gaps(stamps: Sequence[str]):
 # FitResult serialization
 
 
-def _spec_to_tree(spec: ModelSpec) -> Dict[str, object]:
-    tree: Dict[str, object] = {
-        "family": spec.family,
-        "link": spec.link,
-        "p": spec.p,
-        "q": spec.q,
-        "c": float(spec.c),
-    }
-    if spec.hidden is not None:
-        tree["hidden"] = spec.hidden
-    return tree
-
-
-def _spec_from_tree(tree: Dict[str, object]) -> ModelSpec:
-    return ModelSpec(
-        family=str(tree["family"]),
-        link=str(tree["link"]),
-        p=int(tree["p"]),
-        q=int(tree["q"]),
-        c=float(tree["c"]),
-        hidden=int(tree["hidden"]) if "hidden" in tree else None,
-    )
-
-
 def fit_to_tree(fit: FitResult) -> Dict[str, object]:
     """Serialize a FitResult to a plain tree of scalars and lists."""
-    tree = _spec_to_tree(fit.spec)
+    spec = fit.spec
+    tree: Dict[str, object] = {"family": spec.family, "link": spec.link, "p": spec.p, "q": spec.q,
+                               "c": float(spec.c)}
+    if spec.hidden is not None:
+        tree["hidden"] = spec.hidden
     tree.update(
         converged=bool(fit.converged),
         iterations=int(fit.iterations),
@@ -227,20 +207,16 @@ def fit_to_tree(fit: FitResult) -> Dict[str, object]:
 
 def fit_from_tree(tree: Dict[str, object]) -> FitResult:
     """Rebuild a FitResult from its serialized tree; inverse of `fit_to_tree`."""
-    spec = _spec_from_tree(tree)
+    spec = ModelSpec(str(tree["family"]), str(tree["link"]), int(tree["p"]), int(tree["q"]),
+                     float(tree["c"]), int(tree["hidden"]) if "hidden" in tree else None)
     sub = tree["estimates"]
     if sub["kind"] == "linear":
-        estimates: object = LinearParams(
-            alpha0=float(sub["alpha0"]),
-            alpha=tuple(float(v) for v in sub["alpha"]),
-            beta=tuple(float(v) for v in sub["beta"]),
-            n=float(sub["n"]) if "n" in sub else None,
-        )
+        kind, flat = LinearParams, [sub["alpha0"], *sub["alpha"], *sub["beta"]]
     else:
-        K, L = int(sub["K"]), int(sub["L"])
-        flat = np.asarray([float(v) for v in sub["weights"]], dtype=float)
-        estimates = NeuralWeights(u0=flat[: K * L].reshape(K, L), u1=flat[K * L :],
-                                  n=float(sub["n"]) if "n" in sub else None)
+        kind, flat = NeuralWeights, list(sub["weights"])
+    if "n" in sub:
+        flat.append(sub["n"])
+    estimates = kind.from_flat(np.asarray(flat, dtype=float), spec, log_n=False)
     return FitResult(
         spec=spec,
         estimates=estimates,
@@ -262,23 +238,23 @@ def fit_from_tree(tree: Dict[str, object]) -> FitResult:
 _MODEL_RE = re.compile(r"(neu-)?(pois|poisson|nb|negbin)\((\d+),(\d+)\)")
 
 
-def _parse_model_token(token: str) -> Tuple[str, str, int, int]:
-    m = _MODEL_RE.fullmatch(token.strip())
-    if not m:
-        raise UsageError(
-            f"bad --model {token!r}; expected e.g. 'nb(1,1)', 'pois(2,0)' or 'neu-nb(1,1)'"
-        )
-    link = NEURAL if m.group(1) else SOFTPLUS_LINEAR
-    family = POISSON if m.group(2) in ("pois", "poisson") else NEGBIN
-    return family, link, int(m.group(3)), int(m.group(4))
-
-
-def _spec_from_config(config: RunConfig) -> ModelSpec:
-    hidden = config.hidden if config.link == NEURAL else None
-    if config.link == NEURAL and hidden is None:
-        hidden = 1
+def _spec(config: RunConfig, token: Optional[str] = None) -> ModelSpec:
+    """The spec of the run's model, or of one `--model` token: the one place
+    that gives neural models their default of 1 hidden unit."""
+    if token is None:
+        family, link, p, q = config.family, config.link, config.p, config.q
+    else:
+        m = _MODEL_RE.fullmatch(token.strip())
+        if not m:
+            raise UsageError(
+                f"bad --model {token!r}; expected e.g. 'nb(1,1)', 'pois(2,0)' or 'neu-nb(1,1)'"
+            )
+        link = NEURAL if m.group(1) else SOFTPLUS_LINEAR
+        family = POISSON if m.group(2) in ("pois", "poisson") else NEGBIN
+        p, q = int(m.group(3)), int(m.group(4))
+    hidden = (1 if config.hidden is None else config.hidden) if link == NEURAL else None
     try:
-        return ModelSpec(config.family, config.link, config.p, config.q, config.c, hidden)
+        return ModelSpec(family, link, p, q, config.c, hidden)
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -287,21 +263,20 @@ def _params_from_config(config: RunConfig, spec: ModelSpec):
     if spec.link == SOFTPLUS_LINEAR:
         if config.alpha0 is None:
             raise UsageError("simulate/study with a linear link needs --alpha0")
+        # from_flat checks only the total length, not the split between alpha and beta
         if len(config.alpha) != spec.p or len(config.beta) != spec.q:
             raise UsageError(f"need {spec.p} --alpha and {spec.q} --beta coefficients")
-        n = config.n
-        if spec.family == NEGBIN and n is None:
-            raise UsageError("negbin family needs --n")
-        return LinearParams(config.alpha0, config.alpha, config.beta, n if spec.family == NEGBIN else None)
-    if config.weights is None:
-        raise UsageError("simulate with a neural link needs --weights")
-    flat = list(config.weights)
+        kind, flat = LinearParams, [config.alpha0, *config.alpha, *config.beta]
+    else:
+        if config.weights is None:
+            raise UsageError("simulate with a neural link needs --weights")
+        kind, flat = NeuralWeights, list(config.weights)
     if spec.family == NEGBIN:
         if config.n is None:
             raise UsageError("negbin family needs --n")
-        flat = flat + [math.log(config.n)]
+        flat.append(config.n)
     try:
-        return NeuralWeights.from_flat(flat, spec)
+        return kind.from_flat(flat, spec, log_n=False)
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -354,7 +329,7 @@ def _cmd_simulate(config: RunConfig) -> int:
         raise UsageError("simulate needs --length >= 1")
     if config.out is None:
         raise UsageError("simulate needs --out")
-    spec = _spec_from_config(config)
+    spec = _spec(config)
     params = _params_from_config(config, spec)
     sim = SimConfig(spec=spec, params=params, length=config.length, burn_in=config.burn_in,
                     rng=RngStream(config.seed))
@@ -370,12 +345,7 @@ def _cmd_fit(config: RunConfig) -> int:
     series = parse_counts_csv(config.input)
 
     if config.models:
-        fits: Dict[str, FitResult] = {}
-        for token in config.models:
-            family, link, p, q = _parse_model_token(token)
-            hidden = (config.hidden or 1) if link == NEURAL else None
-            spec = ModelSpec(family, link, p, q, config.c, hidden)
-            fits[token] = _fit_one(spec, series, config)
+        fits = {token: _fit_one(_spec(config, token), series, config) for token in config.models}
         crit = config.criterion
         ranked = sorted(
             fits.items(),
@@ -391,7 +361,7 @@ def _cmd_fit(config: RunConfig) -> int:
         _write_text(config.out, _document(config, body))
         return 0 if fits[best_label].converged else 4
 
-    spec = _spec_from_config(config)
+    spec = _spec(config)
     fit = _fit_one(spec, series, config)
     body = {"series": _series_summary(series), "fit": fit_to_tree(fit)}
     _write_text(config.out, _document(config, body))
@@ -466,9 +436,7 @@ def _cmd_study(config: RunConfig) -> int:
         raise UsageError("study needs --sizes")
     if config.replications < 1:
         raise UsageError("study needs --replications >= 1")
-    spec = _spec_from_config(config)
-    if spec.link != SOFTPLUS_LINEAR:
-        raise UsageError("study supports the softplus-linear link")
+    spec = _spec(config)
     truth = _params_from_config(config, spec)
     opts = _opts_from_config(config, default_restarts=0)
     table = simulation_study(spec, truth, config.sizes, config.replications,
@@ -495,7 +463,7 @@ def _cmd_diagnose(config: RunConfig) -> int:
     if config.max_lag < 1:
         raise UsageError("diagnose needs --max-lag >= 1")
     series = parse_counts_csv(config.input)
-    spec = _spec_from_config(config)
+    spec = _spec(config)
     fit = _fit_one(spec, series, config)
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -530,7 +498,7 @@ def _cmd_forecast(config: RunConfig) -> int:
     s = len(series)
     if not (1 <= config.split < s):
         raise UsageError(f"--split must lie in [1, {s - 1}]")
-    spec = _spec_from_config(config)
+    spec = _spec(config)
     train = CountSeries(series.values[: config.split])
     fit = _fit_one(spec, train, config)
     horizon = s - config.split
@@ -593,63 +561,61 @@ def _comma_ints(text: str) -> Tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+# Every option once: its flag and argparse settings, keyed by the RunConfig
+# field it sets (argparse derives that dest from the flag, except for --model).
+_OPTIONS: Dict[str, Tuple[str, Dict[str, object]]] = {
+    "input": ("input", {"help": "counts CSV"}),
+    "out": ("--out", {}),
+    "family": ("--family", {"choices": [POISSON, NEGBIN]}),
+    "link": ("--link", {"choices": [SOFTPLUS_LINEAR, NEURAL]}),
+    "p": ("--p", {"type": int}),
+    "q": ("--q", {"type": int}),
+    "c": ("--c", {"type": float}),
+    "hidden": ("--hidden", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+    "restarts": ("--restarts", {"type": int}),
+    "split": ("--split", {"type": int}),
+    "max_lag": ("--max-lag", {"type": int}),
+    "length": ("--length", {"type": int}),
+    "burn_in": ("--burn-in", {"type": int}),
+    "alpha0": ("--alpha0", {"type": float}),
+    "alpha": ("--alpha", {"type": _comma_floats}),
+    "beta": ("--beta", {"type": _comma_floats}),
+    "n": ("--n", {"type": float}),
+    "weights": ("--weights", {"type": _comma_floats}),
+    "sizes": ("--sizes", {"type": _comma_ints}),
+    "replications": ("--replications", {"type": int}),
+    "models": ("--model", {"action": "append", "dest": "models"}),
+    "criterion": ("--criterion", {"choices": ["aic", "bic"]}),
+    "grid": ("--grid", {}),
+}
+
+# Every command: its help line and the options it reads; it accepts no others.
+_FIT = "input family link p q c hidden seed restarts out"  # what every fitting command reads
+_SUBCOMMANDS = {
+    "simulate": ("generate a count series CSV",
+                 "family link p q c hidden seed out length burn_in alpha0 alpha beta n weights"),
+    "fit": ("fit one model or select among several", f"{_FIT} models criterion"),
+    "moments": ("moment comparison over a parameter grid", "family c seed out grid length burn_in max_lag"),
+    "study": ("simulate-and-refit bias/MSE study",
+              "family p q c seed restarts out alpha0 alpha beta n sizes replications burn_in"),
+    "diagnose": ("fit and write residual diagnostics", f"{_FIT} max_lag"),
+    "forecast": ("one-step forecasts after a train/test split", f"{_FIT} split"),
+}
+
+
 def _build_parser() -> _Parser:
+    """One subparser per command.  An option left out stays out of the
+    namespace, so RunConfig supplies every default but one: `moments`
+    defaults to --max-lag 3."""
     parser = _Parser(prog="spingarch", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(sp, with_input=False):
-        if with_input:
-            sp.add_argument("input", help="counts CSV")
-        sp.add_argument("--family", choices=[POISSON, NEGBIN], default=NEGBIN)
-        sp.add_argument("--link", choices=[SOFTPLUS_LINEAR, NEURAL], default=SOFTPLUS_LINEAR)
-        sp.add_argument("--p", type=int, default=1)
-        sp.add_argument("--q", type=int, default=0)
-        sp.add_argument("--c", type=float, default=1.0)
-        sp.add_argument("--hidden", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--restarts", type=int, default=None)
-        sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("simulate", help="generate a count series CSV")
-    add_common(sp)
-    sp.add_argument("--length", type=int, default=None)
-    sp.add_argument("--burn-in", dest="burn_in", type=int, default=500)
-    sp.add_argument("--alpha0", type=float, default=None)
-    sp.add_argument("--alpha", type=_comma_floats, default=())
-    sp.add_argument("--beta", type=_comma_floats, default=())
-    sp.add_argument("--n", type=float, default=None)
-    sp.add_argument("--weights", type=_comma_floats, default=None)
-
-    sp = sub.add_parser("fit", help="fit one model or select among several")
-    add_common(sp, with_input=True)
-    sp.add_argument("--model", action="append", dest="models", default=[])
-    sp.add_argument("--criterion", choices=["aic", "bic"], default="aic")
-
-    sp = sub.add_parser("moments", help="moment comparison over a parameter grid")
-    add_common(sp)
-    sp.add_argument("--grid", default=None)
-    sp.add_argument("--length", type=int, default=None)
-    sp.add_argument("--burn-in", dest="burn_in", type=int, default=500)
-    sp.add_argument("--max-lag", dest="max_lag", type=int, default=3)
-
-    sp = sub.add_parser("study", help="simulate-and-refit bias/MSE study")
-    add_common(sp)
-    sp.add_argument("--alpha0", type=float, default=None)
-    sp.add_argument("--alpha", type=_comma_floats, default=())
-    sp.add_argument("--beta", type=_comma_floats, default=())
-    sp.add_argument("--n", type=float, default=None)
-    sp.add_argument("--sizes", type=_comma_ints, default=())
-    sp.add_argument("--replications", type=int, default=100)
-    sp.add_argument("--burn-in", dest="burn_in", type=int, default=500)
-
-    sp = sub.add_parser("diagnose", help="fit and write residual diagnostics")
-    add_common(sp, with_input=True)
-    sp.add_argument("--max-lag", dest="max_lag", type=int, default=10)
-
-    sp = sub.add_parser("forecast", help="one-step forecasts after a train/test split")
-    add_common(sp, with_input=True)
-    sp.add_argument("--split", type=int, default=None)
-
+    for name, (help_text, options) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for option in options.split():
+            flag, settings = _OPTIONS[option]
+            sp.add_argument(flag, **settings)
+    sub.choices["moments"].set_defaults(max_lag=3)
     return parser
 
 
@@ -671,14 +637,7 @@ def _attach_negative_lists(argv: Sequence[str]) -> List[str]:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs = {}
-    for name in RunConfig.__dataclass_fields__:
-        if hasattr(args, name):
-            value = getattr(args, name)
-            if isinstance(value, list):
-                value = tuple(value)
-            kwargs[name] = value
-    return RunConfig(**kwargs)
+    return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in vars(args).items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -121,7 +121,8 @@ def one_step_forecasts(fit, history, horizon: int) -> np.ndarray:
     the `horizon` steps after it, each computed from the fitted response and
     the observations available up to the previous step (test observations are
     fed in as they arrive, parameters stay fixed at the fit).  Pre-sample
-    means come from the training prefix, as in the fit.
+    counts and means come from the training prefix, as in the fit, so no
+    test observation reaches the forecasts before its own step.
     """
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
@@ -135,11 +136,10 @@ def one_step_forecasts(fit, history, horizon: int) -> np.ndarray:
             f"insufficient history: horizon {horizon} needs observations up to "
             f"step {train_len + horizon - 1}, have {hist.size}"
         )
-    lam_init = presample_init(hist[:train_len])
+    init = presample_init(hist[:train_len])
     # conditional means over the full history, then one step beyond it
-    path = conditional_mean_path(spec, params, hist, lambda_init=lam_init)
-    one_beyond = params.step(spec, _latest(hist, spec.p, presample_init(hist)),
-                             _latest(path, spec.q, lam_init))
+    path = conditional_mean_path(spec, params, hist, presample=init)
+    one_beyond = params.step(spec, _latest(hist, spec.p, init), _latest(path, spec.q, init))
     full = np.append(path, one_beyond)
     return full[train_len : train_len + horizon]
 

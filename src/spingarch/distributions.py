@@ -27,7 +27,6 @@ __all__ = [
     "nb_log_pmf",
     "poisson_log_pmf",
     "nb_sample",
-    "poisson_sample",
 ]
 
 
@@ -47,10 +46,6 @@ class RngStream:
         """Materialize the numpy Generator for this (seed, stream) pair."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(ss))
-
-    def substream(self, k: int) -> "RngStream":
-        """A child stream, independent across distinct k for a fixed parent."""
-        return RngStream(self.seed, (self.stream << 20) + k + 1)
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -143,12 +138,4 @@ def nb_sample(rng, n, lam, size=None):
     g = gen.gamma(shape=n, scale=1.0, size=size)
     mu = (lam / n) * g
     out = gen.poisson(mu)
-    return out if size is not None else int(out)
-
-
-def poisson_sample(rng, lam, size=None):
-    """Draw from Poisson(lambda)."""
-    gen = _as_generator(rng)
-    lam = float(_validate_positive(lam, "lambda"))
-    out = gen.poisson(lam, size=size)
     return out if size is not None else int(out)

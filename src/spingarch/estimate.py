@@ -46,22 +46,21 @@ __all__ = [
 
 _PENALTY = 1e15
 _N_BOUNDS = (0.1, 1e4)
+# L-BFGS-B limits of every start
+_MAX_ITERATIONS = 400
+_F_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs for the CML optimizer; defaults suit desk-scale series."""
+    """Restarts of a fit and the seed of their starts."""
 
-    max_iterations: int = 400
-    f_tol: float = 1e-9
     restarts: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        if self.f_tol <= 0:
-            raise ParameterError("f_tol must be > 0")
-        if self.max_iterations < 1 or self.restarts < 0:
-            raise ParameterError("max_iterations >= 1 and restarts >= 0 required")
+        if self.restarts < 0:
+            raise ParameterError("restarts >= 0 required")
 
 
 @dataclass
@@ -210,8 +209,7 @@ def _objective(spec: ModelSpec, series, kind):
     return fun
 
 
-def _fit(spec: ModelSpec, series, kind, starts, opts: OptimizerOptions, stage: str,
-         until_converged: bool = False) -> FitResult:
+def _fit(spec: ModelSpec, series, kind, starts, stage: str, until_converged: bool = False) -> FitResult:
     """The one fit driver: L-BFGS-B on the exact gradient from each start in turn.
 
     The lowest objective wins, ties broken by the earliest start.  With
@@ -223,7 +221,7 @@ def _fit(spec: ModelSpec, series, kind, starts, opts: OptimizerOptions, stage: s
     best = None  # (objective, flat point, success, iterations)
     for restarts_used, start in enumerate(starts):
         res = minimize(fun, start, jac=True, method="L-BFGS-B",
-                       options={"maxiter": opts.max_iterations, "ftol": opts.f_tol})
+                       options={"maxiter": _MAX_ITERATIONS, "ftol": _F_TOL})
         if best is None or res.fun < best[0]:
             best = (float(res.fun), res.x.copy(), bool(res.success and res.fun < _PENALTY), int(res.nit))
         if until_converged and best[2]:
@@ -271,7 +269,7 @@ def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None) ->
         theta0 * RngStream(opts.seed, attempt).generator().uniform(0.8, 1.2, size=theta0.size)
         for attempt in range(1, opts.restarts + 1)
     ]
-    return _fit(spec, series, LinearParams, starts, opts, "CML optimization", until_converged=True)
+    return _fit(spec, series, LinearParams, starts, "CML optimization", until_converged=True)
 
 
 def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:

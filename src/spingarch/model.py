@@ -89,6 +89,10 @@ class ModelSpec:
         if self.link == NEURAL:
             if self.hidden is None or self.hidden < 1:
                 raise ParameterError("neural link requires hidden >= 1")
+            if self.c != 1.0:
+                raise ParameterError("c applies to the softplus-linear link only; the network uses c = 1")
+        elif self.hidden is not None:
+            raise ParameterError("hidden applies to the neural link only")
 
     @property
     def input_width(self) -> int:
@@ -159,13 +163,13 @@ class LinearParams:
         if self.p != spec.p or self.q != spec.q:
             raise ParameterError("parameter orders do not match the model spec")
 
-    def mean_path(self, spec: ModelSpec, x: np.ndarray, lambda_init: Optional[float]) -> np.ndarray:
+    def mean_path(self, spec: ModelSpec, x: np.ndarray, presample: Optional[float]) -> np.ndarray:
         """The recursion behind `conditional_mean_path` on the coerced series x;
-        unchecked, and `lambda_init=None` means the pre-sample count value."""
+        unchecked, and `presample=None` means the floored sample mean of x."""
         self._check(spec)
         p, q, c = spec.p, spec.q, spec.c
         s = x.size
-        init, padded = _pre_sample(x, p)
+        v, padded = _pre_sample(x, p, presample)
         # observation part alpha0 + sum_i alpha_i x_{t-i}, vectorised for every q
         eta = np.full(s, self.alpha0)
         for i in range(1, p + 1):
@@ -176,7 +180,6 @@ class LinearParams:
         # Feedback part: one scalar loop, beta_1 inline and beta_2..beta_q after it.
         exp, log1p = math.exp, math.log1p
         b1, taps = self.beta[0], tuple(enumerate(self.beta[1:], 2))
-        v = init if lambda_init is None else lambda_init
         lam = [v] * q  # pre-sample means, then lambda_1..lambda_s
         for e in eta.tolist():
             e += b1 * v
@@ -245,16 +248,17 @@ class LinearMoments:
         return self.variance / self.mu
 
 
-def presample_init(series, floor: float = MEAN_FLOOR) -> float:
+def presample_init(series) -> float:
     """Shared pre-sample value: the sample mean, floored away from zero."""
-    x = as_counts(series)
-    return max(float(x.mean()), floor)
+    return _pre_sample(as_counts(series), 0)[0]
 
 
-def _pre_sample(x: np.ndarray, p: int) -> Tuple[float, np.ndarray]:
-    """The `presample_init` value of x, which stands in for counts and means
-    before the first step, and x with p such counts in front."""
-    init = max(float(x.mean()), MEAN_FLOOR)
+def _pre_sample(x: np.ndarray, p: int, init: Optional[float] = None) -> Tuple[float, np.ndarray]:
+    """The value that stands in for counts and means before the first step --
+    `init`, or by default the sample mean of x floored at MEAN_FLOOR -- and x
+    with p such counts in front."""
+    if init is None:
+        init = max(float(x.mean()), MEAN_FLOOR)
     return init, np.concatenate([np.full(p, init), x])
 
 
@@ -312,14 +316,14 @@ def _omega0(family: str, n: Optional[float]) -> float:
     return 1.0 if n is None else 1.0 + 1.0 / n
 
 
-def conditional_mean_path(spec: ModelSpec, params, series, lambda_init=None) -> np.ndarray:
+def conditional_mean_path(spec: ModelSpec, params, series, presample=None) -> np.ndarray:
     """Conditional means lambda_1..lambda_s implied by params on the given series.
 
     Serves both links: `params` (LinearParams or NeuralWeights) runs its own
-    recursion through its `mean_path` method.  Pre-sample observations and
-    conditional means are replaced by the sample mean of the series (floored
-    at 1e-4), or by `lambda_init` for the lambda side when supplied.  Every
-    returned entry is strictly positive by the softplus range.
+    recursion through its `mean_path` method.  One value stands in for the
+    pre-sample observations and conditional means alike: `presample` when
+    supplied, else the sample mean of the series floored at 1e-4, as in the
+    fit.  Every returned entry is strictly positive by the softplus range.
 
     Raises
     ------
@@ -328,11 +332,11 @@ def conditional_mean_path(spec: ModelSpec, params, series, lambda_init=None) -> 
         1-based index of the offending step.
     """
     x = as_counts(series)
-    if lambda_init is not None:
-        lambda_init = float(lambda_init)
-        if not (math.isfinite(lambda_init) and lambda_init > 0):
-            raise ParameterError("lambda_init must be finite and > 0")
-    lam = params.mean_path(spec, x, lambda_init)
+    if presample is not None:
+        presample = float(presample)
+        if not (math.isfinite(presample) and presample > 0):
+            raise ParameterError("presample must be finite and > 0")
+    lam = params.mean_path(spec, x, presample)
     good = np.isfinite(lam) & (lam > 0.0)
     if not np.all(good):
         bad = int(np.flatnonzero(~good)[0]) + 1

@@ -107,17 +107,17 @@ class NeuralWeights:
         z = float(self.u1 @ expit(self.u0.T @ inputs))
         return float(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
 
-    def mean_path(self, spec: ModelSpec, x: np.ndarray, lambda_init: Optional[float]) -> np.ndarray:
+    def mean_path(self, spec: ModelSpec, x: np.ndarray, presample: Optional[float]) -> np.ndarray:
         """The recursion behind `conditional_mean_path` on the coerced series x:
         the network, fed its own lagged outputs when q > 0.  Unchecked, and
-        `lambda_init=None` means the pre-sample count value."""
+        `presample=None` means the floored sample mean of x."""
         self._check(spec)
-        init, padded = _pre_sample(x, spec.p)
+        init, padded = _pre_sample(x, spec.p, presample)
         lags = _lag_matrix(padded, spec.p)
         if spec.q == 0:
             return np.atleast_1d(softplus(expit(lags @ self.u0) @ self.u1, 1.0))
         lam = np.empty(x.size)
-        lprev = [init if lambda_init is None else lambda_init] * spec.q
+        lprev = [init] * spec.q
         for t, x_lags in enumerate(lags[:, 1:].tolist()):
             lam[t] = v = self.step(spec, x_lags, lprev)
             lprev = [v] + lprev[:-1]
@@ -211,7 +211,7 @@ def fit_neural(
         for k in range(opts.restarts + 1)
     ]
     starts.extend(w.to_flat() for w in extra_starts)
-    return _fit(spec, series, NeuralWeights, starts, opts, "neural training")
+    return _fit(spec, series, NeuralWeights, starts, "neural training")
 
 
 def extend_with_idle_unit(weights: NeuralWeights) -> NeuralWeights:

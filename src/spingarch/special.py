@@ -1,4 +1,4 @@
-"""Numerically stable scalar primitives: the softplus family, logistic, log-gamma.
+"""Numerically stable scalar primitives: the softplus family, logistic and ReLU.
 
 The softplus link sp(x) = c*ln(1 + exp(x/c)) is the workhorse of every model in
 this package: it maps an unconstrained linear (or neural) predictor to a strictly
@@ -19,7 +19,6 @@ __all__ = [
     "softplus_inverse",
     "logistic",
     "relu",
-    "log_gamma",
 ]
 
 
@@ -100,18 +99,4 @@ def softplus_inverse(y, c: float = 1.0):
     small = z < 30.0
     out = np.where(small, np.log(np.expm1(np.where(small, z, 1.0))), z + np.log1p(-np.exp(-z)))
     out = c * out
-    return out if out.ndim else float(out)
-
-
-def log_gamma(x):
-    """Natural log of the gamma function for x > 0.
-
-    Backed by scipy's gammaln, which meets a 1e-12 relative accuracy target on
-    [1e-3, 1e6]; needed to evaluate binomial coefficients with real-valued
-    dispersion parameters.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-        raise ParameterError("log_gamma requires finite x > 0")
-    out = _sps.gammaln(x)
     return out if out.ndim else float(out)

@@ -28,8 +28,6 @@ def _format_scalar(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return format_float(v)
-    if isinstance(v, int):
-        return str(v)
     return str(v)
 
 

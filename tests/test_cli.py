@@ -1,10 +1,12 @@
 """CSV ingestion, document round-trips, exit codes, and rerun determinism."""
 
+import argparse
+
 import numpy as np
 import pytest
 
 from spingarch import LinearParams, ModelSpec, NeuralWeights
-from spingarch.cli import fit_from_tree, fit_to_tree, main, parse_counts_csv
+from spingarch.cli import RunConfig, _build_parser, fit_from_tree, fit_to_tree, main, parse_counts_csv
 from spingarch.estimate import FitResult
 from spingarch.exceptions import DataError
 from spingarch.textdoc import dumps, loads
@@ -292,6 +294,39 @@ class TestExitCodes:
         assert main(["diagnose", str(data), "--p", "1", "--q", "0", "--max-lag", "0",
                      "--out", str(tmp_path / "diag")]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--p", "2"], ["--link", "neural"], ["--hidden", "4"], ["--restarts", "9"],
+    ], ids=["p", "link", "hidden", "restarts"])
+    def test_moments_rejects_model_options(self, tmp_path, argv):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3\n")
+        out = tmp_path / "mom.csv"
+        assert main(["moments", "--grid", str(grid), "--length", "200", *argv, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_simulate_rejects_restarts(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--alpha0", "1", "--alpha", "0.3", "--n", "3", "--length", "20",
+                     "--restarts", "3", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--link", "neural"], ["--hidden", "2"]], ids=["link", "hidden"])
+    def test_study_rejects_neural_options(self, tmp_path, argv):
+        out = tmp_path / "study.txt"
+        assert main(["study", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3", "--n", "3",
+                     "--sizes", "100", "--replications", "1", *argv, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_c_with_neural_link_is_usage_error(self, tmp_path):
+        # the network's output unit uses c = 1; a --c of 5 used to be written and ignored
+        data = write_series(tmp_path, seed=4, n=120)
+        out = tmp_path / "o.txt"
+        assert main(["fit", str(data), "--link", "neural", "--family", "poisson", "--p", "1",
+                     "--q", "0", "--c", "5", "--restarts", "0", "--out", str(out)]) == 1
+        assert main(["fit", str(data), "--model", "nb(1,0)", "--model", "neu-pois(1,0)",
+                     "--c", "5", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("count\n2\n-1\n")
@@ -323,6 +358,32 @@ class TestExitCodes:
         assert out.exists()  # fit document still written
         doc = loads(out.read_text())
         assert doc["fit"]["converged"] is False
+
+
+class TestOptionTable:
+    def _subparsers(self):
+        parser = _build_parser()
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_option_slots(self):
+        slots = {name: sorted(a.dest for a in sp._actions if not isinstance(a, argparse._HelpAction))
+                 for name, sp in self._subparsers().items()}
+        assert sum(len(dests) for dests in slots.values()) == 71
+        fields = set(RunConfig.__dataclass_fields__)
+        assert all(set(dests) <= fields for dests in slots.values())
+        assert "restarts" not in slots["simulate"]
+        assert not {"link", "p", "q", "hidden", "restarts"} & set(slots["moments"])
+        assert not {"link", "hidden"} & set(slots["study"])
+
+    def test_defaults_come_from_run_config(self):
+        # a left-out option stays out of the namespace, except moments' --max-lag 3
+        for name, sp in self._subparsers().items():
+            takes_input = any(a.dest == "input" for a in sp._actions)
+            expected = {"input": "in.csv"} if takes_input else {}
+            if name == "moments":
+                expected["max_lag"] = 3
+            assert vars(sp.parse_args(["in.csv"] if takes_input else [])) == expected
 
 
 class TestRunConfigProvenance:

@@ -16,6 +16,7 @@ from spingarch import (
     OptimizerOptions,
     RngStream,
     SimConfig,
+    conditional_mean_path,
     cumulative_periodogram,
     dispersion_ratio,
     fit_cml,
@@ -26,10 +27,12 @@ from spingarch import (
     sample_acf,
     sample_pacf,
     simulate_path,
+    slfn_forward,
     softplus,
 )
 from spingarch.estimate import FitResult
 from spingarch.exceptions import DataError
+from spingarch.model import presample_init
 
 
 def nb_spec(p=1, q=1):
@@ -38,8 +41,6 @@ def nb_spec(p=1, q=1):
 
 def make_fit(spec, params, series):
     """FitResult shell around known parameters (no optimization)."""
-    from spingarch.model import conditional_mean_path
-
     lam = conditional_mean_path(spec, params, series)
     k = params.k(spec.family)
     return FitResult(spec=spec, estimates=params, std_errors=np.full(k, np.nan),
@@ -170,34 +171,42 @@ class TestOneStepForecasts:
         np.testing.assert_allclose(preds, float(softplus(2.0)), rtol=1e-14)
 
     def test_definitional_consistency(self):
-        from spingarch.model import conditional_mean_path, presample_init
-
         spec = nb_spec()
         params = LinearParams(1.5, (0.25,), (0.3,), 3.0)
         history = simulate_path(SimConfig(spec=spec, params=params, length=150, rng=RngStream(6)))
         fit = make_fit(spec, params, history[:100])
         preds = one_step_forecasts(fit, history, 50)
         init = presample_init(history[:100])
-        path = conditional_mean_path(spec, params, history, lambda_init=init)
+        path = conditional_mean_path(spec, params, history, presample=init)
         np.testing.assert_allclose(preds, path[100:150], rtol=1e-14)
+        # the forecast path over the training prefix is the fit's own path
+        np.testing.assert_array_equal(path[:100], fit.lambda_path)
+
+    def test_forecasts_ignore_later_observations(self):
+        # horizon 6 covers steps 5..10, which see observations up to step 9 only;
+        # the pre-sample counts must not come from the whole history either
+        spec = nb_spec()
+        params = LinearParams(1.0, (0.3,), (0.6,), 3.0)
+        history = np.array([2, 0, 3, 1, 4, 2, 5, 1, 3, 0])
+        fit = make_fit(spec, params, history[:4])
+        preds = one_step_forecasts(fit, history, 6)
+        changed = history.copy()
+        changed[-1] = 40
+        np.testing.assert_array_equal(one_step_forecasts(fit, changed, 6), preds)
 
     def test_definitional_consistency_neural(self):
         # the pre-sample mean comes from the short training prefix (mean 0.75),
         # not from the whole history (mean 2.25)
-        from spingarch.model import conditional_mean_path, presample_init
-
         spec = ModelSpec(NEGBIN, NEURAL, 1, 1, hidden=1)
         weights = NeuralWeights(np.array([[0.8], [0.15], [0.5]]), np.array([2.5]), 3.0)
         sim = simulate_path(SimConfig(spec=spec, params=weights, length=40, rng=RngStream(6)))
         history = np.concatenate([[1, 0, 2, 0], sim])
         fit = make_fit(spec, weights, history[:4])
         preds = one_step_forecasts(fit, history, 40)
-        path = conditional_mean_path(spec, weights, history, lambda_init=presample_init(history[:4]))
+        path = conditional_mean_path(spec, weights, history, presample=presample_init(history[:4]))
         np.testing.assert_allclose(preds, path[4:44], rtol=1e-14)
 
     def test_one_beyond_neural(self):
-        from spingarch import slfn_forward
-
         spec = ModelSpec(NEGBIN, NEURAL, 1, 1, hidden=1)
         weights = NeuralWeights(np.array([[0.8], [0.15], [0.5]]), np.array([2.5]), 3.0)
         history = np.array([2, 3, 1, 5])

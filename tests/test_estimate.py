@@ -240,7 +240,7 @@ class TestFitCml:
 
         monkeypatch.setattr(estimate, "negloglik_and_grad", recording)
         start = np.array([0.2, 0.0, 0.9, 0.0])
-        fit = _fit(spec, path, LinearParams, [start], OptimizerOptions(restarts=0), "CML optimization")
+        fit = _fit(spec, path, LinearParams, [start], "CML optimization")
         assert values[1] == _PENALTY  # the first trial step
         assert fit.converged
         assert fit.loglik == pytest.approx(reference.loglik, abs=1e-6)

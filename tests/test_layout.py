@@ -1,5 +1,5 @@
-"""Source layout checks: no relative import hides inside a function body, and
-one fit driver: only `estimate.py` uses `scipy.optimize`, and no module runs a
+"""Source layout checks: no import hides inside a function body, and one fit
+driver: only `estimate.py` uses `scipy.optimize`, and no module runs a
 Nelder-Mead search."""
 
 import ast
@@ -9,6 +9,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "spingarch"
 
 
 class _FunctionImports(ast.NodeVisitor):
+    """(function, line, relative) for every import inside a function body."""
+
     def __init__(self):
         self.stack = []
         self.found = []
@@ -20,20 +22,47 @@ class _FunctionImports(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
-    def visit_ImportFrom(self, node):
-        if node.level and self.stack:
-            self.found.append((self.stack[-1], node.lineno))
+    def visit_Import(self, node):
+        if self.stack:
+            self.found.append((self.stack[-1], node.lineno, bool(getattr(node, "level", 0))))
+
+    visit_ImportFrom = visit_Import
+
+
+def _function_imports(source, filename="<source>"):
+    finder = _FunctionImports()
+    finder.visit(ast.parse(source, filename=filename))
+    return finder.found
+
+
+def _offenders(relative):
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no modules under {SRC}"
+    return [f"{path.name}:{line} in {func}()"
+            for path in paths
+            for func, line, rel in _function_imports(path.read_text(encoding="utf-8"), str(path))
+            if rel == relative]
 
 
 def test_no_function_level_relative_imports():
-    paths = sorted(SRC.glob("*.py"))
-    assert paths, f"no modules under {SRC}"
-    offenders = []
-    for path in paths:
-        finder = _FunctionImports()
-        finder.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        offenders += [f"{path.name}:{line} in {func}()" for func, line in finder.found]
+    offenders = _offenders(relative=True)
     assert not offenders, "relative imports inside functions: " + ", ".join(offenders)
+
+
+def test_no_function_level_absolute_imports():
+    offenders = _offenders(relative=False)
+    assert not offenders, "absolute imports inside functions: " + ", ".join(offenders)
+
+
+def test_function_import_check_has_teeth():
+    source = (
+        "import math\n"
+        "def f():\n"
+        "    from datetime import datetime\n"
+        "    import os\n"
+        "    from . import data\n"
+    )
+    assert _function_imports(source) == [("f", 3, False), ("f", 4, False), ("f", 5, True)]
 
 
 def _optimizer_uses(tree):

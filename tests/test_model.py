@@ -41,6 +41,14 @@ class TestModelSpec:
             ModelSpec(NEGBIN, "neural", 1, 0)
         assert ModelSpec(NEGBIN, "neural", 1, 1, hidden=2).input_width == 3
 
+    def test_options_of_the_other_link_rejected(self):
+        # the network's output unit uses c = 1, and a linear model has no hidden units
+        with pytest.raises(ParameterError, match="softplus-linear link only"):
+            ModelSpec(POISSON, NEURAL, 1, 0, c=5.0, hidden=1)
+        with pytest.raises(ParameterError, match="neural link only"):
+            ModelSpec(NEGBIN, SOFTPLUS_LINEAR, 1, 1, hidden=3)
+        assert ModelSpec(POISSON, NEURAL, 1, 0, c=1.0, hidden=1).c == 1.0
+
 
 class TestConditionalMeanPath:
     def test_collapses_to_constant(self):
@@ -98,16 +106,16 @@ class TestConditionalMeanPath:
         [((0.3, -0.15), (0.25,)), ((0.4,), (0.3, -0.2)), ((0.2, 0.1), (-0.3, 0.25))],
         ids=["p2q1", "p1q2", "p2q2"],
     )
-    @pytest.mark.parametrize("lambda_init", [None, 2.5], ids=["default-init", "explicit-init"])
-    def test_higher_order_feedback_matches_manual_recursion(self, alpha, beta, lambda_init):
+    @pytest.mark.parametrize("presample", [None, 2.5], ids=["default-init", "explicit-init"])
+    def test_higher_order_feedback_matches_manual_recursion(self, alpha, beta, presample):
         p, q = len(alpha), len(beta)
         params = LinearParams(0.6, alpha, beta, 2.0)
         series = [4, 1, 0, 6, 2, 3, 5, 0, 1]
         lam = conditional_mean_path(ModelSpec(NEGBIN, SOFTPLUS_LINEAR, p, q, 0.8), params, series,
-                                    lambda_init=lambda_init)
-        xbar = float(np.mean(series))
-        xs = [xbar] * p + series  # x_{t-i} sits at xs[p + t - i]
-        lams = [xbar if lambda_init is None else lambda_init] * q  # lambda_{t-j} at lams[q + t - j]
+                                    presample=presample)
+        init = float(np.mean(series)) if presample is None else presample  # counts and means alike
+        xs = [init] * p + series  # x_{t-i} sits at xs[p + t - i]
+        lams = [init] * q  # lambda_{t-j} at lams[q + t - j]
         for t in range(len(series)):
             eta = 0.6
             eta += sum(a * xs[p + t - i] for i, a in enumerate(alpha, 1))

@@ -106,9 +106,8 @@ class TestLambdaPath:
         rng = np.random.default_rng(3)
         w = NeuralWeights(rng.normal(scale=0.5, size=(4, 2)), rng.normal(scale=0.5, size=2), 2.0)
         series = [int(v) for v in rng.integers(0, 9, 25)]
-        lam = conditional_mean_path(spec, w, series, lambda_init=1.7)
-        xbar = float(np.mean(series))
-        xs, lams = [xbar, xbar] + series, [1.7] + list(lam)
+        lam = conditional_mean_path(spec, w, series, presample=1.7)
+        xs, lams = [1.7, 1.7] + series, [1.7] + list(lam)  # one pre-sample value for counts and means
         steps = [w.step(spec, [xs[t + 1], xs[t]], [lams[t]]) for t in range(len(series))]
         np.testing.assert_array_equal(steps, lam)
 

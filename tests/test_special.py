@@ -1,11 +1,11 @@
-"""Softplus family, logistic, and log-gamma primitives."""
+"""Softplus family, logistic and ReLU primitives."""
 
 import math
 
 import numpy as np
 import pytest
 
-from spingarch import log_gamma, logistic, relu, softplus, softplus_deriv, softplus_inverse
+from spingarch import logistic, relu, softplus, softplus_deriv, softplus_inverse
 from spingarch.exceptions import ParameterError
 
 
@@ -76,24 +76,6 @@ class TestRelu:
     @pytest.mark.parametrize("x,expected", [(-3.0, 0.0), (3.0, 3.0), (0.0, 0.0)])
     def test_values(self, x, expected):
         assert relu(x) == expected
-
-
-class TestLogGamma:
-    def test_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-    def test_accuracy_range(self):
-        # factorial cross-check across the contract range
-        for k in (2, 10, 100, 1000):
-            assert log_gamma(float(k + 1)) == pytest.approx(sum(math.log(i) for i in range(1, k + 1)), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ParameterError):
-            log_gamma(0.0)
-        with pytest.raises(ParameterError):
-            log_gamma(-1.5)
 
 
 class TestSoftplusInverse:
