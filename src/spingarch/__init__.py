@@ -26,10 +26,13 @@ from .estimate import (
     FitResult,
     OptimizerOptions,
     fit_cml,
+    fit_neural,
     information_criteria,
     init_params,
     negloglik,
     negloglik_and_grad,
+    neural_gradient,
+    select_hidden_units,
     standard_errors,
 )
 from .exceptions import ConvergenceWarning, DataError, NumericError, ParameterError
@@ -41,17 +44,12 @@ from .model import (
     LinearMoments,
     LinearParams,
     ModelSpec,
+    NeuralWeights,
     StationarityReport,
     check_stationarity,
     conditional_mean_path,
     linear_acvf_general,
     linear_moments_11,
-)
-from .neural import (
-    NeuralWeights,
-    fit_neural,
-    neural_gradient,
-    select_hidden_units,
     slfn_forward,
 )
 from .simulate import (

@@ -16,7 +16,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -34,10 +34,9 @@ from .diagnostics import (
     sample_pacf,
 )
 from .distributions import RngStream
-from .estimate import FitResult, OptimizerOptions, fit_cml
+from .estimate import FitResult, OptimizerOptions, fit_cml, fit_neural
 from .exceptions import DataError, NumericError, ParameterError
-from .model import NEGBIN, NEURAL, POISSON, SOFTPLUS_LINEAR, LinearParams, ModelSpec
-from .neural import NeuralWeights, fit_neural
+from .model import NEGBIN, NEURAL, POISSON, SOFTPLUS_LINEAR, LinearParams, ModelSpec, NeuralWeights
 from .simulate import SimConfig, moment_study, simulate_path, simulation_study
 from .textdoc import dumps, format_float
 
@@ -376,6 +375,7 @@ def _cmd_moments(config: RunConfig) -> int:
         raise UsageError("moments needs --length >= 1")
     if config.max_lag < 1:
         raise UsageError("moments needs --max-lag >= 1")
+    spec = _spec(replace(config, link=SOFTPLUS_LINEAR, p=1, q=1))  # the grid's (1,1) model
     grid_path = Path(config.grid)
     if not grid_path.exists():
         raise DataError(f"grid file not found: {grid_path}")
@@ -390,7 +390,6 @@ def _cmd_moments(config: RunConfig) -> int:
                 n = float(row["n"]) if config.family == NEGBIN else None
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"grid row {idx + 1}: need alpha0,alpha1,beta1[,n] columns") from exc
-            spec = ModelSpec(config.family, SOFTPLUS_LINEAR, 1, 1, config.c)
             params = LinearParams(alpha0, (alpha1,), (beta1,), n)
             entries.append(
                 SimConfig(spec=spec, params=params, length=length, burn_in=config.burn_in,
@@ -637,7 +636,12 @@ def _attach_negative_lists(argv: Sequence[str]) -> List[str]:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in vars(args).items()})
+    given = vars(args)
+    # a --model token names its own family, link and orders
+    clashes = [_OPTIONS[name][0] for name in ("family", "link", "p", "q") if name in given]
+    if "models" in given and clashes:
+        raise UsageError(f"--model names each model's family, link and orders; drop {', '.join(clashes)}")
+    return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in given.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

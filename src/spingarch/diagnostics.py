@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -137,16 +137,10 @@ def one_step_forecasts(fit, history, horizon: int) -> np.ndarray:
             f"step {train_len + horizon - 1}, have {hist.size}"
         )
     init = presample_init(hist[:train_len])
-    # conditional means over the full history, then one step beyond it
-    path = conditional_mean_path(spec, params, hist, presample=init)
-    one_beyond = params.step(spec, _latest(hist, spec.p, init), _latest(path, spec.q, init))
-    full = np.append(path, one_beyond)
-    return full[train_len : train_len + horizon]
-
-
-def _latest(values: np.ndarray, k: int, pad: float) -> List[float]:
-    """The last k values, newest first, padded with `pad` before the start."""
-    return [float(values[-i]) if i <= values.size else pad for i in range(1, k + 1)]
+    # lambda_t reads counts only up to t-1, so one stand-in count appended to
+    # the history gives the conditional means up to one step beyond it
+    path = conditional_mean_path(spec, params, np.append(hist, 0.0), presample=init)
+    return path[train_len : train_len + horizon]
 
 
 def rmse(forecasts, actuals) -> float:

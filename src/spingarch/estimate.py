@@ -16,30 +16,41 @@ that gradient, and standard errors come from central differences of it.  The
 dispersion n is optimized on the log scale so it stays positive, while the
 regression coefficients are unconstrained (negative values are a feature, not
 an error).
+
+The links differ only in their starts: method of moments plus jittered
+restarts for a linear fit; random starts, run to completion, plus warm starts
+for a network.  `select_hidden_units` warm-starts each larger network from the
+previous winner with an idle extra unit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import expit
 
 from .data import CountSeries, as_counts, sample_acf
 from .distributions import RngStream, loglik_scores, loglik_terms
 from .exceptions import ConvergenceWarning, DataError, NumericError, ParameterError
-from .model import NEGBIN, LinearParams, ModelSpec, _family_n, conditional_mean_path
+from .model import NEGBIN, LinearParams, ModelSpec, NeuralWeights, conditional_mean_path, family_dispersion
+from .special import softplus_inverse
 
 __all__ = [
     "OptimizerOptions",
     "FitResult",
     "negloglik",
     "negloglik_and_grad",
+    "neural_gradient",
     "init_params",
     "fit_cml",
+    "fit_neural",
+    "extend_with_idle_unit",
+    "select_hidden_units",
     "standard_errors",
     "information_criteria",
 ]
@@ -93,7 +104,7 @@ def _negloglik_at(spec: ModelSpec, params, series):
     the negated log-likelihood of params on `series`."""
     x = as_counts(series)
     lam = conditional_mean_path(spec, params, series)
-    n = _family_n(spec.family, params.n)
+    n = family_dispersion(spec.family, params.n)
     ll = np.sum(loglik_terms(x, lam, n))
     if not np.isfinite(ll):
         raise NumericError("non-finite log-likelihood")
@@ -119,6 +130,14 @@ def negloglik_and_grad(spec: ModelSpec, params, series, log_n: bool = True) -> T
     if n is not None:
         grad = np.append(grad, -(n * d_n if log_n else d_n))
     return value, grad
+
+
+def neural_gradient(weights: NeuralWeights, spec: ModelSpec, series) -> np.ndarray:
+    """Exact gradient of `negloglik` in the flat layout of
+    `NeuralWeights.to_flat` (u0 row-major, u1, then ln n for the NB family):
+    the gradient half of `negloglik_and_grad`.  For q > 0 it is the total
+    derivative, through the lagged conditional means included."""
+    return negloglik_and_grad(spec, weights, series)[1]
 
 
 def _dispersion_n(xbar: float, disp: float) -> float:
@@ -191,6 +210,26 @@ def init_params(spec: ModelSpec, series) -> LinearParams:
     alpha0 = xbar * (1.0 - 0.1 * (spec.p + spec.q))
     n = _dispersion_n(xbar, disp) if spec.family == NEGBIN else None
     return LinearParams(alpha0=alpha0, alpha=alpha, beta=beta, n=n)
+
+
+def _initial_weights(spec: ModelSpec, series, gen: np.random.Generator) -> NeuralWeights:
+    """Random input weights scaled by 1/sqrt(K); output weights chosen so the
+    first forward pass lands near the sample mean."""
+    x = as_counts(series)
+    K, L = spec.input_width, spec.hidden
+    xbar = float(x.mean())
+    u0 = gen.uniform(-0.5, 0.5, size=(K, L)) / math.sqrt(K)
+    mean_input = np.array([1.0] + [xbar] * (K - 1))
+    levels = expit(u0.T @ mean_input)
+    target = softplus_inverse(max(xbar, 0.1), 1.0)
+    common = target / max(float(levels.sum()), 1e-6)
+    u1 = np.full(L, common)
+    n = None
+    if spec.family == NEGBIN:
+        var = float(x.var(ddof=1))
+        disp = var / xbar if xbar > 0 else 1.0
+        n = _dispersion_n(xbar, disp)
+    return NeuralWeights(u0=u0, u1=u1, n=n)
 
 
 def _objective(spec: ModelSpec, series, kind):
@@ -270,6 +309,69 @@ def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None) ->
         for attempt in range(1, opts.restarts + 1)
     ]
     return _fit(spec, series, LinearParams, starts, "CML optimization", until_converged=True)
+
+
+def fit_neural(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None,
+               extra_starts: Sequence[NeuralWeights] = ()) -> FitResult:
+    """Train the network by maximum likelihood with multi-start L-BFGS.
+
+    Every start (fresh random initializations plus any `extra_starts`, e.g.
+    warm starts from a smaller network) is run to completion and the best
+    log-likelihood wins, ties broken by the earliest start.  Deterministic
+    given `opts.seed`.
+    """
+    opts = opts if opts is not None else OptimizerOptions(restarts=10)
+    # validated once here; every later as_counts on a CountSeries skips the checks
+    series = series if isinstance(series, CountSeries) else CountSeries(series)
+    s = len(series)
+    K, L = spec.input_width, spec.hidden
+    floor = 20 * (K * L + L) / (spec.p + spec.q + 1)
+    if s < floor:
+        warnings.warn(
+            f"series length {s} is below the identifiability floor {floor:.0f} for this network",
+            UserWarning,
+        )
+
+    starts = [
+        _initial_weights(spec, series, RngStream(opts.seed, k).generator()).to_flat()
+        for k in range(opts.restarts + 1)
+    ]
+    starts.extend(w.to_flat() for w in extra_starts)
+    return _fit(spec, series, NeuralWeights, starts, "neural training")
+
+
+def extend_with_idle_unit(weights: NeuralWeights) -> NeuralWeights:
+    """Append one hidden unit wired to contribute nothing: the response (and
+    hence the likelihood) is unchanged, giving a warm start for L+1 units."""
+    u0 = np.hstack([weights.u0, np.zeros((weights.input_width, 1))])
+    u1 = np.append(weights.u1, 0.0)
+    return NeuralWeights(u0=u0, u1=u1, n=weights.n)
+
+
+def select_hidden_units(spec: ModelSpec, series, L_range: Sequence[int],
+                        opts: Optional[OptimizerOptions] = None,
+                        criterion: str = "aic") -> Tuple[int, Dict[int, FitResult]]:
+    """Fit each hidden-unit count and pick the information-criterion winner.
+
+    Larger networks are additionally warm-started from the previous winner
+    with an idle extra unit, so the in-sample fit is monotone in L up to
+    optimizer tolerance.  Ties go to the smaller network.
+    """
+    if criterion not in ("aic", "bic"):
+        raise ParameterError("criterion must be 'aic' or 'bic'")
+    Ls = sorted(set(int(L) for L in L_range))
+    if not Ls:
+        raise ParameterError("L_range must be non-empty")
+    fits: Dict[int, FitResult] = {}
+    prev: Optional[NeuralWeights] = None
+    for L in Ls:
+        spec_L = replace(spec, hidden=L)
+        extra = []
+        if prev is not None and prev.hidden == L - 1:
+            extra.append(extend_with_idle_unit(prev))
+        fits[L] = fit_neural(spec_L, series, opts, extra_starts=extra)
+        prev = fits[L].estimates
+    return min(Ls, key=lambda L: getattr(fits[L], criterion)), fits
 
 
 def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:

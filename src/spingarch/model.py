@@ -1,5 +1,5 @@
-"""Model specification, conditional-mean recursions, stationarity checks, and
-linear moment approximations.
+"""Model specification, the two response types, conditional-mean recursions,
+stationarity checks, and linear moment approximations.
 
 The softplus INGARCH(p, q) model drives a count series {X_t} through
 
@@ -9,6 +9,15 @@ The softplus INGARCH(p, q) model drives a count series {X_t} through
 where sp is the softplus link.  Coefficients may be negative -- that is the
 point of the softplus link -- so the ACF of the process can take negative
 values while lambda_t stays strictly positive.
+
+The neural response replaces the linear predictor with a single hidden layer,
+
+    lambda_t = f1( sum_l u1_l * f0( sum_k u0_{k,l} x_k ) ),
+
+with logistic f0 and softplus f1 (c = 1) on the input vector
+x = (1, X_{t-1}..X_{t-p}, lambda_{t-1}..lambda_{t-q}) of width K = p + q + 1.
+Since f1' = f0 and f0' = f0 (1 - f0), backpropagation needs only the forward
+activations.
 
 Because exact moments of the softplus model are intractable, the classical
 linear INGARCH moment formulas evaluated at the same coefficients serve as
@@ -37,6 +46,8 @@ __all__ = [
     "NEURAL",
     "ModelSpec",
     "LinearParams",
+    "NeuralWeights",
+    "slfn_forward",
     "StationarityReport",
     "LinearMoments",
     "conditional_mean_path",
@@ -44,6 +55,7 @@ __all__ = [
     "linear_moments_11",
     "linear_acvf_general",
     "presample_init",
+    "family_dispersion",
 ]
 
 POISSON = "poisson"
@@ -220,6 +232,119 @@ class LinearParams:
 
 
 @dataclass(frozen=True)
+class NeuralWeights:
+    """Network weights: input-to-hidden matrix u0 (K x L), hidden-to-output
+    vector u1 (L), and the negative binomial dispersion n when applicable."""
+
+    u0: np.ndarray
+    u1: np.ndarray
+    n: Optional[float] = None
+
+    def __post_init__(self):
+        u0 = np.atleast_2d(np.asarray(self.u0, dtype=float))
+        u1 = np.atleast_1d(np.asarray(self.u1, dtype=float))
+        if u0.ndim != 2 or u1.ndim != 1 or u0.shape[1] != u1.size:
+            raise ParameterError("u0 must be K x L and u1 length L")
+        if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(u1))):
+            raise ParameterError("weights must be finite")
+        object.__setattr__(self, "u0", u0)
+        object.__setattr__(self, "u1", u1)
+        if self.n is not None:
+            n = float(self.n)
+            if not (math.isfinite(n) and n > 0):
+                raise ParameterError("dispersion n must be finite and > 0")
+            object.__setattr__(self, "n", n)
+
+    @property
+    def input_width(self) -> int:
+        return self.u0.shape[0]
+
+    @property
+    def hidden(self) -> int:
+        return self.u0.shape[1]
+
+    def k(self, family: str) -> int:
+        """Number of free parameters under the given family."""
+        return self.u0.size + self.u1.size + (1 if family == NEGBIN else 0)
+
+    def to_flat(self, log_n: bool = True) -> np.ndarray:
+        """Flatten to [u0 row-major, u1, (ln) n]; the optimizer works on ln n."""
+        flat = np.concatenate([self.u0.ravel(), self.u1])
+        if self.n is not None:
+            flat = np.append(flat, math.log(self.n) if log_n else self.n)
+        return flat
+
+    @classmethod
+    def from_flat(cls, flat, spec: ModelSpec, log_n: bool = True) -> "NeuralWeights":
+        """Inverse of `to_flat` for the network shape and family of `spec`."""
+        K, L = spec.input_width, spec.hidden
+        flat = np.asarray(flat, dtype=float)
+        expected = K * L + L + (1 if spec.family == NEGBIN else 0)
+        if flat.size != expected:
+            raise ParameterError(f"flat weight vector must have {expected} entries, got {flat.size}")
+        n = None
+        if spec.family == NEGBIN:
+            n = math.exp(float(flat[-1])) if log_n else float(flat[-1])
+        return cls(u0=flat[: K * L].reshape(K, L), u1=flat[K * L : K * L + L], n=n)
+
+    def _check(self, spec: ModelSpec):
+        if spec.link != NEURAL:
+            raise ParameterError("neural weights require the neural link")
+        if self.input_width != spec.input_width or self.hidden != spec.hidden:
+            raise ParameterError("weight shapes do not match the model spec")
+
+    def _respond(self, inputs: np.ndarray) -> float:
+        """Network output for one input vector (1, x lags, lambda lags)."""
+        z = float(self.u1 @ expit(self.u0.T @ inputs))
+        return float(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
+
+    def mean_path(self, spec: ModelSpec, x: np.ndarray, presample: Optional[float]) -> np.ndarray:
+        """The recursion behind `conditional_mean_path` on the coerced series x:
+        the network, fed its own lagged outputs when q > 0.  Unchecked, and
+        `presample=None` means the floored sample mean of x."""
+        self._check(spec)
+        init, padded = _pre_sample(x, spec.p, presample)
+        lags = _lag_matrix(padded, spec.p)
+        if spec.q == 0:
+            return np.atleast_1d(softplus(expit(lags @ self.u0) @ self.u1, 1.0))
+        lam = np.empty(x.size)
+        lprev = [init] * spec.q
+        for t, x_lags in enumerate(lags[:, 1:].tolist()):
+            lam[t] = v = self.step(spec, x_lags, lprev)
+            lprev = [v] + lprev[:-1]
+        return lam
+
+    def vjp(self, spec: ModelSpec, x: np.ndarray, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """sum_t r_t d lambda_t / d w for w = [u0 row-major, u1], where
+        lam = mean_path(spec, x, None): backpropagation through the network,
+        vectorised over t, and through the lagged means by `_lag_adjoint`."""
+        B = _inputs(x, lam, spec.p, spec.q)
+        H = expit(B @ self.u0)
+        f1p = expit(H @ self.u1)  # f1' = f0 at the output
+        dz_da = H * (1.0 - H) * self.u1
+        a = _lag_adjoint(r, f1p[:, None] * (dz_da @ self.u0[1 + spec.p :].T)) if spec.q else r
+        w = a * f1p
+        return np.concatenate([(B.T @ (dz_da * w[:, None])).ravel(), H.T @ w])
+
+    def step(self, spec: ModelSpec, x_lags, lam_lags) -> float:
+        """One conditional mean from the p latest counts and q latest means, newest first."""
+        return self._respond(np.array([1.0, *x_lags, *lam_lags]))
+
+    def chain_start(self, spec: ModelSpec) -> float:
+        """Start of a simulated chain: the network output with every lag input zero."""
+        self._check(spec)
+        return self.step(spec, [0.0] * spec.p, [0.0] * spec.q)
+
+
+def slfn_forward(weights: NeuralWeights, x) -> float:
+    """Network response for one input vector; strictly positive."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (weights.input_width,):
+        raise ParameterError(f"input must have {weights.input_width} entries, got {x.shape}")
+    return weights._respond(x)
+
+
+@dataclass(frozen=True)
 class StationarityReport:
     """Outcome of the first/second-order stationarity checks.
 
@@ -301,7 +426,7 @@ def _lag_adjoint(r: np.ndarray, partials: np.ndarray) -> np.ndarray:
     return np.array(rev[q:])[::-1]
 
 
-def _family_n(family: str, n: Optional[float]) -> Optional[float]:
+def family_dispersion(family: str, n: Optional[float]) -> Optional[float]:
     """Dispersion the family uses: None for Poisson, the required n for NB."""
     if family == POISSON:
         return None
@@ -312,7 +437,7 @@ def _family_n(family: str, n: Optional[float]) -> Optional[float]:
 
 def _omega0(family: str, n: Optional[float]) -> float:
     """Variance inflation 1 + 1/n; the Poisson family is the explicit n->inf limit."""
-    n = _family_n(family, n)
+    n = family_dispersion(family, n)
     return 1.0 if n is None else 1.0 + 1.0 / n
 
 

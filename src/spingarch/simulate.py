@@ -32,10 +32,11 @@ from .model import (
     LinearMoments,
     LinearParams,
     ModelSpec,
+    NeuralWeights,
     check_stationarity,
+    family_dispersion,
     linear_moments_11,
 )
-from .neural import NeuralWeights
 
 __all__ = [
     "SimConfig",
@@ -74,9 +75,7 @@ def simulate_path(config: SimConfig) -> np.ndarray:
     and mean, and each step's mean comes from `params.step`.
     """
     spec, params = config.spec, config.params
-    n = params.n if spec.family == NEGBIN else None  # None: Poisson draws
-    if spec.family == NEGBIN and (n is None or n <= 0):
-        raise ParameterError("negbin simulation requires dispersion n > 0")
+    n = family_dispersion(spec.family, params.n)  # None: Poisson draws
     gen = config.rng.generator()
     poisson, gamma, isfinite = gen.poisson, gen.gamma, math.isfinite
     q = spec.q

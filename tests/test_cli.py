@@ -327,6 +327,31 @@ class TestExitCodes:
                      "--c", "5", "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_moments_bad_c_is_usage_error(self, tmp_path):
+        # a bad --c used to reach ModelSpec inside the grid loop and exit 3
+        grid = tmp_path / "grid.csv"
+        grid.write_text("alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3\n")
+        out = tmp_path / "mom.csv"
+        assert main(["moments", "--grid", str(grid), "--length", "100", "--c", "-1", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "poisson"], ["--link", "neural"], ["--p", "3"], ["--q", "2"],
+    ], ids=["family", "link", "p", "q"])
+    def test_model_list_rejects_single_model_options(self, tmp_path, argv):
+        # each --model token names its own family, link and orders; these used
+        # to be ignored by the fit and still written into the document's config
+        data = write_series(tmp_path, seed=4, n=120)
+        out = tmp_path / "o.txt"
+        assert main(["fit", str(data), "--model", "nb(1,0)", *argv, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_model_list_keeps_c(self, tmp_path):
+        data = write_series(tmp_path, seed=4, n=120)
+        out = tmp_path / "o.txt"
+        assert main(["fit", str(data), "--model", "nb(1,0)", "--c", "2", "--out", str(out)]) == 0
+        assert loads(out.read_text())["fits"]["nb(1,0)"]["c"] == 2.0
+
     def test_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("count\n2\n-1\n")

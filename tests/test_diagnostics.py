@@ -215,6 +215,15 @@ class TestOneStepForecasts:
         expected = slfn_forward(weights, np.array([1.0, 5.0, fit.lambda_path[-1]]))
         assert pred[0] == expected
 
+    def test_one_beyond_neural_observation_lags(self):
+        # neu-nb(2,0): the vectorised path serves the step beyond the history too
+        spec = ModelSpec(NEGBIN, NEURAL, 2, 0, hidden=1)
+        weights = NeuralWeights(np.array([[-2.0], [0.4], [0.1]]), np.array([7.5]), 4.0)
+        history = np.array([2, 3, 1, 5, 4])
+        fit = make_fit(spec, weights, history)
+        pred = one_step_forecasts(fit, history, 1)
+        assert pred[0] == pytest.approx(slfn_forward(weights, np.array([1.0, 4.0, 5.0])), rel=1e-15)
+
     def test_one_beyond_history(self):
         spec = nb_spec(q=0)
         params = LinearParams(1.0, (0.4,), (), 3.0)

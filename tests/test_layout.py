@@ -1,6 +1,6 @@
-"""Source layout checks: no import hides inside a function body, and one fit
-driver: only `estimate.py` uses `scipy.optimize`, and no module runs a
-Nelder-Mead search."""
+"""Source layout checks: no import hides inside a function body, no private
+name crosses a module boundary, and one fit driver: only `estimate.py` uses
+`scipy.optimize`, and no module runs a Nelder-Mead search."""
 
 import ast
 from pathlib import Path
@@ -63,6 +63,37 @@ def test_function_import_check_has_teeth():
         "    from . import data\n"
     )
     assert _function_imports(source) == [("f", 3, False), ("f", 4, False), ("f", 5, True)]
+
+
+def _private_imports(tree):
+    """(line, name) for every `from .<module> import _<name>`; dunder names
+    such as `__version__` are public, and imports from outside the package
+    (`from scipy import special as _sps`) are not package names at all."""
+    return [(node.lineno, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
+def test_no_private_names_across_modules():
+    offenders = [f"{path.name}:{line} imports {name}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for line, name in _private_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert not offenders, "private names imported from another module: " + ", ".join(offenders)
+
+
+def test_private_import_check_has_teeth():
+    source = (
+        "from scipy import special as _sps\n"
+        "from . import __version__\n"
+        "from .model import ModelSpec as _Spec\n"
+        "from .model import _pre_sample\n"
+        "from .estimate import OptimizerOptions, _fit\n"
+        "def f():\n"
+        "    from ..model import _lag_matrix\n"
+    )
+    assert _private_imports(ast.parse(source)) == [(4, "_pre_sample"), (5, "_fit"), (7, "_lag_matrix")]
 
 
 def _optimizer_uses(tree):

@@ -16,6 +16,7 @@ from spingarch import (
     conditional_mean_path,
     linear_acvf_general,
     linear_moments_11,
+    negloglik,
     sample_acf,
     simulate_path,
     softplus,
@@ -158,6 +159,18 @@ class TestLinearResponse:
         xs, lams = [xbar, xbar] + series, [xbar] + list(lam)
         steps = [params.step(spec, [xs[t + 1], xs[t]], [lams[t]]) for t in range(len(series))]
         np.testing.assert_array_equal(steps, lam)
+
+
+class TestFamilyDispersion:
+    def test_negbin_without_n_is_rejected_everywhere(self):
+        # one rule: Poisson uses no n, and the NB family requires one
+        spec, params = spec11(NEGBIN), LinearParams(1.0, (0.3,), (0.4,))
+        with pytest.raises(ParameterError, match="requires dispersion n"):
+            simulate_path(SimConfig(spec=spec, params=params, length=10, rng=RngStream(1)))
+        with pytest.raises(ParameterError, match="requires dispersion n"):
+            negloglik(spec, params, [2, 0, 3, 1, 4])
+        with pytest.raises(ParameterError, match="requires dispersion n"):
+            linear_moments_11(params, NEGBIN)
 
 
 class TestCheckStationarity:

@@ -24,7 +24,7 @@ from spingarch import (
     slfn_forward,
 )
 from spingarch.exceptions import ParameterError
-from spingarch.neural import extend_with_idle_unit
+from spingarch.estimate import extend_with_idle_unit
 
 LN2 = math.log(2.0)
 
