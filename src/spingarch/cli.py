@@ -370,8 +370,7 @@ def _cmd_fit(config: RunConfig) -> int:
 def _cmd_moments(config: RunConfig) -> int:
     if config.grid is None or config.out is None:
         raise UsageError("moments needs --grid and --out")
-    length = config.length if config.length is not None else 100000
-    if length < 1:
+    if config.length < 1:
         raise UsageError("moments needs --length >= 1")
     if config.max_lag < 1:
         raise UsageError("moments needs --max-lag >= 1")
@@ -392,7 +391,7 @@ def _cmd_moments(config: RunConfig) -> int:
                 raise DataError(f"grid row {idx + 1}: need alpha0,alpha1,beta1[,n] columns") from exc
             params = LinearParams(alpha0, (alpha1,), (beta1,), n)
             entries.append(
-                SimConfig(spec=spec, params=params, length=length, burn_in=config.burn_in,
+                SimConfig(spec=spec, params=params, length=config.length, burn_in=config.burn_in,
                           rng=RngStream(config.seed, idx))
             )
     lags = config.max_lag
@@ -433,6 +432,8 @@ def _cmd_study(config: RunConfig) -> int:
         raise UsageError("study needs --out")
     if not config.sizes:
         raise UsageError("study needs --sizes")
+    if min(config.sizes) < 1:
+        raise UsageError("study needs --sizes entries >= 1")
     if config.replications < 1:
         raise UsageError("study needs --replications >= 1")
     spec = _spec(config)
@@ -532,6 +533,8 @@ def run(config: RunConfig) -> int:
     handler = _COMMANDS.get(config.command)
     if handler is None:
         raise UsageError(f"unknown command {config.command!r}")
+    if config.burn_in < 0:
+        raise UsageError("--burn-in must be >= 0")
     return handler(config)
 
 
@@ -605,8 +608,8 @@ _SUBCOMMANDS = {
 
 def _build_parser() -> _Parser:
     """One subparser per command.  An option left out stays out of the
-    namespace, so RunConfig supplies every default but one: `moments`
-    defaults to --max-lag 3."""
+    namespace, so RunConfig supplies every default but two: `moments`
+    defaults to --max-lag 3 and --length 100000."""
     parser = _Parser(prog="spingarch", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     for name, (help_text, options) in _SUBCOMMANDS.items():
@@ -614,7 +617,7 @@ def _build_parser() -> _Parser:
         for option in options.split():
             flag, settings = _OPTIONS[option]
             sp.add_argument(flag, **settings)
-    sub.choices["moments"].set_defaults(max_lag=3)
+    sub.choices["moments"].set_defaults(max_lag=3, length=100000)
     return parser
 
 

@@ -212,15 +212,26 @@ class LinearParams:
         a = _lag_adjoint(r, d[:, None] * theta[1 + spec.p :]) if spec.q else r
         return B.T @ (d * a)
 
-    def step(self, spec: ModelSpec, x_lags, lam_lags) -> float:
-        """One conditional mean from the p latest counts and q latest means, newest first."""
-        eta = self.alpha0
-        for a, v in zip(self.alpha, x_lags):
-            eta += a * v
-        for b, v in zip(self.beta, lam_lags):
-            eta += b * v
-        c = spec.c
-        return eta + c * math.log1p(math.exp(-eta / c)) if eta > 0.0 else c * math.log1p(math.exp(eta / c))
+    def stepper(self, spec: ModelSpec):
+        """The scalar step f(xs, lams) -> lambda_t from the count and mean
+        histories, newest last (xs[-1] = X_{t-1}).  It is the arithmetic of
+        `mean_path`'s feedback loop, so for q >= 1 its steps reproduce that
+        path exactly."""
+        self._check(spec)
+        a0, c = self.alpha0, spec.c
+        taps = tuple(zip(self.alpha, range(-1, -spec.p - 1, -1)))
+        ltaps = tuple(zip(self.beta, range(-1, -spec.q - 1, -1)))
+        exp, log1p = math.exp, math.log1p
+
+        def step(xs, lams) -> float:
+            e = a0
+            for a, i in taps:
+                e += a * xs[i]
+            for b, j in ltaps:
+                e += b * lams[j]
+            return e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))
+
+        return step
 
     def chain_start(self, spec: ModelSpec) -> float:
         """Start of a simulated chain: the softplus of the approximate stationary
@@ -293,26 +304,20 @@ class NeuralWeights:
         if self.input_width != spec.input_width or self.hidden != spec.hidden:
             raise ParameterError("weight shapes do not match the model spec")
 
-    def _respond(self, inputs: np.ndarray) -> float:
-        """Network output for one input vector (1, x lags, lambda lags)."""
-        z = float(self.u1 @ expit(self.u0.T @ inputs))
-        return float(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
-
     def mean_path(self, spec: ModelSpec, x: np.ndarray, presample: Optional[float]) -> np.ndarray:
         """The recursion behind `conditional_mean_path` on the coerced series x:
         the network, fed its own lagged outputs when q > 0.  Unchecked, and
         `presample=None` means the floored sample mean of x."""
         self._check(spec)
         init, padded = _pre_sample(x, spec.p, presample)
-        lags = _lag_matrix(padded, spec.p)
         if spec.q == 0:
-            return np.atleast_1d(softplus(expit(lags @ self.u0) @ self.u1, 1.0))
-        lam = np.empty(x.size)
-        lprev = [init] * spec.q
-        for t, x_lags in enumerate(lags[:, 1:].tolist()):
-            lam[t] = v = self.step(spec, x_lags, lprev)
-            lprev = [v] + lprev[:-1]
-        return lam
+            return np.atleast_1d(softplus(expit(_lag_matrix(padded, spec.p) @ self.u0) @ self.u1, 1.0))
+        step = self.stepper(spec)
+        xs, lam = [init] * spec.p, [init] * spec.q
+        for v in x.tolist():
+            lam.append(step(xs, lam))
+            xs.append(v)
+        return np.array(lam[spec.q :])
 
     def vjp(self, spec: ModelSpec, x: np.ndarray, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
         """sum_t r_t d lambda_t / d w for w = [u0 row-major, u1], where
@@ -326,14 +331,45 @@ class NeuralWeights:
         w = a * f1p
         return np.concatenate([(B.T @ (dz_da * w[:, None])).ravel(), H.T @ w])
 
-    def step(self, spec: ModelSpec, x_lags, lam_lags) -> float:
-        """One conditional mean from the p latest counts and q latest means, newest first."""
-        return self._respond(np.array([1.0, *x_lags, *lam_lags]))
+    def stepper(self, spec: ModelSpec):
+        """The scalar step f(xs, lams) -> lambda_t from the count and mean
+        histories, newest last (xs[-1] = X_{t-1}): the network in plain
+        `math`, with no numpy call per step."""
+        self._check(spec)
+        return self._scalar_network(spec.p, spec.q)
+
+    def _scalar_network(self, p: int, q: int):
+        """The one scalar network formula behind `stepper`, `chain_start` and
+        `slfn_forward`: input row (1, xs[-1..-p], lams[-1..-q]).  The logistic
+        and softplus split on the sign so that `math.exp` cannot overflow."""
+        lags = tuple(range(-1, -p - 1, -1))
+        llags = tuple(range(-1, -q - 1, -1))
+        units = tuple(
+            (col[0], tuple(zip(col[1 : p + 1], lags)), tuple(zip(col[p + 1 :], llags)), w)
+            for col, w in zip(self.u0.T.tolist(), self.u1.tolist())
+        )
+        exp, log1p = math.exp, math.log1p
+
+        def step(xs, lams) -> float:
+            z = 0.0
+            for a, taps, ltaps, w in units:
+                for u, i in taps:
+                    a += u * xs[i]
+                for u, j in ltaps:
+                    a += u * lams[j]
+                if a >= 0.0:
+                    h = 1.0 / (1.0 + exp(-a))
+                else:
+                    e = exp(a)
+                    h = e / (1.0 + e)
+                z += w * h
+            return z + log1p(exp(-z)) if z > 0.0 else log1p(exp(z))
+
+        return step
 
     def chain_start(self, spec: ModelSpec) -> float:
         """Start of a simulated chain: the network output with every lag input zero."""
-        self._check(spec)
-        return self.step(spec, [0.0] * spec.p, [0.0] * spec.q)
+        return self.stepper(spec)([0.0] * spec.p, [0.0] * spec.q)
 
 
 def slfn_forward(weights: NeuralWeights, x) -> float:
@@ -341,7 +377,8 @@ def slfn_forward(weights: NeuralWeights, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (weights.input_width,):
         raise ParameterError(f"input must have {weights.input_width} entries, got {x.shape}")
-    return weights._respond(x)
+    # the non-constant inputs, reversed, as a count history newest last
+    return weights._scalar_network(x.size - 1, 0)(x[:0:-1].tolist(), ())
 
 
 @dataclass(frozen=True)

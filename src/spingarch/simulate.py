@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -72,33 +74,39 @@ def simulate_path(config: SimConfig) -> np.ndarray:
     """Generate one count series; deterministic given the config's RngStream.
 
     The chain starts at `params.chain_start(spec)` for every pre-sample count
-    and mean, and each step's mean comes from `params.step`.
+    and mean, and each step's mean comes from the scalar `params.stepper(spec)`.
+    For the NB family every gamma mixing variable is drawn first, in one
+    `standard_gamma(n, size=burn_in + length)` call, and then each step makes
+    one Poisson draw at (lambda_t / n) * g_t: the draw order of `nb_sample`.
+    The Poisson family makes only the Poisson draws.
     """
     spec, params = config.spec, config.params
     n = family_dispersion(spec.family, params.n)  # None: Poisson draws
     gen = config.rng.generator()
-    poisson, gamma, isfinite = gen.poisson, gen.gamma, math.isfinite
-    q = spec.q
+    poisson, isfinite = gen.poisson, math.isfinite
+    total = config.burn_in + config.length
+    if n is None:
+        gammas = repeat(None, total)
+    else:  # Python floats, converted a block at a time so no whole-path list is held
+        draws = gen.standard_gamma(n, size=total)
+        gammas = chain.from_iterable(draws[i : i + 4096].tolist() for i in range(0, total, 4096))
+    step = params.stepper(spec)
     start = params.chain_start(spec)
-    xprev = [start] * spec.p
-    lprev = [start] * q
-    step = params.step
-    out = np.empty(config.burn_in + config.length, dtype=np.int64)
-    for t in range(out.size):
-        lam = step(spec, xprev, lprev)
+    xs = [start] * spec.p  # pre-sample counts, then the drawn counts as ints
+    lams = deque([start] * spec.q, maxlen=spec.q)
+    for t, g in enumerate(gammas):
+        lam = step(xs, lams)
         if not isfinite(lam):
             raise NumericError(f"non-finite conditional mean at simulation step {t + 1}", index=t + 1)
         try:
-            draw = int(poisson(lam if n is None else (lam / n) * gamma(n)))
+            xs.append(poisson(lam if g is None else (lam / n) * g))
         except ValueError as exc:
             raise NumericError(
                 f"conditional mean overflow at simulation step {t + 1}", index=t + 1
             ) from exc
-        out[t] = draw
-        xprev = [float(draw)] + xprev[:-1]
-        if q:
-            lprev = [lam] + lprev[:-1]
-    return out[config.burn_in :]
+        lams.append(lam)
+    del xs[: spec.p + config.burn_in]  # in place, so no second path-sized list
+    return np.array(xs, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -240,6 +240,14 @@ class TestCommands:
         assert ",false," in rows[1]
         assert ",true," in rows[2]  # explosive entry flagged
 
+    def test_moments_header_records_default_length(self, tmp_path):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3\n")
+        out = tmp_path / "mom.csv"
+        assert main(["moments", "--grid", str(grid), "--out", str(out)]) == 0
+        config_line = next(line for line in out.read_text().splitlines() if line.startswith("# config:"))
+        assert " length=100000 " in config_line
+
     def test_study_document(self, tmp_path):
         out = tmp_path / "study.txt"
         code = main([
@@ -281,6 +289,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert main(["fit"]) == 1  # missing input
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--alpha0", "1", "--alpha", "0.3", "--n", "3", "--length", "20", "--burn-in", "-1"],
+        ["moments", "--length", "200", "--burn-in", "-5"],
+        ["study", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3", "--n", "3", "--sizes", "50",
+         "--replications", "1", "--burn-in", "-1"],
+        ["study", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3", "--n", "3", "--sizes", "0,50",
+         "--replications", "1"],
+        ["study", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3", "--n", "3", "--sizes=-5",
+         "--replications", "1"],
+    ], ids=["simulate-burn-in", "moments-burn-in", "study-burn-in", "study-size-0", "study-size-negative"])
+    def test_bad_simulation_size_is_usage_error(self, tmp_path, argv):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3\n")
+        grid_args = ["--grid", str(grid)] if argv[0] == "moments" else []
+        out = tmp_path / "out"
+        assert main([*argv, *grid_args, "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_bad_max_lag_is_usage_error(self, tmp_path):
         grid = tmp_path / "grid.csv"
@@ -402,12 +428,12 @@ class TestOptionTable:
         assert not {"link", "hidden"} & set(slots["study"])
 
     def test_defaults_come_from_run_config(self):
-        # a left-out option stays out of the namespace, except moments' --max-lag 3
+        # a left-out option stays out of the namespace, except moments' --max-lag 3 and --length 100000
         for name, sp in self._subparsers().items():
             takes_input = any(a.dest == "input" for a in sp._actions)
             expected = {"input": "in.csv"} if takes_input else {}
             if name == "moments":
-                expected["max_lag"] = 3
+                expected.update(max_lag=3, length=100000)
             assert vars(sp.parse_args(["in.csv"] if takes_input else [])) == expected
 
 

@@ -151,14 +151,19 @@ class TestLinearResponse:
             LinearParams.from_flat([0.6, 0.3, 0.25], spec11())
 
     def test_step_reproduces_path(self):
-        spec = ModelSpec(NEGBIN, SOFTPLUS_LINEAR, 2, 1, 0.8)
-        params = LinearParams(0.6, (0.3, -0.15), (0.25,), 2.0)
         series = [4, 1, 0, 6, 2, 3, 5, 0, 1]
-        lam = conditional_mean_path(spec, params, series)
         xbar = float(np.mean(series))
-        xs, lams = [xbar, xbar] + series, [xbar] + list(lam)
-        steps = [params.step(spec, [xs[t + 1], xs[t]], [lams[t]]) for t in range(len(series))]
-        np.testing.assert_array_equal(steps, lam)
+        for p, q in [(1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (2, 2)]:
+            spec = ModelSpec(NEGBIN, SOFTPLUS_LINEAR, p, q, 0.8)
+            params = LinearParams(0.6, (0.3, -0.15)[:p], (0.25, -0.1)[:q], 2.0)
+            lam = conditional_mean_path(spec, params, series)
+            xs, lams = [xbar] * p + series, [xbar] * q + list(lam)  # histories, newest last
+            step = params.stepper(spec)
+            steps = [step(xs[: p + t], lams[: q + t]) for t in range(len(series))]
+            if q:  # the path's feedback loop runs the stepper's scalar arithmetic
+                np.testing.assert_array_equal(steps, lam, err_msg=f"order ({p},{q})")
+            else:  # numpy's SIMD exp and log1p may round differently from math's
+                np.testing.assert_allclose(steps, lam, rtol=1e-15, atol=0, err_msg=f"order ({p},{q})")
 
 
 class TestFamilyDispersion:

@@ -108,8 +108,28 @@ class TestLambdaPath:
         series = [int(v) for v in rng.integers(0, 9, 25)]
         lam = conditional_mean_path(spec, w, series, presample=1.7)
         xs, lams = [1.7, 1.7] + series, [1.7] + list(lam)  # one pre-sample value for counts and means
-        steps = [w.step(spec, [xs[t + 1], xs[t]], [lams[t]]) for t in range(len(series))]
+        step = w.stepper(spec)  # histories newest last
+        steps = [step(xs[: 2 + t], lams[: 1 + t]) for t in range(len(series))]
         np.testing.assert_array_equal(steps, lam)
+
+    def test_stepper_matches_vectorised_network(self):
+        # the scalar formula against the vectorised q = 0 path, with units
+        # saturated far past where an unsplit 1/(1 + exp(-a)) overflows
+        spec = nspec(p=2, q=0, L=3)
+        rng = np.random.default_rng(5)
+        u0 = rng.normal(scale=0.5, size=(3, 3))
+        u0[:, 2] = [-40.0, 90.0, -70.0]
+        w = NeuralWeights(u0, rng.normal(scale=1.5, size=3))
+        series = rng.integers(0, 30, 12_000)
+        lam = conditional_mean_path(spec, w, series)
+        xbar = series.mean()
+        pre = np.column_stack([np.ones(series.size), np.r_[xbar, series[:-1]], np.r_[xbar, xbar, series[:-2]]]) @ u0
+        assert pre.min() <= -800 and pre.max() >= 800
+        step, xs, steps = w.stepper(spec), [xbar, xbar], []
+        for v in series.tolist():
+            steps.append(step(xs, ()))
+            xs.append(v)
+        np.testing.assert_allclose(steps, lam, rtol=1e-14, atol=0)
 
     def test_flat_round_trip_and_size_check(self):
         spec = nspec(NEGBIN, p=1, q=1, L=2)

@@ -13,8 +13,10 @@ from spingarch import (
     NeuralWeights,
     RngStream,
     SimConfig,
+    conditional_mean_path,
     empirical_moments,
     moment_study,
+    nb_sample,
     simulate_path,
     slfn_forward,
     softplus,
@@ -94,21 +96,43 @@ class TestSimulatePath:
         assert abs(emp.dispersion - 1.0) < 0.05
 
     def test_neural_matches_forward_reference(self):
-        # a hand loop over slfn_forward with the same gamma-Poisson draws
+        # a hand loop over slfn_forward: every gamma first, then one Poisson draw per step
         spec = ModelSpec(NEGBIN, NEURAL, 1, 1, hidden=2)
         w = NeuralWeights(np.array([[0.4, -0.3], [0.12, 0.05], [0.3, -0.2]]),
                           np.array([1.6, 0.9]), 2.5)
         path = simulate_path(SimConfig(spec=spec, params=w, length=300, burn_in=50,
                                        rng=RngStream(21)))
         gen = RngStream(21).generator()
+        gammas = gen.standard_gamma(w.n, size=350)
         x_lag = lam_lag = slfn_forward(w, np.array([1.0, 0.0, 0.0]))
         expected = []
-        for _ in range(350):
+        for g in gammas:
             lam = slfn_forward(w, np.array([1.0, x_lag, lam_lag]))
-            draw = int(gen.poisson((lam / w.n) * gen.gamma(shape=w.n, scale=1.0)))
+            draw = int(gen.poisson((lam / w.n) * g))
             expected.append(draw)
             x_lag, lam_lag = float(draw), lam
         np.testing.assert_array_equal(path, expected[50:])
+
+    def test_linear_matches_mean_path_reference(self):
+        # the (2,1) path redrawn from its own conditional means, started where
+        # the chain starts, with the gammas drawn first
+        spec = ModelSpec(NEGBIN, SOFTPLUS_LINEAR, 2, 1, 0.8)
+        params = LinearParams(0.9, (0.35, -0.2), (0.4,), 2.5)
+        path = simulate_path(SimConfig(spec=spec, params=params, length=400, burn_in=0,
+                                       rng=RngStream(23)))
+        lam = conditional_mean_path(spec, params, path, presample=params.chain_start(spec))
+        gen = RngStream(23).generator()
+        gammas = gen.standard_gamma(params.n, size=400)
+        np.testing.assert_array_equal(path, gen.poisson((lam / params.n) * gammas))
+
+    def test_constant_mean_path_is_nb_sample(self):
+        # alpha1 = 0: every step has the same mean, so the path is nb_sample's draws
+        spec = ModelSpec(NEGBIN, SOFTPLUS_LINEAR, 1, 0)
+        params = LinearParams(1.3, (0.0,), (), 2.5)
+        path = simulate_path(SimConfig(spec=spec, params=params, length=700, burn_in=50,
+                                       rng=RngStream(9)))
+        expected = nb_sample(RngStream(9), 2.5, softplus(1.3), size=750)[50:]
+        np.testing.assert_array_equal(path, expected)
 
     def test_explosive_parameters_raise(self):
         from spingarch.exceptions import NumericError
