@@ -1,15 +1,31 @@
-"""Count series container, coercion helpers, and the sample ACF."""
+"""Count series container, its table of distinct counts, coercion helpers,
+and the sample ACF."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from .exceptions import DataError, ParameterError
 
-__all__ = ["CountSeries", "as_counts", "sample_acf"]
+__all__ = ["CountTable", "CountSeries", "as_counts", "sample_acf"]
+
+
+@dataclass(frozen=True)
+class CountTable:
+    """Float counts x and a table of their values, x == levels[index].
+
+    A term that depends on a count only through its value is evaluated once
+    per level and gathered with `index`.  Levels need not be distinct:
+    `CountTable(x, x, ...)` makes every count its own level.
+    """
+
+    x: np.ndarray
+    levels: np.ndarray
+    index: Any
 
 
 @dataclass
@@ -34,6 +50,14 @@ class CountSeries:
 
     def __len__(self):
         return len(self.values)
+
+    @cached_property
+    def table(self) -> CountTable:
+        """The float counts with their distinct values, built on first use so
+        that a series evaluated many times sorts its counts once; the counts
+        must not change after that."""
+        levels, index = np.unique(self.values, return_inverse=True)
+        return CountTable(np.asarray(self.values, dtype=float), levels.astype(float), index)
 
 
 def as_counts(series) -> np.ndarray:

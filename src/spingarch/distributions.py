@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln, digamma, gammaln
 
+from .data import CountTable
 from .exceptions import ParameterError
 
 __all__ = [
@@ -72,33 +73,39 @@ def _validate_positive(v, name):
     return v
 
 
-def loglik_terms(x: np.ndarray, lam: np.ndarray, n=None) -> np.ndarray:
-    """Per-observation log pmf at counts x and means lam, without validation.
+def loglik_terms(counts: CountTable, lam: np.ndarray, n=None) -> np.ndarray:
+    """Per-observation log pmf at counts.x and means lam, without validation.
 
     n is the negative binomial dispersion; n=None gives the Poisson terms.
-    The one expression behind both likelihoods and both public pmfs.  The NB
-    coefficient log C(x+n-1, x) is -log x - betaln(n, x) (0 at x = 0), which
-    stays accurate as n grows where gammaln(x+n) - gammaln(n) cancels.
+    The one expression behind both likelihoods and both public pmfs.  The
+    terms that depend on a count only through its value -- the Poisson
+    log x! and the NB coefficient log C(x+n-1, x) -- are evaluated once per
+    level of the table and gathered.  The NB coefficient is -log x -
+    betaln(n, x) (0 at x = 0), which stays accurate as n grows where
+    gammaln(x+n) - gammaln(n) cancels.
     """
+    x, levels, index = counts.x, counts.levels, counts.index
     if n is None:
-        return x * np.log(lam) - lam - gammaln(x + 1.0)
-    x1 = np.maximum(x, 1.0)
-    log_coef = np.where(x > 0, -np.log(x1) - betaln(n, x1), 0.0)
+        return x * np.log(lam) - lam - gammaln(levels + 1.0)[index]
+    v = np.maximum(levels, 1.0)
+    log_coef = np.where(levels > 0, -np.log(v) - betaln(n, v), 0.0)[index]
     return x * (np.log(lam) - np.log(n + lam)) - n * np.log1p(lam / n) + log_coef
 
 
-def loglik_scores(x: np.ndarray, lam: np.ndarray, n=None):
+def loglik_scores(counts: CountTable, lam: np.ndarray, n=None):
     """Derivatives of `loglik_terms`: the per-observation d/d lam, and the sum
-    over observations of d/d n (None for the Poisson family, n=None)."""
+    over observations of d/d n (None for the Poisson family, n=None).  The
+    digamma gap psi(x + n) - psi(n) is evaluated once per level."""
+    x, v = counts.x, counts.levels
     if n is None:
         return x / lam - 1.0, None
     d_lam = x / lam - (n + x) / (n + lam)
     if n < 1e3:
-        gap = digamma(x + n) - digamma(n)
+        gap = digamma(v + n) - digamma(n)
     else:  # the asymptotic series of digamma, differenced term by term, where the direct form cancels
-        u, m = x / n, n + x
+        u, m = v / n, n + v
         gap = np.log1p(u) + u / (2.0 * m) + u * (2.0 + u) / (12.0 * m) / m
-    d_n = gap - np.log1p(lam / n) + (lam - x) / (n + lam)
+    d_n = gap[counts.index] - np.log1p(lam / n) + (lam - x) / (n + lam)
     return d_lam, float(np.sum(d_n))
 
 
@@ -110,13 +117,14 @@ def nb_log_pmf(x, n, lam):
     supported.  Broadcasts over array inputs.
     """
     x, n, lam = _validate_count(x), _validate_positive(n, "n"), _validate_positive(lam, "lambda")
-    out = loglik_terms(x, lam, n)
+    out = loglik_terms(CountTable(x, x, ...), lam, n)
     return out if out.ndim else float(out)
 
 
 def poisson_log_pmf(x, lam):
     """Log pmf of Poisson(lambda) at count x: x*log(lambda) - lambda - log(x!)."""
-    out = loglik_terms(_validate_count(x), _validate_positive(lam, "lambda"))
+    x = _validate_count(x)
+    out = loglik_terms(CountTable(x, x, ...), _validate_positive(lam, "lambda"))
     return out if out.ndim else float(out)
 
 

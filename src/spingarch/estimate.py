@@ -8,14 +8,17 @@ binomial family each term is
     x_t ln(lambda_t/n) - (n + x_t) ln(1 + lambda_t/n)
         + sum_{v=1..x_t} ln(v + n - 1) - ln(x_t!),
 
-and for Poisson it is x_t ln(lambda_t) - lambda_t - ln(x_t!).  Its gradient
-is exact for both links: `negloglik_and_grad` runs the score recursion
-backward (reverse mode, backpropagation through time), at about the cost of
-one extra pass over the series.  One driver fits both links with L-BFGS-B on
-that gradient, and standard errors come from central differences of it.  The
-dispersion n is optimized on the log scale so it stays positive, while the
-regression coefficients are unconstrained (negative values are a feature, not
-an error).
+and for Poisson it is x_t ln(lambda_t) - lambda_t - ln(x_t!).  The count
+terms are evaluated once per distinct count of the series (`CountSeries.table`,
+built once per series).  The gradient is exact for both links:
+`negloglik_and_grad` runs the score recursion backward (reverse mode,
+backpropagation through time), vectorised over the series except for the
+feedback through lagged means, which is one LAPACK banded triangular solve;
+for a linear (1,1) model the gradient costs less than the forward recursion.
+One driver fits both links with L-BFGS-B on that gradient, and standard
+errors come from central differences of it.  The dispersion n is optimized on
+the log scale so it stays positive, while the regression coefficients are
+unconstrained (negative values are a feature, not an error).
 
 The links differ only in their starts: method of moments plus jittered
 restarts for a linear fit; random starts, run to completion, plus warm starts
@@ -100,15 +103,15 @@ def information_criteria(loglik: float, k: int, s: int) -> Tuple[float, float]:
 
 
 def _negloglik_at(spec: ModelSpec, params, series):
-    """The coerced counts, the conditional means, the family dispersion and
-    the negated log-likelihood of params on `series`."""
-    x = as_counts(series)
+    """The count table of `series`, the conditional means, the family
+    dispersion and the negated log-likelihood of params on it."""
+    series = series if isinstance(series, CountSeries) else CountSeries(series)
     lam = conditional_mean_path(spec, params, series)
     n = family_dispersion(spec.family, params.n)
-    ll = np.sum(loglik_terms(x, lam, n))
+    ll = np.sum(loglik_terms(series.table, lam, n))
     if not np.isfinite(ll):
         raise NumericError("non-finite log-likelihood")
-    return x, lam, n, float(-ll)
+    return series.table, lam, n, float(-ll)
 
 
 def negloglik(spec: ModelSpec, params, series) -> float:
@@ -121,12 +124,14 @@ def negloglik_and_grad(spec: ModelSpec, params, series, log_n: bool = True) -> T
 
     Reverse mode: the family's score d l_t / d lambda_t weights the
     conditional means in one vector-Jacobian product of the parameter type
-    (`vjp`), so the gradient costs about one extra pass over the series; the
-    dispersion enters the likelihood directly, not through lambda.
+    (`vjp`), vectorised over the series but for one banded solve when q > 0;
+    the dispersion enters the likelihood directly, not through lambda.  An
+    array-like `series` is validated and tabulated on every call; wrap it in
+    a `CountSeries` once to evaluate it many times.
     """
-    x, lam, n, value = _negloglik_at(spec, params, series)
-    d_lam, d_n = loglik_scores(x, lam, n)
-    grad = -params.vjp(spec, x, lam, d_lam)
+    counts, lam, n, value = _negloglik_at(spec, params, series)
+    d_lam, d_n = loglik_scores(counts, lam, n)
+    grad = -params.vjp(spec, counts.x, lam, d_lam)
     if n is not None:
         grad = np.append(grad, -(n * d_n if log_n else d_n))
     return value, grad

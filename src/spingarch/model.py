@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 from scipy.special import expit
 
 from .data import as_counts
@@ -181,7 +181,8 @@ class LinearParams:
         self._check(spec)
         p, q, c = spec.p, spec.q, spec.c
         s = x.size
-        v, padded = _pre_sample(x, p, presample)
+        v = _pre_sample(x, presample)
+        padded = np.concatenate([np.full(p, v), x])
         # observation part alpha0 + sum_i alpha_i x_{t-i}, vectorised for every q
         eta = np.full(s, self.alpha0)
         for i in range(1, p + 1):
@@ -205,8 +206,9 @@ class LinearParams:
     def vjp(self, spec: ModelSpec, x: np.ndarray, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
         """sum_t r_t d lambda_t / d theta for theta = [alpha0, alpha, beta], where
         lam = mean_path(spec, x, None): the per-step partials vectorised, and the
-        feedback through lagged means carried backward by `_lag_adjoint`."""
-        B = _inputs(x, lam, spec.p, spec.q)
+        feedback through lagged means carried backward by `_lag_adjoint`, one
+        banded triangular solve of bandwidth q."""
+        B = _inputs(x, lam, spec.p, spec.q, _pre_sample(x))
         theta = np.array([self.alpha0, *self.alpha, *self.beta])
         d = expit(B @ theta / spec.c)  # sp'(eta_t)
         a = _lag_adjoint(r, d[:, None] * theta[1 + spec.p :]) if spec.q else r
@@ -309,9 +311,9 @@ class NeuralWeights:
         the network, fed its own lagged outputs when q > 0.  Unchecked, and
         `presample=None` means the floored sample mean of x."""
         self._check(spec)
-        init, padded = _pre_sample(x, spec.p, presample)
+        init = _pre_sample(x, presample)
         if spec.q == 0:
-            return np.atleast_1d(softplus(expit(_lag_matrix(padded, spec.p) @ self.u0) @ self.u1, 1.0))
+            return np.atleast_1d(softplus(expit(_inputs(x, None, spec.p, 0, init) @ self.u0) @ self.u1, 1.0))
         step = self.stepper(spec)
         xs, lam = [init] * spec.p, [init] * spec.q
         for v in x.tolist():
@@ -322,8 +324,9 @@ class NeuralWeights:
     def vjp(self, spec: ModelSpec, x: np.ndarray, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
         """sum_t r_t d lambda_t / d w for w = [u0 row-major, u1], where
         lam = mean_path(spec, x, None): backpropagation through the network,
-        vectorised over t, and through the lagged means by `_lag_adjoint`."""
-        B = _inputs(x, lam, spec.p, spec.q)
+        vectorised over t, and through the lagged means by `_lag_adjoint`, one
+        banded triangular solve of bandwidth q."""
+        B = _inputs(x, lam, spec.p, spec.q, _pre_sample(x))
         H = expit(B @ self.u0)
         f1p = expit(H @ self.u1)  # f1' = f0 at the output
         dz_da = H * (1.0 - H) * self.u1
@@ -412,55 +415,45 @@ class LinearMoments:
 
 def presample_init(series) -> float:
     """Shared pre-sample value: the sample mean, floored away from zero."""
-    return _pre_sample(as_counts(series), 0)[0]
+    return _pre_sample(as_counts(series))
 
 
-def _pre_sample(x: np.ndarray, p: int, init: Optional[float] = None) -> Tuple[float, np.ndarray]:
-    """The value that stands in for counts and means before the first step --
-    `init`, or by default the sample mean of x floored at MEAN_FLOOR -- and x
-    with p such counts in front."""
-    if init is None:
-        init = max(float(x.mean()), MEAN_FLOOR)
-    return init, np.concatenate([np.full(p, init), x])
+def _pre_sample(x: np.ndarray, init: Optional[float] = None) -> float:
+    """The value that stands in for counts and means before the first step:
+    `init`, or by default the sample mean of x floored at MEAN_FLOOR."""
+    return max(float(x.mean()), MEAN_FLOOR) if init is None else init
 
 
-def _lag_matrix(padded: np.ndarray, p: int) -> np.ndarray:
-    """Rows (1, x_{t-1}, ..., x_{t-p}) for t = 1..s from `_pre_sample`'s padded x."""
-    s = padded.size - p
-    return np.column_stack([np.ones(s)] + [padded[p - i : p - i + s] for i in range(1, p + 1)])
-
-
-def _inputs(x: np.ndarray, lam: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Rows (1, x_{t-1..t-p}, lambda_{t-1..t-q}) for t = 1..s, with the
-    `_pre_sample` value standing in before the first step."""
-    init, padded = _pre_sample(x, p)
-    rows = _lag_matrix(padded, p)
-    if q == 0:
-        return rows
-    return np.column_stack([rows, _lag_matrix(np.concatenate([np.full(q, init), lam]), q)[:, 1:]])
+def _inputs(x: np.ndarray, lam: Optional[np.ndarray], p: int, q: int, init: float) -> np.ndarray:
+    """Rows (1, x_{t-1..t-p}, lambda_{t-1..t-q}) for t = 1..s, with `init`
+    standing in for counts and means before the first step, filled column by
+    column into one array; lam is not read when q = 0."""
+    s = x.size
+    B = np.empty((s, 1 + p + q))
+    B[:, 0] = 1.0
+    for first, v, lags in ((1, x, p), (1 + p, lam, q)):
+        for j in range(1, lags + 1):
+            B[:j, first + j - 1] = init
+            B[j:, first + j - 1] = v[: max(s - j, 0)]
+    return B
 
 
 def _lag_adjoint(r: np.ndarray, partials: np.ndarray) -> np.ndarray:
     """Adjoints a_t = r_t + sum_j partials[t+j, j-1] a_{t+j} of lambda_1..lambda_s,
     where partials[t, j-1] is the direct d lambda_t / d lambda_{t-j}: the
-    lambda-lag feedback of a reverse-mode pass, as one backward scalar loop."""
+    lambda-lag feedback of a reverse-mode pass.  The a_t solve the unit upper
+    triangular system (I - C) a = r of bandwidth q, C[t, t+j] = partials[t+j, j-1],
+    in one LAPACK banded back substitution."""
     s, q = partials.shape
-    coef = np.zeros((s, q))  # coef[t, j-1] = partials[t+j, j-1], zero past the end
-    for j in range(1, min(q + 1, s)):
-        coef[: s - j, j - 1] = partials[j:, j - 1]
-    # One scalar loop, the j = 1 term inline and j = 2..q after it; the full
-    # coef rows are only unpacked when there are such terms.
-    taps = tuple(range(2, q + 1))
-    rows = coef[::-1].tolist() if taps else repeat(None, s)
-    rev = [0.0] * q  # zeros past the end, then a_s, ..., a_1
-    a = 0.0
-    for rt, c1, ct in zip(r[::-1].tolist(), coef[::-1, 0].tolist(), rows):
-        a = rt + c1 * a
-        if taps:
-            for j in taps:
-                a += ct[j - 1] * rev[-j]
-        rev.append(a)
-    return np.array(rev[q:])[::-1]
+    # LAPACK upper band storage: row q - j holds the j-th superdiagonal, whose
+    # column t+j is -partials[t+j, j-1]; the first j entries of that row and
+    # the diagonal row q (unit, diag="U") are never read.
+    ab = np.empty((q + 1, s))
+    ab[:q] = -partials[:, ::-1].T
+    a, info = dtbtrs(ab, r[:, None], uplo="U", diag="U")
+    if info != 0:
+        raise NumericError(f"banded adjoint solve failed (LAPACK info {info})")
+    return a[:, 0]
 
 
 def family_dispersion(family: str, n: Optional[float]) -> Optional[float]:

@@ -17,8 +17,11 @@ _INDENT = "  "
 
 
 def format_float(v: float) -> str:
+    """17 significant digits, with ".0" after an integral value so that it
+    reads back as a float; a string holding ".", "e" or "E", "nan" or "inf"
+    is never all digits."""
     s = format(float(v), ".17g")
-    if not any(ch in s for ch in ".eE") and s.lstrip("+-").isdigit():
+    if s.lstrip("+-").isdigit():
         s += ".0"
     return s
 

@@ -9,7 +9,7 @@ from spingarch import LinearParams, ModelSpec, NeuralWeights
 from spingarch.cli import RunConfig, _build_parser, fit_from_tree, fit_to_tree, main, parse_counts_csv
 from spingarch.estimate import FitResult
 from spingarch.exceptions import DataError
-from spingarch.textdoc import dumps, loads
+from spingarch.textdoc import dumps, format_float, loads
 
 
 class TestParseCountsCsv:
@@ -115,6 +115,14 @@ class TestDocumentRoundTrip:
         tree = {"vals": values}
         back = loads(dumps(tree))["vals"]
         assert back == values
+
+    @pytest.mark.parametrize("value, text", [
+        (0.0, "0.0"), (-0.0, "-0.0"), (1e16, "10000000000000000.0"), (1e17, "1e+17"), (2.5, "2.5"),
+        (5e-324, "4.9406564584124654e-324"), (float("nan"), "nan"), (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+    ])
+    def test_float_text_is_pinned(self, value, text):
+        assert format_float(value) == text
 
 
 def write_series(tmp_path, seed=3, n=300):

@@ -6,11 +6,18 @@ import warnings
 import numpy as np
 import pytest
 
-from spingarch import RngStream, nb_log_pmf, nb_sample, poisson_log_pmf
+from scipy.special import betaln, digamma, gammaln
+
+from spingarch import CountSeries, RngStream, nb_log_pmf, nb_sample, poisson_log_pmf
 from spingarch.distributions import loglik_scores, loglik_terms
 from spingarch.exceptions import ParameterError
 
 PARAM_GRID = [(n, lam) for n in (0.5, 1.0, 3.0, 10.0) for lam in (0.5, 2.0, 6.0, 12.0)]
+
+
+def table(x):
+    """The distinct-count table of x, as a fit builds it."""
+    return CountSeries(x).table
 
 
 def truncation_point(n, lam):
@@ -68,7 +75,7 @@ class TestNbLogPmf:
         # gammaln(x+n) - gammaln(n) difference loses ~1e-3 to cancellation
         x = np.arange(0.0, 40.0)
         lam = np.linspace(0.1, 20.0, x.size)
-        np.testing.assert_allclose(loglik_terms(x, lam, 1e12), loglik_terms(x, lam), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(loglik_terms(table(x), lam, 1e12), loglik_terms(table(x), lam), rtol=0, atol=1e-9)
 
 
 class TestLoglikScores:
@@ -77,8 +84,8 @@ class TestLoglikScores:
         x = np.array([0.0, 1.0, 3.0, 7.0, 12.0])
         lam = np.array([0.4, 2.0, 3.5, 5.0, 9.0])
         h = 1e-6 * lam
-        fd = (loglik_terms(x, lam + h, n) - loglik_terms(x, lam - h, n)) / (2 * h)
-        np.testing.assert_allclose(loglik_scores(x, lam, n)[0], fd, rtol=1e-7)
+        fd = (loglik_terms(table(x), lam + h, n) - loglik_terms(table(x), lam - h, n)) / (2 * h)
+        np.testing.assert_allclose(loglik_scores(table(x), lam, n)[0], fd, rtol=1e-7)
 
     @pytest.mark.parametrize("n", [0.7, 5.0, 999.0, 5e3, 1e6, 1e9])
     def test_dispersion_score_against_finite_sum(self, n):
@@ -87,7 +94,7 @@ class TestLoglikScores:
         lam = np.array([0.4, 2.0, 3.5, 5.0, 9.0, 30.0])
         terms = [math.fsum(1.0 / (n + v) for v in range(int(xt))) - math.log1p(lt / n) + (lt - xt) / (n + lt)
                  for xt, lt in zip(x, lam)]
-        assert loglik_scores(x, lam, n)[1] == pytest.approx(math.fsum(terms), rel=1e-6, abs=0)
+        assert loglik_scores(table(x), lam, n)[1] == pytest.approx(math.fsum(terms), rel=1e-6, abs=0)
 
     @pytest.mark.parametrize("n", [1e100, 1e160, 1e300])
     def test_dispersion_score_far_past_the_poisson_limit(self, n):
@@ -96,11 +103,76 @@ class TestLoglikScores:
         lam = np.array([0.4, 2.0, 3.5, 5.0, 9.0, 30.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d_n = loglik_scores(x, lam, n)[1]
+            d_n = loglik_scores(table(x), lam, n)[1]
         assert math.isfinite(d_n) and abs(d_n) * n < 1e-6
 
     def test_poisson_has_no_dispersion_score(self):
-        assert loglik_scores(np.array([1.0]), np.array([2.0]))[1] is None
+        assert loglik_scores(table([1]), np.array([2.0]))[1] is None
+
+
+def direct_terms(x, lam, n):
+    """`loglik_terms` written over the full count array, the reference for
+    the per-level evaluation."""
+    if n is None:
+        return x * np.log(lam) - lam - gammaln(x + 1.0)
+    x1 = np.maximum(x, 1.0)
+    log_coef = np.where(x > 0, -np.log(x1) - betaln(n, x1), 0.0)
+    return x * (np.log(lam) - np.log(n + lam)) - n * np.log1p(lam / n) + log_coef
+
+
+def direct_scores(x, lam, n):
+    """`loglik_scores` written over the full count array."""
+    if n is None:
+        return x / lam - 1.0, None
+    d_lam = x / lam - (n + x) / (n + lam)
+    if n < 1e3:
+        gap = digamma(x + n) - digamma(n)
+    else:
+        u, m = x / n, n + x
+        gap = np.log1p(u) + u / (2.0 * m) + u * (2.0 + u) / (12.0 * m) / m
+    d_n = gap - np.log1p(lam / n) + (lam - x) / (n + lam)
+    return d_lam, float(np.sum(d_n))
+
+
+def _series(kind):
+    rng = np.random.default_rng(11)
+    if kind == "zeros":
+        return np.zeros(40, dtype=int)
+    if kind == "spike":
+        x = np.zeros(40, dtype=int)
+        x[17] = 250
+        return x
+    if kind == "huge":
+        return 10_000_000 + rng.integers(-3, 4, 60)
+    return nb_sample(RngStream(5), 2.5, 4.0, size=500)  # a typical NB series
+
+
+class TestCountTables:
+    """The count terms evaluated once per distinct count and gathered equal
+    the direct full-array expressions bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["zeros", "spike", "huge", "typical"])
+    @pytest.mark.parametrize("n", [None, 1e-3, 4.0, 999.0, 1e3, 1e12])
+    def test_terms_and_scores_match_the_direct_expression(self, kind, n):
+        counts = table(_series(kind))
+        x = counts.x
+        lam = np.random.default_rng(3).uniform(0.2, 1.5, x.size) * max(float(x.mean()), 1.0)
+        np.testing.assert_array_equal(counts.levels[counts.index], x)
+        np.testing.assert_array_equal(loglik_terms(counts, lam, n), direct_terms(x, lam, n))
+        d_lam, d_n = loglik_scores(counts, lam, n)
+        ref_lam, ref_n = direct_scores(x, lam, n)
+        np.testing.assert_array_equal(d_lam, ref_lam)
+        assert d_n == ref_n
+
+    def test_levels_are_the_distinct_counts(self):
+        counts = table([3, 0, 3, 7, 0, 3])
+        np.testing.assert_array_equal(counts.levels, [0.0, 3.0, 7.0])
+        np.testing.assert_array_equal(counts.index, [1, 0, 1, 2, 0, 1])
+        assert counts.x.dtype == np.float64
+
+    def test_table_is_built_once_per_series(self):
+        series = CountSeries([1, 2, 2, 5])
+        assert series.table is series.table
 
 
 class TestPoissonLogPmf:

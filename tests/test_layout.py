@@ -1,8 +1,14 @@
-"""Source layout checks: no import hides inside a function body, no private
-name crosses a module boundary, and one fit driver: only `estimate.py` uses
-`scipy.optimize`, and no module runs a Nelder-Mead search."""
+"""Source layout checks: no import hides inside a function body; no private
+name crosses a module boundary; one fit driver (only `estimate.py` uses
+`scipy.optimize`, and no module runs a Nelder-Mead search); and importing the
+package loads no scipy subpackage beyond those of `scipy.optimize` and
+`scipy.special`."""
 
 import ast
+import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spingarch"
@@ -130,3 +136,29 @@ def test_one_fit_driver_check_has_teeth():
     )
     assert [what for _, what in _optimizer_uses(ast.parse(source))] == [
         "imports scipy.optimize", "imports scipy.optimize", "calls Nelder-Mead"]
+
+
+def _scipy_subpackages(code):
+    """The scipy subpackages (`scipy.<name>`) in sys.modules after running
+    `code` in a fresh interpreter that finds this checkout's package first."""
+    probe = code + "\nimport sys\nprint(' '.join(sorted({'.'.join(m.split('.')[:2]) "
+    probe += "for m in sys.modules if m.startswith('scipy.')})))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+@functools.lru_cache(maxsize=None)
+def _scipy_floor():
+    return _scipy_subpackages("import scipy.optimize, scipy.special")
+
+
+def test_package_import_loads_no_extra_scipy():
+    # scipy.stats alone adds about 0.4 s to every command's start-up
+    loaded = _scipy_subpackages("import spingarch.cli")
+    assert "scipy.stats" not in loaded
+    assert loaded <= _scipy_floor(), f"scipy subpackages beyond optimize and special: {sorted(loaded - _scipy_floor())}"
+
+
+def test_scipy_import_check_has_teeth():
+    assert "scipy.stats" in _scipy_subpackages("import spingarch.cli, scipy.stats") - _scipy_floor()

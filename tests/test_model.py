@@ -22,6 +22,7 @@ from spingarch import (
     softplus,
 )
 from spingarch.exceptions import ParameterError
+from spingarch.model import _inputs, _lag_adjoint
 
 
 def spec11(family=NEGBIN, c=1.0):
@@ -164,6 +165,45 @@ class TestLinearResponse:
                 np.testing.assert_array_equal(steps, lam, err_msg=f"order ({p},{q})")
             else:  # numpy's SIMD exp and log1p may round differently from math's
                 np.testing.assert_allclose(steps, lam, rtol=1e-15, atol=0, err_msg=f"order ({p},{q})")
+
+
+def lag_adjoint_loop(r, partials):
+    """The reverse λ-lag pass as one backward scalar loop: the reference for
+    `_lag_adjoint`'s banded solve."""
+    s, q = partials.shape
+    a = [0.0] * (s + q)  # zeros past the end
+    for t in range(s - 1, -1, -1):
+        v = r[t]
+        for j in range(1, q + 1):
+            if t + j < s:
+                v += partials[t + j, j - 1] * a[t + j]
+        a[t] = v
+    return np.array(a[:s])
+
+
+class TestLagAdjoint:
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 50])
+    def test_banded_solve_matches_the_scalar_loop(self, q, s):
+        rng = np.random.default_rng(10 * q + s)
+        partials = rng.uniform(-0.9, 0.9, (s, q))
+        partials[rng.random((s, q)) < 0.25] = 0.0  # exact zeros among both signs
+        r = rng.normal(size=s)
+        r[rng.random(s) < 0.2] = 0.0
+        np.testing.assert_allclose(_lag_adjoint(r, partials), lag_adjoint_loop(r, partials), rtol=1e-12, atol=0)
+
+
+class TestInputs:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 10])
+    def test_rows_match_padded_lags(self, s):
+        rng = np.random.default_rng(s)
+        x, lam, init = rng.integers(0, 9, s).astype(float), rng.uniform(1.0, 5.0, s), 2.5
+        for p in range(4):
+            for q in range(4):
+                px, pl = np.concatenate([np.full(p, init), x]), np.concatenate([np.full(q, init), lam])
+                ref = np.column_stack([np.ones(s)] + [px[p - i : p - i + s] for i in range(1, p + 1)]
+                                      + [pl[q - j : q - j + s] for j in range(1, q + 1)])
+                np.testing.assert_array_equal(_inputs(x, lam, p, q, init), ref, err_msg=f"({p},{q})")
 
 
 class TestFamilyDispersion:
