@@ -1,9 +1,11 @@
 """Command-line front end: CSV ingestion, the five workflows, serialization.
 
 Subcommands: `simulate`, `fit`, `moments`, `study`, `diagnose`, `forecast`;
-each accepts only the options it reads, and `RunConfig` holds the defaults.
-Every run is fully determined by its flags and input file -- no clocks, no
-hidden state -- so rerunning a command reproduces its outputs byte for byte.
+each accepts only the options it reads, rejects a value out of range as it
+parses, and records the options it read, given or defaulted, in every output,
+so that passing the record back replays the run.  Every run is fully
+determined by its flags and input file -- no clocks, no hidden state -- so
+rerunning a command reproduces its outputs byte for byte.
 Exit codes: 0 ok, 1 usage, 2 parse, 3 numeric, 4 non-convergence (the fit
 document is still written).
 """
@@ -16,7 +18,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -80,14 +82,11 @@ class RunConfig:
     grid: Optional[str] = None
 
     def provenance(self) -> Dict[str, object]:
-        """The set fields in declaration order; None and empty tuples are left out."""
-        out: Dict[str, object] = {}
-        for field in fields(self):
-            name, value = field.name, getattr(self, field.name)
-            if value is None or (isinstance(value, tuple) and not value):
-                continue
-            out[name] = list(value) if isinstance(value, tuple) else value
-        return out
+        """The command and the options it reads, given or defaulted, in the command's
+        order, less None and empty tuples; `main` replays the record to the same run."""
+        names = ["command", *_read_options(self.command, bool(self.models))]
+        values = ((name, getattr(self, name)) for name in names)
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values if v is not None and v != ()}
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,10 @@ def _spec(config: RunConfig, token: Optional[str] = None) -> ModelSpec:
 
 
 def _params_from_config(config: RunConfig, spec: ModelSpec):
+    """`spec`'s parameters; a parameter option its link or family never reads is a usage error."""
     if spec.link == SOFTPLUS_LINEAR:
+        if config.weights is not None:
+            raise UsageError("--weights applies to the neural link only")
         if config.alpha0 is None:
             raise UsageError("simulate/study with a linear link needs --alpha0")
         # from_flat checks only the total length, not the split between alpha and beta
@@ -267,6 +269,8 @@ def _params_from_config(config: RunConfig, spec: ModelSpec):
             raise UsageError(f"need {spec.p} --alpha and {spec.q} --beta coefficients")
         kind, flat = LinearParams, [config.alpha0, *config.alpha, *config.beta]
     else:
+        if config.alpha0 is not None or config.alpha or config.beta:
+            raise UsageError("--alpha0, --alpha and --beta apply to the linear link only")
         if config.weights is None:
             raise UsageError("simulate with a neural link needs --weights")
         kind, flat = NeuralWeights, list(config.weights)
@@ -274,6 +278,8 @@ def _params_from_config(config: RunConfig, spec: ModelSpec):
         if config.n is None:
             raise UsageError("negbin family needs --n")
         flat.append(config.n)
+    elif config.n is not None:
+        raise UsageError("--n applies to the negbin family only")
     try:
         return kind.from_flat(flat, spec, log_n=False)
     except ParameterError as exc:
@@ -307,7 +313,9 @@ def _document(config: RunConfig, body: Dict[str, object]) -> str:
 
 
 def _csv_provenance(config: RunConfig) -> List[str]:
-    pairs = " ".join(f"{k}={v}" for k, v in config.provenance().items())
+    """Header lines; the config is one `key=value` word per option, lists comma-joined."""
+    pairs = " ".join(f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}"
+                     for k, v in config.provenance().items())
     return [f"# artifact: {_ARTIFACT}", f"# config: {pairs}"]
 
 
@@ -324,10 +332,6 @@ def _series_summary(series: CountSeries) -> Dict[str, object]:
 
 
 def _cmd_simulate(config: RunConfig) -> int:
-    if config.length is None or config.length < 1:
-        raise UsageError("simulate needs --length >= 1")
-    if config.out is None:
-        raise UsageError("simulate needs --out")
     spec = _spec(config)
     params = _params_from_config(config, spec)
     sim = SimConfig(spec=spec, params=params, length=config.length, burn_in=config.burn_in,
@@ -339,8 +343,6 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 
 def _cmd_fit(config: RunConfig) -> int:
-    if config.input is None or config.out is None:
-        raise UsageError("fit needs an input CSV and --out")
     series = parse_counts_csv(config.input)
 
     if config.models:
@@ -368,12 +370,8 @@ def _cmd_fit(config: RunConfig) -> int:
 
 
 def _cmd_moments(config: RunConfig) -> int:
-    if config.grid is None or config.out is None:
-        raise UsageError("moments needs --grid and --out")
-    if config.length < 1:
-        raise UsageError("moments needs --length >= 1")
-    if config.max_lag < 1:
-        raise UsageError("moments needs --max-lag >= 1")
+    if config.length <= config.max_lag:
+        raise UsageError("moments needs --length > --max-lag")
     spec = _spec(replace(config, link=SOFTPLUS_LINEAR, p=1, q=1))  # the grid's (1,1) model
     grid_path = Path(config.grid)
     if not grid_path.exists():
@@ -428,14 +426,6 @@ def _cmd_moments(config: RunConfig) -> int:
 
 
 def _cmd_study(config: RunConfig) -> int:
-    if config.out is None:
-        raise UsageError("study needs --out")
-    if not config.sizes:
-        raise UsageError("study needs --sizes")
-    if min(config.sizes) < 1:
-        raise UsageError("study needs --sizes entries >= 1")
-    if config.replications < 1:
-        raise UsageError("study needs --replications >= 1")
     spec = _spec(config)
     truth = _params_from_config(config, spec)
     opts = _opts_from_config(config, default_restarts=0)
@@ -458,10 +448,6 @@ def _cmd_study(config: RunConfig) -> int:
 
 
 def _cmd_diagnose(config: RunConfig) -> int:
-    if config.input is None or config.out is None:
-        raise UsageError("diagnose needs an input CSV and --out directory")
-    if config.max_lag < 1:
-        raise UsageError("diagnose needs --max-lag >= 1")
     series = parse_counts_csv(config.input)
     spec = _spec(config)
     fit = _fit_one(spec, series, config)
@@ -490,13 +476,9 @@ def _cmd_diagnose(config: RunConfig) -> int:
 
 
 def _cmd_forecast(config: RunConfig) -> int:
-    if config.input is None or config.out is None:
-        raise UsageError("forecast needs an input CSV and --out")
-    if config.split is None:
-        raise UsageError("forecast needs --split (training length)")
     series = parse_counts_csv(config.input)
     s = len(series)
-    if not (1 <= config.split < s):
+    if config.split >= s:
         raise UsageError(f"--split must lie in [1, {s - 1}]")
     spec = _spec(config)
     train = CountSeries(series.values[: config.split])
@@ -529,12 +511,12 @@ _COMMANDS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute one workflow; returns the process exit code."""
+    """Execute one workflow; returns the process exit code.  Each option must lie
+    in the range `main`'s parser enforces; `run` checks only what depends on
+    several options or on the data."""
     handler = _COMMANDS.get(config.command)
     if handler is None:
         raise UsageError(f"unknown command {config.command!r}")
-    if config.burn_in < 0:
-        raise UsageError("--burn-in must be >= 0")
     return handler(config)
 
 
@@ -547,21 +529,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _comma_floats(text: str) -> Tuple[float, ...]:
-    if not text.strip():
-        return ()
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+class _Numbers:
+    """An argparse type: a `kind` value >= `low`, or with `many` a comma-separated list of them."""
+
+    def __init__(self, kind, low=None, many=False):
+        self.kind, self.low, self.many = kind, low, many
+
+    def __call__(self, text: str):
+        try:
+            values = tuple(map(self.kind, text.split(","))) if text.strip() or not self.many else ()
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {self.kind.__name__} values, got {text!r}") from None
+        if self.low is not None and (not values or min(values) < self.low):
+            raise argparse.ArgumentTypeError(f"expected values >= {self.low}, got {text!r}")
+        return values if self.many else values[0]
 
 
-def _comma_ints(text: str) -> Tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
-
+_NONNEGATIVE, _POSITIVE, _FLOATS = _Numbers(int, 0), _Numbers(int, 1), _Numbers(float, many=True)
 
 # Every option once: its flag and argparse settings, keyed by the RunConfig
 # field it sets (argparse derives that dest from the flag, except for --model).
@@ -573,37 +557,48 @@ _OPTIONS: Dict[str, Tuple[str, Dict[str, object]]] = {
     "p": ("--p", {"type": int}),
     "q": ("--q", {"type": int}),
     "c": ("--c", {"type": float}),
-    "hidden": ("--hidden", {"type": int}),
-    "seed": ("--seed", {"type": int}),
-    "restarts": ("--restarts", {"type": int}),
-    "split": ("--split", {"type": int}),
-    "max_lag": ("--max-lag", {"type": int}),
-    "length": ("--length", {"type": int}),
-    "burn_in": ("--burn-in", {"type": int}),
+    "hidden": ("--hidden", {"type": _POSITIVE}),
+    "seed": ("--seed", {"type": _NONNEGATIVE}),
+    "restarts": ("--restarts", {"type": _NONNEGATIVE}),
+    "split": ("--split", {"type": _POSITIVE}),
+    "max_lag": ("--max-lag", {"type": _POSITIVE}),
+    "length": ("--length", {"type": _POSITIVE}),
+    "burn_in": ("--burn-in", {"type": _NONNEGATIVE}),
     "alpha0": ("--alpha0", {"type": float}),
-    "alpha": ("--alpha", {"type": _comma_floats}),
-    "beta": ("--beta", {"type": _comma_floats}),
+    "alpha": ("--alpha", {"type": _FLOATS}),
+    "beta": ("--beta", {"type": _FLOATS}),
     "n": ("--n", {"type": float}),
-    "weights": ("--weights", {"type": _comma_floats}),
-    "sizes": ("--sizes", {"type": _comma_ints}),
-    "replications": ("--replications", {"type": int}),
+    "weights": ("--weights", {"type": _FLOATS}),
+    "sizes": ("--sizes", {"type": _Numbers(int, 1, many=True)}),
+    "replications": ("--replications", {"type": _POSITIVE}),
     "models": ("--model", {"action": "append", "dest": "models"}),
     "criterion": ("--criterion", {"choices": ["aic", "bic"]}),
     "grid": ("--grid", {}),
 }
 
-# Every command: its help line and the options it reads; it accepts no others.
-_FIT = "input family link p q c hidden seed restarts out"  # what every fitting command reads
+# The options that each --model token names for its own model.
+_MODEL_OPTIONS = ("family", "link", "p", "q")
+
+# Every command: its help line and the options it reads, "!" marking those it
+# requires; it accepts no others.
+_FIT = "input family link p q c hidden seed restarts out!"  # what every fitting command reads
 _SUBCOMMANDS = {
     "simulate": ("generate a count series CSV",
-                 "family link p q c hidden seed out length burn_in alpha0 alpha beta n weights"),
+                 "family link p q c hidden seed out! length! burn_in alpha0 alpha beta n weights"),
     "fit": ("fit one model or select among several", f"{_FIT} models criterion"),
-    "moments": ("moment comparison over a parameter grid", "family c seed out grid length burn_in max_lag"),
+    "moments": ("moment comparison over a parameter grid", "family c seed out! grid! length burn_in max_lag"),
     "study": ("simulate-and-refit bias/MSE study",
-              "family p q c seed restarts out alpha0 alpha beta n sizes replications burn_in"),
+              "family p q c seed restarts out! alpha0 alpha beta n sizes! replications burn_in"),
     "diagnose": ("fit and write residual diagnostics", f"{_FIT} max_lag"),
-    "forecast": ("one-step forecasts after a train/test split", f"{_FIT} split"),
+    "forecast": ("one-step forecasts after a train/test split", f"{_FIT} split!"),
 }
+
+
+def _read_options(command: str, model_list: bool) -> List[str]:
+    """The options `command` reads: all it accepts, less the model options
+    with a --model list and --criterion, which ranks that list, without one."""
+    unread = _MODEL_OPTIONS if model_list else ("criterion",)
+    return [o.rstrip("!") for o in _SUBCOMMANDS[command][1].split() if o.rstrip("!") not in unread]
 
 
 def _build_parser() -> _Parser:
@@ -615,15 +610,16 @@ def _build_parser() -> _Parser:
     for name, (help_text, options) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         for option in options.split():
-            flag, settings = _OPTIONS[option]
-            sp.add_argument(flag, **settings)
+            flag, settings = _OPTIONS[option.rstrip("!")]
+            sp.add_argument(flag, **settings, **({"required": True} if option.endswith("!") else {}))
     sub.choices["moments"].set_defaults(max_lag=3, length=100000)
     return parser
 
 
 # argparse reads a word such as "-0.3,0.1" as an option, not as the value of
-# the option before it; these list options take their value as one word.
-_LIST_OPTIONS = ("--alpha", "--beta", "--weights")
+# the option before it; list options take their value as one word.
+_LIST_FLAGS = tuple(flag for flag, settings in _OPTIONS.values()
+                    if getattr(settings.get("type"), "many", False))
 _NEGATIVE_NUMBER_RE = re.compile(r"-\.?\d")
 
 
@@ -631,30 +627,30 @@ def _attach_negative_lists(argv: Sequence[str]) -> List[str]:
     """Rewrite `--alpha -0.3,0.1` as `--alpha=-0.3,0.1`."""
     out: List[str] = []
     for word in argv:
-        if out and out[-1] in _LIST_OPTIONS and _NEGATIVE_NUMBER_RE.match(word):
+        if out and out[-1] in _LIST_FLAGS and _NEGATIVE_NUMBER_RE.match(word):
             out[-1] = f"{out[-1]}={word}"
         else:
             out.append(word)
     return out
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    given = vars(args)
-    # a --model token names its own family, link and orders
-    clashes = [_OPTIONS[name][0] for name in ("family", "link", "p", "q") if name in given]
-    if "models" in given and clashes:
-        raise UsageError(f"--model names each model's family, link and orders; drop {', '.join(clashes)}")
+def _parse(argv: Sequence[str]) -> RunConfig:
+    """The run that an argument list names."""
+    given = vars(_build_parser().parse_args(_attach_negative_lists(argv)))
+    if not given.get("command"):
+        raise UsageError("a command is required (simulate, fit, moments, study, diagnose, forecast)")
+    model_list = "models" in given
+    read = ["command", *_read_options(given["command"], model_list)]
+    unread = [_OPTIONS[name][0] for name in given if name not in read]
+    if unread:
+        raise UsageError(f"{', '.join(unread)} {'conflicts with' if model_list else 'needs'} --model")
     return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in given.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments and run; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
-        if not getattr(args, "command", None):
-            raise UsageError("a command is required (simulate, fit, moments, study, diagnose, forecast)")
-        return run(_config_from_args(args))
+        return run(_parse(sys.argv[1:] if argv is None else argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -43,6 +43,10 @@ class RngStream:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0 or self.stream < 0:
+            raise ParameterError(f"seed and stream must be >= 0, got ({self.seed}, {self.stream})")
+
     def generator(self) -> np.random.Generator:
         """Materialize the numpy Generator for this (seed, stream) pair."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))

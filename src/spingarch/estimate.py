@@ -73,8 +73,8 @@ class OptimizerOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0:
-            raise ParameterError("restarts >= 0 required")
+        if self.restarts < 0 or self.seed < 0:
+            raise ParameterError(f"restarts >= 0 and seed >= 0 required, got {self.restarts} and {self.seed}")
 
 
 @dataclass

@@ -2,11 +2,13 @@
 
 Floats are written with 17 significant digits so every float64 round-trips
 exactly and rerun outputs can be compared byte-for-byte.  Lists of scalars
-are written comma-separated on one line.
+are written comma-separated on one line; a comma inside parentheses, as in
+the model label `nb(1,0)`, belongs to its item.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Any, Dict
 
 from .exceptions import DataError
@@ -14,6 +16,7 @@ from .exceptions import DataError
 __all__ = ["dumps", "loads", "format_float"]
 
 _INDENT = "  "
+_ITEM_SEPARATOR = re.compile(r",(?![^(]*\))")
 
 
 def format_float(v: float) -> str:
@@ -76,7 +79,7 @@ def _parse_value(text: str):
         inner = text[1:-1].strip()
         if not inner:
             return []
-        return [_parse_scalar(part.strip()) for part in inner.split(",")]
+        return [_parse_scalar(part.strip()) for part in _ITEM_SEPARATOR.split(inner)]
     return _parse_scalar(text)
 
 

@@ -1,12 +1,25 @@
 """CSV ingestion, document round-trips, exit codes, and rerun determinism."""
 
 import argparse
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spingarch import LinearParams, ModelSpec, NeuralWeights
-from spingarch.cli import RunConfig, _build_parser, fit_from_tree, fit_to_tree, main, parse_counts_csv
+from spingarch.cli import (
+    _OPTIONS,
+    RunConfig,
+    _attach_negative_lists,
+    _build_parser,
+    _csv_provenance,
+    _parse,
+    fit_from_tree,
+    fit_to_tree,
+    main,
+    parse_counts_csv,
+)
 from spingarch.estimate import FitResult
 from spingarch.exceptions import DataError
 from spingarch.textdoc import dumps, format_float, loads
@@ -108,6 +121,10 @@ class TestDocumentRoundTrip:
         )
         rebuilt = fit_from_tree(loads(dumps({"fit": fit_to_tree(fit)}))["fit"])
         self._assert_fits_equal(fit, rebuilt)
+
+    def test_model_labels_round_trip(self):
+        tree = {"models": ["nb(1,0)", "neu-pois(2,1)"], "vals": [1.5, -2.0]}
+        assert loads(dumps(tree)) == tree
 
     def test_seventeen_digit_floats_round_trip(self):
         rng = np.random.default_rng(0)
@@ -307,13 +324,24 @@ class TestExitCodes:
          "--replications", "1"],
         ["study", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3", "--n", "3", "--sizes=-5",
          "--replications", "1"],
-    ], ids=["simulate-burn-in", "moments-burn-in", "study-burn-in", "study-size-0", "study-size-negative"])
-    def test_bad_simulation_size_is_usage_error(self, tmp_path, argv):
+        ["simulate", "--alpha0", "1", "--alpha", "0.3", "--n", "3", "--length", "20", "--seed", "-1"],
+        ["moments", "--length", "200", "--seed", "-1"],
+        ["study", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3", "--n", "3", "--sizes", "50",
+         "--replications", "1", "--seed", "-1"],
+        ["fit", "--p", "1", "--q", "0", "--seed", "-1"],
+        ["fit", "--p", "1", "--q", "0", "--restarts", "-1"],
+        ["fit", "--p", "1", "--q", "0", "--hidden", "-3"],
+    ], ids=["simulate-burn-in", "moments-burn-in", "study-burn-in", "study-size-0", "study-size-negative",
+            "simulate-seed", "moments-seed", "study-seed", "fit-seed", "fit-restarts", "fit-linear-hidden"])
+    def test_bad_simulation_size_is_usage_error(self, tmp_path, capsys, argv):
+        # each option's range is checked as the arguments are parsed
         grid = tmp_path / "grid.csv"
         grid.write_text("alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3\n")
         grid_args = ["--grid", str(grid)] if argv[0] == "moments" else []
+        input_args = [str(write_series(tmp_path, n=120))] if argv[0] == "fit" else []
         out = tmp_path / "out"
-        assert main([*argv, *grid_args, "--out", str(out)]) == 1
+        assert main([*argv, *grid_args, *input_args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: argument --")
         assert not out.exists()
 
     def test_bad_max_lag_is_usage_error(self, tmp_path):
@@ -323,6 +351,11 @@ class TestExitCodes:
             out = tmp_path / f"mom{lag}.csv"
             assert main(["moments", "--grid", str(grid), "--length", "200", "--max-lag", lag,
                          "--out", str(out)]) == 1
+            assert not out.exists()
+        # the series must be longer than --max-lag (3 by default); this used to exit 3
+        for argv in (["--length", "3"], ["--length", "5", "--max-lag", "5"]):
+            out = tmp_path / "short.csv"
+            assert main(["moments", "--grid", str(grid), *argv, "--out", str(out)]) == 1
             assert not out.exists()
         data = write_series(tmp_path, seed=4, n=120)
         assert main(["diagnose", str(data), "--p", "1", "--q", "0", "--max-lag", "0",
@@ -349,6 +382,29 @@ class TestExitCodes:
         out = tmp_path / "study.txt"
         assert main(["study", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3", "--n", "3",
                      "--sizes", "100", "--replications", "1", *argv, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["simulate", "--link", "neural", "--p", "1", "--q", "0", "--weights=0.1,0.2,1.0", "--n", "3",
+          "--length", "20"], ["--alpha0", "5"]),
+        (["simulate", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3", "--n", "3", "--length", "20"],
+         ["--weights=1,2"]),
+        (["simulate", "--family", "poisson", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3",
+          "--length", "20"], ["--n", "3"]),
+        (["study", "--family", "poisson", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3",
+          "--sizes", "50", "--replications", "1"], ["--n", "3"]),
+    ], ids=["simulate-neural-alpha0", "simulate-linear-weights", "simulate-poisson-n", "study-poisson-n"])
+    def test_unread_parameter_option_is_usage_error(self, tmp_path, argv, unread):
+        # these were accepted, ignored and written into the provenance
+        out = tmp_path / "out"
+        assert main([*argv, *unread, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert main([*argv, "--out", str(out)]) == 0
+
+    def test_criterion_without_model_list_is_usage_error(self, tmp_path):
+        data = write_series(tmp_path, seed=4, n=120)
+        out = tmp_path / "o.txt"
+        assert main(["fit", str(data), "--criterion", "bic", "--out", str(out)]) == 1
         assert not out.exists()
 
     def test_c_with_neural_link_is_usage_error(self, tmp_path):
@@ -436,13 +492,24 @@ class TestOptionTable:
         assert not {"link", "hidden"} & set(slots["study"])
 
     def test_defaults_come_from_run_config(self):
-        # a left-out option stays out of the namespace, except moments' --max-lag 3 and --length 100000
+        # a left-out option stays out of the namespace, except moments' --max-lag 3 and --length 100000;
+        # each command is given only the options it requires
+        required = {"simulate": ["--out", "--length"], "fit": ["--out"], "moments": ["--out", "--grid"],
+                    "study": ["--out", "--sizes"], "diagnose": ["--out"], "forecast": ["--out", "--split"]}
+        values = {"--out": ("o", "o"), "--length": ("7", 7), "--grid": ("g.csv", "g.csv"),
+                  "--sizes": ("7,8", (7, 8)), "--split": ("7", 7)}
         for name, sp in self._subparsers().items():
+            assert sorted(a.option_strings[0] for a in sp._actions if a.required and a.option_strings) == \
+                sorted(required[name])
             takes_input = any(a.dest == "input" for a in sp._actions)
+            argv = ["in.csv"] if takes_input else []
             expected = {"input": "in.csv"} if takes_input else {}
+            for flag in required[name]:
+                argv += [flag, values[flag][0]]
+                expected[flag[2:]] = values[flag][1]
             if name == "moments":
                 expected.update(max_lag=3, length=100000)
-            assert vars(sp.parse_args(["in.csv"] if takes_input else [])) == expected
+            assert vars(sp.parse_args(argv)) == expected
 
 
 class TestRunConfigProvenance:
@@ -456,3 +523,67 @@ class TestRunConfigProvenance:
         from spingarch import __version__
 
         assert doc["artifact"] == f"spingarch {__version__}"
+
+    @staticmethod
+    def _argv(record):
+        """The arguments a provenance record names: `input` as the positional, the rest `--flag=value`."""
+        argv = [str(record["command"])]
+        for name, value in record.items():
+            if name == "input":
+                argv.append(str(value))
+            elif name == "models":
+                argv += [f"--model={token}" for token in value]
+            elif name != "command":
+                text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                argv.append(f"{_OPTIONS[name][0]}={text}")
+        return argv
+
+    def _assert_csv_replays(self, path):
+        line = next(line for line in path.read_text().splitlines() if line.startswith("# config: "))
+        record = dict(word.split("=", 1) for word in line.split()[2:])
+        assert _csv_provenance(_parse(self._argv(record)))[1] == line
+
+    def _assert_document_replays(self, path):
+        record = loads(path.read_text())["config"]
+        assert _parse(self._argv(record)).provenance() == record
+
+    def test_every_command_replays_from_its_record(self, tmp_path):
+        data = write_series(tmp_path, seed=9, n=120)
+        grid = tmp_path / "grid.csv"
+        grid.write_text("alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3\n")
+        sim, sel, mom = tmp_path / "sim.csv", tmp_path / "sel.txt", tmp_path / "mom.csv"
+        study, diag, fc = tmp_path / "study.txt", tmp_path / "diag", tmp_path / "fc.txt"
+        runs = [
+            (["simulate", "--p", "2", "--q", "0", "--alpha0", "1.5", "--alpha", "-0.2,0.3", "--n", "3",
+              "--length", "50", "--seed", "4", "--out", str(sim)], [sim], []),
+            (["fit", str(data), "--model", "nb(1,0)", "--model", "pois(1,0)", "--criterion", "bic",
+              "--hidden", "2", "--out", str(sel)], [], [sel]),
+            (["moments", "--grid", str(grid), "--length", "300", "--out", str(mom)], [mom], []),
+            (["study", "--family", "poisson", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3",
+              "--sizes", "40,60", "--replications", "1", "--out", str(study)], [], [study]),
+            (["diagnose", str(data), "--q", "1", "--max-lag", "5", "--out", str(diag)],
+             [diag / "residuals.csv", diag / "correlogram.csv", diag / "periodogram.csv"], [diag / "fit.txt"]),
+            (["forecast", str(data), "--family", "poisson", "--split", "100", "--out", str(fc)], [], [fc]),
+        ]
+        for argv, csvs, documents in runs:
+            assert main(argv) == 0, argv
+            for path in csvs:
+                self._assert_csv_replays(path)
+            for path in documents:
+                self._assert_document_replays(path)
+
+
+def _readme_commands():
+    """Every `spingarch ...` line of README's command-line block, with `\\` continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("spingarch ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands(), ids=lambda line: " ".join(line.split()[:2]))
+def test_readme_command_parses(line):
+    lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+    lexer.whitespace_split = True
+    words = list(lexer)
+    assert words[0] == "spingarch"
+    _build_parser().parse_args(_attach_negative_lists(words[1:]))

@@ -225,3 +225,9 @@ class TestRngStream:
         a = nb_sample(RngStream(7, 0), 3.0, 4.0, size=1000)
         b = nb_sample(RngStream(7, 1), 3.0, 4.0, size=1000)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1)])
+    def test_negative_seed_or_stream_rejected(self, seed, stream):
+        # numpy's SeedSequence would refuse it only when a generator is drawn
+        with pytest.raises(ParameterError):
+            RngStream(seed, stream)

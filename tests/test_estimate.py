@@ -190,6 +190,12 @@ class TestFitCml:
             np.nan_to_num(a.std_errors, nan=-1), np.nan_to_num(b.std_errors, nan=-1)
         )
 
+    @pytest.mark.parametrize("restarts, seed", [(-1, 0), (1, -1)])
+    def test_negative_restarts_or_seed_rejected(self, restarts, seed):
+        # a negative seed used to pass and fail inside numpy once a restart drew its start
+        with pytest.raises(ParameterError):
+            OptimizerOptions(restarts=restarts, seed=seed)
+
     def test_constant_zero_series_never_raises(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
