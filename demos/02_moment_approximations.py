@@ -56,8 +56,8 @@ linear formulas as initial values for maximum likelihood.
 """)
 
 params = LinearParams(1.8, (0.3,), (0.4,), 3.0)
-m = linear_moments_11(params, NEGBIN, max_lag=5)
-gx, glam = linear_acvf_general(params, NEGBIN, max_lag=5)
+m = linear_moments_11(params, max_lag=5)
+gx, glam = linear_acvf_general(params, max_lag=5)
 print("closed form vs general autocovariance solver, rho(1..5):")
 print("  closed form :", [f"{v:.4f}" for v in m.acf])
 print("  acvf system :", [f"{v:.4f}" for v in gx[1:] / gx[0]])

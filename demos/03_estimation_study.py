@@ -33,7 +33,7 @@ warnings.filterwarnings("ignore")
 spec = ModelSpec(NEGBIN, SOFTPLUS_LINEAR, 1, 1, c=1.0)
 truth = LinearParams(0.75, (0.25,), (0.45,), 3.0)
 print("truth:", truth)
-report = check_stationarity(truth, NEGBIN)
+report = check_stationarity(truth)
 print(f"stationarity: first-order {report.first_order_ok}, "
       f"second-order {report.second_order_ok} (value {report.second_order_value:.3f})")
 

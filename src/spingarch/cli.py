@@ -16,6 +16,7 @@ import argparse
 import csv
 import math
 import re
+import shlex
 import sys
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -196,7 +197,7 @@ def fit_to_tree(fit: FitResult) -> Dict[str, object]:
         }
     if est.n is not None:
         sub["n"] = float(est.n)
-    tree["k"] = est.k(fit.spec.family)
+    tree["k"] = est.k()
     tree["estimates"] = sub
     tree["std_errors"] = [float(v) for v in np.asarray(fit.std_errors, dtype=float)]
     tree["lambda_path"] = [float(v) for v in np.asarray(fit.lambda_path, dtype=float)]
@@ -238,7 +239,8 @@ _MODEL_RE = re.compile(r"(neu-)?(pois|poisson|nb|negbin)\((\d+),(\d+)\)")
 
 def _spec(config: RunConfig, token: Optional[str] = None) -> ModelSpec:
     """The spec of the run's model, or of one `--model` token: the one place
-    that gives neural models their default of 1 hidden unit."""
+    that gives neural models their default of 1 hidden unit.  One --hidden
+    serves a --model list's networks; a single linear model rejects it."""
     if token is None:
         family, link, p, q = config.family, config.link, config.p, config.q
     else:
@@ -250,7 +252,8 @@ def _spec(config: RunConfig, token: Optional[str] = None) -> ModelSpec:
         link = NEURAL if m.group(1) else SOFTPLUS_LINEAR
         family = POISSON if m.group(2) in ("pois", "poisson") else NEGBIN
         p, q = int(m.group(3)), int(m.group(4))
-    hidden = (1 if config.hidden is None else config.hidden) if link == NEURAL else None
+    hidden = None if token and link != NEURAL else config.hidden  # ModelSpec rejects it on a linear link
+    hidden = 1 if hidden is None and link == NEURAL else hidden
     try:
         return ModelSpec(family, link, p, q, config.c, hidden)
     except ParameterError as exc:
@@ -313,8 +316,8 @@ def _document(config: RunConfig, body: Dict[str, object]) -> str:
 
 
 def _csv_provenance(config: RunConfig) -> List[str]:
-    """Header lines; the config is one `key=value` word per option, lists comma-joined."""
-    pairs = " ".join(f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}"
+    """Header lines; the config is one shell-quoted `key=value` word per option, lists comma-joined."""
+    pairs = " ".join(shlex.quote(f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}")
                      for k, v in config.provenance().items())
     return [f"# artifact: {_ARTIFACT}", f"# config: {pairs}"]
 
@@ -350,7 +353,7 @@ def _cmd_fit(config: RunConfig) -> int:
         crit = config.criterion
         ranked = sorted(
             fits.items(),
-            key=lambda item: (getattr(item[1], crit), item[1].estimates.k(item[1].spec.family),
+            key=lambda item: (getattr(item[1], crit), item[1].estimates.k(),
                               item[1].spec.p + item[1].spec.q),
         )
         best_label = ranked[0][0]
@@ -451,23 +454,21 @@ def _cmd_diagnose(config: RunConfig) -> int:
     series = parse_counts_csv(config.input)
     spec = _spec(config)
     fit = _fit_one(spec, series, config)
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    # every diagnostic is computed before the first file is written, so a
+    # failing one leaves no partial output directory
+    z = pearson_residuals(fit, series).values
+    max_lag = min(config.max_lag, len(series) - 1)
+    acf, pacf = sample_acf(z, max_lag), sample_pacf(z, max_lag)
+    freqs, fractions, band = cumulative_periodogram(z)
+
+    outdir = Path(config.out)  # _write_text makes it
     body = {"series": _series_summary(series), "fit": fit_to_tree(fit)}
     _write_text(outdir / "fit.txt", _document(config, body))
-
-    resid = pearson_residuals(fit, series)
-    lines = _csv_provenance(config) + ["z"] + [format_float(v) for v in resid.values]
+    lines = _csv_provenance(config) + ["z"] + [format_float(v) for v in z]
     _write_text(outdir / "residuals.csv", "\n".join(lines) + "\n")
-
-    max_lag = min(config.max_lag, len(series) - 1)
-    acf = sample_acf(resid.values, max_lag)
-    pacf = sample_pacf(resid.values, max_lag)
     lines = _csv_provenance(config) + ["lag,acf,pacf"]
     lines += [f"{h + 1},{format_float(acf[h])},{format_float(pacf[h])}" for h in range(max_lag)]
     _write_text(outdir / "correlogram.csv", "\n".join(lines) + "\n")
-
-    freqs, fractions, band = cumulative_periodogram(resid.values)
     lines = _csv_provenance(config) + [f"# band_half_width: {format_float(band)}"]
     lines += ["frequency,cumulative_fraction"]
     lines += [f"{format_float(f)},{format_float(c)}" for f, c in zip(freqs, fractions)]

@@ -1,10 +1,10 @@
 """Residual analysis, correlograms, spectral checks, and forecast evaluation.
 
 Pearson residuals Z_t = (x_t - lambda_t) / sqrt(v_t) use the conditional
-variance v_t = lambda_t for Poisson fits and v_t = lambda_t (1 + lambda_t/n)
-for negative binomial fits; under a correctly specified model they are
-approximately white with unit variance, which the correlogram and cumulative
-periodogram make visible.
+variance v_t = lambda_t for Poisson fits, whose estimates carry no n, and
+v_t = lambda_t (1 + lambda_t/n) for negative binomial fits; under a correctly
+specified model they are approximately white with unit variance, which the
+correlogram and cumulative periodogram make visible.
 
 Conventions: sample variances use divisor s-1 throughout, except the ACF,
 which uses the standard divisor-N autocovariance normalization.
@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import as_counts, sample_acf
 from .exceptions import DataError, ParameterError
-from .model import POISSON, ModelSpec, conditional_mean_path, presample_init
+from .model import ModelSpec, conditional_mean_path, presample_init
 
 __all__ = [
     "ResidualSeries",
@@ -40,26 +40,22 @@ class ResidualSeries:
     """Pearson residuals with the provenance needed to interpret them."""
 
     values: np.ndarray
-    family: str
     spec: ModelSpec
 
 
 def pearson_residuals(fit, series) -> ResidualSeries:
-    """Standardized one-step residuals of a fitted model on its series."""
+    """Standardized one-step residuals of a fitted model on its series; the
+    variance is Poisson when the estimates carry no n."""
+    fit.estimates.check(fit.spec)
     x = as_counts(series)
     lam = np.asarray(fit.lambda_path, dtype=float)
     if lam.size != x.size:
         raise DataError("fit.lambda_path and series lengths differ")
-    family = fit.spec.family
-    if family == POISSON:
-        v = lam
-    else:
-        n = fit.estimates.n
-        v = lam * (1.0 + lam / n)
-    z = (x - lam) / np.sqrt(v)
+    n = fit.estimates.n
+    z = (x - lam) / np.sqrt(lam if n is None else lam * (1.0 + lam / n))
     if not np.all(np.isfinite(z)):
         raise DataError("non-finite residuals")
-    return ResidualSeries(values=z, family=family, spec=fit.spec)
+    return ResidualSeries(values=z, spec=fit.spec)
 
 
 def pacf_from_acf(rho) -> np.ndarray:

@@ -40,7 +40,7 @@ from scipy.special import expit
 from .data import CountSeries, as_counts, sample_acf
 from .distributions import RngStream, loglik_scores, loglik_terms
 from .exceptions import ConvergenceWarning, DataError, NumericError, ParameterError
-from .model import NEGBIN, LinearParams, ModelSpec, NeuralWeights, conditional_mean_path, family_dispersion
+from .model import NEGBIN, LinearParams, ModelSpec, NeuralWeights, conditional_mean_path
 from .special import softplus_inverse
 
 __all__ = [
@@ -103,15 +103,14 @@ def information_criteria(loglik: float, k: int, s: int) -> Tuple[float, float]:
 
 
 def _negloglik_at(spec: ModelSpec, params, series):
-    """The count table of `series`, the conditional means, the family
-    dispersion and the negated log-likelihood of params on it."""
+    """The count table of `series`, the conditional means, the dispersion
+    (None for Poisson) and the negated log-likelihood of params on it."""
     series = series if isinstance(series, CountSeries) else CountSeries(series)
-    lam = conditional_mean_path(spec, params, series)
-    n = family_dispersion(spec.family, params.n)
-    ll = np.sum(loglik_terms(series.table, lam, n))
+    lam = conditional_mean_path(spec, params, series)  # checks params against spec
+    ll = np.sum(loglik_terms(series.table, lam, params.n))
     if not np.isfinite(ll):
         raise NumericError("non-finite log-likelihood")
-    return series.table, lam, n, float(-ll)
+    return series.table, lam, params.n, float(-ll)
 
 
 def negloglik(spec: ModelSpec, params, series) -> float:
@@ -278,7 +277,7 @@ def _fit(spec: ModelSpec, series, kind, starts, stage: str, until_converged: boo
     if not converged:
         warnings.warn(f"{stage} did not meet its tolerances", ConvergenceWarning)
     lambda_path = conditional_mean_path(spec, estimates, series)
-    k = estimates.k(spec.family)
+    k = estimates.k()
     aic, bic = information_criteria(loglik, k, len(series))
     se = standard_errors(spec, estimates, series) if converged else np.full(k, np.nan)
     return FitResult(
@@ -360,7 +359,8 @@ def select_hidden_units(spec: ModelSpec, series, L_range: Sequence[int],
 
     Larger networks are additionally warm-started from the previous winner
     with an idle extra unit, so the in-sample fit is monotone in L up to
-    optimizer tolerance.  Ties go to the smaller network.
+    optimizer tolerance.  Only converged fits are ranked; when none converged,
+    every fit is, with a ConvergenceWarning.  Ties go to the smaller network.
     """
     if criterion not in ("aic", "bic"):
         raise ParameterError("criterion must be 'aic' or 'bic'")
@@ -376,7 +376,10 @@ def select_hidden_units(spec: ModelSpec, series, L_range: Sequence[int],
             extra.append(extend_with_idle_unit(prev))
         fits[L] = fit_neural(spec_L, series, opts, extra_starts=extra)
         prev = fits[L].estimates
-    return min(Ls, key=lambda L: getattr(fits[L], criterion)), fits
+    ranked = [L for L in Ls if fits[L].converged]
+    if not ranked:
+        warnings.warn("no hidden-unit count converged; ranking every fit", ConvergenceWarning)
+    return min(ranked or Ls, key=lambda L: getattr(fits[L], criterion)), fits
 
 
 def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:
@@ -387,8 +390,10 @@ def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:
     Computed in the natural parameter space at the estimates.  Every entry is
     NaN when a difference step leaves the valid region or the Hessian is not
     finite, singular or not positive definite; single entries whose
-    inverse-Hessian diagonal is not positive are NaN as well.
+    inverse-Hessian diagonal is not positive are NaN as well.  Estimates that
+    do not match `spec` raise ParameterError.
     """
+    estimates.check(spec)
     series = series if isinstance(series, CountSeries) else CountSeries(series)
     theta = estimates.to_flat(log_n=False)
     nan = np.full(theta.size, np.nan)

@@ -19,6 +19,10 @@ x = (1, X_{t-1}..X_{t-p}, lambda_{t-1}..lambda_{t-q}) of width K = p + q + 1.
 Since f1' = f0 and f0' = f0 (1 - f0), backpropagation needs only the forward
 activations.
 
+The parameters carry the family: NB parameters hold the dispersion n, Poisson
+ones (the n -> inf limit) none, and every function below reads it from n.
+`check(spec)` of either parameter type ties n, link and orders to a ModelSpec.
+
 Because exact moments of the softplus model are intractable, the classical
 linear INGARCH moment formulas evaluated at the same coefficients serve as
 close approximations; they are implemented here both in closed form for the
@@ -55,7 +59,6 @@ __all__ = [
     "linear_moments_11",
     "linear_acvf_general",
     "presample_init",
-    "family_dispersion",
 ]
 
 POISSON = "poisson"
@@ -146,9 +149,9 @@ class LinearParams:
     def q(self) -> int:
         return len(self.beta)
 
-    def k(self, family: str) -> int:
-        """Number of free parameters under the given family."""
-        return 1 + self.p + self.q + (1 if family == NEGBIN else 0)
+    def k(self) -> int:
+        """Number of free parameters, n included when present."""
+        return 1 + self.p + self.q + (self.n is not None)
 
     def to_flat(self, log_n: bool = True) -> np.ndarray:
         """Flatten to [alpha0, alpha, beta, (ln) n]; the optimizer works on ln n."""
@@ -160,25 +163,24 @@ class LinearParams:
     @classmethod
     def from_flat(cls, flat, spec: ModelSpec, log_n: bool = True) -> "LinearParams":
         """Inverse of `to_flat` for the orders and family of `spec`."""
-        p, q = spec.p, spec.q
-        expected = 1 + p + q + (1 if spec.family == NEGBIN else 0)
-        if len(flat) != expected:
-            raise ParameterError(f"flat parameter vector must have {expected} entries, got {len(flat)}")
-        n = None
-        if spec.family == NEGBIN:
-            n = math.exp(float(flat[-1])) if log_n else float(flat[-1])
+        p, q, nb = spec.p, spec.q, spec.family == NEGBIN
+        if len(flat) != 1 + p + q + nb:
+            raise ParameterError(f"flat parameter vector must have {1 + p + q + nb} entries, got {len(flat)}")
+        n = (math.exp(float(flat[-1])) if log_n else float(flat[-1])) if nb else None
         return cls(float(flat[0]), tuple(flat[1 : 1 + p]), tuple(flat[1 + p : 1 + p + q]), n)
 
-    def _check(self, spec: ModelSpec):
+    def check(self, spec: ModelSpec):
+        """Raise ParameterError unless `spec` is softplus-linear of these orders, negbin iff n is set."""
         if spec.link != SOFTPLUS_LINEAR:
             raise ParameterError("linear parameters require the softplus-linear link")
         if self.p != spec.p or self.q != spec.q:
             raise ParameterError("parameter orders do not match the model spec")
+        _check_dispersion(spec, self.n)
 
     def mean_path(self, spec: ModelSpec, x: np.ndarray, presample: Optional[float]) -> np.ndarray:
-        """The recursion behind `conditional_mean_path` on the coerced series x;
-        unchecked, and `presample=None` means the floored sample mean of x."""
-        self._check(spec)
+        """The recursion behind `conditional_mean_path` on the coerced series x,
+        its output unchecked; `presample=None` means the floored sample mean of x."""
+        self.check(spec)
         p, q, c = spec.p, spec.q, spec.c
         s = x.size
         v = _pre_sample(x, presample)
@@ -219,7 +221,7 @@ class LinearParams:
         histories, newest last (xs[-1] = X_{t-1}).  It is the arithmetic of
         `mean_path`'s feedback loop, so for q >= 1 its steps reproduce that
         path exactly."""
-        self._check(spec)
+        self.check(spec)
         a0, c = self.alpha0, spec.c
         taps = tuple(zip(self.alpha, range(-1, -spec.p - 1, -1)))
         ltaps = tuple(zip(self.beta, range(-1, -spec.q - 1, -1)))
@@ -238,7 +240,7 @@ class LinearParams:
     def chain_start(self, spec: ModelSpec) -> float:
         """Start of a simulated chain: the softplus of the approximate stationary
         linear mean when the first-order condition holds, else of the intercept."""
-        self._check(spec)
+        self.check(spec)
         cbar = sum(max(0.0, a) for a in self.alpha) + sum(max(0.0, b) for b in self.beta)
         level = self.alpha0 / (1.0 - cbar) if cbar < 1.0 else self.alpha0
         return float(softplus(level, spec.c))
@@ -276,9 +278,9 @@ class NeuralWeights:
     def hidden(self) -> int:
         return self.u0.shape[1]
 
-    def k(self, family: str) -> int:
-        """Number of free parameters under the given family."""
-        return self.u0.size + self.u1.size + (1 if family == NEGBIN else 0)
+    def k(self) -> int:
+        """Number of free parameters, n included when present."""
+        return self.u0.size + self.u1.size + (self.n is not None)
 
     def to_flat(self, log_n: bool = True) -> np.ndarray:
         """Flatten to [u0 row-major, u1, (ln) n]; the optimizer works on ln n."""
@@ -290,27 +292,26 @@ class NeuralWeights:
     @classmethod
     def from_flat(cls, flat, spec: ModelSpec, log_n: bool = True) -> "NeuralWeights":
         """Inverse of `to_flat` for the network shape and family of `spec`."""
-        K, L = spec.input_width, spec.hidden
+        K, L, nb = spec.input_width, spec.hidden, spec.family == NEGBIN
         flat = np.asarray(flat, dtype=float)
-        expected = K * L + L + (1 if spec.family == NEGBIN else 0)
-        if flat.size != expected:
-            raise ParameterError(f"flat weight vector must have {expected} entries, got {flat.size}")
-        n = None
-        if spec.family == NEGBIN:
-            n = math.exp(float(flat[-1])) if log_n else float(flat[-1])
+        if flat.size != K * L + L + nb:
+            raise ParameterError(f"flat weight vector must have {K * L + L + nb} entries, got {flat.size}")
+        n = (math.exp(float(flat[-1])) if log_n else float(flat[-1])) if nb else None
         return cls(u0=flat[: K * L].reshape(K, L), u1=flat[K * L : K * L + L], n=n)
 
-    def _check(self, spec: ModelSpec):
+    def check(self, spec: ModelSpec):
+        """Raise ParameterError unless `spec` is neural of this shape, negbin iff n is set."""
         if spec.link != NEURAL:
             raise ParameterError("neural weights require the neural link")
         if self.input_width != spec.input_width or self.hidden != spec.hidden:
             raise ParameterError("weight shapes do not match the model spec")
+        _check_dispersion(spec, self.n)
 
     def mean_path(self, spec: ModelSpec, x: np.ndarray, presample: Optional[float]) -> np.ndarray:
         """The recursion behind `conditional_mean_path` on the coerced series x:
-        the network, fed its own lagged outputs when q > 0.  Unchecked, and
-        `presample=None` means the floored sample mean of x."""
-        self._check(spec)
+        the network, fed its own lagged outputs when q > 0, its output
+        unchecked; `presample=None` means the floored sample mean of x."""
+        self.check(spec)
         init = _pre_sample(x, presample)
         if spec.q == 0:
             return np.atleast_1d(softplus(expit(_inputs(x, None, spec.p, 0, init) @ self.u0) @ self.u1, 1.0))
@@ -338,7 +339,7 @@ class NeuralWeights:
         """The scalar step f(xs, lams) -> lambda_t from the count and mean
         histories, newest last (xs[-1] = X_{t-1}): the network in plain
         `math`, with no numpy call per step."""
-        self._check(spec)
+        self.check(spec)
         return self._scalar_network(spec.p, spec.q)
 
     def _scalar_network(self, p: int, q: int):
@@ -456,18 +457,15 @@ def _lag_adjoint(r: np.ndarray, partials: np.ndarray) -> np.ndarray:
     return a[:, 0]
 
 
-def family_dispersion(family: str, n: Optional[float]) -> Optional[float]:
-    """Dispersion the family uses: None for Poisson, the required n for NB."""
-    if family == POISSON:
-        return None
-    if n is None:
-        raise ParameterError("negbin family requires dispersion n")
-    return n
+def _check_dispersion(spec: ModelSpec, n: Optional[float]):
+    """The family half of `check`: negbin parameters carry n, Poisson ones none."""
+    if (spec.family == NEGBIN) != (n is not None):
+        raise ParameterError("negbin family requires dispersion n" if n is None
+                             else "poisson family takes no dispersion n")
 
 
-def _omega0(family: str, n: Optional[float]) -> float:
-    """Variance inflation 1 + 1/n; the Poisson family is the explicit n->inf limit."""
-    n = family_dispersion(family, n)
+def _omega0(n: Optional[float]) -> float:
+    """Variance inflation 1 + 1/n; Poisson (n None) is the explicit n->inf limit."""
     return 1.0 if n is None else 1.0 + 1.0 / n
 
 
@@ -499,22 +497,21 @@ def conditional_mean_path(spec: ModelSpec, params, series, presample=None) -> np
     return lam
 
 
-def check_stationarity(params: LinearParams, family: str) -> StationarityReport:
+def check_stationarity(params: LinearParams) -> StationarityReport:
     """Evaluate the first/second-order stationarity conditions for a (1,1) model.
 
     With positive parts a1+ = max(0, alpha1) and b1+ = max(0, beta1):
     first order requires a1+ + b1+ < 1 and |beta1| < 1; second order
     additionally (1 + 1/n) a1+^2 + 2 a1+ b1+ + b1+^2 < 1 (coefficient 1 on
-    a1+^2 for the Poisson family).  Orders other than (1,1) are reported as
-    not applicable: no closed-form condition is available for them.
+    a1+^2 for Poisson parameters, which carry no n).  Orders other than (1,1)
+    are reported as not applicable: no closed-form condition is available for
+    them.
     """
-    if family not in _FAMILIES:
-        raise ParameterError(f"unknown family {family!r}")
     if params.p != 1 or params.q != 1:
         return StationarityReport(False, None, None, None, None)
     a1bar = max(0.0, params.alpha[0])
     b1bar = max(0.0, params.beta[0])
-    omega0 = _omega0(family, params.n)
+    omega0 = _omega0(params.n)
     c11 = a1bar + b1bar
     second_val = omega0 * a1bar**2 + 2.0 * a1bar * b1bar + b1bar**2
     first_ok = c11 < 1.0 and abs(params.beta[0]) < 1.0
@@ -522,15 +519,15 @@ def check_stationarity(params: LinearParams, family: str) -> StationarityReport:
     return StationarityReport(True, first_ok, second_ok, c11, second_val)
 
 
-def linear_moments_11(params: LinearParams, family: str, max_lag: int = 3) -> LinearMoments:
+def linear_moments_11(params: LinearParams, max_lag: int = 3) -> LinearMoments:
     """Closed-form mean, variance, and ACF of the linear (1,1) approximation.
 
     mu    = alpha0 / (1 - alpha1 - beta1)
     var   = mu (1 + mu/n) (1 - 2 a b - b^2) / (1 - w0 a^2 - 2 a b - b^2)
     rho(h)= a (a + b)^(h-1) (1 - a b - b^2) / (1 - 2 a b - b^2)
 
-    with a = alpha1, b = beta1, w0 = 1 + 1/n; the Poisson family takes the
-    explicit limits w0 = 1 and 1 + mu/n = 1.
+    with a = alpha1, b = beta1, w0 = 1 + 1/n; Poisson parameters (no n) take
+    the explicit limits w0 = 1 and 1 + mu/n = 1.
     """
     if params.p != 1 or params.q != 1:
         raise ParameterError("linear_moments_11 requires a (1,1) parameter set")
@@ -541,8 +538,8 @@ def linear_moments_11(params: LinearParams, family: str, max_lag: int = 3) -> Li
     if d_mean <= 0.0:
         raise ParameterError("mean condition violated: 1 - alpha1 - beta1 must be > 0")
     mu = params.alpha0 / d_mean
-    omega0 = _omega0(family, params.n)
-    over = 1.0 if family == POISSON else 1.0 + mu / params.n
+    omega0 = _omega0(params.n)
+    over = 1.0 if params.n is None else 1.0 + mu / params.n
     acf_den = 1.0 - 2.0 * a * b - b * b
     var_den = 1.0 - omega0 * a * a - 2.0 * a * b - b * b
     if abs(acf_den) < 1e-12:
@@ -558,9 +555,7 @@ def linear_moments_11(params: LinearParams, family: str, max_lag: int = 3) -> Li
     return LinearMoments(mu=mu, variance=variance, acf=acf)
 
 
-def linear_acvf_general(
-    params: LinearParams, family: str, max_lag: Optional[int] = None
-) -> Tuple[np.ndarray, np.ndarray]:
+def linear_acvf_general(params: LinearParams, max_lag: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Autocovariances of X and lambda for the linear (p,q) approximation.
 
     Solves the dense linear system formed by the stationary autocovariance
@@ -587,8 +582,8 @@ def linear_acvf_general(
     if d_mean <= 0.0:
         raise ParameterError("mean condition violated: 1 - sum(alpha) - sum(beta) must be > 0")
     mu = params.alpha0 / d_mean
-    omega0 = _omega0(family, params.n)
-    v_cond = mu if family == POISSON else mu * (1.0 + mu / params.n)
+    omega0 = _omega0(params.n)
+    v_cond = mu if params.n is None else mu * (1.0 + mu / params.n)
 
     m = 2 * (H + 1)
     gx = lambda h: h            # noqa: E731 - index helpers for readability

@@ -36,7 +36,6 @@ from .model import (
     ModelSpec,
     NeuralWeights,
     check_stationarity,
-    family_dispersion,
     linear_moments_11,
 )
 
@@ -55,7 +54,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation task: model, parameters, length, burn-in, and stream."""
+    """One simulation task: model, parameters (checked against it), length, burn-in, and stream."""
 
     spec: ModelSpec
     params: Union[LinearParams, NeuralWeights]
@@ -64,6 +63,7 @@ class SimConfig:
     burn_in: int = 500
 
     def __post_init__(self):
+        self.params.check(self.spec)
         if self.length < 1:
             raise ParameterError("length must be >= 1")
         if self.burn_in < 0:
@@ -81,7 +81,7 @@ def simulate_path(config: SimConfig) -> np.ndarray:
     The Poisson family makes only the Poisson draws.
     """
     spec, params = config.spec, config.params
-    n = family_dispersion(spec.family, params.n)  # None: Poisson draws
+    n = params.n  # None: Poisson draws
     gen = config.rng.generator()
     poisson, isfinite = gen.poisson, math.isfinite
     total = config.burn_in + config.length
@@ -159,7 +159,7 @@ def moment_study(grid: Sequence[SimConfig], max_lag: int = 3) -> List[MomentRow]
             emp = None
             flagged = True
         try:
-            lin = linear_moments_11(config.params, config.spec.family, max_lag)
+            lin = linear_moments_11(config.params, max_lag)
         except ParameterError:
             lin = None
             flagged = True
@@ -220,7 +220,7 @@ def simulation_study(
     """
     if replications < 1:
         raise ParameterError("need at least one replication")
-    report = check_stationarity(truth, spec.family)
+    report = check_stationarity(truth)
     if report.applicable and not report.first_order_ok:
         warnings.warn("study truth violates the first-order stationarity condition", UserWarning)
     opts = opts if opts is not None else OptimizerOptions()

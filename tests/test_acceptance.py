@@ -48,7 +48,7 @@ def report(criterion: int, message: str):
 
 
 def test_criterion_1_moment_formulas_exact():
-    m = linear_moments_11(LinearParams(1.8, (0.3,), (0.4,), 3.0), NEGBIN, max_lag=3)
+    m = linear_moments_11(LinearParams(1.8, (0.3,), (0.4,), 3.0), max_lag=3)
     values = (m.mu, m.dispersion, m.acf[0], m.acf[1], m.acf[2])
     targets = (6.000, 3.750, 0.360, 0.252, 0.176)
     for got, want in zip(values, targets):
@@ -97,7 +97,7 @@ def test_criterion_4_information_criterion_arithmetic():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fit = fit_cml(spec, path, OptimizerOptions(restarts=0))
-    k = fit.estimates.k(NEGBIN)
+    k = fit.estimates.k()
     assert fit.bic - fit.aic == pytest.approx(k * (math.log(400) - 2.0), abs=1e-10)
     # published pair (1488.14, 1498.15) at k=3 implies s = 208 within one obs
     gap = 1498.15 - 1488.14

@@ -393,7 +393,10 @@ class TestExitCodes:
           "--length", "20"], ["--n", "3"]),
         (["study", "--family", "poisson", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3",
           "--sizes", "50", "--replications", "1"], ["--n", "3"]),
-    ], ids=["simulate-neural-alpha0", "simulate-linear-weights", "simulate-poisson-n", "study-poisson-n"])
+        (["simulate", "--p", "1", "--q", "0", "--alpha0", "1.8", "--alpha", "0.3", "--n", "3", "--length", "5"],
+         ["--hidden", "2"]),
+    ], ids=["simulate-neural-alpha0", "simulate-linear-weights", "simulate-poisson-n", "study-poisson-n",
+            "simulate-linear-hidden"])
     def test_unread_parameter_option_is_usage_error(self, tmp_path, argv, unread):
         # these were accepted, ignored and written into the provenance
         out = tmp_path / "out"
@@ -453,6 +456,32 @@ class TestExitCodes:
         short.write_text("count\n1\n2\n3\n")
         assert main(["fit", str(short), "--p", "1", "--q", "1",
                      "--out", str(tmp_path / "o.txt")]) == 3
+
+    def test_diagnose_writes_nothing_when_a_diagnostic_fails(self, tmp_path, monkeypatch):
+        # 12 points are too few for the cumulative periodogram; fit.txt,
+        # residuals.csv and correlogram.csv used to be written before it failed
+        data = tmp_path / "short.csv"
+        data.write_text("count\n" + "\n".join("3 1 4 1 5 9 2 6 5 3 5 8".split()) + "\n")
+        outdir = tmp_path / "diag"
+        with pytest.warns(UserWarning, match="identifiability floor"):
+            assert main(["diagnose", str(data), "--link", "neural", "--family", "poisson", "--p", "1", "--q", "0",
+                         "--restarts", "0", "--out", str(outdir)]) == 2
+        assert not outdir.exists()
+        # a fit that did not converge still gets every file, and exit 4
+        import spingarch.cli as cli_mod
+
+        real_fit = cli_mod.fit_cml
+
+        def fake_fit(spec, series, opts):
+            fit = real_fit(spec, series, opts)
+            fit.converged = False
+            return fit
+
+        monkeypatch.setattr(cli_mod, "fit_cml", fake_fit)
+        assert main(["diagnose", str(write_series(tmp_path, seed=8, n=120)), "--p", "1", "--q", "0",
+                     "--out", str(outdir)]) == 4
+        assert sorted(p.name for p in outdir.iterdir()) == \
+            ["correlogram.csv", "fit.txt", "periodogram.csv", "residuals.csv"]
 
     def test_non_convergence_exit(self, tmp_path, monkeypatch):
         import spingarch.cli as cli_mod
@@ -540,7 +569,7 @@ class TestRunConfigProvenance:
 
     def _assert_csv_replays(self, path):
         line = next(line for line in path.read_text().splitlines() if line.startswith("# config: "))
-        record = dict(word.split("=", 1) for word in line.split()[2:])
+        record = dict(word.split("=", 1) for word in shlex.split(line)[2:])
         assert _csv_provenance(_parse(self._argv(record)))[1] == line
 
     def _assert_document_replays(self, path):
@@ -552,10 +581,13 @@ class TestRunConfigProvenance:
         grid = tmp_path / "grid.csv"
         grid.write_text("alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3\n")
         sim, sel, mom = tmp_path / "sim.csv", tmp_path / "sel.txt", tmp_path / "mom.csv"
+        spaced = tmp_path / "my dir" / "s.csv"
         study, diag, fc = tmp_path / "study.txt", tmp_path / "diag", tmp_path / "fc.txt"
         runs = [
             (["simulate", "--p", "2", "--q", "0", "--alpha0", "1.5", "--alpha", "-0.2,0.3", "--n", "3",
               "--length", "50", "--seed", "4", "--out", str(sim)], [sim], []),
+            (["simulate", "--family", "poisson", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3",
+              "--length", "20", "--out", str(spaced)], [spaced], []),
             (["fit", str(data), "--model", "nb(1,0)", "--model", "pois(1,0)", "--criterion", "bic",
               "--hidden", "2", "--out", str(sel)], [], [sel]),
             (["moments", "--grid", str(grid), "--length", "300", "--out", str(mom)], [mom], []),
@@ -587,3 +619,9 @@ def test_readme_command_parses(line):
     words = list(lexer)
     assert words[0] == "spingarch"
     _build_parser().parse_args(_attach_negative_lists(words[1:]))
+
+
+def test_readme_library_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

@@ -42,7 +42,7 @@ def nb_spec(p=1, q=1):
 def make_fit(spec, params, series):
     """FitResult shell around known parameters (no optimization)."""
     lam = conditional_mean_path(spec, params, series)
-    k = params.k(spec.family)
+    k = params.k()
     return FitResult(spec=spec, estimates=params, std_errors=np.full(k, np.nan),
                      loglik=0.0, aic=0.0, bic=0.0, lambda_path=lam, converged=True,
                      iterations=0, restarts_used=0)

@@ -175,7 +175,7 @@ class TestFitCml:
         fit = fit_cml(nb_spec(), path, OptimizerOptions(restarts=1, seed=0))
         assert fit.converged
         assert math.isfinite(fit.loglik)
-        report = check_stationarity(fit.estimates, NEGBIN)
+        report = check_stationarity(fit.estimates)
         assert report.second_order_ok
 
     def test_deterministic_refit(self):
@@ -265,7 +265,7 @@ class TestFitCml:
     def test_information_criteria_identity_on_fit(self):
         path = table_path(300, 13)
         fit = fit_cml(nb_spec(), path, OptimizerOptions(restarts=0))
-        k = fit.estimates.k(NEGBIN)
+        k = fit.estimates.k()
         assert fit.bic - fit.aic == pytest.approx(k * (math.log(300) - 2.0), abs=1e-10)
 
 

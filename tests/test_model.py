@@ -17,9 +17,12 @@ from spingarch import (
     linear_acvf_general,
     linear_moments_11,
     negloglik,
+    negloglik_and_grad,
     sample_acf,
     simulate_path,
+    simulation_study,
     softplus,
+    standard_errors,
 )
 from spingarch.exceptions import ParameterError
 from spingarch.model import _inputs, _lag_adjoint
@@ -145,7 +148,7 @@ class TestLinearResponse:
         assert LinearParams.from_flat(params.to_flat(log_n=False), spec, log_n=False) == params
         assert LinearParams.from_flat(params.to_flat(), spec).n == pytest.approx(2.0, rel=1e-15)
         poisson = LinearParams(0.6, (0.3, -0.15), (0.25,))
-        assert poisson.to_flat().size == poisson.k(POISSON) == 4
+        assert poisson.to_flat().size == poisson.k() == 4
 
     def test_from_flat_checks_size(self):
         with pytest.raises(ParameterError):
@@ -214,67 +217,82 @@ class TestFamilyDispersion:
             simulate_path(SimConfig(spec=spec, params=params, length=10, rng=RngStream(1)))
         with pytest.raises(ParameterError, match="requires dispersion n"):
             negloglik(spec, params, [2, 0, 3, 1, 4])
-        with pytest.raises(ParameterError, match="requires dispersion n"):
-            linear_moments_11(params, NEGBIN)
+
+    @pytest.mark.parametrize("call", [
+        negloglik,
+        negloglik_and_grad,
+        conditional_mean_path,
+        standard_errors,
+        lambda spec, params, x: SimConfig(spec=spec, params=params, length=10, rng=RngStream(1)),
+        lambda spec, params, x: simulation_study(spec, params, [50], replications=2, seed=1),
+    ], ids=["negloglik", "negloglik_and_grad", "conditional_mean_path", "standard_errors", "SimConfig",
+            "simulation_study"])
+    def test_poisson_with_n_is_rejected_everywhere(self, call):
+        # n under a Poisson spec used to be ignored by the likelihood and the
+        # simulator, and turned every standard error into NaN
+        spec, params = spec11(POISSON), LinearParams(1.0, (0.3,), (0.4,), n=3.0)
+        x = np.random.default_rng(0).poisson(4, 400)
+        with pytest.raises(ParameterError, match="poisson family takes no dispersion n"):
+            call(spec, params, x)
 
 
 class TestCheckStationarity:
     def test_second_order_hand_value(self):
-        report = check_stationarity(LinearParams(1.0, (0.3,), (0.4,), 3.0), NEGBIN)
+        report = check_stationarity(LinearParams(1.0, (0.3,), (0.4,), 3.0))
         assert report.applicable
         assert report.c11_bar == pytest.approx(0.7)
         assert report.second_order_value == pytest.approx(0.52, abs=1e-12)
         assert report.first_order_ok and report.second_order_ok
 
     def test_first_order_violation(self):
-        report = check_stationarity(LinearParams(1.0, (0.9,), (0.5,), 3.0), NEGBIN)
+        report = check_stationarity(LinearParams(1.0, (0.9,), (0.5,), 3.0))
         assert report.c11_bar == pytest.approx(1.4)
         assert not report.first_order_ok
         assert not report.second_order_ok
 
     def test_negative_coefficients_truncate(self):
-        report = check_stationarity(LinearParams(1.0, (-0.3,), (-0.4,), 3.0), NEGBIN)
+        report = check_stationarity(LinearParams(1.0, (-0.3,), (-0.4,), 3.0))
         assert report.c11_bar == 0.0
         assert report.second_order_value == 0.0
         assert report.first_order_ok and report.second_order_ok
 
     def test_beta_magnitude_gate(self):
         # negative beta below -1 still violates |beta1| < 1
-        report = check_stationarity(LinearParams(1.0, (-0.3,), (-1.2,), 3.0), NEGBIN)
+        report = check_stationarity(LinearParams(1.0, (-0.3,), (-1.2,), 3.0))
         assert not report.first_order_ok
 
     def test_poisson_uses_unit_weight(self):
-        nb = check_stationarity(LinearParams(1.0, (0.5,), (0.0,), 3.0), NEGBIN)
-        po = check_stationarity(LinearParams(1.0, (0.5,), (0.0,)), POISSON)
+        nb = check_stationarity(LinearParams(1.0, (0.5,), (0.0,), 3.0))
+        po = check_stationarity(LinearParams(1.0, (0.5,), (0.0,)))
         assert nb.second_order_value == pytest.approx((1 + 1 / 3) * 0.25)
         assert po.second_order_value == pytest.approx(0.25)
 
     def test_not_applicable_orders(self):
-        report = check_stationarity(LinearParams(1.0, (0.2, 0.1), (), 3.0), NEGBIN)
+        report = check_stationarity(LinearParams(1.0, (0.2, 0.1), (), 3.0))
         assert not report.applicable
         assert report.first_order_ok is None and report.second_order_ok is None
 
 
 class TestLinearMoments11:
     def test_reference_row(self):
-        m = linear_moments_11(LinearParams(1.8, (0.3,), (0.4,), 3.0), NEGBIN)
+        m = linear_moments_11(LinearParams(1.8, (0.3,), (0.4,), 3.0))
         assert m.mu == pytest.approx(6.000, abs=1e-12)
         assert m.dispersion == pytest.approx(3.750, abs=1e-12)
         np.testing.assert_allclose(m.acf, [0.36, 0.252, 0.1764], atol=1e-12)
 
     def test_larger_intercept_row(self):
-        m = linear_moments_11(LinearParams(3.6, (0.3,), (0.4,), 3.0), NEGBIN)
+        m = linear_moments_11(LinearParams(3.6, (0.3,), (0.4,), 3.0))
         assert m.mu == pytest.approx(12.000, abs=1e-12)
 
     def test_iid_case(self):
-        m = linear_moments_11(LinearParams(4.0, (0.0,), (0.0,), 3.0), NEGBIN, max_lag=5)
+        m = linear_moments_11(LinearParams(4.0, (0.0,), (0.0,), 3.0), max_lag=5)
         assert m.mu == pytest.approx(4.0)
         assert m.dispersion == pytest.approx(1.0 + 4.0 / 3.0)
         np.testing.assert_allclose(m.acf, 0.0, atol=1e-15)
 
     def test_degenerate_mean_denominator(self):
         with pytest.raises(ParameterError, match="alpha1"):
-            linear_moments_11(LinearParams(1.0, (0.6,), (0.4,), 3.0), NEGBIN)
+            linear_moments_11(LinearParams(1.0, (0.6,), (0.4,), 3.0))
 
     def test_mean_identity_over_random_draws(self):
         rng = np.random.default_rng(314)
@@ -286,7 +304,7 @@ class TestLinearMoments11:
             a0 = rng.uniform(0.2, 10)
             params = LinearParams(a0, (a1,), (b1,), n)
             try:
-                m = linear_moments_11(params, NEGBIN)
+                m = linear_moments_11(params)
             except ParameterError:
                 continue
             checked += 1
@@ -309,8 +327,8 @@ class TestLinearAcvfGeneral:
                 rng.uniform(0.5, 15),
             )
             try:
-                m = linear_moments_11(params, NEGBIN, max_lag=6)
-                gx, _ = linear_acvf_general(params, NEGBIN, max_lag=6)
+                m = linear_moments_11(params, max_lag=6)
+                gx, _ = linear_acvf_general(params, max_lag=6)
             except ParameterError:
                 continue
             done += 1
@@ -318,11 +336,11 @@ class TestLinearAcvfGeneral:
             np.testing.assert_allclose(gx[1:] / gx[0], m.acf, atol=1e-10)
 
     def test_white_noise_inarch2(self):
-        gx, _ = linear_acvf_general(LinearParams(2.0, (0.0, 0.0), (), 3.0), NEGBIN, max_lag=5)
+        gx, _ = linear_acvf_general(LinearParams(2.0, (0.0, 0.0), (), 3.0), max_lag=5)
         np.testing.assert_allclose(gx[1:], 0.0, atol=1e-12)
 
     def test_inarch1_geometric(self):
-        gx, _ = linear_acvf_general(LinearParams(2.0, (0.5,), (), 3.0), NEGBIN, max_lag=6)
+        gx, _ = linear_acvf_general(LinearParams(2.0, (0.5,), (), 3.0), max_lag=6)
         np.testing.assert_allclose(gx[1:] / gx[:-1], 0.5, atol=1e-12)
 
     def test_inarch1_against_long_simulation(self):
@@ -331,7 +349,7 @@ class TestLinearAcvfGeneral:
         params = LinearParams(2.0, (0.5,), (), 3.0)
         path = simulate_path(SimConfig(spec=spec, params=params, length=1_000_000, rng=RngStream(31)))
         emp = sample_acf(np.asarray(path, dtype=float), 4)
-        gx, _ = linear_acvf_general(params, NEGBIN, max_lag=4)
+        gx, _ = linear_acvf_general(params, max_lag=4)
         np.testing.assert_allclose(emp, gx[1:] / gx[0], atol=0.02)
 
     @pytest.mark.parametrize(
@@ -344,16 +362,16 @@ class TestLinearAcvfGeneral:
         params = LinearParams(1.5, alpha, beta, 3.0)
         path = simulate_path(SimConfig(spec=spec, params=params, length=500_000, rng=RngStream(64)))
         emp = sample_acf(np.asarray(path, dtype=float), 5)
-        gx, _ = linear_acvf_general(params, NEGBIN, max_lag=5)
+        gx, _ = linear_acvf_general(params, max_lag=5)
         np.testing.assert_allclose(emp, gx[1:] / gx[0], atol=0.02)
         assert path.var(ddof=1) == pytest.approx(gx[0], rel=0.05)
 
     def test_poisson_family(self):
-        gx, gl = linear_acvf_general(LinearParams(2.0, (0.4,), (0.2,)), POISSON, max_lag=4)
+        gx, gl = linear_acvf_general(LinearParams(2.0, (0.4,), (0.2,)), max_lag=4)
         mu = 2.0 / (1 - 0.6)
         # variance link with omega0 = 1 and conditional variance mu
         assert gx[0] == pytest.approx(gl[0] + mu, rel=1e-12)
 
     def test_outside_region_raises(self):
         with pytest.raises(ParameterError):
-            linear_acvf_general(LinearParams(1.0, (0.9,), (0.5,), 3.0), NEGBIN, max_lag=5)
+            linear_acvf_general(LinearParams(1.0, (0.9,), (0.5,), 3.0), max_lag=5)

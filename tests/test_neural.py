@@ -23,8 +23,9 @@ from spingarch import (
     simulate_path,
     slfn_forward,
 )
-from spingarch.exceptions import ParameterError
-from spingarch.estimate import extend_with_idle_unit
+from spingarch import estimate
+from spingarch.exceptions import ConvergenceWarning, ParameterError
+from spingarch.estimate import FitResult, extend_with_idle_unit
 
 LN2 = math.log(2.0)
 
@@ -137,7 +138,7 @@ class TestLambdaPath:
         w = NeuralWeights.from_flat(flat, spec, log_n=False)
         assert w.n == 0.8
         np.testing.assert_array_equal(w.to_flat(log_n=False), flat)
-        assert w.k(NEGBIN) == flat.size
+        assert w.k() == flat.size
         with pytest.raises(ParameterError):
             NeuralWeights.from_flat(flat[:-1], spec)
 
@@ -315,7 +316,7 @@ class TestFitNeural:
         series = rng.poisson(3.0, 200)
         fit = fit_neural(spec, series, OptimizerOptions(restarts=1, seed=0))
         k = 3 * 2 + 2 + 1  # K*L + L + dispersion
-        assert fit.estimates.k(NEGBIN) == k
+        assert fit.estimates.k() == k
         assert fit.bic - fit.aic == pytest.approx(k * (math.log(200) - 2.0), abs=1e-9)
 
     def test_short_series_warns(self):
@@ -366,3 +367,26 @@ class TestSelectHiddenUnits:
                                           criterion="bic")
             hits += best == 1
         assert hits >= 16  # >= 80% of seeded trials
+
+    @staticmethod
+    def _stub_fits(monkeypatch, outcomes):
+        """Replace fit_neural by stubs: hidden units L -> (aic, converged)."""
+        def stub(spec, series, opts=None, extra_starts=()):
+            aic, converged = outcomes[spec.hidden]
+            w = NeuralWeights(np.zeros((spec.input_width, spec.hidden)), np.zeros(spec.hidden))
+            return FitResult(spec=spec, estimates=w, std_errors=np.full(w.k(), np.nan), loglik=-aic / 2,
+                             aic=aic, bic=aic, lambda_path=np.ones(len(series)), converged=converged,
+                             iterations=1, restarts_used=0)
+        monkeypatch.setattr(estimate, "fit_neural", stub)
+
+    def test_ranks_converged_fits_only(self, monkeypatch):
+        # the lowest AIC belongs to a fit that did not converge
+        self._stub_fits(monkeypatch, {1: (100.0, True), 2: (90.0, False), 3: (98.0, True)})
+        best, fits = select_hidden_units(nspec(L=1), [1, 2, 3, 4], [1, 2, 3])
+        assert best == 3 and set(fits) == {1, 2, 3}
+
+    def test_ranks_every_fit_when_none_converged(self, monkeypatch):
+        self._stub_fits(monkeypatch, {1: (100.0, False), 2: (90.0, False), 3: (98.0, False)})
+        with pytest.warns(ConvergenceWarning, match="no hidden-unit count converged"):
+            best, _ = select_hidden_units(nspec(L=1), [1, 2, 3, 4], [1, 2, 3])
+        assert best == 2
