@@ -3,7 +3,7 @@
 A fit proceeds in two steps: moment-matched starting values, then
 quasi-Newton (L-BFGS-B) search on the exact likelihood gradient, with
 jittered restarts only if that does not converge.  Standard errors come from
-central differences of the same gradient.  The dispersion n is optimized on
+the exact Hessian of the same likelihood.  The dispersion n is optimized on
 the log scale; the regression coefficients are unconstrained.
 The recovery study repeats simulate-and-refit across sample sizes and
 summarizes mean estimate, absolute bias, and MSE per parameter.

@@ -192,7 +192,6 @@ def fit_to_tree(fit: FitResult) -> Dict[str, object]:
             "kind": "neural",
             "K": est.input_width,
             "L": est.hidden,
-            "family": fit.spec.family,
             "weights": [float(w) for w in np.concatenate([est.u0.ravel(), est.u1])],
         }
     if est.n is not None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln
+from scipy.special import betaln, digamma, gammaln, zeta
 
 from .data import CountTable
 from .exceptions import ParameterError
@@ -25,6 +25,7 @@ __all__ = [
     "RngStream",
     "loglik_terms",
     "loglik_scores",
+    "loglik_curvatures",
     "nb_log_pmf",
     "poisson_log_pmf",
     "nb_sample",
@@ -111,6 +112,30 @@ def loglik_scores(counts: CountTable, lam: np.ndarray, n=None):
         gap = np.log1p(u) + u / (2.0 * m) + u * (2.0 + u) / (12.0 * m) / m
     d_n = gap[counts.index] - np.log1p(lam / n) + (lam - x) / (n + lam)
     return d_lam, float(np.sum(d_n))
+
+
+def loglik_curvatures(counts: CountTable, lam: np.ndarray, n=None):
+    """Second derivatives of `loglik_terms`: the per-observation d2/d lam2
+    and, for the negative binomial family, the per-observation d2/d lam d n
+    and the sum over observations of d2/d n2 (both None for Poisson, n=None).
+    The trigamma gap psi'(x + n) - psi'(n) is evaluated once per level."""
+    x = counts.x
+    if n is None:
+        return -x / lam**2, None, None
+    m = n + lam  # divided by twice, not squared, so that n up to 1e300 cannot overflow
+    d_lam2 = (n + x) / m / m - x / lam**2
+    d_lam_n = (x - lam) / m / m
+    d_nn = _trigamma_gap(counts.levels, n)[counts.index] + lam / n / m - (lam - x) / m / m
+    return d_lam2, d_lam_n, float(np.sum(d_nn))
+
+
+def _trigamma_gap(v: np.ndarray, n: float) -> np.ndarray:
+    """psi'(v + n) - psi'(n) = -sum_{i<v} 1/(n+i)^2 for counts v >= 0."""
+    if n < 1e3:
+        return zeta(2.0, v + n) - zeta(2.0, n)
+    # the asymptotic series of trigamma, differenced term by term, where the direct form cancels
+    u, m = v / n, n + v
+    return -(u + u * (2.0 + u) / (2.0 * m) + u * (3.0 + u * (3.0 + u)) / (6.0 * m) / m) / m
 
 
 def nb_log_pmf(x, n, lam):

@@ -15,9 +15,12 @@ built once per series).  The gradient is exact for both links:
 backpropagation through time), vectorised over the series except for the
 feedback through lagged means, which is one LAPACK banded triangular solve;
 for a linear (1,1) model the gradient costs less than the forward recursion.
-One driver fits both links with L-BFGS-B on that gradient, and standard
-errors come from central differences of it.  The dispersion n is optimized on
-the log scale so it stays positive, while the regression coefficients are
+One driver fits both links with L-BFGS-B on that gradient.  Standard errors
+come from the exact Hessian, forward over reverse: the parameter type's
+`hessian_parts` solves the same band forward for d lambda / d theta and
+weights the second derivatives of lambda with the gradient's adjoints, and
+the family adds the dispersion row.  The dispersion n is optimized on the
+log scale so it stays positive, while the regression coefficients are
 unconstrained (negative values are a feature, not an error).
 
 The links differ only in their starts: method of moments plus jittered
@@ -38,7 +41,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from .data import CountSeries, as_counts, sample_acf
-from .distributions import RngStream, loglik_scores, loglik_terms
+from .distributions import RngStream, loglik_curvatures, loglik_scores, loglik_terms
 from .exceptions import ConvergenceWarning, DataError, NumericError, ParameterError
 from .model import NEGBIN, LinearParams, ModelSpec, NeuralWeights, conditional_mean_path
 from .special import softplus_inverse
@@ -382,32 +385,50 @@ def select_hidden_units(spec: ModelSpec, series, L_range: Sequence[int],
     return min(ranked or Ls, key=lambda L: getattr(fits[L], criterion)), fits
 
 
+def _negloglik_hessian(spec: ModelSpec, params, series: CountSeries) -> np.ndarray:
+    """Exact Hessian of `negloglik` in the layout of `params.to_flat(log_n=False)`.
+
+    Forward over reverse: one mean path, then the parameter type's
+    `hessian_parts` (the sensitivities S = d lambda / d theta from one banded
+    forward solve with k right-hand sides, and the adjoint-weighted second
+    derivatives of lambda from the adjoint solve `vjp` does) give the
+    coefficient block S^T diag(l'') S + C; the family adds the dispersion row.
+    This is the observed information of Fokianos, Rahbek & Tjostheim (2009)
+    for the INGARCH recursion.
+    """
+    counts = series.table
+    lam = conditional_mean_path(spec, params, series)
+    n = params.n
+    d_lam, _ = loglik_scores(counts, lam, n)
+    d_lam2, d_lam_n, d_nn = loglik_curvatures(counts, lam, n)
+    S, C = params.hessian_parts(spec, counts.x, lam, d_lam)
+    H = S.T @ (d_lam2[:, None] * S) + C
+    if n is not None:
+        cross = S.T @ d_lam_n
+        H = np.block([[H, cross[:, None]], [cross[None, :], d_nn]])
+    return -H
+
+
 def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:
-    """Asymptotic standard errors from the inverse Hessian of the negated
-    log-likelihood, taken by central differences of its exact gradient with
-    per-coordinate steps max(1e-5, 1e-4 |theta_i|).
+    """Asymptotic standard errors from the inverse of the exact Hessian of the
+    negated log-likelihood (the observed information).
 
     Computed in the natural parameter space at the estimates.  Every entry is
-    NaN when a difference step leaves the valid region or the Hessian is not
-    finite, singular or not positive definite; single entries whose
-    inverse-Hessian diagonal is not positive are NaN as well.  Estimates that
-    do not match `spec` raise ParameterError.
+    NaN when the mean path is invalid there or the Hessian is not finite,
+    singular or not positive definite; single entries whose inverse-Hessian
+    diagonal is not positive are NaN as well.  Estimates that do not match
+    `spec` raise ParameterError.
+
+    `FitResult.converged` stays the optimizer's verdict and does not consult
+    the Hessian: all-NaN standard errors at a converged fit mean the optimizer
+    stopped at a saddle point or along a flat direction.
     """
     estimates.check(spec)
     series = series if isinstance(series, CountSeries) else CountSeries(series)
-    theta = estimates.to_flat(log_n=False)
-    nan = np.full(theta.size, np.nan)
-
-    def grad(t):
-        return negloglik_and_grad(spec, estimates.from_flat(t, spec, log_n=False), series, log_n=False)[1]
-
-    H = np.empty((theta.size, theta.size))
+    nan = np.full(estimates.k(), np.nan)
     try:
-        for i, h in enumerate(np.maximum(1e-5, 1e-4 * np.abs(theta))):
-            e = np.zeros(theta.size)
-            e[i] = h
-            H[i] = (grad(theta + e) - grad(theta - e)) / (2.0 * h)
-    except (NumericError, ParameterError, OverflowError):
+        H = _negloglik_hessian(spec, estimates, series)
+    except NumericError:
         return nan
     H = (H + H.T) / 2.0
     if not np.all(np.isfinite(H)):

@@ -216,6 +216,39 @@ class LinearParams:
         a = _lag_adjoint(r, d[:, None] * theta[1 + spec.p :]) if spec.q else r
         return B.T @ (d * a)
 
+    def hessian_parts(self, spec: ModelSpec, x: np.ndarray, lam: np.ndarray, r: np.ndarray):
+        """The pieces of the Hessian of sum_t l_t(lambda_t) in theta = [alpha0,
+        alpha, beta] that this link owns, where lam = mean_path(spec, x, None)
+        and r_t = l_t'(lambda_t): the total sensitivities S = d lambda / d theta
+        (s x k) and C = sum_t a_t d2 lambda_t / d theta2 with the lagged means'
+        own second derivatives carried by the adjoints a of `vjp`.  The Hessian
+        is S^T diag(l'') S + C.
+
+        Forward over reverse: S solves (I - L) S = d B, L[t, t-j] = d_t beta_j,
+        with d = sp'(eta); G = B + sum_j beta_j S_{t-j} is the total d eta / d theta,
+        and C = G^T diag(a sp''(eta)) G plus r_j = sum_t a_t d_t S_{t-j} in the
+        beta_j row and column."""
+        p, q = spec.p, spec.q
+        B = _inputs(x, lam, p, q, _pre_sample(x))
+        theta = np.array([self.alpha0, *self.alpha, *self.beta])
+        d = expit(B @ theta / spec.c)  # sp'(eta_t)
+        d2 = d * (1.0 - d) / spec.c  # sp''(eta_t)
+        if not q:
+            return d[:, None] * B, (B.T * (r * d2)) @ B
+        partials = d[:, None] * theta[1 + p :]
+        S = _lag_adjoint(d[:, None] * B, partials, tangent=True)
+        a = _lag_adjoint(r, partials)
+        G = B.copy()
+        for j, b in enumerate(self.beta, 1):
+            G[j:] += b * S[:-j]
+        C = (G.T * (a * d2)) @ G
+        ad = a * d
+        for j in range(1, q + 1):
+            r_j = ad[j:] @ S[:-j]
+            C[p + j] += r_j
+            C[:, p + j] += r_j
+        return S, C
+
     def stepper(self, spec: ModelSpec):
         """The scalar step f(xs, lams) -> lambda_t from the count and mean
         histories, newest last (xs[-1] = X_{t-1}).  It is the arithmetic of
@@ -335,6 +368,52 @@ class NeuralWeights:
         w = a * f1p
         return np.concatenate([(B.T @ (dz_da * w[:, None])).ravel(), H.T @ w])
 
+    def hessian_parts(self, spec: ModelSpec, x: np.ndarray, lam: np.ndarray, r: np.ndarray):
+        """The pieces of the Hessian of sum_t l_t(lambda_t) in w = [u0 row-major,
+        u1] that the network owns, as `LinearParams.hessian_parts`: the total
+        sensitivities S = d lambda / d w (s x k) and C = sum_t a_t d2 lambda_t / d w2
+        with the adjoints a of `vjp`, so that the Hessian is S^T diag(l'') S + C.
+
+        The total tangents of the pre-activations, dA[t, l] = d a_tl / d w, take
+        the lambda-lag columns through S; the second-order terms follow from
+        f1' = f0, f1'' = f0 (1 - f0), h' = h (1 - h) and h'' = h' (1 - 2 h),
+        vectorised over t."""
+        p, q = spec.p, spec.q
+        K, L = self.u0.shape
+        B = _inputs(x, lam, p, q, _pre_sample(x))
+        H = expit(B @ self.u0)
+        g = expit(H @ self.u1)  # f1' = f0 at the output
+        h1 = H * (1.0 - H)
+        dz_da = h1 * self.u1
+        dA = np.zeros((x.size, L, K * L + L))
+        for l in range(L):
+            dA[:, l, l : K * L : L] = B
+        dz = np.einsum("tl,tlk->tk", dz_da, dA)  # d z_t / d w, then the total
+        dz[:, K * L :] = H
+        S, a = g[:, None] * dz, r
+        if q:
+            dz_dlam = dz_da @ self.u0[1 + p :].T
+            partials = g[:, None] * dz_dlam
+            S = _lag_adjoint(S, partials, tangent=True)
+            a = _lag_adjoint(r, partials)
+            for j in range(1, q + 1):
+                dA[j:] += self.u0[p + j][None, :, None] * S[:-j, None, :]
+                dz[j:] += dz_dlam[j:, j - 1 : j] * S[:-j]
+        w = a * g
+        C = (dz.T * (w * (1.0 - g))) @ dz
+        h2w = h1 * (1.0 - 2.0 * H) * self.u1 * w[:, None]
+        for l in range(L):
+            C += (dA[:, l].T * h2w[:, l]) @ dA[:, l]
+        cross = np.einsum("t,tl,tlk->lk", w, h1, dA)  # d2 z / d u1_l d w
+        C[K * L :] += cross
+        C[:, K * L :] += cross.T
+        dz_da_w = dz_da * w[:, None]
+        for j in range(1, q + 1):
+            r_j = dz_da_w[j:].T @ S[:-j]  # d2 a_l / d u0[p+j, l] d lambda_{t-j}
+            C[(p + j) * L : (p + j + 1) * L] += r_j
+            C[:, (p + j) * L : (p + j + 1) * L] += r_j.T
+        return S, C
+
     def stepper(self, spec: ModelSpec):
         """The scalar step f(xs, lams) -> lambda_t from the count and mean
         histories, newest last (xs[-1] = X_{t-1}): the network in plain
@@ -439,22 +518,27 @@ def _inputs(x: np.ndarray, lam: Optional[np.ndarray], p: int, q: int, init: floa
     return B
 
 
-def _lag_adjoint(r: np.ndarray, partials: np.ndarray) -> np.ndarray:
+def _lag_adjoint(r: np.ndarray, partials: np.ndarray, tangent: bool = False) -> np.ndarray:
     """Adjoints a_t = r_t + sum_j partials[t+j, j-1] a_{t+j} of lambda_1..lambda_s,
     where partials[t, j-1] is the direct d lambda_t / d lambda_{t-j}: the
     lambda-lag feedback of a reverse-mode pass.  The a_t solve the unit upper
     triangular system (I - C) a = r of bandwidth q, C[t, t+j] = partials[t+j, j-1],
-    in one LAPACK banded back substitution."""
+    in one LAPACK banded back substitution.
+
+    With `tangent` it solves the lower triangle (I - C)^T y = r instead,
+    y_t = r_t + sum_j partials[t, j-1] y_{t-j}: the same feedback carried
+    forward, as forward-mode tangents, by forward substitution.  r may then
+    have one column per direction (s x k)."""
     s, q = partials.shape
     # LAPACK upper band storage: row q - j holds the j-th superdiagonal, whose
     # column t+j is -partials[t+j, j-1]; the first j entries of that row and
     # the diagonal row q (unit, diag="U") are never read.
     ab = np.empty((q + 1, s))
     ab[:q] = -partials[:, ::-1].T
-    a, info = dtbtrs(ab, r[:, None], uplo="U", diag="U")
+    a, info = dtbtrs(ab, r.reshape(s, -1), uplo="U", trans="T" if tangent else "N", diag="U")
     if info != 0:
-        raise NumericError(f"banded adjoint solve failed (LAPACK info {info})")
-    return a[:, 0]
+        raise NumericError(f"banded lambda-lag solve failed (LAPACK info {info})")
+    return a.reshape(r.shape)
 
 
 def _check_dispersion(spec: ModelSpec, n: Optional[float]):

@@ -106,21 +106,25 @@ class TestDocumentRoundTrip:
         self._assert_fits_equal(fit, rebuilt)
 
     def test_neural_fit(self):
-        spec = ModelSpec("poisson", "neural", 1, 1, 1.0, hidden=2)
-        fit = FitResult(
-            spec=spec,
-            estimates=NeuralWeights(np.arange(6.0).reshape(3, 2) / 7.0, np.array([0.5, -0.25])),
-            std_errors=np.full(8, np.nan),
-            loglik=-50.5,
-            aic=117.0,
-            bic=130.0,
-            lambda_path=np.array([0.7, 0.9]),
-            converged=False,
-            iterations=10,
-            restarts_used=3,
-        )
-        rebuilt = fit_from_tree(loads(dumps({"fit": fit_to_tree(fit)}))["fit"])
-        self._assert_fits_equal(fit, rebuilt)
+        for family, n in [("poisson", None), ("negbin", 2.5)]:
+            fit = FitResult(
+                spec=ModelSpec(family, "neural", 1, 1, 1.0, hidden=2),
+                estimates=NeuralWeights(np.arange(6.0).reshape(3, 2) / 7.0, np.array([0.5, -0.25]), n),
+                std_errors=np.full(8 + (n is not None), np.nan),
+                loglik=-50.5,
+                aic=117.0,
+                bic=130.0,
+                lambda_path=np.array([0.7, 0.9]),
+                converged=False,
+                iterations=10,
+                restarts_used=3,
+            )
+            tree = fit_to_tree(fit)
+            # the family is written once, at the top of the fit tree
+            assert tree["family"] == family
+            assert set(tree["estimates"]) == {"kind", "K", "L", "weights"} | ({"n"} if n is not None else set())
+            rebuilt = fit_from_tree(loads(dumps({"fit": tree}))["fit"])
+            self._assert_fits_equal(fit, rebuilt)
 
     def test_model_labels_round_trip(self):
         tree = {"models": ["nb(1,0)", "neu-pois(2,1)"], "vals": [1.5, -2.0]}

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import betaln, digamma, gammaln
 
 from spingarch import CountSeries, RngStream, nb_log_pmf, nb_sample, poisson_log_pmf
-from spingarch.distributions import loglik_scores, loglik_terms
+from spingarch.distributions import _trigamma_gap, loglik_curvatures, loglik_scores, loglik_terms
 from spingarch.exceptions import ParameterError
 
 PARAM_GRID = [(n, lam) for n in (0.5, 1.0, 3.0, 10.0) for lam in (0.5, 2.0, 6.0, 12.0)]
@@ -104,10 +104,46 @@ class TestLoglikScores:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             d_n = loglik_scores(table(x), lam, n)[1]
+            d_lam2, d_lam_n, d_nn = loglik_curvatures(table(x), lam, n)
         assert math.isfinite(d_n) and abs(d_n) * n < 1e-6
+        assert np.all(np.isfinite(d_lam2)) and np.all(np.isfinite(d_lam_n)) and math.isfinite(d_nn)
 
     def test_poisson_has_no_dispersion_score(self):
         assert loglik_scores(table([1]), np.array([2.0]))[1] is None
+
+
+class TestLoglikCurvatures:
+    X = np.array([0.0, 1.0, 3.0, 7.0, 12.0, 40.0])
+    LAM = np.array([0.4, 2.0, 3.5, 5.0, 9.0, 30.0])
+
+    @pytest.mark.parametrize("n", [None, 0.7, 5.0, 2e3])
+    def test_lambda_curvatures_match_central_differences_of_the_scores(self, n):
+        x, lam = self.X, self.LAM
+        h = 1e-6 * lam
+        d_lam2, d_lam_n, _ = loglik_curvatures(table(x), lam, n)
+        fd = (loglik_scores(table(x), lam + h, n)[0] - loglik_scores(table(x), lam - h, n)[0]) / (2 * h)
+        np.testing.assert_allclose(d_lam2, fd, rtol=1e-6)
+        if n is None:
+            assert d_lam_n is None
+            return
+        # the cross term per observation: the n-derivative of the lambda score
+        hn = 1e-6 * n
+        fd_n = (loglik_scores(table(x), lam, n + hn)[0] - loglik_scores(table(x), lam, n - hn)[0]) / (2 * hn)
+        np.testing.assert_allclose(d_lam_n, fd_n, rtol=1e-6, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [0.7, 5.0, 999.0, 5e3])
+    def test_dispersion_curvature_matches_central_differences_of_the_score(self, n):
+        x, lam = self.X, self.LAM
+        h = 1e-5 * n
+        fd = (loglik_scores(table(x), lam, n + h)[1] - loglik_scores(table(x), lam, n - h)[1]) / (2 * h)
+        assert loglik_curvatures(table(x), lam, n)[2] == pytest.approx(fd, rel=1e-5)
+
+    @pytest.mark.parametrize("n", [0.5, 3.0, 999.0, 1e3, 1e6, 1e9])
+    def test_trigamma_gap_against_finite_sum(self, n):
+        # psi'(x + n) - psi'(n) is minus the finite sum of 1/(n + v)^2 over v < x
+        v = np.array([0.0, 1.0, 2.0, 5.0, 17.0, 60.0, 250.0, 3000.0])
+        expected = [-math.fsum(1.0 / (n + i) ** 2 for i in range(int(k))) for k in v]
+        np.testing.assert_allclose(_trigamma_gap(v, n), expected, rtol=1e-11, atol=0)
 
 
 def direct_terms(x, lam, n):

@@ -8,10 +8,12 @@ import pytest
 
 from spingarch import (
     NEGBIN,
+    NEURAL,
     POISSON,
     SOFTPLUS_LINEAR,
     LinearParams,
     ModelSpec,
+    NeuralWeights,
     OptimizerOptions,
     RngStream,
     SimConfig,
@@ -28,7 +30,8 @@ from spingarch import (
     standard_errors,
 )
 from spingarch import estimate
-from spingarch.estimate import _PENALTY, _fit, _objective
+from spingarch.data import CountSeries
+from spingarch.estimate import _PENALTY, _fit, _negloglik_hessian, _objective
 from spingarch.exceptions import NumericError, ParameterError
 
 
@@ -135,6 +138,57 @@ class TestGradient:
                         - negloglik(spec, LinearParams.from_flat(theta - e, spec), series)) / 2e-6
                        for e in 1e-6 * np.eye(theta.size)])
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
+
+
+def gradient_difference_hessian(spec, params, series):
+    """Central differences of the exact gradient on the natural n scale: the
+    reference for the exact Hessian."""
+    theta, kind = params.to_flat(log_n=False), type(params)
+    H = np.empty((theta.size, theta.size))
+    for i in range(theta.size):
+        e = np.zeros(theta.size)
+        e[i] = 1e-5 * max(1.0, abs(theta[i]))
+        H[i] = (negloglik_and_grad(spec, kind.from_flat(theta + e, spec, log_n=False), series, log_n=False)[1]
+                - negloglik_and_grad(spec, kind.from_flat(theta - e, spec, log_n=False), series, log_n=False)[1]
+                ) / (2 * e[i])
+    return (H + H.T) / 2
+
+
+def assert_hessian_matches_differences(spec, params, series):
+    series = CountSeries(series)
+    H = _negloglik_hessian(spec, params, series)
+    fd = gradient_difference_hessian(spec, params, series)
+    assert np.max(np.abs(H - fd)) / np.max(np.abs(fd)) < 1e-6
+
+
+class TestHessian:
+    @pytest.mark.parametrize("family", [POISSON, NEGBIN])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_gate_against_central_differences(self, family, p, q):
+        rng = np.random.default_rng(200 + 10 * p + q)
+        spec = ModelSpec(family, SOFTPLUS_LINEAR, p, q)
+        params = LinearParams(rng.uniform(0.5, 2.0), tuple(rng.uniform(-0.4, 0.4, p)),
+                              tuple(rng.uniform(-0.4, 0.4, q)),
+                              rng.uniform(1.0, 5.0) if family == NEGBIN else None)
+        assert_hessian_matches_differences(spec, params, rng.integers(0, 10, 80))
+
+    @pytest.mark.parametrize("family", [POISSON, NEGBIN])
+    def test_gate_with_smoothness(self, family):
+        rng = np.random.default_rng(230)
+        spec = ModelSpec(family, SOFTPLUS_LINEAR, 1, 2, 0.7)
+        params = LinearParams(0.4, (0.35,), (0.3, -0.2), 2.5 if family == NEGBIN else None)
+        assert_hessian_matches_differences(spec, params, rng.integers(0, 10, 80))
+
+    @pytest.mark.parametrize("family", [POISSON, NEGBIN])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_neural_gate_against_central_differences(self, family, L, q):
+        rng = np.random.default_rng(240 + 10 * L + q)
+        spec = ModelSpec(family, NEURAL, 1, q, hidden=L)
+        weights = NeuralWeights(rng.uniform(-0.8, 0.8, (spec.input_width, L)), rng.uniform(0.5, 2.0, L),
+                                rng.uniform(1.0, 5.0) if family == NEGBIN else None)
+        assert_hessian_matches_differences(spec, weights, rng.integers(0, 8, 60))
 
 
 class TestInitParams:
@@ -309,6 +363,39 @@ class TestStandardErrors:
         se_log = np.sqrt(np.diag(np.linalg.inv(H)))
         se_log[2] *= est.n  # delta method back to the n scale
         np.testing.assert_allclose(se_log, direct, rtol=2e-2)
+
+    def test_one_mean_path_and_no_gradient_calls(self, monkeypatch):
+        spec, series = nb_spec(), CountSeries(table_path(300, 31))
+        params = fit_cml(spec, series, OptimizerOptions(restarts=0)).estimates
+        calls = {"grad": 0, "mean_path": 0}
+        grad, mean_path = estimate.negloglik_and_grad, LinearParams.mean_path
+
+        def counted_grad(*args, **kwargs):
+            calls["grad"] += 1
+            return grad(*args, **kwargs)
+
+        def counted_mean_path(self, *args, **kwargs):
+            calls["mean_path"] += 1
+            return mean_path(self, *args, **kwargs)
+
+        monkeypatch.setattr(estimate, "negloglik_and_grad", counted_grad)
+        monkeypatch.setattr(LinearParams, "mean_path", counted_mean_path)
+        se = standard_errors(spec, params, series)
+        assert np.all(np.isfinite(se))
+        assert calls == {"grad": 0, "mean_path": 1}
+
+    def test_indefinite_hessian_at_a_converged_fit(self):
+        # `converged` is the optimizer's verdict: this fit stops where the
+        # exact Hessian has a negative eigenvalue, and every SE is NaN
+        spec = nb_spec(p=2, q=2)
+        truth = LinearParams(1.0, (0.3, -0.1), (0.3, 0.1), 3.0)
+        path = simulate_path(SimConfig(spec=spec, params=truth, length=2000, rng=RngStream(5)))
+        fit = fit_cml(spec, path)
+        assert fit.converged
+        assert fit.loglik == pytest.approx(-4110.7320, abs=1e-3)
+        assert np.linalg.eigvalsh(_negloglik_hessian(spec, fit.estimates, CountSeries(path)))[0] < 0
+        assert np.all(np.isnan(fit.std_errors))
+        assert np.all(np.isnan(standard_errors(spec, fit.estimates, path)))
 
     def test_collinear_direction_flagged(self):
         spec = nb_spec(q=0)

@@ -162,3 +162,47 @@ def test_package_import_loads_no_extra_scipy():
 
 def test_scipy_import_check_has_teeth():
     assert "scipy.stats" in _scipy_subpackages("import spingarch.cli, scipy.stats") - _scipy_floor()
+
+
+def _dtbtrs_uses(tree):
+    """(line, where) for every reference to the name `dtbtrs`: "import" for
+    an import of it, else the enclosing function, None at module level."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom) and any(a.name == "dtbtrs" for a in child.names):
+                found.append((child.lineno, "import"))
+            elif (isinstance(child, ast.Name) and child.id == "dtbtrs") or (
+                    isinstance(child, ast.Attribute) and child.attr == "dtbtrs"):
+                found.append((child.lineno, func))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_home_for_the_band_solve():
+    # the lambda-lag band of both passes, reverse and forward, is solved by
+    # one helper: `model._lag_adjoint`
+    offenders = [f"{path.name}:{line} in {where or 'module scope'}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for line, where in _dtbtrs_uses(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                 if path.name != "model.py" or where not in ("import", "_lag_adjoint")]
+    assert not offenders, "dtbtrs outside model._lag_adjoint: " + ", ".join(offenders)
+
+
+def test_band_solve_check_has_teeth():
+    source = (
+        "from scipy.linalg.lapack import dtbtrs\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "solve = dtbtrs\n"
+        "def _lag_adjoint(ab, r):\n"
+        "    return dtbtrs(ab, r)\n"
+        "def forward(ab, r):\n"
+        "    return lapack.dtbtrs(ab, r, uplo='L')\n"
+    )
+    assert _dtbtrs_uses(ast.parse(source)) == [(1, "import"), (3, None), (5, "_lag_adjoint"), (7, "forward")]

@@ -184,6 +184,18 @@ def lag_adjoint_loop(r, partials):
     return np.array(a[:s])
 
 
+def lag_tangent_loop(r, partials):
+    """The forward λ-lag pass as one scalar loop per column: the reference for
+    `_lag_adjoint(..., tangent=True)`."""
+    s, q = partials.shape
+    y = np.zeros(r.shape)
+    for t in range(s):
+        y[t] = r[t]
+        for j in range(1, min(q, t) + 1):
+            y[t] += partials[t, j - 1] * y[t - j]
+    return y
+
+
 class TestLagAdjoint:
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 50])
@@ -194,6 +206,17 @@ class TestLagAdjoint:
         r = rng.normal(size=s)
         r[rng.random(s) < 0.2] = 0.0
         np.testing.assert_allclose(_lag_adjoint(r, partials), lag_adjoint_loop(r, partials), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 50])
+    def test_tangent_solve_matches_the_forward_loop(self, q, s):
+        rng = np.random.default_rng(100 + 10 * q + s)
+        partials = rng.uniform(-0.9, 0.9, (s, q))
+        partials[rng.random((s, q)) < 0.25] = 0.0
+        r = rng.normal(size=(s, 3))
+        r[rng.random((s, 3)) < 0.2] = 0.0
+        np.testing.assert_allclose(_lag_adjoint(r, partials, tangent=True), lag_tangent_loop(r, partials),
+                                   rtol=1e-12, atol=1e-15)
 
 
 class TestInputs:
