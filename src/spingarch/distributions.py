@@ -120,10 +120,12 @@ def loglik_curvatures(counts: CountTable, lam: np.ndarray, n=None):
     and the sum over observations of d2/d n2 (both None for Poisson, n=None).
     The trigamma gap psi'(x + n) - psi'(n) is evaluated once per level."""
     x = counts.x
+    # x / lam**2, exactly 0 at x = 0 even where lam**2 underflows (lam below ~1e-154)
+    count_term = np.divide(x, lam * lam, out=np.zeros_like(lam), where=x > 0)
     if n is None:
-        return -x / lam**2, None, None
+        return -count_term, None, None
     m = n + lam  # divided by twice, not squared, so that n up to 1e300 cannot overflow
-    d_lam2 = (n + x) / m / m - x / lam**2
+    d_lam2 = (n + x) / m / m - count_term
     d_lam_n = (x - lam) / m / m
     d_nn = _trigamma_gap(counts.levels, n)[counts.index] + lam / n / m - (lam - x) / m / m
     return d_lam2, d_lam_n, float(np.sum(d_nn))

@@ -23,10 +23,15 @@ the family adds the dispersion row.  The dispersion n is optimized on the
 log scale so it stays positive, while the regression coefficients are
 unconstrained (negative values are a feature, not an error).
 
-The links differ only in their starts: method of moments plus jittered
-restarts for a linear fit; random starts, run to completion, plus warm starts
-for a network.  `select_hidden_units` warm-starts each larger network from the
-previous winner with an idle extra unit.
+The links differ in their starts and in the metric.  A linear fit starts at
+the method of moments, with jittered restarts, and when the exact Hessian
+there is positive definite L-BFGS-B runs in its metric (Nocedal & Wright
+2006, sec. 6.1): on z = R (theta - theta0), R its upper Cholesky factor, the
+start's Hessian is the identity, which cuts the evaluations of a (1,1) fit
+about fourfold.  A network starts from random weights, each run to
+completion, plus warm starts, in its own coordinates: the Hessian at a
+random start is not positive definite.  `select_hidden_units` warm-starts
+each larger network from the previous winner with an idle extra unit.
 """
 
 from __future__ import annotations
@@ -105,20 +110,35 @@ def information_criteria(loglik: float, k: int, s: int) -> Tuple[float, float]:
     return aic, bic
 
 
-def _negloglik_at(spec: ModelSpec, params, series):
-    """The count table of `series`, the conditional means, the dispersion
-    (None for Poisson) and the negated log-likelihood of params on it."""
-    series = series if isinstance(series, CountSeries) else CountSeries(series)
-    lam = conditional_mean_path(spec, params, series)  # checks params against spec
-    ll = np.sum(loglik_terms(series.table, lam, params.n))
-    if not np.isfinite(ll):
-        raise NumericError("non-finite log-likelihood")
-    return series.table, lam, params.n, float(-ll)
+class _Point:
+    """One parameter point on one series: its conditional means, the negated
+    log-likelihood there and, on demand, its exact gradient.  Raises
+    NumericError or ParameterError where the mean path or the likelihood is
+    invalid."""
+
+    def __init__(self, spec: ModelSpec, params, series):
+        series = series if isinstance(series, CountSeries) else CountSeries(series)
+        self.spec, self.params, self.counts = spec, params, series.table
+        self.lam = conditional_mean_path(spec, params, series)  # checks params against spec
+        ll = np.sum(loglik_terms(self.counts, self.lam, params.n))
+        if not np.isfinite(ll):
+            raise NumericError("non-finite log-likelihood")
+        self.value = float(-ll)
+
+    def gradient(self, log_n: bool = True) -> np.ndarray:
+        """The gradient half of `negloglik_and_grad`, in the layout of
+        `params.to_flat(log_n)`."""
+        counts, lam, n = self.counts, self.lam, self.params.n
+        d_lam, d_n = loglik_scores(counts, lam, n)
+        grad = -self.params.vjp(self.spec, counts.x, lam, d_lam)
+        if n is not None:
+            grad = np.append(grad, -(n * d_n if log_n else d_n))
+        return grad
 
 
 def negloglik(spec: ModelSpec, params, series) -> float:
     """Negated conditional log-likelihood; `params` is LinearParams or NeuralWeights."""
-    return _negloglik_at(spec, params, series)[3]
+    return _Point(spec, params, series).value
 
 
 def negloglik_and_grad(spec: ModelSpec, params, series, log_n: bool = True) -> Tuple[float, np.ndarray]:
@@ -131,12 +151,8 @@ def negloglik_and_grad(spec: ModelSpec, params, series, log_n: bool = True) -> T
     array-like `series` is validated and tabulated on every call; wrap it in
     a `CountSeries` once to evaluate it many times.
     """
-    counts, lam, n, value = _negloglik_at(spec, params, series)
-    d_lam, d_n = loglik_scores(counts, lam, n)
-    grad = -params.vjp(spec, counts.x, lam, d_lam)
-    if n is not None:
-        grad = np.append(grad, -(n * d_n if log_n else d_n))
-    return value, grad
+    point = _Point(spec, params, series)
+    return point.value, point.gradient(log_n)
 
 
 def neural_gradient(weights: NeuralWeights, spec: ModelSpec, series) -> np.ndarray:
@@ -239,50 +255,114 @@ def _initial_weights(spec: ModelSpec, series, gen: np.random.Generator) -> Neura
     return NeuralWeights(u0=u0, u1=u1, n=n)
 
 
-def _objective(spec: ModelSpec, series, kind):
-    """The optimizer's view of the likelihood: value and gradient at a flat
-    point of the parameter type `kind`, or (_PENALTY, zeros) off the valid region."""
+class _Objective:
+    """The optimizer's view of one fit's likelihood.
 
-    def fun(flat):
+    Called at a point z, it returns the negated log-likelihood and its exact
+    gradient there, or (_PENALTY, zeros) off the valid region.  Without a
+    metric, z is the flat layout of the parameter type `kind`; once `scale`
+    has set the metric R, theta = theta0 + R^-1 z and the gradient is R^-T g.
+    The last valid evaluation is kept with its mean path, so the start's
+    Hessian, a repeated call and the fit's result reuse it.
+    """
+
+    def __init__(self, spec: ModelSpec, series, kind):
+        self.spec, self.kind = spec, kind
+        # validated once here; every later as_counts on a CountSeries skips the checks
+        self.series = series if isinstance(series, CountSeries) else CountSeries(series)
+        self._metric = None  # (theta0, R, R^-1) once `scale` has set one
+        self._last = None  # (z, point, gradient in z) of the last valid evaluation
+
+    def to_z(self, theta: np.ndarray) -> np.ndarray:
+        """A flat parameter point in the optimizer's coordinates."""
+        if self._metric is None:
+            return theta
+        theta0, R, _ = self._metric
+        return R @ (theta - theta0)
+
+    def cached(self, z: np.ndarray) -> Optional[_Point]:
+        """The point at z when z was the last valid evaluation, else None."""
+        last = self._last
+        return last[1] if last is not None and np.array_equal(z, last[0]) else None
+
+    def point(self, z: np.ndarray) -> _Point:
+        """The point at z, evaluated unless it is the cached one."""
+        cached = self.cached(z)
+        if cached is not None:
+            return cached
+        theta = z if self._metric is None else self._metric[0] + self._metric[2] @ z
+        return _Point(self.spec, self.kind.from_flat(theta, self.spec), self.series)
+
+    def __call__(self, z: np.ndarray):
+        if self.cached(z) is not None:
+            return self._last[1].value, self._last[2].copy()
         try:
-            value, grad = negloglik_and_grad(spec, kind.from_flat(flat, spec), series)
+            point = self.point(z)
+            grad = point.gradient()
         except (NumericError, ParameterError, OverflowError):
-            return _PENALTY, np.zeros(flat.size)
+            return _PENALTY, np.zeros(z.size)
         if not np.all(np.isfinite(grad)):
-            return _PENALTY, np.zeros(flat.size)
-        return value, grad
+            return _PENALTY, np.zeros(z.size)
+        if self._metric is not None:
+            grad = self._metric[2].T @ grad
+        self._last = (z.copy(), point, grad)
+        return point.value, grad.copy()
 
-    return fun
+    def scale(self, theta0: np.ndarray):
+        """Evaluate theta0 and, when the exact Hessian there in the optimizer's
+        coordinates (ln n for the dispersion) is positive definite under the
+        rule of `standard_errors`, make its upper Cholesky factor R the metric:
+        in z the Hessian at the start is the identity.  Otherwise the points
+        stay flat parameter vectors."""
+        self(theta0)
+        if self.cached(theta0) is None:  # off the valid region
+            return
+        _, point, grad = self._last
+        H = _negloglik_hessian(self.spec, point.params, self.series, point.lam)
+        n = point.params.n
+        if n is not None:  # d/d ln n: H_ll = n^2 H_nn + n g_n and H_tl = n H_tn
+            H[-1] *= n
+            H[:, -1] *= n
+            H[-1, -1] += grad[-1]
+        if not _positive_definite(H):
+            return
+        R = np.linalg.cholesky(H).T
+        inverse = np.linalg.inv(R)
+        self._metric = (theta0.copy(), R, inverse)
+        self._last = (np.zeros(theta0.size), point, inverse.T @ grad)
 
 
-def _fit(spec: ModelSpec, series, kind, starts, stage: str, until_converged: bool = False) -> FitResult:
-    """The one fit driver: L-BFGS-B on the exact gradient from each start in turn.
+def _fit(objective: _Objective, starts, stage: str, until_converged: bool = False) -> FitResult:
+    """The one fit driver: L-BFGS-B on the exact gradient from each flat start
+    in turn, in the coordinates of `objective`.
 
     The lowest objective wins, ties broken by the earliest start.  With
     `until_converged` the remaining starts are skipped once the best point
     comes from a converged run.  Warns when the fit did not converge, and adds
-    the lambda path, the information criteria and the standard errors.
+    the lambda path, the information criteria and the standard errors, from
+    the winning point's own mean path when it was its run's last evaluation.
     """
-    fun = _objective(spec, series, kind)
-    best = None  # (objective, flat point, success, iterations)
+    spec, series = objective.spec, objective.series
+    best = None  # (objective, optimizer point, success, iterations, cached point or None)
     for restarts_used, start in enumerate(starts):
-        res = minimize(fun, start, jac=True, method="L-BFGS-B",
+        res = minimize(objective, objective.to_z(start), jac=True, method="L-BFGS-B",
                        options={"maxiter": _MAX_ITERATIONS, "ftol": _F_TOL})
         if best is None or res.fun < best[0]:
-            best = (float(res.fun), res.x.copy(), bool(res.success and res.fun < _PENALTY), int(res.nit))
+            best = (float(res.fun), res.x.copy(), bool(res.success and res.fun < _PENALTY), int(res.nit),
+                    objective.cached(res.x))
         if until_converged and best[2]:
             break
 
-    fun_val, flat, success, iterations = best
-    estimates = kind.from_flat(flat, spec)
+    fun_val, z, success, iterations, point = best
+    point = point if point is not None else objective.point(z)
+    estimates = point.params
     loglik = -fun_val
     converged = success and math.isfinite(loglik)
     if not converged:
         warnings.warn(f"{stage} did not meet its tolerances", ConvergenceWarning)
-    lambda_path = conditional_mean_path(spec, estimates, series)
     k = estimates.k()
     aic, bic = information_criteria(loglik, k, len(series))
-    se = standard_errors(spec, estimates, series) if converged else np.full(k, np.nan)
+    se = standard_errors(spec, estimates, series, point.lam) if converged else np.full(k, np.nan)
     return FitResult(
         spec=spec,
         estimates=estimates,
@@ -290,7 +370,7 @@ def _fit(spec: ModelSpec, series, kind, starts, stage: str, until_converged: boo
         loglik=loglik,
         aic=aic,
         bic=bic,
-        lambda_path=lambda_path,
+        lambda_path=point.lam,
         converged=converged,
         iterations=iterations,
         restarts_used=restarts_used,
@@ -302,20 +382,23 @@ def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None) ->
 
     Runs L-BFGS-B on the exact gradient from the method-of-moments start; if
     that attempt does not converge, up to `opts.restarts` jittered restarts
-    (multiplicative 1 +/- 0.2 on the start) are tried.  The best
+    (multiplicative 1 +/- 0.2 on the start) are tried.  Every attempt runs in
+    the metric of the exact Hessian at the moment start (in the optimizer's
+    ln n coordinates) when that Hessian is positive definite under the rule
+    of `standard_errors`, and in the flat parameters otherwise.  The best
     log-likelihood wins, ties broken by the earliest attempt.  The result is
     deterministic given `opts.seed` and never raises on non-convergence:
     `converged=False` carries the best point found.
     """
     opts = opts if opts is not None else OptimizerOptions()
-    # validated once here; every later as_counts on a CountSeries skips the checks
-    series = series if isinstance(series, CountSeries) else CountSeries(series)
-    theta0 = init_params(spec, series).to_flat()
+    objective = _Objective(spec, series, LinearParams)
+    theta0 = init_params(spec, objective.series).to_flat()
+    objective.scale(theta0)
     starts = [theta0] + [
         theta0 * RngStream(opts.seed, attempt).generator().uniform(0.8, 1.2, size=theta0.size)
         for attempt in range(1, opts.restarts + 1)
     ]
-    return _fit(spec, series, LinearParams, starts, "CML optimization", until_converged=True)
+    return _fit(objective, starts, "CML optimization", until_converged=True)
 
 
 def fit_neural(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None,
@@ -328,8 +411,8 @@ def fit_neural(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None,
     given `opts.seed`.
     """
     opts = opts if opts is not None else OptimizerOptions(restarts=10)
-    # validated once here; every later as_counts on a CountSeries skips the checks
-    series = series if isinstance(series, CountSeries) else CountSeries(series)
+    objective = _Objective(spec, series, NeuralWeights)
+    series = objective.series
     s = len(series)
     K, L = spec.input_width, spec.hidden
     floor = 20 * (K * L + L) / (spec.p + spec.q + 1)
@@ -344,7 +427,7 @@ def fit_neural(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None,
         for k in range(opts.restarts + 1)
     ]
     starts.extend(w.to_flat() for w in extra_starts)
-    return _fit(spec, series, NeuralWeights, starts, "neural training")
+    return _fit(objective, starts, "neural training")
 
 
 def extend_with_idle_unit(weights: NeuralWeights) -> NeuralWeights:
@@ -385,8 +468,9 @@ def select_hidden_units(spec: ModelSpec, series, L_range: Sequence[int],
     return min(ranked or Ls, key=lambda L: getattr(fits[L], criterion)), fits
 
 
-def _negloglik_hessian(spec: ModelSpec, params, series: CountSeries) -> np.ndarray:
-    """Exact Hessian of `negloglik` in the layout of `params.to_flat(log_n=False)`.
+def _negloglik_hessian(spec: ModelSpec, params, series: CountSeries, lam=None) -> np.ndarray:
+    """Exact Hessian of `negloglik` in the layout of `params.to_flat(log_n=False)`,
+    symmetrized; `lam` is the mean path of params when already computed.
 
     Forward over reverse: one mean path, then the parameter type's
     `hessian_parts` (the sensitivities S = d lambda / d theta from one banded
@@ -397,7 +481,7 @@ def _negloglik_hessian(spec: ModelSpec, params, series: CountSeries) -> np.ndarr
     for the INGARCH recursion.
     """
     counts = series.table
-    lam = conditional_mean_path(spec, params, series)
+    lam = conditional_mean_path(spec, params, series) if lam is None else lam
     n = params.n
     d_lam, _ = loglik_scores(counts, lam, n)
     d_lam2, d_lam_n, d_nn = loglik_curvatures(counts, lam, n)
@@ -406,18 +490,28 @@ def _negloglik_hessian(spec: ModelSpec, params, series: CountSeries) -> np.ndarr
     if n is not None:
         cross = S.T @ d_lam_n
         H = np.block([[H, cross[:, None]], [cross[None, :], d_nn]])
-    return -H
+    return -(H + H.T) / 2.0
 
 
-def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:
+def _positive_definite(H: np.ndarray) -> bool:
+    """Finite, with its smallest eigenvalue positive and above 1e-12 of the
+    largest: a flat or collinear direction makes a Hessian (numerically) singular."""
+    if not np.all(np.isfinite(H)):
+        return False
+    eigvals = np.linalg.eigvalsh(H)
+    return eigvals[0] > 0 and eigvals[0] >= 1e-12 * max(eigvals[-1], 1.0)
+
+
+def standard_errors(spec: ModelSpec, estimates, series, lam=None) -> np.ndarray:
     """Asymptotic standard errors from the inverse of the exact Hessian of the
     negated log-likelihood (the observed information).
 
-    Computed in the natural parameter space at the estimates.  Every entry is
-    NaN when the mean path is invalid there or the Hessian is not finite,
-    singular or not positive definite; single entries whose inverse-Hessian
-    diagonal is not positive are NaN as well.  Estimates that do not match
-    `spec` raise ParameterError.
+    Computed in the natural parameter space at the estimates; `lam`, the
+    conditional means of the estimates on `series` (a fit's `lambda_path`),
+    saves recomputing them.  Every entry is NaN when the mean path is invalid
+    there or the Hessian is not finite, singular or not positive definite;
+    single entries whose inverse-Hessian diagonal is not positive are NaN as
+    well.  Estimates that do not match `spec` raise ParameterError.
 
     `FitResult.converged` stays the optimizer's verdict and does not consult
     the Hessian: all-NaN standard errors at a converged fit mean the optimizer
@@ -425,18 +519,12 @@ def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:
     """
     estimates.check(spec)
     series = series if isinstance(series, CountSeries) else CountSeries(series)
-    nan = np.full(estimates.k(), np.nan)
     try:
-        H = _negloglik_hessian(spec, estimates, series)
+        H = _negloglik_hessian(spec, estimates, series, lam)
     except NumericError:
-        return nan
-    H = (H + H.T) / 2.0
-    if not np.all(np.isfinite(H)):
-        return nan
-    # a flat or collinear direction makes the Hessian (numerically) singular;
-    # flag every entry rather than report garbage magnitudes
-    eigvals = np.linalg.eigvalsh(H)
-    if eigvals[0] <= 0 or eigvals[0] < 1e-12 * max(eigvals[-1], 1.0):
-        return nan
+        return np.full(estimates.k(), np.nan)
+    # flag every entry of a singular Hessian rather than report garbage magnitudes
+    if not _positive_definite(H):
+        return np.full(estimates.k(), np.nan)
     diag = np.diag(np.linalg.inv(H))
     return np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)

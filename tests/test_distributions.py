@@ -138,6 +138,14 @@ class TestLoglikCurvatures:
         fd = (loglik_scores(table(x), lam, n + h)[1] - loglik_scores(table(x), lam, n - h)[1]) / (2 * h)
         assert loglik_curvatures(table(x), lam, n)[2] == pytest.approx(fd, rel=1e-5)
 
+    @pytest.mark.parametrize("n", [None, 3.0])
+    def test_zero_count_at_a_vanishing_mean(self, n):
+        # lam**2 underflows to 0 below lam ~ 1e-154, where x / lam**2 was 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d_lam2 = loglik_curvatures(table([0.0]), np.array([1e-200]), n)[0]
+        assert d_lam2[0] == (0.0 if n is None else 1.0 / n)
+
     @pytest.mark.parametrize("n", [0.5, 3.0, 999.0, 1e3, 1e6, 1e9])
     def test_trigamma_gap_against_finite_sum(self, n):
         # psi'(x + n) - psi'(n) is minus the finite sum of 1/(n + v)^2 over v < x

@@ -31,8 +31,8 @@ from spingarch import (
 )
 from spingarch import estimate
 from spingarch.data import CountSeries
-from spingarch.estimate import _PENALTY, _fit, _negloglik_hessian, _objective
-from spingarch.exceptions import NumericError, ParameterError
+from spingarch.estimate import _PENALTY, _Objective, _fit, _negloglik_hessian
+from spingarch.exceptions import ParameterError
 
 
 def nb_spec(p=1, q=1, c=1.0):
@@ -92,7 +92,7 @@ class TestNegloglik:
         spec = nb_spec()
         series = table_path(200, 4)
         params = LinearParams(0.8, (0.2,), (0.4,), 2.5)
-        fobj = _objective(spec, series, LinearParams)
+        fobj = _Objective(spec, series, LinearParams)
         theta = params.to_flat()
         # the optimizer's view of the objective is exactly the public
         # likelihood at the decoded parameters (bit-identical)
@@ -269,7 +269,7 @@ class TestFitCml:
         path = table_path(1000, 12)
         fit = fit_cml(spec, path, OptimizerOptions(restarts=1))
         theta = fit.estimates.to_flat()
-        fobj = _objective(spec, path, LinearParams)
+        fobj = _Objective(spec, path, LinearParams)
         f0 = fobj(theta)[0]
         for i in range(theta.size):
             h = 1e-6 * max(1.0, abs(theta[i]))
@@ -288,22 +288,48 @@ class TestFitCml:
         path = table_path(2000, 5, LinearParams(3.0, (-0.3,), (0.5,), 4.0))
         reference = fit_cml(spec, path, OptimizerOptions(restarts=0))
         values = []
+        evaluate = _Objective.__call__
 
-        def recording(*args, **kwargs):
-            try:
-                out = negloglik_and_grad(*args, **kwargs)
-            except (NumericError, ParameterError, OverflowError):
-                values.append(_PENALTY)
-                raise
+        def recording(self, z):
+            out = evaluate(self, z)
             values.append(out[0])
             return out
 
-        monkeypatch.setattr(estimate, "negloglik_and_grad", recording)
+        monkeypatch.setattr(_Objective, "__call__", recording)
         start = np.array([0.2, 0.0, 0.9, 0.0])
-        fit = _fit(spec, path, LinearParams, [start], "CML optimization")
+        fit = _fit(_Objective(spec, path, LinearParams), [start], "CML optimization")
         assert values[1] == _PENALTY  # the first trial step
         assert fit.converged
         assert fit.loglik == pytest.approx(reference.loglik, abs=1e-6)
+
+    @pytest.mark.parametrize("family", [NEGBIN, POISSON])
+    def test_few_mean_paths_and_none_after_the_optimizer(self, family, monkeypatch):
+        # in the metric of the moment start's exact Hessian a (1,1) fit takes a
+        # handful of evaluations, and the winning point's own mean path gives
+        # lambda_path and the standard errors
+        spec = ModelSpec(family, SOFTPLUS_LINEAR, 1, 1)
+        series = CountSeries(table_path(2000, 5, LinearParams(3.0, (-0.3,), (0.5,), 4.0)))
+        theta0 = init_params(spec, series).to_flat()
+        unscaled = _fit(_Objective(spec, series, LinearParams), [theta0], "CML optimization")
+        events = []
+        mean_path, minimize = LinearParams.mean_path, estimate.minimize
+
+        def counted_mean_path(self, *args, **kwargs):
+            events.append("mean_path")
+            return mean_path(self, *args, **kwargs)
+
+        def marked_minimize(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            events.append("minimize")
+            return res
+
+        monkeypatch.setattr(LinearParams, "mean_path", counted_mean_path)
+        monkeypatch.setattr(estimate, "minimize", marked_minimize)
+        fit = fit_cml(spec, series, OptimizerOptions(restarts=0))
+        assert events.count("minimize") == 1 and events[-1] == "minimize"
+        assert events.count("mean_path") <= 10
+        assert fit.converged and np.all(np.isfinite(fit.std_errors))
+        assert fit.loglik >= unscaled.loglik - 1e-6
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_negbin_fit_at_the_poisson_limit(self, seed):
@@ -383,6 +409,23 @@ class TestStandardErrors:
         se = standard_errors(spec, params, series)
         assert np.all(np.isfinite(se))
         assert calls == {"grad": 0, "mean_path": 1}
+
+    def test_given_mean_path_is_reused(self, monkeypatch):
+        spec, series = nb_spec(), CountSeries(table_path(300, 31))
+        fit = fit_cml(spec, series, OptimizerOptions(restarts=0))
+        direct = standard_errors(spec, fit.estimates, series)
+        calls = []
+        mean_path = LinearParams.mean_path
+
+        def counted_mean_path(self, *args, **kwargs):
+            calls.append(1)
+            return mean_path(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinearParams, "mean_path", counted_mean_path)
+        reused = standard_errors(spec, fit.estimates, series, lam=fit.lambda_path)
+        assert not calls
+        np.testing.assert_array_equal(reused, direct)
+        np.testing.assert_array_equal(fit.std_errors, direct)
 
     def test_indefinite_hessian_at_a_converged_fit(self):
         # `converged` is the optimizer's verdict: this fit stops where the

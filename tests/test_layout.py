@@ -1,6 +1,7 @@
 """Source layout checks: no import hides inside a function body; no private
 name crosses a module boundary; one fit driver (only `estimate.py` uses
-`scipy.optimize`, and no module runs a Nelder-Mead search); and importing the
+`scipy.optimize`, only `estimate._fit` calls `minimize`, and no module runs a
+Nelder-Mead search); and importing the
 package loads no scipy subpackage beyond those of `scipy.optimize` and
 `scipy.special`."""
 
@@ -136,6 +137,48 @@ def test_one_fit_driver_check_has_teeth():
     )
     assert [what for _, what in _optimizer_uses(ast.parse(source))] == [
         "imports scipy.optimize", "imports scipy.optimize", "calls Nelder-Mead"]
+
+
+def _minimize_calls(tree):
+    """(line, enclosing function) for every call of `minimize` or
+    `<module>.minimize`, None at module level."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and (
+                    (isinstance(child.func, ast.Name) and child.func.id == "minimize")
+                    or (isinstance(child.func, ast.Attribute) and child.func.attr == "minimize")):
+                found.append((child.lineno, func))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_minimize_call_site():
+    # every fit, linear or neural, scaled or not, runs through `estimate._fit`
+    sites = [f"{path.name} in {func or 'module scope'}"
+             for path in sorted(SRC.glob("*.py"))
+             for _, func in _minimize_calls(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert sites == ["estimate.py in _fit"], f"minimize call sites: {sites}"
+
+
+def test_minimize_call_check_has_teeth():
+    source = (
+        "import scipy.optimize as opt\n"
+        "from scipy.optimize import minimize\n"
+        "res = minimize(f, x0)\n"
+        "def _fit(f, x0):\n"
+        "    return minimize(f, x0, method='L-BFGS-B')\n"
+        "def polish(f, x0):\n"
+        "    best = min(x0)\n"
+        "    return opt.minimize(f, best)\n"
+    )
+    assert _minimize_calls(ast.parse(source)) == [(3, None), (5, "_fit"), (8, "polish")]
 
 
 def _scipy_subpackages(code):
