@@ -440,6 +440,8 @@ def _cmd_study(config: RunConfig) -> int:
     }}
     for size in table.sizes:
         size_tree: Dict[str, object] = {"excluded": table.excluded[size]}
+        if table.exclusions[size]:  # only the reasons that occurred
+            size_tree["exclusions"] = dict(sorted(table.exclusions[size].items()))
         for name in table.param_names:
             cell = table.cells[size].get(name)
             if cell is not None:

@@ -32,6 +32,7 @@ close approximations; they are implemented here both in closed form for the
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -249,26 +250,60 @@ class LinearParams:
             C[:, p + j] += r_j
         return S, C
 
-    def stepper(self, spec: ModelSpec):
-        """The scalar step f(xs, lams) -> lambda_t from the count and mean
-        histories, newest last (xs[-1] = X_{t-1}).  It is the arithmetic of
-        `mean_path`'s feedback loop, so for q >= 1 its steps reproduce that
-        path exactly."""
-        self.check(spec)
-        a0, c = self.alpha0, spec.c
-        taps = tuple(zip(self.alpha, range(-1, -spec.p - 1, -1)))
-        ltaps = tuple(zip(self.beta, range(-1, -spec.q - 1, -1)))
+    def draw_path(self, spec: ModelSpec, draw, mixing) -> list:
+        """Counts drawn along the recursion from `chain_start(spec)`, the start
+        of every pre-sample count and mean: for each g of `mixing`, the step's
+        mean lambda_t by `mean_path`'s feedback arithmetic, then the count
+        draw((lambda_t / n) * g).  Poisson parameters take n = 1 and every
+        g = 1, so the argument is lambda_t exactly.  The first count and mean
+        lags are scalars, further lags loops; a deque holds the means only
+        when q >= 2.  A ValueError of `draw` becomes a NumericError carrying
+        the 1-based step."""
+        start = self.chain_start(spec)
+        p, q, c = spec.p, spec.q, spec.c
+        n = 1.0 if self.n is None else self.n
+        a0, a1 = self.alpha0, self.alpha[0]
+        b1 = self.beta[0] if q else None
+        taps = tuple(zip(self.alpha[1:], range(-2, -p - 1, -1)))
+        ltaps = tuple(zip(self.beta[1:], range(-2, -q - 1, -1)))
         exp, log1p = math.exp, math.log1p
-
-        def step(xs, lams) -> float:
-            e = a0
-            for a, i in taps:
-                e += a * xs[i]
-            for b, j in ltaps:
-                e += b * lams[j]
-            return e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))
-
-        return step
+        xs = [start] * p  # pre-sample counts, then the draws
+        x1 = lam = start
+        try:
+            if not q:
+                for g in mixing:
+                    e = a0 + a1 * x1
+                    for a, i in taps:
+                        e += a * xs[i]
+                    lam = e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))
+                    x1 = draw((lam / n) * g)
+                    xs.append(x1)
+            elif not ltaps:
+                for g in mixing:
+                    e = a0 + a1 * x1
+                    for a, i in taps:
+                        e += a * xs[i]
+                    e += b1 * lam
+                    lam = e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))
+                    x1 = draw((lam / n) * g)
+                    xs.append(x1)
+            else:
+                lams = deque([start] * q, maxlen=q)
+                for g in mixing:
+                    e = a0 + a1 * x1
+                    for a, i in taps:
+                        e += a * xs[i]
+                    e += b1 * lam
+                    for b, j in ltaps:
+                        e += b * lams[j]
+                    lam = e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))
+                    lams.append(lam)
+                    x1 = draw((lam / n) * g)
+                    xs.append(x1)
+        except ValueError as exc:
+            raise _draw_error(lam, len(xs) - p + 1) from exc
+        del xs[:p]
+        return xs
 
     def chain_start(self, spec: ModelSpec) -> float:
         """Start of a simulated chain: the softplus of the approximate stationary
@@ -348,7 +383,7 @@ class NeuralWeights:
         init = _pre_sample(x, presample)
         if spec.q == 0:
             return np.atleast_1d(softplus(expit(_inputs(x, None, spec.p, 0, init) @ self.u0) @ self.u1, 1.0))
-        step = self.stepper(spec)
+        step = self._scalar_network(spec.p, spec.q)
         xs, lam = [init] * spec.p, [init] * spec.q
         for v in x.tolist():
             lam.append(step(xs, lam))
@@ -414,17 +449,33 @@ class NeuralWeights:
             C[:, (p + j) * L : (p + j + 1) * L] += r_j.T
         return S, C
 
-    def stepper(self, spec: ModelSpec):
-        """The scalar step f(xs, lams) -> lambda_t from the count and mean
-        histories, newest last (xs[-1] = X_{t-1}): the network in plain
-        `math`, with no numpy call per step."""
-        self.check(spec)
-        return self._scalar_network(spec.p, spec.q)
+    def draw_path(self, spec: ModelSpec, draw, mixing) -> list:
+        """Counts drawn along the recursion from `chain_start(spec)`, as
+        `LinearParams.draw_path`: for each g of `mixing`, the step's mean
+        lambda_t from the scalar network, then the count draw((lambda_t / n) * g),
+        with n = 1 and every g = 1 for Poisson weights.  A ValueError of
+        `draw` becomes a NumericError carrying the 1-based step."""
+        start = self.chain_start(spec)
+        p, q = spec.p, spec.q
+        n = 1.0 if self.n is None else self.n
+        step = self._scalar_network(p, q)
+        xs, lams = [start] * p, deque([start] * q, maxlen=q)  # newest last
+        try:
+            for g in mixing:
+                lam = step(xs, lams)
+                xs.append(draw((lam / n) * g))
+                lams.append(lam)
+        except ValueError as exc:
+            raise _draw_error(lam, len(xs) - p + 1) from exc
+        del xs[:p]
+        return xs
 
     def _scalar_network(self, p: int, q: int):
-        """The one scalar network formula behind `stepper`, `chain_start` and
-        `slfn_forward`: input row (1, xs[-1..-p], lams[-1..-q]).  The logistic
-        and softplus split on the sign so that `math.exp` cannot overflow."""
+        """The one scalar network formula behind `draw_path`, `mean_path`,
+        `chain_start` and `slfn_forward`: the step f(xs, lams) -> lambda_t of
+        the input row (1, xs[-1..-p], lams[-1..-q]), histories newest last.
+        The logistic and softplus split on the sign so that `math.exp` cannot
+        overflow."""
         lags = tuple(range(-1, -p - 1, -1))
         llags = tuple(range(-1, -q - 1, -1))
         units = tuple(
@@ -452,7 +503,8 @@ class NeuralWeights:
 
     def chain_start(self, spec: ModelSpec) -> float:
         """Start of a simulated chain: the network output with every lag input zero."""
-        return self.stepper(spec)([0.0] * spec.p, [0.0] * spec.q)
+        self.check(spec)
+        return self._scalar_network(spec.p, spec.q)([0.0] * spec.p, [0.0] * spec.q)
 
 
 def slfn_forward(weights: NeuralWeights, x) -> float:
@@ -539,6 +591,14 @@ def _lag_adjoint(r: np.ndarray, partials: np.ndarray, tangent: bool = False) -> 
     if info != 0:
         raise NumericError(f"banded lambda-lag solve failed (LAPACK info {info})")
     return a.reshape(r.shape)
+
+
+def _draw_error(lam: float, t: int) -> NumericError:
+    """The error for step t, whose draw at mean lam raised numpy's ValueError:
+    a NaN or infinite mean, or a finite one too large to draw at."""
+    if not math.isfinite(lam):
+        return NumericError(f"non-finite conditional mean at simulation step {t}", index=t)
+    return NumericError(f"conditional mean overflow at simulation step {t}", index=t)
 
 
 def _check_dispersion(spec: ModelSpec, n: Optional[float]):

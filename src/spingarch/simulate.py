@@ -15,9 +15,7 @@ reporting the bias and MSE of the estimates per sample size.
 
 from __future__ import annotations
 
-import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -64,49 +62,35 @@ class SimConfig:
 
     def __post_init__(self):
         self.params.check(self.spec)
-        if self.length < 1:
-            raise ParameterError("length must be >= 1")
-        if self.burn_in < 0:
-            raise ParameterError("burn_in must be >= 0")
+        for name, low in (("length", 1), ("burn_in", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ParameterError(f"{name} must be >= {low}")
 
 
 def simulate_path(config: SimConfig) -> np.ndarray:
     """Generate one count series; deterministic given the config's RngStream.
 
-    The chain starts at `params.chain_start(spec)` for every pre-sample count
-    and mean, and each step's mean comes from the scalar `params.stepper(spec)`.
-    For the NB family every gamma mixing variable is drawn first, in one
-    `standard_gamma(n, size=burn_in + length)` call, and then each step makes
-    one Poisson draw at (lambda_t / n) * g_t: the draw order of `nb_sample`.
-    The Poisson family makes only the Poisson draws.
+    `params.draw_path(spec, gen.poisson, mixing)` runs the chain from
+    `params.chain_start(spec)` and makes one Poisson draw per step.  For the
+    NB family every gamma mixing variable is drawn first, in one
+    `standard_gamma(n, size=burn_in + length)` call, so that each step draws
+    at (lambda_t / n) * g_t: the draw order of `nb_sample`.  The Poisson
+    family makes only the Poisson draws, every g_t being 1.
     """
-    spec, params = config.spec, config.params
-    n = params.n  # None: Poisson draws
+    params = config.params
     gen = config.rng.generator()
-    poisson, isfinite = gen.poisson, math.isfinite
     total = config.burn_in + config.length
-    if n is None:
-        gammas = repeat(None, total)
+    if params.n is None:
+        mixing = repeat(1.0, total)
     else:  # Python floats, converted a block at a time so no whole-path list is held
-        draws = gen.standard_gamma(n, size=total)
-        gammas = chain.from_iterable(draws[i : i + 4096].tolist() for i in range(0, total, 4096))
-    step = params.stepper(spec)
-    start = params.chain_start(spec)
-    xs = [start] * spec.p  # pre-sample counts, then the drawn counts as ints
-    lams = deque([start] * spec.q, maxlen=spec.q)
-    for t, g in enumerate(gammas):
-        lam = step(xs, lams)
-        if not isfinite(lam):
-            raise NumericError(f"non-finite conditional mean at simulation step {t + 1}", index=t + 1)
-        try:
-            xs.append(poisson(lam if g is None else (lam / n) * g))
-        except ValueError as exc:
-            raise NumericError(
-                f"conditional mean overflow at simulation step {t + 1}", index=t + 1
-            ) from exc
-        lams.append(lam)
-    del xs[: spec.p + config.burn_in]  # in place, so no second path-sized list
-    return np.array(xs, dtype=np.int64)
+        draws = gen.standard_gamma(params.n, size=total)
+        mixing = chain.from_iterable(draws[i : i + 4096].tolist() for i in range(0, total, 4096))
+    counts = params.draw_path(config.spec, gen.poisson, mixing)
+    del counts[: config.burn_in]  # in place, so no second path-sized list
+    return np.array(counts, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -178,7 +162,12 @@ class StudyCell:
 
 @dataclass
 class StudyTable:
-    """Bias/MSE recovery study over a grid of sample sizes."""
+    """Bias/MSE recovery study over a grid of sample sizes.
+
+    `exclusions[size]` counts the excluded replications of one size by
+    reason: the name of the exception that stopped the simulation or the fit,
+    or "not converged"; it holds only the reasons that occurred.
+    """
 
     spec: ModelSpec
     truth: LinearParams
@@ -186,7 +175,12 @@ class StudyTable:
     replications: int
     param_names: Tuple[str, ...]
     cells: Dict[int, Dict[str, StudyCell]]
-    excluded: Dict[int, int]
+    exclusions: Dict[int, Dict[str, int]]
+
+    @property
+    def excluded(self) -> Dict[int, int]:
+        """Excluded replications per size, every reason together."""
+        return {size: sum(reasons.values()) for size, reasons in self.exclusions.items()}
 
     def exclusion_rate(self, size: int) -> float:
         return self.excluded[size] / self.replications
@@ -214,10 +208,15 @@ def simulation_study(
 
     For each sample size, `replications` independent paths are generated (one
     RngStream per replication, keyed by the study seed and a global
-    replication index) and refitted.  Replications whose fit does not
-    converge are excluded from the summaries; the exclusion count is kept so
-    the rate can be reported alongside.
+    replication index) and refitted.  Replications whose simulation or fit
+    fails, or whose fit does not converge, are excluded from the summaries;
+    the exclusions are counted by reason so the rate can be reported
+    alongside.  `fit_cml` fits the softplus-linear link only, so the spec
+    must be softplus-linear.
     """
+    if spec.link != SOFTPLUS_LINEAR:
+        raise ParameterError("simulation_study fits the softplus-linear link only")
+    truth.check(spec)
     if replications < 1:
         raise ParameterError("need at least one replication")
     report = check_stationarity(truth)
@@ -227,24 +226,25 @@ def simulation_study(
     truth_vec = truth.to_flat(log_n=False)
     names = _param_names(spec)
     cells: Dict[int, Dict[str, StudyCell]] = {}
-    excluded: Dict[int, int] = {}
+    exclusions: Dict[int, Dict[str, int]] = {}
     for size_idx, size in enumerate(sizes):
         draws: List[np.ndarray] = []
-        failed = 0
+        reasons: Dict[str, int] = {}
         for rep in range(replications):
             stream = RngStream(seed, size_idx * replications + rep)
             config = SimConfig(spec=spec, params=truth, length=int(size), burn_in=burn_in, rng=stream)
             try:
                 path = simulate_path(config)
                 fit = fit_cml(spec, path, opts)
-            except (ParameterError, NumericError):
-                failed += 1
-                continue
-            if not fit.converged:
-                failed += 1
-                continue
-            draws.append(fit.estimates.to_flat(log_n=False))
-        excluded[int(size)] = failed
+            except (ParameterError, NumericError) as exc:
+                reason = type(exc).__name__
+            else:
+                if fit.converged:
+                    draws.append(fit.estimates.to_flat(log_n=False))
+                    continue
+                reason = "not converged"
+            reasons[reason] = reasons.get(reason, 0) + 1
+        exclusions[int(size)] = reasons
         table: Dict[str, StudyCell] = {}
         if draws:
             mat = np.vstack(draws)
@@ -263,5 +263,5 @@ def simulation_study(
         replications=replications,
         param_names=names,
         cells=cells,
-        excluded=excluded,
+        exclusions=exclusions,
     )

@@ -1,13 +1,14 @@
 """CSV ingestion, document round-trips, exit codes, and rerun determinism."""
 
 import argparse
+import dataclasses
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spingarch import LinearParams, ModelSpec, NeuralWeights
+from spingarch import LinearParams, ModelSpec, NeuralWeights, fit_cml, simulate
 from spingarch.cli import (
     _OPTIONS,
     RunConfig,
@@ -21,7 +22,7 @@ from spingarch.cli import (
     parse_counts_csv,
 )
 from spingarch.estimate import FitResult
-from spingarch.exceptions import DataError
+from spingarch.exceptions import DataError, NumericError
 from spingarch.textdoc import dumps, format_float, loads
 
 
@@ -288,6 +289,28 @@ class TestCommands:
         doc = loads(out.read_text())
         assert doc["study"]["replications"] == 2
         assert "size_120" in doc["study"]
+        if doc["study"]["size_120"]["excluded"] == 0:
+            assert "exclusions" not in doc["study"]["size_120"]  # written only when some occurred
+
+    def test_study_document_counts_exclusions_by_reason(self, tmp_path, monkeypatch):
+        # a stubbed fit: the first call raises, the second does not converge
+        calls = []
+
+        def fit(spec, path, opts):
+            calls.append(path.size)
+            if len(calls) == 1:
+                raise NumericError("stub")
+            return dataclasses.replace(fit_cml(spec, path, opts), converged=len(calls) > 2)
+
+        monkeypatch.setattr(simulate, "fit_cml", fit)
+        out = tmp_path / "study.txt"
+        assert main(["study", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3", "--n", "3",
+                     "--sizes", "120,150", "--replications", "2", "--seed", "5", "--out", str(out)]) == 0
+        study = loads(out.read_text())["study"]
+        assert study["size_120"]["excluded"] == 2
+        assert study["size_120"]["exclusions"] == {"NumericError": 1, "not converged": 1}
+        assert "alpha0" not in study["size_120"]
+        assert study["size_150"]["excluded"] == 0 and "exclusions" not in study["size_150"]
 
 
 class TestNegativeListOptions:

@@ -1,5 +1,6 @@
 """Conditional maximum likelihood: likelihood values, starts, fits, SEs, study."""
 
+import dataclasses
 import math
 import warnings
 
@@ -29,10 +30,10 @@ from spingarch import (
     softplus,
     standard_errors,
 )
-from spingarch import estimate
+from spingarch import estimate, simulate
 from spingarch.data import CountSeries
 from spingarch.estimate import _PENALTY, _Objective, _fit, _negloglik_hessian
-from spingarch.exceptions import ParameterError
+from spingarch.exceptions import NumericError, ParameterError
 
 
 def nb_spec(p=1, q=1, c=1.0):
@@ -493,6 +494,38 @@ class TestSimulationStudy:
                                      opts=OptimizerOptions(restarts=0), burn_in=2000)
         assert table.excluded[400] == 2
         assert table.cells[400] == {}
+
+    def test_neural_truth_is_refused_before_any_replication(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulate, "simulate_path", lambda config: calls.append(config))
+        spec = ModelSpec(NEGBIN, NEURAL, 1, 1, hidden=1)
+        truth = NeuralWeights(np.array([[0.5], [0.1], [0.05]]), np.array([2.0]), 3.0)
+        with pytest.raises(ParameterError, match="softplus-linear"):
+            simulation_study(spec, truth, sizes=[100], replications=2, seed=1)
+        with pytest.raises(ParameterError):  # linear link, neural weights
+            simulation_study(nb_spec(), truth, sizes=[100], replications=2, seed=1)
+        assert calls == []
+
+    def test_exclusions_counted_by_reason(self, monkeypatch):
+        # a stubbed fit: the first call raises, the third does not converge,
+        # every other one converges
+        real, calls = simulate.fit_cml, []
+
+        def fit(spec, path, opts):
+            calls.append(path.size)
+            if len(calls) == 1:
+                raise NumericError("stub")
+            return dataclasses.replace(real(spec, path, opts), converged=len(calls) != 3)
+
+        monkeypatch.setattr(simulate, "fit_cml", fit)
+        truth = LinearParams(0.75, (0.25,), (0.45,), 3.0)
+        table = simulation_study(nb_spec(), truth, sizes=[150, 200], replications=2, seed=3,
+                                 opts=OptimizerOptions(restarts=0))
+        assert calls == [150, 150, 200, 200]
+        assert table.exclusions == {150: {"NumericError": 1}, 200: {"not converged": 1}}
+        assert table.excluded == {150: 1, 200: 1}
+        assert table.exclusion_rate(200) == 0.5
+        assert set(table.cells[150]) == set(table.cells[200]) == set(table.param_names)
 
     def test_exclusion_bookkeeping(self):
         spec = nb_spec()

@@ -1,9 +1,9 @@
 """Source layout checks: no import hides inside a function body; no private
 name crosses a module boundary; one fit driver (only `estimate.py` uses
 `scipy.optimize`, only `estimate._fit` calls `minimize`, and no module runs a
-Nelder-Mead search); and importing the
-package loads no scipy subpackage beyond those of `scipy.optimize` and
-`scipy.special`."""
+Nelder-Mead search); importing the package loads no scipy subpackage beyond
+those of `scipy.optimize` and `scipy.special`; one home for the banded
+lambda-lag solve; and `model.py` draws nothing at random."""
 
 import ast
 import functools
@@ -249,3 +249,52 @@ def test_band_solve_check_has_teeth():
         "    return lapack.dtbtrs(ab, r, uplo='L')\n"
     )
     assert _dtbtrs_uses(ast.parse(source)) == [(1, "import"), (3, None), (5, "_lag_adjoint"), (7, "forward")]
+
+
+_DRAW_NAMES = ("poisson", "standard_gamma")
+
+
+def _random_draws(tree):
+    """(line, what) for every use of `numpy.random` (an import of it, from it,
+    or an attribute `random` of numpy) and every reference to an attribute
+    named `poisson` or `standard_gamma`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random"):
+            found.append((node.lineno, "numpy.random"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy" and any(
+                a.name == "random" for a in node.names):
+            found.append((node.lineno, "numpy.random"))
+        elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.random") for a in node.names):
+            found.append((node.lineno, "numpy.random"))
+        elif isinstance(node, ast.Attribute) and node.attr == "random" and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy"):
+            found.append((node.lineno, "numpy.random"))
+        elif isinstance(node, ast.Attribute) and node.attr in _DRAW_NAMES:
+            found.append((node.lineno, f".{node.attr}"))
+    return sorted(found)
+
+
+def test_model_draws_nothing():
+    # the response types run the recursion; the draw is passed in by
+    # `simulate.simulate_path`, which owns the generator
+    path = SRC / "model.py"
+    found = _random_draws(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    assert not found, "random draws in model.py: " + ", ".join(f"line {line} {what}" for line, what in found)
+
+
+def test_model_draw_check_has_teeth():
+    source = (
+        "import numpy as np\n"
+        "import numpy.random\n"
+        "from numpy.random import default_rng\n"
+        "from numpy import random\n"
+        "gen = np.random.default_rng(1)\n"
+        "x = gen.poisson(3.0)\n"
+        "draw = gen.standard_gamma\n"
+        "def f(draw, lam):\n"
+        "    return draw(lam)\n"
+    )
+    assert _random_draws(ast.parse(source)) == [
+        (2, "numpy.random"), (3, "numpy.random"), (4, "numpy.random"), (5, "numpy.random"),
+        (6, ".poisson"), (7, ".standard_gamma")]

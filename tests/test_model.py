@@ -154,20 +154,22 @@ class TestLinearResponse:
         with pytest.raises(ParameterError):
             LinearParams.from_flat([0.6, 0.3, 0.25], spec11())
 
-    def test_step_reproduces_path(self):
-        series = [4, 1, 0, 6, 2, 3, 5, 0, 1]
-        xbar = float(np.mean(series))
+    def test_step_reproduces_path(self, recorded_draws):
+        # draw_path, each draw returning the next count of the series, draws at
+        # the series' own conditional means started where the chain starts
+        rng = np.random.default_rng(8)
+        series = [4, 1, 0, 6, 2, 3, 5, 0, 1] + rng.integers(0, 9, 200).tolist()
+        gammas = rng.gamma(2.3, 1 / 2.3, len(series)).tolist()
         for p, q in [(1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (2, 2)]:
             spec = ModelSpec(NEGBIN, SOFTPLUS_LINEAR, p, q, 0.8)
-            params = LinearParams(0.6, (0.3, -0.15)[:p], (0.25, -0.1)[:q], 2.0)
-            lam = conditional_mean_path(spec, params, series)
-            xs, lams = [xbar] * p + series, [xbar] * q + list(lam)  # histories, newest last
-            step = params.stepper(spec)
-            steps = [step(xs[: p + t], lams[: q + t]) for t in range(len(series))]
-            if q:  # the path's feedback loop runs the stepper's scalar arithmetic
-                np.testing.assert_array_equal(steps, lam, err_msg=f"order ({p},{q})")
+            params = LinearParams(0.6, (0.3, -0.15)[:p], (0.25, -0.1)[:q], 2.3)
+            lam = conditional_mean_path(spec, params, series, presample=params.chain_start(spec))
+            means = np.array(recorded_draws(params, spec, series, gammas))
+            expected = (lam / params.n) * np.array(gammas)
+            if q:  # the path's feedback loop runs draw_path's scalar arithmetic
+                np.testing.assert_array_equal(means, expected, err_msg=f"order ({p},{q})")
             else:  # numpy's SIMD exp and log1p may round differently from math's
-                np.testing.assert_allclose(steps, lam, rtol=1e-15, atol=0, err_msg=f"order ({p},{q})")
+                np.testing.assert_allclose(means, expected, rtol=1e-15, atol=0, err_msg=f"order ({p},{q})")
 
 
 def lag_adjoint_loop(r, partials):

@@ -102,18 +102,17 @@ class TestLambdaPath:
         expected = slfn_forward(w, np.array([1.0, 123.0, 456.0]))  # lags irrelevant
         np.testing.assert_allclose(lam, expected, rtol=1e-14)
 
-    def test_step_reproduces_path_exactly(self):
+    def test_step_reproduces_path_exactly(self, recorded_draws):
         spec = nspec(NEGBIN, p=2, q=1, L=2)
         rng = np.random.default_rng(3)
-        w = NeuralWeights(rng.normal(scale=0.5, size=(4, 2)), rng.normal(scale=0.5, size=2), 2.0)
-        series = [int(v) for v in rng.integers(0, 9, 25)]
-        lam = conditional_mean_path(spec, w, series, presample=1.7)
-        xs, lams = [1.7, 1.7] + series, [1.7] + list(lam)  # one pre-sample value for counts and means
-        step = w.stepper(spec)  # histories newest last
-        steps = [step(xs[: 2 + t], lams[: 1 + t]) for t in range(len(series))]
-        np.testing.assert_array_equal(steps, lam)
+        w = NeuralWeights(rng.normal(scale=0.5, size=(4, 2)), rng.normal(scale=0.5, size=2), 2.3)
+        series = [int(v) for v in rng.integers(0, 9, 200)]
+        gammas = rng.gamma(2.0, 0.5, 200).tolist()
+        lam = conditional_mean_path(spec, w, series, presample=w.chain_start(spec))
+        means = np.array(recorded_draws(w, spec, series, gammas))
+        np.testing.assert_array_equal(means, (lam / w.n) * np.array(gammas))
 
-    def test_stepper_matches_vectorised_network(self):
+    def test_draw_path_matches_vectorised_network(self, recorded_draws):
         # the scalar formula against the vectorised q = 0 path, with units
         # saturated far past where an unsplit 1/(1 + exp(-a)) overflows
         spec = nspec(p=2, q=0, L=3)
@@ -122,15 +121,13 @@ class TestLambdaPath:
         u0[:, 2] = [-40.0, 90.0, -70.0]
         w = NeuralWeights(u0, rng.normal(scale=1.5, size=3))
         series = rng.integers(0, 30, 12_000)
-        lam = conditional_mean_path(spec, w, series)
-        xbar = series.mean()
-        pre = np.column_stack([np.ones(series.size), np.r_[xbar, series[:-1]], np.r_[xbar, xbar, series[:-2]]]) @ u0
+        start = w.chain_start(spec)
+        lam = conditional_mean_path(spec, w, series, presample=start)
+        lags = [np.ones(series.size), np.r_[start, series[:-1]], np.r_[start, start, series[:-2]]]
+        pre = np.column_stack(lags) @ u0
         assert pre.min() <= -800 and pre.max() >= 800
-        step, xs, steps = w.stepper(spec), [xbar, xbar], []
-        for v in series.tolist():
-            steps.append(step(xs, ()))
-            xs.append(v)
-        np.testing.assert_allclose(steps, lam, rtol=1e-14, atol=0)
+        means = recorded_draws(w, spec, series.tolist(), [1.0] * series.size)  # Poisson: the means
+        np.testing.assert_allclose(means, lam, rtol=1e-14, atol=0)
 
     def test_flat_round_trip_and_size_check(self):
         spec = nspec(NEGBIN, p=1, q=1, L=2)

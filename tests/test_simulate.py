@@ -21,7 +21,7 @@ from spingarch import (
     slfn_forward,
     softplus,
 )
-from spingarch.exceptions import DataError, ParameterError
+from spingarch.exceptions import DataError, NumericError, ParameterError
 
 
 def nb_spec(c=1.0):
@@ -113,17 +113,21 @@ class TestSimulatePath:
             x_lag, lam_lag = float(draw), lam
         np.testing.assert_array_equal(path, expected[50:])
 
-    def test_linear_matches_mean_path_reference(self):
-        # the (2,1) path redrawn from its own conditional means, started where
-        # the chain starts, with the gammas drawn first
-        spec = ModelSpec(NEGBIN, SOFTPLUS_LINEAR, 2, 1, 0.8)
-        params = LinearParams(0.9, (0.35, -0.2), (0.4,), 2.5)
+    @pytest.mark.parametrize("family", [NEGBIN, POISSON])
+    @pytest.mark.parametrize("p, q", [(2, 1), (1, 1), (1, 2), (2, 2)])
+    def test_linear_matches_mean_path_reference(self, family, p, q):
+        # the path redrawn from its own conditional means, started where the
+        # chain starts, with the NB gammas drawn first
+        spec = ModelSpec(family, SOFTPLUS_LINEAR, p, q, 0.8)
+        n = 2.5 if family == NEGBIN else None
+        params = LinearParams(0.9, (0.35, -0.2)[:p], (0.4, -0.15)[:q], n)
         path = simulate_path(SimConfig(spec=spec, params=params, length=400, burn_in=0,
                                        rng=RngStream(23)))
         lam = conditional_mean_path(spec, params, path, presample=params.chain_start(spec))
         gen = RngStream(23).generator()
-        gammas = gen.standard_gamma(params.n, size=400)
-        np.testing.assert_array_equal(path, gen.poisson((lam / params.n) * gammas))
+        if n is not None:
+            lam = (lam / n) * gen.standard_gamma(n, size=400)
+        np.testing.assert_array_equal(path, gen.poisson(lam))
 
     def test_constant_mean_path_is_nb_sample(self):
         # alpha1 = 0: every step has the same mean, so the path is nb_sample's draws
@@ -135,11 +139,30 @@ class TestSimulatePath:
         np.testing.assert_array_equal(path, expected)
 
     def test_explosive_parameters_raise(self):
-        from spingarch.exceptions import NumericError
-
+        # a finite mean past what numpy can draw at
         params = LinearParams(2.0, (1.3,), (0.9,), 3.0)
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match=r"^conditional mean overflow at simulation step 62$") as err:
             simulate_path(config(params, 5000, 1, burn_in=2000))
+        assert err.value.index == 62
+
+    def test_non_finite_mean_raises(self):
+        spec = ModelSpec(NEGBIN, SOFTPLUS_LINEAR, 1, 0)
+        params = LinearParams(1.0, (1.5e308,), (), 3.0)
+        with pytest.raises(NumericError, match=r"^non-finite conditional mean at simulation step 1$") as err:
+            simulate_path(config(params, 10, 1, spec=spec))
+        assert err.value.index == 1
+
+    @pytest.mark.parametrize("field, value", [("length", 2.5), ("length", 100.0), ("burn_in", 2.5),
+                                              ("burn_in", "10"), ("length", True)])
+    def test_non_integer_sizes_are_rejected(self, field, value):
+        sizes = {"length": 100, "burn_in": 10, field: value}
+        with pytest.raises(ParameterError, match=field):
+            config(LinearParams(1.0, (0.3,), (0.2,), 3.0), sizes["length"], 1, burn_in=sizes["burn_in"])
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        params = LinearParams(1.0, (0.3,), (0.2,), 3.0)
+        path = simulate_path(config(params, np.int64(100), 1, burn_in=np.int32(10)))
+        np.testing.assert_array_equal(path, simulate_path(config(params, 100, 1, burn_in=10)))
 
 
 class TestEmpiricalMoments:
