@@ -1,10 +1,13 @@
 """Conditional maximum likelihood: one fit in detail, then a recovery study.
 
 A fit proceeds in two steps: moment-matched starting values, then
-quasi-Newton (L-BFGS-B) search on the exact likelihood gradient, with
-jittered restarts only if that does not converge.  Standard errors come from
-the exact Hessian of the same likelihood.  The dispersion n is optimized on
-the log scale; the regression coefficients are unconstrained.
+trust-region Newton search on the exact likelihood gradient and Hessian, with
+jittered restarts only if that does not converge.  `converged` says the
+final point is stationary (a small Newton decrement, no gradient along
+non-positive curvature), and `iterations` counts the Newton trial steps.
+Standard errors invert the exact Hessian at the estimates.  The dispersion n
+is optimized on the log scale; the regression coefficients are
+unconstrained.
 The recovery study repeats simulate-and-refit across sample sizes and
 summarizes mean estimate, absolute bias, and MSE per parameter.
 """

@@ -15,23 +15,27 @@ built once per series).  The gradient is exact for both links:
 backpropagation through time), vectorised over the series except for the
 feedback through lagged means, which is one LAPACK banded triangular solve;
 for a linear (1,1) model the gradient costs less than the forward recursion.
-One driver fits both links with L-BFGS-B on that gradient.  Standard errors
-come from the exact Hessian, forward over reverse: the parameter type's
+The Hessian is exact too, forward over reverse: the parameter type's
 `hessian_parts` solves the same band forward for d lambda / d theta and
 weights the second derivatives of lambda with the gradient's adjoints, and
-the family adds the dispersion row.  The dispersion n is optimized on the
-log scale so it stays positive, while the regression coefficients are
-unconstrained (negative values are a feature, not an error).
+the family adds the dispersion row; the same pass gives the gradient.
 
-The links differ in their starts and in the metric.  A linear fit starts at
-the method of moments, with jittered restarts, and when the exact Hessian
-there is positive definite L-BFGS-B runs in its metric (Nocedal & Wright
-2006, sec. 6.1): on z = R (theta - theta0), R its upper Cholesky factor, the
-start's Hessian is the identity, which cuts the evaluations of a (1,1) fit
-about fourfold.  A network starts from random weights, each run to
-completion, plus warm starts, in its own coordinates: the Hessian at a
-random start is not positive definite.  `select_hidden_units` warm-starts
-each larger network from the previous winner with an idle extra unit.
+One driver fits both links: trust-region Newton on that gradient and
+Hessian (`_newton`), each subproblem solved exactly from the Hessian's
+eigendecomposition, so an indefinite Hessian costs nothing special.  The
+dispersion n is optimized on the log scale so it stays positive, with ln n
+capped at ln 1e15 as a boundary of the trust region, while the regression
+coefficients are unconstrained (negative values are a feature, not an
+error).  A run stops on the Newton decrement (Boyd & Vandenberghe 2004,
+sec. 9.5.1) or on a flat drift, and a fit is `converged` when its winning
+point passes a stationarity test on the decrement and on the gradient along
+non-positive curvature.  Standard errors invert the winning point's Hessian.
+
+The links differ in their starts.  A linear fit starts at the method of
+moments, with jittered restarts while no run has converged.  A network
+starts from random weights, each run to completion, plus warm starts;
+`select_hidden_units` warm-starts each larger network from the previous
+winner with an idle extra unit.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit
 
 from .data import CountSeries, as_counts, sample_acf
@@ -66,11 +69,22 @@ __all__ = [
     "information_criteria",
 ]
 
-_PENALTY = 1e15
-_N_BOUNDS = (0.1, 1e4)
-# L-BFGS-B limits of every start
+_PENALTY = 1e15  # the objective off the valid region: a trial step there is rejected
+_N_BOUNDS = (0.1, 1e4)  # the clamp of a start's dispersion
+# The trust region's boundary on ln n.  At n = 1e15 the NB variance
+# lambda (1 + lambda / n) is within a factor 1 + 1e-9 of the Poisson one for
+# every mean below 1e6; without the cap an unidentified dispersion can drift
+# towards overflow.
+_LOG_N_CAP = math.log(1e15)
+# Newton limits of every start: trial steps, the tight stopping rule on the
+# decrement and the stray gradient, and the flat-drift stop
 _MAX_ITERATIONS = 400
-_F_TOL = 1e-9
+_STOP_DECREMENT = 1e-10
+_STOP_STRAY = 1e-8
+_STALL_STEPS = 3
+# the stationarity test of `FitResult.converged`
+_DECREMENT_TOL = 1e-4
+_STRAY_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -87,7 +101,16 @@ class OptimizerOptions:
 
 @dataclass
 class FitResult:
-    """Estimates plus the bookkeeping needed to reuse or audit a fit."""
+    """Estimates plus the bookkeeping needed to reuse or audit a fit.
+
+    `converged` is the stationarity test at the winning point, whatever
+    stopped its run: the Newton decrement g^T H^+ g on the positive-curvature
+    subspace of the exact Hessian (ln n coordinates) is at most 1e-4 and the
+    gradient norm along the other directions at most 1e-5.  `iterations` is
+    the winning run's number of Newton trial steps, accepted or rejected, one
+    likelihood evaluation each.  `restarts_used` is the index of the last
+    start tried.
+    """
 
     spec: ModelSpec
     estimates: object
@@ -112,7 +135,7 @@ def information_criteria(loglik: float, k: int, s: int) -> Tuple[float, float]:
 
 class _Point:
     """One parameter point on one series: its conditional means, the negated
-    log-likelihood there and, on demand, its exact gradient.  Raises
+    log-likelihood there and, on demand, its exact gradient and Hessian.  Raises
     NumericError or ParameterError where the mean path or the likelihood is
     invalid."""
 
@@ -134,6 +157,22 @@ class _Point:
         if n is not None:
             grad = np.append(grad, -(n * d_n if log_n else d_n))
         return grad
+
+    def derivatives(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The exact gradient and Hessian in the layout of `params.to_flat()`
+        (ln n), from one `_derivatives` pass; the Hessian on the n scale, the
+        observed information, is kept as `information`."""
+        grad, self.information = _derivatives(self.spec, self.params, self.counts, self.lam)
+        n = self.params.n
+        if n is None:
+            return grad, self.information
+        # d/d ln n: g_l = n g_n, H_ll = n^2 H_nn + n g_n and H_tl = n H_tn
+        grad, hess = grad.copy(), self.information.copy()
+        grad[-1] *= n
+        hess[-1] *= n
+        hess[:, -1] *= n
+        hess[-1, -1] += grad[-1]
+        return grad, hess
 
 
 def negloglik(spec: ModelSpec, params, series) -> float:
@@ -256,113 +295,200 @@ def _initial_weights(spec: ModelSpec, series, gen: np.random.Generator) -> Neura
 
 
 class _Objective:
-    """The optimizer's view of one fit's likelihood.
+    """The Newton driver's view of one fit's likelihood.
 
-    Called at a point z, it returns the negated log-likelihood and its exact
-    gradient there, or (_PENALTY, zeros) off the valid region.  Without a
-    metric, z is the flat layout of the parameter type `kind`; once `scale`
-    has set the metric R, theta = theta0 + R^-1 z and the gradient is R^-T g.
-    The last valid evaluation is kept with its mean path, so the start's
-    Hessian, a repeated call and the fit's result reuse it.
+    Called at a flat point theta of the parameter type `kind` (ln n for the
+    dispersion), it returns the negated log-likelihood there with its
+    `_Point`, or (_PENALTY, None) off the valid region.
     """
 
     def __init__(self, spec: ModelSpec, series, kind):
         self.spec, self.kind = spec, kind
         # validated once here; every later as_counts on a CountSeries skips the checks
         self.series = series if isinstance(series, CountSeries) else CountSeries(series)
-        self._metric = None  # (theta0, R, R^-1) once `scale` has set one
-        self._last = None  # (z, point, gradient in z) of the last valid evaluation
 
-    def to_z(self, theta: np.ndarray) -> np.ndarray:
-        """A flat parameter point in the optimizer's coordinates."""
-        if self._metric is None:
-            return theta
-        theta0, R, _ = self._metric
-        return R @ (theta - theta0)
-
-    def cached(self, z: np.ndarray) -> Optional[_Point]:
-        """The point at z when z was the last valid evaluation, else None."""
-        last = self._last
-        return last[1] if last is not None and np.array_equal(z, last[0]) else None
-
-    def point(self, z: np.ndarray) -> _Point:
-        """The point at z, evaluated unless it is the cached one."""
-        cached = self.cached(z)
-        if cached is not None:
-            return cached
-        theta = z if self._metric is None else self._metric[0] + self._metric[2] @ z
-        return _Point(self.spec, self.kind.from_flat(theta, self.spec), self.series)
-
-    def __call__(self, z: np.ndarray):
-        if self.cached(z) is not None:
-            return self._last[1].value, self._last[2].copy()
+    def __call__(self, theta: np.ndarray) -> Tuple[float, Optional[_Point]]:
         try:
-            point = self.point(z)
-            grad = point.gradient()
+            point = _Point(self.spec, self.kind.from_flat(theta, self.spec), self.series)
         except (NumericError, ParameterError, OverflowError):
-            return _PENALTY, np.zeros(z.size)
-        if not np.all(np.isfinite(grad)):
-            return _PENALTY, np.zeros(z.size)
-        if self._metric is not None:
-            grad = self._metric[2].T @ grad
-        self._last = (z.copy(), point, grad)
-        return point.value, grad.copy()
+            return _PENALTY, None
+        return point.value, point
 
-    def scale(self, theta0: np.ndarray):
-        """Evaluate theta0 and, when the exact Hessian there in the optimizer's
-        coordinates (ln n for the dispersion) is positive definite under the
-        rule of `standard_errors`, make its upper Cholesky factor R the metric:
-        in z the Hessian at the start is the identity.  Otherwise the points
-        stay flat parameter vectors."""
-        self(theta0)
-        if self.cached(theta0) is None:  # off the valid region
-            return
-        _, point, grad = self._last
-        H = _negloglik_hessian(self.spec, point.params, self.series, point.lam)
-        n = point.params.n
-        if n is not None:  # d/d ln n: H_ll = n^2 H_nn + n g_n and H_tl = n H_tn
-            H[-1] *= n
-            H[:, -1] *= n
-            H[-1, -1] += grad[-1]
-        if not _positive_definite(H):
-            return
-        R = np.linalg.cholesky(H).T
-        inverse = np.linalg.inv(R)
-        self._metric = (theta0.copy(), R, inverse)
-        self._last = (np.zeros(theta0.size), point, inverse.T @ grad)
+
+def _finite_derivatives(point: _Point):
+    """`point.derivatives()`, or None where the gradient or Hessian is not
+    finite there: such a point counts as off the valid region."""
+    try:
+        g, H = point.derivatives()
+    except NumericError:
+        return None
+    return (g, H) if np.all(np.isfinite(g)) and np.all(np.isfinite(H)) else None
+
+
+def _stationarity(w: np.ndarray, a: np.ndarray) -> Tuple[float, float]:
+    """(lambda^2, stray) at a point whose Hessian has eigenvalues w and whose
+    gradient has coordinates a in the eigenbasis: the Newton decrement
+    g^T H^+ g on the positive-curvature subspace (twice the gain one more
+    Newton step predicts; Boyd & Vandenberghe 2004, sec. 9.5.1) and the
+    gradient norm along the other directions.  Positive means the rule of
+    `standard_errors`: above 1e-12 of the largest eigenvalue (or of 1)."""
+    positive = w > 1e-12 * max(w[-1], 1.0)
+    return float(np.sum(a[positive] ** 2 / w[positive])), float(np.linalg.norm(a[~positive]))
+
+
+def _trust_step(w: np.ndarray, a: np.ndarray, radius: float) -> np.ndarray:
+    """The exact minimizer c of a.c + c.diag(w).c / 2 over |c| <= radius: the
+    trust-region subproblem in the Hessian's eigenbasis (Moré & Sorensen 1983;
+    Conn, Gould & Toint 2000, ch. 7).
+
+    Inside the region it is the Newton step.  On its boundary it is
+    -a / (w + mu) with mu >= max(0, -w_min) chosen by Newton's method on the
+    secular equation 1/|c(mu)| = 1/radius, which converges monotonically from
+    the left.  In the hard case -- no gradient along the lowest eigenvector
+    and a shifted step shorter than the radius -- the lowest eigenvector fills
+    the step up to the boundary."""
+    if w[0] > 0.0:
+        c = -a / w
+        if c @ c <= radius * radius:
+            return c
+    d = w - w[0]  # w + mu = d + sigma with sigma = w_min + mu, exact on the lowest eigenspace
+    low = d <= 1e-12 * max(abs(w[0]), abs(w[-1]), 1.0)
+    sigma = max(w[0], 0.0)
+    a_low = float(np.linalg.norm(a[low]))
+    if w[0] <= 0.0:
+        if a_low > 1e-12 * float(np.linalg.norm(a)):
+            sigma = a_low / radius  # |c(sigma)| >= a_low / sigma = radius: left of the root
+        else:
+            lowest, a = a[0], np.where(low, 0.0, a)
+            c = -np.divide(a, d, out=np.zeros_like(a), where=~low)
+            rest = radius * radius - c @ c
+            if rest >= 0.0:  # the hard case
+                c[0] = -math.copysign(math.sqrt(rest), lowest)
+                return c
+    for _ in range(100):
+        D = d + sigma
+        c = -np.divide(a, D, out=np.zeros_like(a), where=a != 0.0)
+        norm = math.sqrt(c @ c)
+        if abs(norm - radius) <= 1e-10 * radius:
+            break
+        slope = float(np.sum(np.divide(c * c, D, out=np.zeros_like(c), where=c != 0.0)))
+        sigma += (norm / radius - 1.0) * norm * norm / slope
+    return c
+
+
+@dataclass
+class _Run:
+    """The end of one Newton run: its last accepted point and objective, its
+    trial steps, and whether the point passes the test of `FitResult.converged`."""
+
+    value: float
+    point: Optional[_Point]
+    iterations: int
+    converged: bool
+
+
+def _newton(objective: _Objective, theta: np.ndarray) -> _Run:
+    """Trust-region Newton on the exact gradient and Hessian from the flat
+    start theta, in the coordinates of `objective` (Nocedal & Wright 2006,
+    alg. 4.1, with `_trust_step` solving each subproblem exactly).
+
+    A trial step is accepted when the objective falls by more than 1e-2 of
+    what the quadratic model predicts; a step off the valid region, or to a
+    point whose gradient or Hessian is not finite, is rejected.  ln n stays
+    at or below _LOG_N_CAP: a step past it is shortened to the cap, and from
+    the cap ln n is held while the rest moves.  The run stops at the first of:
+    - the tight rule: decrement at most _STOP_DECREMENT and stray gradient at
+      most _STOP_STRAY;
+    - flat drift: the last _STALL_STEPS points all passed the test of
+      `FitResult.converged` without meeting the tight rule, which Newton's
+      quadratic convergence would have met (a direction of tiny curvature
+      along which every step gains about as much as the last);
+    - a model gain the objective cannot resolve, or _MAX_ITERATIONS trial steps.
+    """
+    value, point = objective(theta)
+    derivatives = None if point is None else _finite_derivatives(point)
+    if derivatives is None:
+        return _Run(_PENALTY, None, 0, False)
+    capped = point.params.n is not None
+    settled = 0  # points in a row that pass the converged test
+    radius = None
+    iterations = 0
+    fresh = True
+    while True:
+        if fresh:  # a new point: its derivatives and the stops that read them
+            g, H = derivatives
+            w, Q = np.linalg.eigh(H)
+            a = Q.T @ g
+            decrement, stray = _stationarity(w, a)
+            passes = decrement <= _DECREMENT_TOL and stray <= _STRAY_TOL
+            settled = settled + 1 if passes else 0
+            if decrement <= _STOP_DECREMENT and stray <= _STOP_STRAY or settled >= _STALL_STEPS:
+                break
+            fresh = False
+        if iterations >= _MAX_ITERATIONS:
+            break
+        if radius is None:  # the first Newton step when it is a descent step, else the start's scale
+            radius = float(np.linalg.norm(a / w)) if w[0] > 0.0 else max(float(np.linalg.norm(theta)), 1.0)
+        step = Q @ _trust_step(w, a, radius)
+        crossing = capped and theta[-1] + step[-1] > _LOG_N_CAP
+        if crossing and theta[-1] >= _LOG_N_CAP:  # on the cap: hold ln n and step in the rest
+            w_free, Q_free = np.linalg.eigh(H[:-1, :-1])
+            step = np.append(Q_free @ _trust_step(w_free, Q_free.T @ g[:-1], radius), 0.0)
+            crossing = False
+        elif crossing:
+            step *= (_LOG_N_CAP - theta[-1]) / step[-1]
+        gain_model = -(g @ step + 0.5 * step @ H @ step)
+        if gain_model <= 1e-15 * max(abs(value), 1.0):
+            break
+        trial = theta + step
+        if crossing:
+            trial[-1] = _LOG_N_CAP
+        iterations += 1
+        trial_value, trial_point = objective(trial)
+        ratio = (value - trial_value) / gain_model
+        if trial_point is not None and ratio > 1e-2:
+            derivatives = _finite_derivatives(trial_point)
+            if derivatives is None:
+                trial_point, ratio = None, -math.inf
+        length = float(np.linalg.norm(step))
+        if ratio < 0.25:
+            radius = 0.25 * length
+        elif ratio > 0.75 and length > 0.99 * radius:
+            radius = 2.0 * radius
+        if trial_point is not None and ratio > 1e-2:
+            theta, value, point, fresh = trial, trial_value, trial_point, True
+    return _Run(value, point, iterations, passes)
 
 
 def _fit(objective: _Objective, starts, stage: str, until_converged: bool = False) -> FitResult:
-    """The one fit driver: L-BFGS-B on the exact gradient from each flat start
-    in turn, in the coordinates of `objective`.
+    """The one fit driver: `_newton` from each flat start in turn.
 
     The lowest objective wins, ties broken by the earliest start.  With
     `until_converged` the remaining starts are skipped once the best point
     comes from a converged run.  Warns when the fit did not converge, and adds
-    the lambda path, the information criteria and the standard errors, from
-    the winning point's own mean path when it was its run's last evaluation.
+    the lambda path, the information criteria and the standard errors, all
+    from the winning point's own mean path and last Hessian.
     """
     spec, series = objective.spec, objective.series
-    best = None  # (objective, optimizer point, success, iterations, cached point or None)
+    best = None
     for restarts_used, start in enumerate(starts):
-        res = minimize(objective, objective.to_z(start), jac=True, method="L-BFGS-B",
-                       options={"maxiter": _MAX_ITERATIONS, "ftol": _F_TOL})
-        if best is None or res.fun < best[0]:
-            best = (float(res.fun), res.x.copy(), bool(res.success and res.fun < _PENALTY), int(res.nit),
-                    objective.cached(res.x))
-        if until_converged and best[2]:
+        run = _newton(objective, start)
+        if best is None or run.value < best.value:
+            best = run
+        if until_converged and best.converged:
             break
 
-    fun_val, z, success, iterations, point = best
-    point = point if point is not None else objective.point(z)
+    point = best.point
+    if point is None:
+        raise NumericError(f"{stage}: no start has a finite likelihood")
     estimates = point.params
-    loglik = -fun_val
-    converged = success and math.isfinite(loglik)
+    loglik = -best.value
+    converged = best.converged
     if not converged:
         warnings.warn(f"{stage} did not meet its tolerances", ConvergenceWarning)
     k = estimates.k()
     aic, bic = information_criteria(loglik, k, len(series))
-    se = standard_errors(spec, estimates, series, point.lam) if converged else np.full(k, np.nan)
+    se = _inverse_information_se(point.information) if converged else np.full(k, np.nan)
     return FitResult(
         spec=spec,
         estimates=estimates,
@@ -372,7 +498,7 @@ def _fit(objective: _Objective, starts, stage: str, until_converged: bool = Fals
         bic=bic,
         lambda_path=point.lam,
         converged=converged,
-        iterations=iterations,
+        iterations=best.iterations,
         restarts_used=restarts_used,
     )
 
@@ -380,20 +506,17 @@ def _fit(objective: _Objective, starts, stage: str, until_converged: bool = Fals
 def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None) -> FitResult:
     """Fit a softplus-linear model by conditional maximum likelihood.
 
-    Runs L-BFGS-B on the exact gradient from the method-of-moments start; if
-    that attempt does not converge, up to `opts.restarts` jittered restarts
-    (multiplicative 1 +/- 0.2 on the start) are tried.  Every attempt runs in
-    the metric of the exact Hessian at the moment start (in the optimizer's
-    ln n coordinates) when that Hessian is positive definite under the rule
-    of `standard_errors`, and in the flat parameters otherwise.  The best
-    log-likelihood wins, ties broken by the earliest attempt.  The result is
-    deterministic given `opts.seed` and never raises on non-convergence:
-    `converged=False` carries the best point found.
+    Runs trust-region Newton on the exact gradient and Hessian from the
+    method-of-moments start; while the best run has not converged, up to
+    `opts.restarts` jittered restarts (multiplicative 1 +/- 0.2 on the
+    start) are tried.  The best log-likelihood wins, ties broken by the
+    earliest attempt.  The result is deterministic given `opts.seed` and
+    never raises on non-convergence: `converged=False` carries the best point
+    found.
     """
     opts = opts if opts is not None else OptimizerOptions()
     objective = _Objective(spec, series, LinearParams)
     theta0 = init_params(spec, objective.series).to_flat()
-    objective.scale(theta0)
     starts = [theta0] + [
         theta0 * RngStream(opts.seed, attempt).generator().uniform(0.8, 1.2, size=theta0.size)
         for attempt in range(1, opts.restarts + 1)
@@ -403,7 +526,8 @@ def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None) ->
 
 def fit_neural(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None,
                extra_starts: Sequence[NeuralWeights] = ()) -> FitResult:
-    """Train the network by maximum likelihood with multi-start L-BFGS.
+    """Train the network by maximum likelihood with multi-start trust-region
+    Newton on the exact gradient and Hessian.
 
     Every start (fresh random initializations plus any `extra_starts`, e.g.
     warm starts from a smaller network) is run to completion and the best
@@ -468,29 +592,37 @@ def select_hidden_units(spec: ModelSpec, series, L_range: Sequence[int],
     return min(ranked or Ls, key=lambda L: getattr(fits[L], criterion)), fits
 
 
-def _negloglik_hessian(spec: ModelSpec, params, series: CountSeries, lam=None) -> np.ndarray:
-    """Exact Hessian of `negloglik` in the layout of `params.to_flat(log_n=False)`,
-    symmetrized; `lam` is the mean path of params when already computed.
+def _derivatives(spec: ModelSpec, params, counts, lam: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact gradient and Hessian of `negloglik` in the layout of
+    `params.to_flat(log_n=False)`, the Hessian symmetrized, given the mean path
+    lam of params on the series tabulated as `counts`.
 
-    Forward over reverse: one mean path, then the parameter type's
-    `hessian_parts` (the sensitivities S = d lambda / d theta from one banded
-    forward solve with k right-hand sides, and the adjoint-weighted second
-    derivatives of lambda from the adjoint solve `vjp` does) give the
-    coefficient block S^T diag(l'') S + C; the family adds the dispersion row.
-    This is the observed information of Fokianos, Rahbek & Tjostheim (2009)
-    for the INGARCH recursion.
+    Forward over reverse: the parameter type's `hessian_parts` (the
+    sensitivities S = d lambda / d theta from one banded forward solve with k
+    right-hand sides, and the adjoint-weighted second derivatives of lambda
+    from the adjoint solve `vjp` does) give the coefficient block
+    S^T diag(l'') S + C and the gradient S^T l'; the family adds the
+    dispersion row.  The Hessian is the observed information of Fokianos,
+    Rahbek & Tjostheim (2009) for the INGARCH recursion.
     """
-    counts = series.table
-    lam = conditional_mean_path(spec, params, series) if lam is None else lam
     n = params.n
-    d_lam, _ = loglik_scores(counts, lam, n)
+    d_lam, d_n = loglik_scores(counts, lam, n)
     d_lam2, d_lam_n, d_nn = loglik_curvatures(counts, lam, n)
     S, C = params.hessian_parts(spec, counts.x, lam, d_lam)
+    grad = S.T @ d_lam
     H = S.T @ (d_lam2[:, None] * S) + C
     if n is not None:
+        grad = np.append(grad, d_n)
         cross = S.T @ d_lam_n
         H = np.block([[H, cross[:, None]], [cross[None, :], d_nn]])
-    return -(H + H.T) / 2.0
+    return -grad, -(H + H.T) / 2.0
+
+
+def _negloglik_hessian(spec: ModelSpec, params, series: CountSeries, lam=None) -> np.ndarray:
+    """The Hessian half of `_derivatives` on a series; `lam` is the mean path
+    of params when already computed."""
+    lam = conditional_mean_path(spec, params, series) if lam is None else lam
+    return _derivatives(spec, params, series.table, lam)[1]
 
 
 def _positive_definite(H: np.ndarray) -> bool:
@@ -513,9 +645,11 @@ def standard_errors(spec: ModelSpec, estimates, series, lam=None) -> np.ndarray:
     single entries whose inverse-Hessian diagonal is not positive are NaN as
     well.  Estimates that do not match `spec` raise ParameterError.
 
-    `FitResult.converged` stays the optimizer's verdict and does not consult
-    the Hessian: all-NaN standard errors at a converged fit mean the optimizer
-    stopped at a saddle point or along a flat direction.
+    A fit's own standard errors come from the Hessian of its winning point,
+    computed the same way.  `FitResult.converged` tests stationarity, not
+    curvature: all-NaN standard errors at a converged fit mean the fit
+    stopped at a saddle point or along a flat direction with no gradient
+    along it.
     """
     estimates.check(spec)
     series = series if isinstance(series, CountSeries) else CountSeries(series)
@@ -523,8 +657,13 @@ def standard_errors(spec: ModelSpec, estimates, series, lam=None) -> np.ndarray:
         H = _negloglik_hessian(spec, estimates, series, lam)
     except NumericError:
         return np.full(estimates.k(), np.nan)
+    return _inverse_information_se(H)
+
+
+def _inverse_information_se(H: np.ndarray) -> np.ndarray:
+    """Square roots of the diagonal of H^-1, all NaN unless H is positive definite."""
     # flag every entry of a singular Hessian rather than report garbage magnitudes
     if not _positive_definite(H):
-        return np.full(estimates.k(), np.nan)
+        return np.full(H.shape[0], np.nan)
     diag = np.diag(np.linalg.inv(H))
     return np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)

@@ -32,7 +32,8 @@ from spingarch import (
 )
 from spingarch import estimate, simulate
 from spingarch.data import CountSeries
-from spingarch.estimate import _PENALTY, _Objective, _fit, _negloglik_hessian
+from spingarch.estimate import (_LOG_N_CAP, _MAX_ITERATIONS, _PENALTY, _Objective, _Point, _fit,
+                                _negloglik_hessian, _stationarity, _trust_step)
 from spingarch.exceptions import NumericError, ParameterError
 
 
@@ -280,11 +281,11 @@ class TestFitCml:
             scaled = abs(grad) * max(1.0, abs(theta[i])) / max(1.0, abs(f0))
             assert scaled <= 1e-3
 
-    def test_line_search_backs_off_from_penalty_region(self, monkeypatch):
-        # from beta1 = 0.9 with alpha0 far too small, the first L-BFGS-B trial
-        # step lands where the lambda recursion overflows on this long
-        # negative-alpha1 series; the objective answers (_PENALTY, zeros) and
-        # the line search must back off and still find the optimum
+    def test_trust_region_backs_off_from_penalty_region(self, monkeypatch):
+        # from beta1 = 0.9 with alpha0 far too small, the first trial step
+        # lands where the lambda recursion overflows on this long
+        # negative-alpha1 series; the objective answers (_PENALTY, None), the
+        # step is rejected, and the shrunken trust region still finds the optimum
         spec = nb_spec()
         path = table_path(2000, 5, LinearParams(3.0, (-0.3,), (0.5,), 4.0))
         reference = fit_cml(spec, path, OptimizerOptions(restarts=0))
@@ -303,34 +304,42 @@ class TestFitCml:
         assert fit.converged
         assert fit.loglik == pytest.approx(reference.loglik, abs=1e-6)
 
+    def test_no_valid_start_raises(self):
+        # beta1 = 5 overflows the lambda recursion: no run has a point to report
+        spec = nb_spec()
+        path = table_path(500, 5)
+        with pytest.raises(NumericError, match="no start has a finite likelihood"):
+            _fit(_Objective(spec, path, LinearParams), [np.array([0.2, 0.0, 5.0, 0.0])], "CML optimization")
+
     @pytest.mark.parametrize("family", [NEGBIN, POISSON])
     def test_few_mean_paths_and_none_after_the_optimizer(self, family, monkeypatch):
-        # in the metric of the moment start's exact Hessian a (1,1) fit takes a
-        # handful of evaluations, and the winning point's own mean path gives
-        # lambda_path and the standard errors
+        # Newton on the exact Hessian takes four steps from the moment start:
+        # five mean paths and five gradient-and-Hessian passes, none of them
+        # through `vjp`, and lambda_path and the standard errors reuse the
+        # winning point's path and Hessian
         spec = ModelSpec(family, SOFTPLUS_LINEAR, 1, 1)
         series = CountSeries(table_path(2000, 5, LinearParams(3.0, (-0.3,), (0.5,), 4.0)))
-        theta0 = init_params(spec, series).to_flat()
-        unscaled = _fit(_Objective(spec, series, LinearParams), [theta0], "CML optimization")
         events = []
-        mean_path, minimize = LinearParams.mean_path, estimate.minimize
+        mean_path, vjp, derivatives, newton = (LinearParams.mean_path, LinearParams.vjp,
+                                               estimate._derivatives, estimate._newton)
 
-        def counted_mean_path(self, *args, **kwargs):
-            events.append("mean_path")
-            return mean_path(self, *args, **kwargs)
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                out = function(*args, **kwargs)
+                events.append(name)
+                return out
+            return wrapper
 
-        def marked_minimize(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            events.append("minimize")
-            return res
-
-        monkeypatch.setattr(LinearParams, "mean_path", counted_mean_path)
-        monkeypatch.setattr(estimate, "minimize", marked_minimize)
+        monkeypatch.setattr(LinearParams, "mean_path", counted("mean_path", mean_path))
+        monkeypatch.setattr(LinearParams, "vjp", counted("vjp", vjp))
+        monkeypatch.setattr(estimate, "_derivatives", counted("hessian", derivatives))
+        monkeypatch.setattr(estimate, "_newton", counted("newton", newton))
         fit = fit_cml(spec, series, OptimizerOptions(restarts=0))
-        assert events.count("minimize") == 1 and events[-1] == "minimize"
-        assert events.count("mean_path") <= 10
+        assert events.count("newton") == 1 and events[-1] == "newton"
+        assert (events.count("mean_path"), events.count("hessian"), events.count("vjp")) == (5, 5, 0)
+        assert fit.iterations == 4
         assert fit.converged and np.all(np.isfinite(fit.std_errors))
-        assert fit.loglik >= unscaled.loglik - 1e-6
+        np.testing.assert_array_equal(fit.std_errors, standard_errors(spec, fit.estimates, series))
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_negbin_fit_at_the_poisson_limit(self, seed):
@@ -428,23 +437,154 @@ class TestStandardErrors:
         np.testing.assert_array_equal(reused, direct)
         np.testing.assert_array_equal(fit.std_errors, direct)
 
-    def test_indefinite_hessian_at_a_converged_fit(self):
-        # `converged` is the optimizer's verdict: this fit stops where the
-        # exact Hessian has a negative eigenvalue, and every SE is NaN
+    def test_converged_is_a_stationarity_test(self, monkeypatch):
+        # `converged` holds where the Newton decrement on the Hessian's
+        # positive subspace is at most 1e-4 and the gradient along the other
+        # directions at most 1e-5.  An ftol-stopped L-BFGS-B fit of this
+        # nb(2,2) model reported convergence at the saddle below: its
+        # decrement is 4e-10, but it has gradient 0.012 along an eigenvalue of
+        # -0.0136.  The Newton fit leaves the saddle for a minimum 0.71 higher.
         spec = nb_spec(p=2, q=2)
         truth = LinearParams(1.0, (0.3, -0.1), (0.3, 0.1), 3.0)
-        path = simulate_path(SimConfig(spec=spec, params=truth, length=2000, rng=RngStream(5)))
-        fit = fit_cml(spec, path)
+        series = CountSeries(simulate_path(SimConfig(spec=spec, params=truth, length=2000, rng=RngStream(5))))
+
+        def stationarity(params):
+            g, H = _Point(spec, params, series).derivatives()
+            w, Q = np.linalg.eigh(H)
+            return w, _stationarity(w, Q.T @ g)
+
+        saddle = LinearParams(1.638265219864965, (0.3089233450408892, -0.06201697733739874),
+                              (0.06857739939622656, 0.048378131205584804), 3.1511317862745294)
+        w, (decrement, stray) = stationarity(saddle)
+        assert w[0] == pytest.approx(-0.01358, rel=1e-3)
+        assert decrement < 1e-9 and stray == pytest.approx(0.01209, rel=1e-3)
+        assert np.all(np.isnan(standard_errors(spec, saddle, series)))
+
+        fit = fit_cml(spec, series)
         assert fit.converged
-        assert fit.loglik == pytest.approx(-4110.7320, abs=1e-3)
-        assert np.linalg.eigvalsh(_negloglik_hessian(spec, fit.estimates, CountSeries(path)))[0] < 0
-        assert np.all(np.isnan(fit.std_errors))
-        assert np.all(np.isnan(standard_errors(spec, fit.estimates, path)))
+        assert fit.loglik == pytest.approx(-4110.02234, abs=1e-5)
+        assert fit.loglik > -negloglik(spec, saddle, series) + 0.7
+        w, (decrement, stray) = stationarity(fit.estimates)
+        assert w[0] > 0 and decrement <= 1e-10 and stray == 0.0
+        assert np.all(np.isfinite(fit.std_errors))
+
+        # runs of no steps report the test at their starts: the saddle fails
+        # on its stray gradient, the moment start on its decrement
+        monkeypatch.setattr(estimate, "_MAX_ITERATIONS", 0)
+        for start, passes in [(fit.estimates, True), (saddle, False), (init_params(spec, series), False)]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                stopped = _fit(_Objective(spec, series, LinearParams), [start.to_flat()], "CML optimization")
+            assert stopped.iterations == 0 and stopped.converged is passes and len(caught) == (not passes)
+            assert bool(np.all(np.isfinite(stopped.std_errors))) is passes
 
     def test_collinear_direction_flagged(self):
         spec = nb_spec(q=0)
         se = standard_errors(spec, LinearParams(1.0, (0.2,), (), 3.0), np.full(80, 5))
         assert np.all(np.isnan(se))
+
+
+class TestTrustStep:
+    """`_trust_step` against the optimality conditions of the trust-region
+    subproblem (Moré & Sorensen 1983): c minimizes a.c + c.diag(w).c / 2 over
+    |c| <= r iff (w + mu) c = -a for some mu >= max(0, -w_min), with
+    mu (r - |c|) = 0."""
+
+    @staticmethod
+    def model(w, a, c):
+        return a @ c + 0.5 * c @ (w * c)
+
+    def test_interior_newton_step(self):
+        w, a = np.array([1.0, 4.0, 9.0]), np.array([0.5, -1.0, 2.0])
+        np.testing.assert_array_equal(_trust_step(w, a, 10.0), -a / w)
+
+    @pytest.mark.parametrize("w, a, radius", [
+        ([1.0, 4.0, 9.0], [3.0, -1.0, 2.0], 0.5),  # positive definite, Newton step too long
+        ([-2.0, 0.5, 3.0], [0.3, -1.0, 2.0], 1.5),  # indefinite
+        ([-2.0, -2.0, 3.0], [0.3, 1e-3, 2.0], 0.7),  # repeated lowest eigenvalue
+        ([0.0, 1.0, 5.0], [1e-3, 1.0, 1.0], 2.0),  # singular
+    ])
+    def test_boundary_step(self, w, a, radius):
+        w, a = np.array(w), np.array(a)
+        c = _trust_step(w, a, radius)
+        assert np.linalg.norm(c) == pytest.approx(radius, rel=1e-9)
+        mu = -(a + w * c) / c  # the same shift in every coordinate
+        assert np.ptp(mu) < 1e-8 * max(1.0, abs(mu[0])) and mu[0] >= max(0.0, -w[0]) - 1e-9
+        # no point of the ball does better
+        rng = np.random.default_rng(0)
+        points = rng.normal(size=(2000, 3))
+        points *= radius * rng.random((2000, 1)) ** (1 / 3) / np.linalg.norm(points, axis=1, keepdims=True)
+        assert self.model(w, a, c) <= min(self.model(w, a, p) for p in points)
+
+    def test_hard_case(self):
+        # no gradient along the lowest eigenvector and a shifted step shorter
+        # than the radius: the lowest eigenvector fills the step up to it
+        w, a, radius = np.array([-1.0, 2.0, 4.0]), np.array([0.0, 1.0, -2.0]), 3.0
+        c = _trust_step(w, a, radius)
+        np.testing.assert_allclose(c[1:], -a[1:] / (w[1:] - w[0]))
+        assert np.linalg.norm(c) == pytest.approx(radius, rel=1e-12)
+        assert abs(c[0]) == pytest.approx(math.sqrt(radius**2 - c[1:] @ c[1:]), rel=1e-12)
+
+    def test_zero_gradient_at_a_saddle(self):
+        c = _trust_step(np.array([-0.5, 1.0]), np.zeros(2), 2.0)
+        np.testing.assert_allclose(np.abs(c), [2.0, 0.0])
+
+
+def _single_spike():
+    x = np.zeros(200, dtype=int)
+    x[100] = 50
+    return x
+
+
+class TestDegenerateInputs:
+    # NB(1,1) fits of 200 points that have no interior optimum, or a nearly
+    # flat one; each ends within the iteration cap with a finite n below the
+    # cap and no exception, and its outcome is pinned here
+    @pytest.mark.parametrize("name, series, loglik, n_range, finite_se", [
+        # lambda -> 0 along alpha0 -> -inf; n is flat and stays near its start
+        ("all zeros", np.zeros(200, dtype=int), -1.18137e-5, (1e4, 1.1e4), False),
+        # the Poisson limit n -> inf, stopped at a flat drift; alpha0 and the
+        # lag terms are collinear, so the Hessian is singular
+        ("constant 5", np.full(200, 5), -348.060449, (1e7, 1e8), False),
+        # n -> 0 around the spike; the moment start's run wanders in a
+        # saddle-ridden region, and the first jittered restart converges
+        ("single spike of 50", _single_spike(), -11.4931846, (1e-3, 2e-3), True),
+        # near the Poisson limit, with counts so large that the Hessian's
+        # condition number exceeds the standard-error rule's 1e12
+        ("Poisson(1e7)", np.random.default_rng(0).poisson(1e7, 200), -1899.046478, (2e8, 4e8), False),
+    ])
+    def test_outcome(self, name, series, loglik, n_range, finite_se):
+        spec = nb_spec()
+        fit = fit_cml(spec, series)
+        assert fit.converged
+        assert fit.iterations <= _MAX_ITERATIONS
+        assert fit.loglik == pytest.approx(loglik, abs=1e-5)
+        assert n_range[0] < fit.estimates.n < n_range[1]
+        assert np.all(np.isfinite(fit.std_errors)) if finite_se else np.all(np.isnan(fit.std_errors))
+
+    def test_poisson_1e7_escapes_the_ftol_stop(self):
+        # an ftol-stopped L-BFGS-B fit reported convergence at
+        # loglik -1899.059187 with |g|inf = 36; the Newton fit ends with a
+        # gradient below 1e-5 and a log-likelihood 0.0127 higher
+        series = np.random.default_rng(0).poisson(1e7, 200)
+        fit = fit_cml(nb_spec(), series)
+        assert fit.loglik > -1899.059187 + 0.01
+        assert np.max(np.abs(negloglik_and_grad(nb_spec(), fit.estimates, series)[1])) < 1e-5
+
+    def test_the_dispersion_cap_is_a_boundary(self):
+        # underdispersed counts send n to infinity; from a start just below
+        # the cap the first step is shortened onto it, and ln n is then held
+        # there while the coefficients converge to the Poisson fit's
+        spec = nb_spec(q=0)
+        series = np.random.default_rng(3).binomial(10, 0.5, 300)
+        start = init_params(spec, series).to_flat()
+        start[-1] = _LOG_N_CAP - 0.5
+        fit = _fit(_Objective(spec, series, LinearParams), [start], "CML optimization")
+        poisson = fit_cml(ModelSpec(POISSON, SOFTPLUS_LINEAR, 1, 0), series)
+        assert fit.converged
+        assert fit.estimates.n == math.exp(_LOG_N_CAP)
+        assert poisson.loglik - 1e-9 < fit.loglik < poisson.loglik
+        np.testing.assert_allclose(fit.estimates.to_flat()[:2], poisson.estimates.to_flat(), rtol=1e-6)
 
 
 class TestInformationCriteria:

@@ -316,6 +316,30 @@ class TestFitNeural:
         assert fit.estimates.k() == k
         assert fit.bic - fit.aic == pytest.approx(k * (math.log(200) - 2.0), abs=1e-9)
 
+    def test_flat_drift_ends_within_a_budget(self, monkeypatch):
+        # an unidentified network (one hidden unit on iid counts) has a
+        # direction of curvature ~1e-6 along which each Newton step gains
+        # ~1e-6; without the flat-drift stop every start crept on for all
+        # 400 iterations.  Each start now ends after 9-11 trial steps.
+        series = np.random.default_rng(5).poisson(5.0, 200)
+        calls = {"value": 0, "hessian": 0}
+        point, derivatives = estimate._Point.__init__, estimate._derivatives
+
+        def counted_point(self, *args):
+            calls["value"] += 1
+            point(self, *args)
+
+        def counted_derivatives(*args):
+            calls["hessian"] += 1
+            return derivatives(*args)
+
+        monkeypatch.setattr(estimate._Point, "__init__", counted_point)
+        monkeypatch.setattr(estimate, "_derivatives", counted_derivatives)
+        fit = fit_neural(nspec(L=1), series, OptimizerOptions(restarts=2))
+        assert fit.converged
+        assert calls["value"] <= 45 and calls["hessian"] <= 30  # 3 starts: 33 and 23 today
+        assert fit.loglik == pytest.approx(-440.849348, abs=1e-5)
+
     def test_short_series_warns(self):
         spec = nspec(p=1, q=0, L=4)
         with pytest.warns(UserWarning):
