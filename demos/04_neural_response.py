@@ -4,10 +4,11 @@ The conditional mean becomes g(1, X_{t-1}..X_{t-p}, lambda_{t-1}..lambda_{t-q})
 where g is a feedforward network with logistic hidden units and a softplus
 output unit.  The network weights take the place of the linear coefficients
 everywhere: `negloglik`, `conditional_mean_path` and `simulate_path` serve
-both links.  The likelihood gradient is exact backpropagation; when q > 0
-the lagged conditional means depend on the weights too, so the gradient is
-carried backward through the recursion (a truncated gradient would be wrong,
-and the finite-difference gate below would catch it).
+both links.  The likelihood gradient is exact, from the same pass as the
+Hessian the fit steps on; when q > 0 the lagged conditional means depend on
+the weights too, so the gradient is carried through the recursion (a
+truncated gradient would be wrong, and the finite-difference gate below would
+catch it).
 """
 
 import warnings
@@ -24,7 +25,7 @@ from spingarch import (
     SimConfig,
     fit_neural,
     negloglik,
-    neural_gradient,
+    negloglik_and_grad,
     select_hidden_units,
     simulate_path,
     slfn_forward,
@@ -36,13 +37,13 @@ print("forward pass sanity: all-zero weights give f1(0) = ln 2")
 w0 = NeuralWeights(np.zeros((3, 2)), np.zeros(2))
 print(f"  g(1, x, lam) = {slfn_forward(w0, np.array([1.0, 9.0, 2.0])):.7f}")
 
-print("\ngradient gate: backprop vs central finite differences (q = 1)")
+print("\ngradient gate: exact gradient vs central finite differences (q = 1)")
 rng = np.random.default_rng(5)
 spec = ModelSpec(POISSON, NEURAL, 1, 1, hidden=2)
 series = rng.integers(0, 9, 60)
 flat = rng.uniform(-0.7, 0.7, spec.input_width * 2 + 2)
 w = NeuralWeights.from_flat(flat, spec)
-analytic = neural_gradient(w, spec, series)
+analytic = negloglik_and_grad(spec, w, series)[1]
 numeric = np.empty_like(flat)
 for i in range(flat.size):
     e = np.zeros(flat.size); e[i] = 1e-6

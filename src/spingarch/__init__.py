@@ -31,7 +31,6 @@ from .estimate import (
     init_params,
     negloglik,
     negloglik_and_grad,
-    neural_gradient,
     select_hidden_units,
     standard_errors,
 )

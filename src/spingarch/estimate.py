@@ -10,15 +10,13 @@ binomial family each term is
 
 and for Poisson it is x_t ln(lambda_t) - lambda_t - ln(x_t!).  The count
 terms are evaluated once per distinct count of the series (`CountSeries.table`,
-built once per series).  The gradient is exact for both links:
-`negloglik_and_grad` runs the score recursion backward (reverse mode,
-backpropagation through time), vectorised over the series except for the
-feedback through lagged means, which is one LAPACK banded triangular solve;
-for a linear (1,1) model the gradient costs less than the forward recursion.
-The Hessian is exact too, forward over reverse: the parameter type's
-`hessian_parts` solves the same band forward for d lambda / d theta and
-weights the second derivatives of lambda with the gradient's adjoints, and
-the family adds the dispersion row; the same pass gives the gradient.
+built once per series).  The gradient and the Hessian are exact for both
+links and come from one pass, forward over reverse (`_Point.derivatives`):
+the parameter type's `hessian_parts` solves the lambda-lag band forward for
+the sensitivities S = d lambda / d theta and backward for the adjoints that
+weight the second derivatives of lambda, one LAPACK banded triangular solve
+each, and is vectorised over the series otherwise.  The gradient is
+S^T dl/dlambda, and the family adds the dispersion row.
 
 One driver fits both links: trust-region Newton on that gradient and
 Hessian (`_newton`), each subproblem solved exactly from the Hessian's
@@ -59,7 +57,6 @@ __all__ = [
     "FitResult",
     "negloglik",
     "negloglik_and_grad",
-    "neural_gradient",
     "init_params",
     "fit_cml",
     "fit_neural",
@@ -148,16 +145,6 @@ class _Point:
             raise NumericError("non-finite log-likelihood")
         self.value = float(-ll)
 
-    def gradient(self, log_n: bool = True) -> np.ndarray:
-        """The gradient half of `negloglik_and_grad`, in the layout of
-        `params.to_flat(log_n)`."""
-        counts, lam, n = self.counts, self.lam, self.params.n
-        d_lam, d_n = loglik_scores(counts, lam, n)
-        grad = -self.params.vjp(self.spec, counts.x, lam, d_lam)
-        if n is not None:
-            grad = np.append(grad, -(n * d_n if log_n else d_n))
-        return grad
-
     def derivatives(self) -> Tuple[np.ndarray, np.ndarray]:
         """The exact gradient and Hessian in the layout of `params.to_flat()`
         (ln n), from one `_derivatives` pass; the Hessian on the n scale, the
@@ -180,26 +167,16 @@ def negloglik(spec: ModelSpec, params, series) -> float:
     return _Point(spec, params, series).value
 
 
-def negloglik_and_grad(spec: ModelSpec, params, series, log_n: bool = True) -> Tuple[float, np.ndarray]:
-    """`negloglik` and its exact gradient in the layout of `params.to_flat(log_n)`.
-
-    Reverse mode: the family's score d l_t / d lambda_t weights the
-    conditional means in one vector-Jacobian product of the parameter type
-    (`vjp`), vectorised over the series but for one banded solve when q > 0;
-    the dispersion enters the likelihood directly, not through lambda.  An
-    array-like `series` is validated and tabulated on every call; wrap it in
-    a `CountSeries` once to evaluate it many times.
+def negloglik_and_grad(spec: ModelSpec, params, series) -> Tuple[float, np.ndarray]:
+    """`negloglik` and its exact gradient in the layout of `params.to_flat()`
+    (ln n for the dispersion): the gradient of the one derivative pass,
+    `_Point.derivatives`, whose Hessian half the fits use as well.  For q > 0
+    it is the total derivative, through the lagged conditional means
+    included.  An array-like `series` is validated and tabulated on every
+    call; wrap it in a `CountSeries` once to evaluate it many times.
     """
     point = _Point(spec, params, series)
-    return point.value, point.gradient(log_n)
-
-
-def neural_gradient(weights: NeuralWeights, spec: ModelSpec, series) -> np.ndarray:
-    """Exact gradient of `negloglik` in the flat layout of
-    `NeuralWeights.to_flat` (u0 row-major, u1, then ln n for the NB family):
-    the gradient half of `negloglik_and_grad`.  For q > 0 it is the total
-    derivative, through the lagged conditional means included."""
-    return negloglik_and_grad(spec, weights, series)[1]
+    return point.value, point.derivatives()[0]
 
 
 def _dispersion_n(xbar: float, disp: float) -> float:
@@ -325,14 +302,21 @@ def _finite_derivatives(point: _Point):
     return (g, H) if np.all(np.isfinite(g)) and np.all(np.isfinite(H)) else None
 
 
+def _positive_curvature(w: np.ndarray) -> np.ndarray:
+    """Which of a Hessian's ascending eigenvalues w count as positive: above
+    1e-12 of the largest (or of 1).  A smaller one marks a flat or collinear
+    direction.  `_stationarity`, and so `FitResult.converged`, and the
+    standard errors share this rule."""
+    return w > 1e-12 * max(w[-1], 1.0)
+
+
 def _stationarity(w: np.ndarray, a: np.ndarray) -> Tuple[float, float]:
     """(lambda^2, stray) at a point whose Hessian has eigenvalues w and whose
     gradient has coordinates a in the eigenbasis: the Newton decrement
     g^T H^+ g on the positive-curvature subspace (twice the gain one more
     Newton step predicts; Boyd & Vandenberghe 2004, sec. 9.5.1) and the
-    gradient norm along the other directions.  Positive means the rule of
-    `standard_errors`: above 1e-12 of the largest eigenvalue (or of 1)."""
-    positive = w > 1e-12 * max(w[-1], 1.0)
+    gradient norm along the other directions."""
+    positive = _positive_curvature(w)
     return float(np.sum(a[positive] ** 2 / w[positive])), float(np.linalg.norm(a[~positive]))
 
 
@@ -599,8 +583,8 @@ def _derivatives(spec: ModelSpec, params, counts, lam: np.ndarray) -> Tuple[np.n
 
     Forward over reverse: the parameter type's `hessian_parts` (the
     sensitivities S = d lambda / d theta from one banded forward solve with k
-    right-hand sides, and the adjoint-weighted second derivatives of lambda
-    from the adjoint solve `vjp` does) give the coefficient block
+    right-hand sides, and the second derivatives of lambda weighted by the
+    adjoints of one banded backward solve) give the coefficient block
     S^T diag(l'') S + C and the gradient S^T l'; the family adds the
     dispersion row.  The Hessian is the observed information of Fokianos,
     Rahbek & Tjostheim (2009) for the INGARCH recursion.
@@ -618,32 +602,16 @@ def _derivatives(spec: ModelSpec, params, counts, lam: np.ndarray) -> Tuple[np.n
     return -grad, -(H + H.T) / 2.0
 
 
-def _negloglik_hessian(spec: ModelSpec, params, series: CountSeries, lam=None) -> np.ndarray:
-    """The Hessian half of `_derivatives` on a series; `lam` is the mean path
-    of params when already computed."""
-    lam = conditional_mean_path(spec, params, series) if lam is None else lam
-    return _derivatives(spec, params, series.table, lam)[1]
-
-
-def _positive_definite(H: np.ndarray) -> bool:
-    """Finite, with its smallest eigenvalue positive and above 1e-12 of the
-    largest: a flat or collinear direction makes a Hessian (numerically) singular."""
-    if not np.all(np.isfinite(H)):
-        return False
-    eigvals = np.linalg.eigvalsh(H)
-    return eigvals[0] > 0 and eigvals[0] >= 1e-12 * max(eigvals[-1], 1.0)
-
-
-def standard_errors(spec: ModelSpec, estimates, series, lam=None) -> np.ndarray:
+def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:
     """Asymptotic standard errors from the inverse of the exact Hessian of the
     negated log-likelihood (the observed information).
 
-    Computed in the natural parameter space at the estimates; `lam`, the
-    conditional means of the estimates on `series` (a fit's `lambda_path`),
-    saves recomputing them.  Every entry is NaN when the mean path is invalid
-    there or the Hessian is not finite, singular or not positive definite;
-    single entries whose inverse-Hessian diagonal is not positive are NaN as
-    well.  Estimates that do not match `spec` raise ParameterError.
+    Computed in the natural parameter space at the estimates, from the
+    `information` of one `_Point.derivatives` pass.  Every entry is NaN when
+    the mean path or the likelihood is invalid there or the Hessian is not
+    finite, singular or not positive definite; single entries whose
+    inverse-Hessian diagonal is not positive are NaN as well.  Estimates that
+    do not match `spec` raise ParameterError.
 
     A fit's own standard errors come from the Hessian of its winning point,
     computed the same way.  `FitResult.converged` tests stationarity, not
@@ -652,18 +620,19 @@ def standard_errors(spec: ModelSpec, estimates, series, lam=None) -> np.ndarray:
     along it.
     """
     estimates.check(spec)
-    series = series if isinstance(series, CountSeries) else CountSeries(series)
     try:
-        H = _negloglik_hessian(spec, estimates, series, lam)
+        point = _Point(spec, estimates, series)
+        point.derivatives()
     except NumericError:
         return np.full(estimates.k(), np.nan)
-    return _inverse_information_se(H)
+    return _inverse_information_se(point.information)
 
 
 def _inverse_information_se(H: np.ndarray) -> np.ndarray:
-    """Square roots of the diagonal of H^-1, all NaN unless H is positive definite."""
+    """Square roots of the diagonal of H^-1, all NaN unless H is finite and
+    positive definite by `_positive_curvature`."""
     # flag every entry of a singular Hessian rather than report garbage magnitudes
-    if not _positive_definite(H):
+    if not (np.all(np.isfinite(H)) and np.all(_positive_curvature(np.linalg.eigvalsh(H)))):
         return np.full(H.shape[0], np.nan)
     diag = np.diag(np.linalg.inv(H))
     return np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)

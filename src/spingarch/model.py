@@ -16,7 +16,7 @@ The neural response replaces the linear predictor with a single hidden layer,
 
 with logistic f0 and softplus f1 (c = 1) on the input vector
 x = (1, X_{t-1}..X_{t-p}, lambda_{t-1}..lambda_{t-q}) of width K = p + q + 1.
-Since f1' = f0 and f0' = f0 (1 - f0), backpropagation needs only the forward
+Since f1' = f0 and f0' = f0 (1 - f0), the derivatives need only the forward
 activations.
 
 The parameters carry the family: NB parameters hold the dispersion n, Poisson
@@ -206,29 +206,20 @@ class LinearParams:
             lam.append(v)
         return np.array(lam[q:])
 
-    def vjp(self, spec: ModelSpec, x: np.ndarray, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """sum_t r_t d lambda_t / d theta for theta = [alpha0, alpha, beta], where
-        lam = mean_path(spec, x, None): the per-step partials vectorised, and the
-        feedback through lagged means carried backward by `_lag_adjoint`, one
-        banded triangular solve of bandwidth q."""
-        B = _inputs(x, lam, spec.p, spec.q, _pre_sample(x))
-        theta = np.array([self.alpha0, *self.alpha, *self.beta])
-        d = expit(B @ theta / spec.c)  # sp'(eta_t)
-        a = _lag_adjoint(r, d[:, None] * theta[1 + spec.p :]) if spec.q else r
-        return B.T @ (d * a)
-
     def hessian_parts(self, spec: ModelSpec, x: np.ndarray, lam: np.ndarray, r: np.ndarray):
-        """The pieces of the Hessian of sum_t l_t(lambda_t) in theta = [alpha0,
-        alpha, beta] that this link owns, where lam = mean_path(spec, x, None)
-        and r_t = l_t'(lambda_t): the total sensitivities S = d lambda / d theta
-        (s x k) and C = sum_t a_t d2 lambda_t / d theta2 with the lagged means'
-        own second derivatives carried by the adjoints a of `vjp`.  The Hessian
-        is S^T diag(l'') S + C.
+        """The pieces of the derivatives of sum_t l_t(lambda_t) in theta =
+        [alpha0, alpha, beta] that this link owns, where
+        lam = mean_path(spec, x, None) and r_t = l_t'(lambda_t): the total
+        sensitivities S = d lambda / d theta (s x k) and
+        C = sum_t a_t d2 lambda_t / d theta2, the lagged means' own second
+        derivatives carried by the adjoints a = (I - L)^-T r of the feedback.
+        The gradient is S^T r and the Hessian S^T diag(l'') S + C.
 
         Forward over reverse: S solves (I - L) S = d B, L[t, t-j] = d_t beta_j,
-        with d = sp'(eta); G = B + sum_j beta_j S_{t-j} is the total d eta / d theta,
-        and C = G^T diag(a sp''(eta)) G plus r_j = sum_t a_t d_t S_{t-j} in the
-        beta_j row and column."""
+        with d = sp'(eta), and a the transposed band backward, each by one
+        `_lag_adjoint` solve; G = B + sum_j beta_j S_{t-j} is the total
+        d eta / d theta, and C = G^T diag(a sp''(eta)) G plus
+        r_j = sum_t a_t d_t S_{t-j} in the beta_j row and column."""
         p, q = spec.p, spec.q
         B = _inputs(x, lam, p, q, _pre_sample(x))
         theta = np.array([self.alpha0, *self.alpha, *self.beta])
@@ -390,24 +381,13 @@ class NeuralWeights:
             xs.append(v)
         return np.array(lam[spec.q :])
 
-    def vjp(self, spec: ModelSpec, x: np.ndarray, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """sum_t r_t d lambda_t / d w for w = [u0 row-major, u1], where
-        lam = mean_path(spec, x, None): backpropagation through the network,
-        vectorised over t, and through the lagged means by `_lag_adjoint`, one
-        banded triangular solve of bandwidth q."""
-        B = _inputs(x, lam, spec.p, spec.q, _pre_sample(x))
-        H = expit(B @ self.u0)
-        f1p = expit(H @ self.u1)  # f1' = f0 at the output
-        dz_da = H * (1.0 - H) * self.u1
-        a = _lag_adjoint(r, f1p[:, None] * (dz_da @ self.u0[1 + spec.p :].T)) if spec.q else r
-        w = a * f1p
-        return np.concatenate([(B.T @ (dz_da * w[:, None])).ravel(), H.T @ w])
-
     def hessian_parts(self, spec: ModelSpec, x: np.ndarray, lam: np.ndarray, r: np.ndarray):
-        """The pieces of the Hessian of sum_t l_t(lambda_t) in w = [u0 row-major,
-        u1] that the network owns, as `LinearParams.hessian_parts`: the total
-        sensitivities S = d lambda / d w (s x k) and C = sum_t a_t d2 lambda_t / d w2
-        with the adjoints a of `vjp`, so that the Hessian is S^T diag(l'') S + C.
+        """The pieces of the derivatives of sum_t l_t(lambda_t) in w = [u0
+        row-major, u1] that the network owns, as `LinearParams.hessian_parts`:
+        the total sensitivities S = d lambda / d w (s x k) and
+        C = sum_t a_t d2 lambda_t / d w2 with the adjoints a of the
+        lambda-lag feedback, so that the gradient is S^T r and the Hessian
+        S^T diag(l'') S + C.
 
         The total tangents of the pre-activations, dA[t, l] = d a_tl / d w, take
         the lambda-lag columns through S; the second-order terms follow from

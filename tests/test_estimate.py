@@ -33,7 +33,7 @@ from spingarch import (
 from spingarch import estimate, simulate
 from spingarch.data import CountSeries
 from spingarch.estimate import (_LOG_N_CAP, _MAX_ITERATIONS, _PENALTY, _Objective, _Point, _fit,
-                                _negloglik_hessian, _stationarity, _trust_step)
+                                _stationarity, _trust_step)
 from spingarch.exceptions import NumericError, ParameterError
 
 
@@ -108,24 +108,23 @@ class TestGradient:
     @pytest.mark.parametrize("family", [POISSON, NEGBIN])
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("q", [0, 1, 2])
-    @pytest.mark.parametrize("log_n", [True, False])
-    def test_gate_against_central_differences(self, family, p, q, log_n):
+    def test_gate_against_central_differences(self, family, p, q):
         rng = np.random.default_rng(100 + 10 * p + q)
         spec = ModelSpec(family, SOFTPLUS_LINEAR, p, q)
         series = rng.integers(0, 10, 60)
         params = LinearParams(rng.uniform(0.5, 2.0), tuple(rng.uniform(-0.4, 0.4, p)),
                               tuple(rng.uniform(-0.4, 0.4, q)),
                               rng.uniform(1.0, 5.0) if family == NEGBIN else None)
-        value, grad = negloglik_and_grad(spec, params, series, log_n)
+        value, grad = negloglik_and_grad(spec, params, series)
         assert value == negloglik(spec, params, series)
-        theta = params.to_flat(log_n)
+        theta = params.to_flat()
         fd = np.empty(theta.size)
         for i in range(theta.size):
             h = 1e-6 * max(1.0, abs(theta[i]))
             e = np.zeros(theta.size)
             e[i] = h
-            fd[i] = (negloglik(spec, LinearParams.from_flat(theta + e, spec, log_n), series)
-                     - negloglik(spec, LinearParams.from_flat(theta - e, spec, log_n), series)) / (2 * h)
+            fd[i] = (negloglik(spec, LinearParams.from_flat(theta + e, spec), series)
+                     - negloglik(spec, LinearParams.from_flat(theta - e, spec), series)) / (2 * h)
         assert np.max(np.abs(grad - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-6
 
     @pytest.mark.parametrize("size", [1, 2, 3])
@@ -143,22 +142,22 @@ class TestGradient:
 
 
 def gradient_difference_hessian(spec, params, series):
-    """Central differences of the exact gradient on the natural n scale: the
-    reference for the exact Hessian."""
-    theta, kind = params.to_flat(log_n=False), type(params)
+    """Central differences of the exact gradient in the optimizer's
+    coordinates (ln n for the dispersion): the reference for the exact
+    Hessian."""
+    theta, kind = params.to_flat(), type(params)
     H = np.empty((theta.size, theta.size))
     for i in range(theta.size):
         e = np.zeros(theta.size)
         e[i] = 1e-5 * max(1.0, abs(theta[i]))
-        H[i] = (negloglik_and_grad(spec, kind.from_flat(theta + e, spec, log_n=False), series, log_n=False)[1]
-                - negloglik_and_grad(spec, kind.from_flat(theta - e, spec, log_n=False), series, log_n=False)[1]
-                ) / (2 * e[i])
+        H[i] = (negloglik_and_grad(spec, kind.from_flat(theta + e, spec), series)[1]
+                - negloglik_and_grad(spec, kind.from_flat(theta - e, spec), series)[1]) / (2 * e[i])
     return (H + H.T) / 2
 
 
 def assert_hessian_matches_differences(spec, params, series):
     series = CountSeries(series)
-    H = _negloglik_hessian(spec, params, series)
+    H = _Point(spec, params, series).derivatives()[1]
     fd = gradient_difference_hessian(spec, params, series)
     assert np.max(np.abs(H - fd)) / np.max(np.abs(fd)) < 1e-6
 
@@ -184,10 +183,12 @@ class TestHessian:
 
     @pytest.mark.parametrize("family", [POISSON, NEGBIN])
     @pytest.mark.parametrize("L", [1, 2, 3])
-    @pytest.mark.parametrize("q", [0, 1])
-    def test_neural_gate_against_central_differences(self, family, L, q):
-        rng = np.random.default_rng(240 + 10 * L + q)
-        spec = ModelSpec(family, NEURAL, 1, q, hidden=L)
+    @pytest.mark.parametrize("p, q", [(1, 0), (1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_neural_gate_against_central_differences(self, family, L, p, q):
+        # p = 2 or q = 2 runs the lag loops of `NeuralWeights.hessian_parts`
+        # past their first term
+        rng = np.random.default_rng(240 + 100 * (p - 1) + 10 * L + q)
+        spec = ModelSpec(family, NEURAL, p, q, hidden=L)
         weights = NeuralWeights(rng.uniform(-0.8, 0.8, (spec.input_width, L)), rng.uniform(0.5, 2.0, L),
                                 rng.uniform(1.0, 5.0) if family == NEGBIN else None)
         assert_hessian_matches_differences(spec, weights, rng.integers(0, 8, 60))
@@ -314,14 +315,13 @@ class TestFitCml:
     @pytest.mark.parametrize("family", [NEGBIN, POISSON])
     def test_few_mean_paths_and_none_after_the_optimizer(self, family, monkeypatch):
         # Newton on the exact Hessian takes four steps from the moment start:
-        # five mean paths and five gradient-and-Hessian passes, none of them
-        # through `vjp`, and lambda_path and the standard errors reuse the
-        # winning point's path and Hessian
+        # five mean paths and five gradient-and-Hessian passes, and
+        # lambda_path and the standard errors reuse the winning point's path
+        # and Hessian
         spec = ModelSpec(family, SOFTPLUS_LINEAR, 1, 1)
         series = CountSeries(table_path(2000, 5, LinearParams(3.0, (-0.3,), (0.5,), 4.0)))
         events = []
-        mean_path, vjp, derivatives, newton = (LinearParams.mean_path, LinearParams.vjp,
-                                               estimate._derivatives, estimate._newton)
+        mean_path, derivatives, newton = LinearParams.mean_path, estimate._derivatives, estimate._newton
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -331,12 +331,11 @@ class TestFitCml:
             return wrapper
 
         monkeypatch.setattr(LinearParams, "mean_path", counted("mean_path", mean_path))
-        monkeypatch.setattr(LinearParams, "vjp", counted("vjp", vjp))
         monkeypatch.setattr(estimate, "_derivatives", counted("hessian", derivatives))
         monkeypatch.setattr(estimate, "_newton", counted("newton", newton))
         fit = fit_cml(spec, series, OptimizerOptions(restarts=0))
         assert events.count("newton") == 1 and events[-1] == "newton"
-        assert (events.count("mean_path"), events.count("hessian"), events.count("vjp")) == (5, 5, 0)
+        assert (events.count("mean_path"), events.count("hessian")) == (5, 5)
         assert fit.iterations == 4
         assert fit.converged and np.all(np.isfinite(fit.std_errors))
         np.testing.assert_array_equal(fit.std_errors, standard_errors(spec, fit.estimates, series))
@@ -400,42 +399,25 @@ class TestStandardErrors:
         se_log[2] *= est.n  # delta method back to the n scale
         np.testing.assert_allclose(se_log, direct, rtol=2e-2)
 
-    def test_one_mean_path_and_no_gradient_calls(self, monkeypatch):
+    def test_one_mean_path_and_one_derivative_pass(self, monkeypatch):
         spec, series = nb_spec(), CountSeries(table_path(300, 31))
         params = fit_cml(spec, series, OptimizerOptions(restarts=0)).estimates
-        calls = {"grad": 0, "mean_path": 0}
-        grad, mean_path = estimate.negloglik_and_grad, LinearParams.mean_path
+        calls = {"derivatives": 0, "mean_path": 0}
+        derivatives, mean_path = estimate._derivatives, LinearParams.mean_path
 
-        def counted_grad(*args, **kwargs):
-            calls["grad"] += 1
-            return grad(*args, **kwargs)
+        def counted_derivatives(*args, **kwargs):
+            calls["derivatives"] += 1
+            return derivatives(*args, **kwargs)
 
         def counted_mean_path(self, *args, **kwargs):
             calls["mean_path"] += 1
             return mean_path(self, *args, **kwargs)
 
-        monkeypatch.setattr(estimate, "negloglik_and_grad", counted_grad)
+        monkeypatch.setattr(estimate, "_derivatives", counted_derivatives)
         monkeypatch.setattr(LinearParams, "mean_path", counted_mean_path)
         se = standard_errors(spec, params, series)
         assert np.all(np.isfinite(se))
-        assert calls == {"grad": 0, "mean_path": 1}
-
-    def test_given_mean_path_is_reused(self, monkeypatch):
-        spec, series = nb_spec(), CountSeries(table_path(300, 31))
-        fit = fit_cml(spec, series, OptimizerOptions(restarts=0))
-        direct = standard_errors(spec, fit.estimates, series)
-        calls = []
-        mean_path = LinearParams.mean_path
-
-        def counted_mean_path(self, *args, **kwargs):
-            calls.append(1)
-            return mean_path(self, *args, **kwargs)
-
-        monkeypatch.setattr(LinearParams, "mean_path", counted_mean_path)
-        reused = standard_errors(spec, fit.estimates, series, lam=fit.lambda_path)
-        assert not calls
-        np.testing.assert_array_equal(reused, direct)
-        np.testing.assert_array_equal(fit.std_errors, direct)
+        assert calls == {"derivatives": 1, "mean_path": 1}
 
     def test_converged_is_a_stationarity_test(self, monkeypatch):
         # `converged` holds where the Newton decrement on the Hessian's

@@ -3,11 +3,13 @@ name crosses a module boundary; no module imports `scipy.optimize` (the fit
 driver is `estimate`'s own trust-region Newton) or runs a Nelder-Mead search;
 importing the package loads no scipy subpackage beyond those of
 `scipy.special` and `scipy.linalg`; one home for the banded lambda-lag solve;
-and `model.py` draws nothing at random."""
+`model.py` draws nothing at random; and both response types define the one
+interface the README lists."""
 
 import ast
 import functools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -262,3 +264,50 @@ def test_model_draw_check_has_teeth():
     assert _random_draws(ast.parse(source)) == [
         (2, "numpy.random"), (3, "numpy.random"), (4, "numpy.random"), (5, "numpy.random"),
         (6, ".poisson"), (7, ".standard_gamma")]
+
+
+def _public_methods(tree, name):
+    """The public methods, properties aside, that class `name` of a parsed
+    module defines in its own body."""
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+    return {node.name for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+            and not any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)}
+
+
+def test_response_types_share_the_readme_interface():
+    # the link is decided by the parameter type alone, so every caller can
+    # treat LinearParams and NeuralWeights alike
+    path = SRC / "model.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    linear, neural = _public_methods(tree, "LinearParams"), _public_methods(tree, "NeuralWeights")
+    assert linear == neural, f"only LinearParams: {sorted(linear - neural)}; only NeuralWeights: {sorted(neural - linear)}"
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"share\s+one\s+small\s+interface\s+\(([^)]*)\)", readme)
+    assert listed, "README no longer lists the shared interface"
+    assert linear == set(re.findall(r"`(\w+)`", listed.group(1)))
+
+
+def test_interface_check_has_teeth():
+    source = (
+        "class A:\n"
+        "    @property\n"
+        "    def p(self):\n"
+        "        return 1\n"
+        "    def k(self):\n"
+        "        return 1\n"
+        "    @classmethod\n"
+        "    def from_flat(cls, flat):\n"
+        "        return cls()\n"
+        "    def vjp(self, r):\n"
+        "        return r\n"
+        "    def _helper(self):\n"
+        "        def inner():\n"
+        "            pass\n"
+        "class B(A):\n"
+        "    def check(self):\n"
+        "        pass\n"
+    )
+    tree = ast.parse(source)
+    assert _public_methods(tree, "A") == {"k", "from_flat", "vjp"}
+    assert _public_methods(tree, "B") == {"check"}

@@ -17,7 +17,7 @@ from spingarch import (
     conditional_mean_path,
     fit_neural,
     negloglik,
-    neural_gradient,
+    negloglik_and_grad,
     poisson_log_pmf,
     select_hidden_units,
     simulate_path,
@@ -196,7 +196,7 @@ class TestGradient:
         spec = nspec(p=1, q=0, L=2)
         x = np.array([0, 1, 2, 3, 1])
         w = NeuralWeights(np.zeros((2, 2)), np.zeros(2))
-        grad = neural_gradient(w, spec, x)
+        grad = negloglik_and_grad(spec, w, x)[1]
         expected = -np.sum(x / LN2 - 1.0) * 0.25
         np.testing.assert_allclose(grad[4:6], expected, rtol=1e-12)
         fd = finite_diff_gradient(spec, x, w.to_flat())
@@ -215,25 +215,28 @@ class TestGradient:
             flat = rng.uniform(-0.8, 0.8, size)
             w = NeuralWeights.from_flat(flat, spec)
             err = relative_gradient_error(
-                neural_gradient(w, spec, series), finite_diff_gradient(spec, series, flat)
+                negloglik_and_grad(spec, w, series)[1], finite_diff_gradient(spec, series, flat)
             )
             worst = max(worst, err)
         assert worst < 1e-6
 
     @pytest.mark.parametrize("family", [POISSON, NEGBIN])
-    def test_gate_q1_total_derivative(self, family):
-        # the recursive case: a truncated per-step gradient would fail this
-        rng = np.random.default_rng(11)
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_gate_total_derivative(self, family, p, q):
+        # the recursive case: a truncated per-step gradient would fail this;
+        # p = 2 or q = 2 runs the lag loops of `NeuralWeights.hessian_parts`
+        # past their first term
+        rng = np.random.default_rng(11 + 10 * (p - 1) + 100 * (q - 1))
         worst = 0.0
         for _ in range(20):
             L = int(rng.integers(1, 3))
-            spec = nspec(family, p=1, q=1, L=L)
+            spec = nspec(family, p=p, q=q, L=L)
             series = rng.integers(0, 8, 30)
             size = spec.input_width * L + L + (1 if family == NEGBIN else 0)
             flat = rng.uniform(-0.8, 0.8, size)
             w = NeuralWeights.from_flat(flat, spec)
             err = relative_gradient_error(
-                neural_gradient(w, spec, series), finite_diff_gradient(spec, series, flat)
+                negloglik_and_grad(spec, w, series)[1], finite_diff_gradient(spec, series, flat)
             )
             worst = max(worst, err)
         assert worst < 1e-5
@@ -246,7 +249,7 @@ class TestGradient:
         series = rng.integers(0, 8, 40)
         flat = rng.uniform(-0.8, 0.8, 4)  # K*L + L with K=3, L=1
         w = NeuralWeights.from_flat(flat, spec)
-        full = neural_gradient(w, spec, series)
+        full = negloglik_and_grad(spec, w, series)[1]
         fd = finite_diff_gradient(spec, series, flat)
 
         # truncated variant: differentiate treating lagged lambdas as data
@@ -272,7 +275,7 @@ class TestGradient:
         w = NeuralWeights(np.array([[0.3], [0.1]]), np.array([0.9]))
         x = [4]
         g = conditional_mean_path(spec, w, x)[0]
-        grad = neural_gradient(w, spec, x)
+        grad = negloglik_and_grad(spec, w, x)[1]
         h = 1e-7
         w2 = NeuralWeights(w.u0, w.u1 + h)
         dg = (conditional_mean_path(spec, w2, x)[0] - g) / h
