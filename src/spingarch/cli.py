@@ -19,7 +19,7 @@ import re
 import shlex
 import sys
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,35 +52,61 @@ class UsageError(Exception):
     """Invalid invocation; maps to exit code 1."""
 
 
+class _Numbers:
+    """An argparse type: a `kind` value >= `low`, or with `many` a comma-separated list of them."""
+
+    def __init__(self, kind, low=None, many=False):
+        self.kind, self.low, self.many = kind, low, many
+
+    def __call__(self, text: str):
+        try:
+            values = tuple(map(self.kind, text.split(","))) if text.strip() or not self.many else ()
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {self.kind.__name__} values, got {text!r}") from None
+        if self.low is not None and (not values or min(values) < self.low):
+            raise argparse.ArgumentTypeError(f"expected values >= {self.low}, got {text!r}")
+        return values if self.many else values[0]
+
+
+_NONNEGATIVE, _POSITIVE, _FLOATS = _Numbers(int, 0), _Numbers(int, 1), _Numbers(float, many=True)
+
+
+def _option(default=None, flag=None, **settings):
+    """A RunConfig field set by one option: its default and argparse settings; the
+    flag is `--` and the field name with `-` for `_`, unless `flag` names it."""
+    return field(default=default, metadata={"flag": flag, "settings": settings})
+
+
 @dataclass
 class RunConfig:
-    """Everything that determines a run, gathered from the command line."""
+    """Everything that determines a run, gathered from the command line; each
+    field but `command` declares its option once, through `_option`."""
 
     command: str
-    input: Optional[str] = None
-    out: Optional[str] = None
-    family: str = NEGBIN
-    link: str = SOFTPLUS_LINEAR
-    p: int = 1
-    q: int = 0
-    c: float = 1.0
-    hidden: Optional[int] = None
-    seed: int = 0
-    restarts: Optional[int] = None
-    split: Optional[int] = None
-    max_lag: int = 10
-    length: Optional[int] = None
-    burn_in: int = 500
-    alpha0: Optional[float] = None
-    alpha: Tuple[float, ...] = ()
-    beta: Tuple[float, ...] = ()
-    n: Optional[float] = None
-    weights: Optional[Tuple[float, ...]] = None
-    sizes: Tuple[int, ...] = ()
-    replications: int = 100
-    models: Tuple[str, ...] = ()
-    criterion: str = "aic"
-    grid: Optional[str] = None
+    input: Optional[str] = _option(flag="input", help="counts CSV")
+    out: Optional[str] = _option()
+    family: str = _option(NEGBIN, choices=[POISSON, NEGBIN])
+    link: str = _option(SOFTPLUS_LINEAR, choices=[SOFTPLUS_LINEAR, NEURAL])
+    p: int = _option(1, type=int)
+    q: int = _option(0, type=int)
+    c: float = _option(1.0, type=float)
+    hidden: Optional[int] = _option(type=_POSITIVE)
+    seed: int = _option(0, type=_NONNEGATIVE)
+    restarts: Optional[int] = _option(type=_NONNEGATIVE)
+    split: Optional[int] = _option(type=_POSITIVE)
+    max_lag: int = _option(10, type=_POSITIVE)
+    length: Optional[int] = _option(type=_POSITIVE)
+    burn_in: int = _option(500, type=_NONNEGATIVE)
+    alpha0: Optional[float] = _option(type=float)
+    alpha: Tuple[float, ...] = _option((), type=_FLOATS)
+    beta: Tuple[float, ...] = _option((), type=_FLOATS)
+    n: Optional[float] = _option(type=float)
+    weights: Optional[Tuple[float, ...]] = _option(type=_FLOATS)
+    sizes: Tuple[int, ...] = _option((), type=_Numbers(int, 1, many=True))
+    replications: int = _option(100, type=_POSITIVE)
+    models: Tuple[str, ...] = _option((), "--model", action="append", dest="models", type=str.strip)
+    criterion: str = _option("aic", choices=["aic", "bic"])
+    grid: Optional[str] = _option()
 
     def provenance(self) -> Dict[str, object]:
         """The command and the options it reads, given or defaulted, in the command's
@@ -243,7 +269,7 @@ def _spec(config: RunConfig, token: Optional[str] = None) -> ModelSpec:
     if token is None:
         family, link, p, q = config.family, config.link, config.p, config.q
     else:
-        m = _MODEL_RE.fullmatch(token.strip())
+        m = _MODEL_RE.fullmatch(token)
         if not m:
             raise UsageError(
                 f"bad --model {token!r}; expected e.g. 'nb(1,1)', 'pois(2,0)' or 'neu-nb(1,1)'"
@@ -531,52 +557,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _Numbers:
-    """An argparse type: a `kind` value >= `low`, or with `many` a comma-separated list of them."""
-
-    def __init__(self, kind, low=None, many=False):
-        self.kind, self.low, self.many = kind, low, many
-
-    def __call__(self, text: str):
-        try:
-            values = tuple(map(self.kind, text.split(","))) if text.strip() or not self.many else ()
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {self.kind.__name__} values, got {text!r}") from None
-        if self.low is not None and (not values or min(values) < self.low):
-            raise argparse.ArgumentTypeError(f"expected values >= {self.low}, got {text!r}")
-        return values if self.many else values[0]
+_FIELDS = {f.name: f for f in fields(RunConfig) if f.metadata}  # the options: every field but `command`
 
 
-_NONNEGATIVE, _POSITIVE, _FLOATS = _Numbers(int, 0), _Numbers(int, 1), _Numbers(float, many=True)
+def _flag(name: str) -> str:
+    """The flag of the option that sets RunConfig field `name`."""
+    return _FIELDS[name].metadata["flag"] or "--" + name.replace("_", "-")
 
-# Every option once: its flag and argparse settings, keyed by the RunConfig
-# field it sets (argparse derives that dest from the flag, except for --model).
-_OPTIONS: Dict[str, Tuple[str, Dict[str, object]]] = {
-    "input": ("input", {"help": "counts CSV"}),
-    "out": ("--out", {}),
-    "family": ("--family", {"choices": [POISSON, NEGBIN]}),
-    "link": ("--link", {"choices": [SOFTPLUS_LINEAR, NEURAL]}),
-    "p": ("--p", {"type": int}),
-    "q": ("--q", {"type": int}),
-    "c": ("--c", {"type": float}),
-    "hidden": ("--hidden", {"type": _POSITIVE}),
-    "seed": ("--seed", {"type": _NONNEGATIVE}),
-    "restarts": ("--restarts", {"type": _NONNEGATIVE}),
-    "split": ("--split", {"type": _POSITIVE}),
-    "max_lag": ("--max-lag", {"type": _POSITIVE}),
-    "length": ("--length", {"type": _POSITIVE}),
-    "burn_in": ("--burn-in", {"type": _NONNEGATIVE}),
-    "alpha0": ("--alpha0", {"type": float}),
-    "alpha": ("--alpha", {"type": _FLOATS}),
-    "beta": ("--beta", {"type": _FLOATS}),
-    "n": ("--n", {"type": float}),
-    "weights": ("--weights", {"type": _FLOATS}),
-    "sizes": ("--sizes", {"type": _Numbers(int, 1, many=True)}),
-    "replications": ("--replications", {"type": _POSITIVE}),
-    "models": ("--model", {"action": "append", "dest": "models"}),
-    "criterion": ("--criterion", {"choices": ["aic", "bic"]}),
-    "grid": ("--grid", {}),
-}
 
 # The options that each --model token names for its own model.
 _MODEL_OPTIONS = ("family", "link", "p", "q")
@@ -612,16 +599,17 @@ def _build_parser() -> _Parser:
     for name, (help_text, options) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         for option in options.split():
-            flag, settings = _OPTIONS[option.rstrip("!")]
-            sp.add_argument(flag, **settings, **({"required": True} if option.endswith("!") else {}))
+            dest = option.rstrip("!")
+            sp.add_argument(_flag(dest), **_FIELDS[dest].metadata["settings"],
+                            **({"required": True} if option.endswith("!") else {}))
     sub.choices["moments"].set_defaults(max_lag=3, length=100000)
     return parser
 
 
 # argparse reads a word such as "-0.3,0.1" as an option, not as the value of
 # the option before it; list options take their value as one word.
-_LIST_FLAGS = tuple(flag for flag, settings in _OPTIONS.values()
-                    if getattr(settings.get("type"), "many", False))
+_LIST_FLAGS = tuple(_flag(name) for name, f in _FIELDS.items()
+                    if getattr(f.metadata["settings"].get("type"), "many", False))
 _NEGATIVE_NUMBER_RE = re.compile(r"-\.?\d")
 
 
@@ -643,7 +631,7 @@ def _parse(argv: Sequence[str]) -> RunConfig:
         raise UsageError("a command is required (simulate, fit, moments, study, diagnose, forecast)")
     model_list = "models" in given
     read = ["command", *_read_options(given["command"], model_list)]
-    unread = [_OPTIONS[name][0] for name in given if name not in read]
+    unread = [_flag(name) for name in given if name not in read]
     if unread:
         raise UsageError(f"{', '.join(unread)} {'conflicts with' if model_list else 'needs'} --model")
     return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in given.items()})

@@ -87,13 +87,14 @@ def loglik_terms(counts: CountTable, lam: np.ndarray, n=None) -> np.ndarray:
     log x! and the NB coefficient log C(x+n-1, x) -- are evaluated once per
     level of the table and gathered.  The NB coefficient is -log x -
     betaln(n, x) (0 at x = 0), which stays accurate as n grows where
-    gammaln(x+n) - gammaln(n) cancels.
+    gammaln(x+n) - gammaln(n) cancels; from n = 1e3 on, where betaln loses
+    digits for x << n, it is the differenced asymptotic series of log Gamma.
+    An array of n (`nb_log_pmf`) takes each entry by its own rule.
     """
     x, levels, index = counts.x, counts.levels, counts.index
     if n is None:
         return x * np.log(lam) - lam - gammaln(levels + 1.0)[index]
-    v = np.maximum(levels, 1.0)
-    log_coef = np.where(levels > 0, -np.log(v) - betaln(n, v), 0.0)[index]
+    log_coef = (np.vectorize(_log_nb_coef) if np.ndim(n) else _log_nb_coef)(levels, n)[index]
     return x * (np.log(lam) - np.log(n + lam)) - n * np.log1p(lam / n) + log_coef
 
 
@@ -129,6 +130,15 @@ def loglik_curvatures(counts: CountTable, lam: np.ndarray, n=None):
     d_lam_n = (x - lam) / m / m
     d_nn = _trigamma_gap(counts.levels, n)[counts.index] + lam / n / m - (lam - x) / m / m
     return d_lam2, d_lam_n, float(np.sum(d_nn))
+
+
+def _log_nb_coef(v, n):
+    """log C(v+n-1, v) = log Gamma(v+n) - log Gamma(n) - log v! for counts v >= 0, exactly 0 at v = 0."""
+    if n < 1e3:
+        v1 = np.maximum(v, 1.0)
+        return np.where(v > 0, -np.log(v1) - betaln(n, v1), 0.0)
+    u, m = v / n, n + v  # the Stirling series, differenced term by term
+    return (n - 0.5) * np.log1p(u) + v * np.log(m) - v - u / (12.0 * m) - gammaln(v + 1.0)
 
 
 def _trigamma_gap(v: np.ndarray, n: float) -> np.ndarray:

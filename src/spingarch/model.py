@@ -225,8 +225,6 @@ class LinearParams:
         theta = np.array([self.alpha0, *self.alpha, *self.beta])
         d = expit(B @ theta / spec.c)  # sp'(eta_t)
         d2 = d * (1.0 - d) / spec.c  # sp''(eta_t)
-        if not q:
-            return d[:, None] * B, (B.T * (r * d2)) @ B
         partials = d[:, None] * theta[1 + p :]
         S = _lag_adjoint(d[:, None] * B, partials, tangent=True)
         a = _lag_adjoint(r, partials)
@@ -247,50 +245,32 @@ class LinearParams:
         mean lambda_t by `mean_path`'s feedback arithmetic, then the count
         draw((lambda_t / n) * g).  Poisson parameters take n = 1 and every
         g = 1, so the argument is lambda_t exactly.  The first count and mean
-        lags are scalars, further lags loops; a deque holds the means only
-        when q >= 2.  A ValueError of `draw` becomes a NumericError carrying
-        the 1-based step."""
+        lags are scalars (beta_1 = 0.0 when q = 0, exact for finite means),
+        further lags loops; a deque holds the means only when q >= 2.  A
+        ValueError of `draw` becomes a NumericError carrying the 1-based step."""
         start = self.chain_start(spec)
         p, q, c = spec.p, spec.q, spec.c
         n = 1.0 if self.n is None else self.n
-        a0, a1 = self.alpha0, self.alpha[0]
-        b1 = self.beta[0] if q else None
+        a0, a1, b1 = self.alpha0, self.alpha[0], self.beta[0] if q else 0.0
         taps = tuple(zip(self.alpha[1:], range(-2, -p - 1, -1)))
         ltaps = tuple(zip(self.beta[1:], range(-2, -q - 1, -1)))
+        lams = deque([start] * q, maxlen=q) if ltaps else None
         exp, log1p = math.exp, math.log1p
         xs = [start] * p  # pre-sample counts, then the draws
         x1 = lam = start
         try:
-            if not q:
-                for g in mixing:
-                    e = a0 + a1 * x1
-                    for a, i in taps:
-                        e += a * xs[i]
-                    lam = e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))
-                    x1 = draw((lam / n) * g)
-                    xs.append(x1)
-            elif not ltaps:
-                for g in mixing:
-                    e = a0 + a1 * x1
-                    for a, i in taps:
-                        e += a * xs[i]
-                    e += b1 * lam
-                    lam = e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))
-                    x1 = draw((lam / n) * g)
-                    xs.append(x1)
-            else:
-                lams = deque([start] * q, maxlen=q)
-                for g in mixing:
-                    e = a0 + a1 * x1
-                    for a, i in taps:
-                        e += a * xs[i]
-                    e += b1 * lam
-                    for b, j in ltaps:
-                        e += b * lams[j]
-                    lam = e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))
+            for g in mixing:
+                e = a0 + a1 * x1
+                for a, i in taps:
+                    e += a * xs[i]
+                e += b1 * lam
+                for b, j in ltaps:
+                    e += b * lams[j]
+                lam = e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))
+                if ltaps:
                     lams.append(lam)
-                    x1 = draw((lam / n) * g)
-                    xs.append(x1)
+                x1 = draw((lam / n) * g)
+                xs.append(x1)
         except ValueError as exc:
             raise _draw_error(lam, len(xs) - p + 1) from exc
         del xs[:p]
@@ -405,15 +385,13 @@ class NeuralWeights:
             dA[:, l, l : K * L : L] = B
         dz = np.einsum("tl,tlk->tk", dz_da, dA)  # d z_t / d w, then the total
         dz[:, K * L :] = H
-        S, a = g[:, None] * dz, r
-        if q:
-            dz_dlam = dz_da @ self.u0[1 + p :].T
-            partials = g[:, None] * dz_dlam
-            S = _lag_adjoint(S, partials, tangent=True)
-            a = _lag_adjoint(r, partials)
-            for j in range(1, q + 1):
-                dA[j:] += self.u0[p + j][None, :, None] * S[:-j, None, :]
-                dz[j:] += dz_dlam[j:, j - 1 : j] * S[:-j]
+        dz_dlam = dz_da @ self.u0[1 + p :].T
+        partials = g[:, None] * dz_dlam
+        S = _lag_adjoint(g[:, None] * dz, partials, tangent=True)
+        a = _lag_adjoint(r, partials)
+        for j in range(1, q + 1):
+            dA[j:] += self.u0[p + j][None, :, None] * S[:-j, None, :]
+            dz[j:] += dz_dlam[j:, j - 1 : j] * S[:-j]
         w = a * g
         C = (dz.T * (w * (1.0 - g))) @ dz
         h2w = h1 * (1.0 - 2.0 * H) * self.u1 * w[:, None]
@@ -560,8 +538,11 @@ def _lag_adjoint(r: np.ndarray, partials: np.ndarray, tangent: bool = False) -> 
     With `tangent` it solves the lower triangle (I - C)^T y = r instead,
     y_t = r_t + sum_j partials[t, j-1] y_{t-j}: the same feedback carried
     forward, as forward-mode tangents, by forward substitution.  r may then
-    have one column per direction (s x k)."""
+    have one column per direction (s x k).  With q = 0 it returns r itself,
+    not a copy, which no caller writes to."""
     s, q = partials.shape
+    if not q:
+        return r
     # LAPACK upper band storage: row q - j holds the j-th superdiagonal, whose
     # column t+j is -partials[t+j, j-1]; the first j entries of that row and
     # the diagonal row q (unit, diag="U") are never read.

@@ -10,11 +10,11 @@ import pytest
 
 from spingarch import LinearParams, ModelSpec, NeuralWeights, fit_cml, simulate
 from spingarch.cli import (
-    _OPTIONS,
     RunConfig,
     _attach_negative_lists,
     _build_parser,
     _csv_provenance,
+    _flag,
     _parse,
     fit_from_tree,
     fit_to_tree,
@@ -591,7 +591,7 @@ class TestRunConfigProvenance:
                 argv += [f"--model={token}" for token in value]
             elif name != "command":
                 text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-                argv.append(f"{_OPTIONS[name][0]}={text}")
+                argv.append(f"{_flag(name)}={text}")
         return argv
 
     def _assert_csv_replays(self, path):
@@ -630,6 +630,20 @@ class TestRunConfigProvenance:
                 self._assert_csv_replays(path)
             for path in documents:
                 self._assert_document_replays(path)
+
+    def test_model_tokens_are_stripped(self, tmp_path):
+        # a token with surrounding spaces once labelled its fit " nb(1,0)", which
+        # textdoc could not read back and the replay, labelled "nb(1,0)", did not reproduce
+        data = write_series(tmp_path, seed=9, n=120)
+        out = tmp_path / "sel.txt"
+        assert main(["fit", str(data), "--model", " nb(1,0)", "--model", "pois(1,0) ", "--out", str(out)]) == 0
+        text = out.read_text()
+        doc = loads(text)
+        assert list(doc["fits"]) == ["nb(1,0)", "pois(1,0)"]
+        assert doc["config"]["models"] == ["nb(1,0)", "pois(1,0)"]
+        out.unlink()
+        assert main(self._argv(doc["config"])) == 0
+        assert out.read_text() == text
 
 
 def _readme_commands():

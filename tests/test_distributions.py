@@ -9,7 +9,7 @@ import pytest
 from scipy.special import betaln, digamma, gammaln
 
 from spingarch import CountSeries, RngStream, nb_log_pmf, nb_sample, poisson_log_pmf
-from spingarch.distributions import _trigamma_gap, loglik_curvatures, loglik_scores, loglik_terms
+from spingarch.distributions import _log_nb_coef, _trigamma_gap, loglik_curvatures, loglik_scores, loglik_terms
 from spingarch.exceptions import ParameterError
 
 PARAM_GRID = [(n, lam) for n in (0.5, 1.0, 3.0, 10.0) for lam in (0.5, 2.0, 6.0, 12.0)]
@@ -76,6 +76,32 @@ class TestNbLogPmf:
         x = np.arange(0.0, 40.0)
         lam = np.linspace(0.1, 20.0, x.size)
         np.testing.assert_allclose(loglik_terms(table(x), lam, 1e12), loglik_terms(table(x), lam), rtol=0, atol=1e-9)
+
+
+class TestNbCoefficient:
+    @pytest.mark.parametrize("n", [1e3, 1e6, 1e9, 1e12])
+    def test_coefficient_against_finite_sum(self, n):
+        # log C(v+n-1, v) = v ln n + sum_{i<v} log1p(i/n) - ln v! for integer v;
+        # betaln misses this by 1.7e-11 relative at n = 1e6
+        v = np.array([0.0, 1.0, 2.0, 5.0, 17.0, 60.0, 250.0, 3000.0])
+        expected = [k * math.log(n) + math.fsum(math.log1p(i / n) for i in range(int(k))) - math.lgamma(k + 1.0)
+                    for k in v]
+        got = _log_nb_coef(v, n)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got[1:], expected[1:], rtol=1e-13, atol=0)
+
+    def test_huge_counts_near_the_poisson_limit(self):
+        # at a common mean the NB log-likelihood lies just below the Poisson one
+        # as n grows; betaln's lost digits put it 0.41 above at n = 1e12
+        x = np.random.default_rng(0).poisson(1e7, 200)
+        lam = np.full(x.size, x.mean())
+        gap = np.sum(loglik_terms(table(x), lam, 1e12)) - np.sum(loglik_terms(table(x), lam))
+        assert abs(gap) < 1e-3
+
+    def test_an_array_of_dispersions_takes_each_entry_by_its_rule(self):
+        x, n, lam = np.array([0, 3, 40, 7]), np.array([0.5, 999.0, 1e3, 1e12]), 6.0
+        expected = [nb_log_pmf(xt, nt, lam) for xt, nt in zip(x, n)]
+        np.testing.assert_array_equal(nb_log_pmf(x, n, lam), expected)
 
 
 class TestLoglikScores:
@@ -159,8 +185,12 @@ def direct_terms(x, lam, n):
     the per-level evaluation."""
     if n is None:
         return x * np.log(lam) - lam - gammaln(x + 1.0)
-    x1 = np.maximum(x, 1.0)
-    log_coef = np.where(x > 0, -np.log(x1) - betaln(n, x1), 0.0)
+    if n < 1e3:
+        x1 = np.maximum(x, 1.0)
+        log_coef = np.where(x > 0, -np.log(x1) - betaln(n, x1), 0.0)
+    else:
+        u, m = x / n, n + x
+        log_coef = (n - 0.5) * np.log1p(u) + x * np.log(m) - x - u / (12.0 * m) - gammaln(x + 1.0)
     return x * (np.log(lam) - np.log(n + lam)) - n * np.log1p(lam / n) + log_coef
 
 

@@ -3,8 +3,9 @@ name crosses a module boundary; no module imports `scipy.optimize` (the fit
 driver is `estimate`'s own trust-region Newton) or runs a Nelder-Mead search;
 importing the package loads no scipy subpackage beyond those of
 `scipy.special` and `scipy.linalg`; one home for the banded lambda-lag solve;
-`model.py` draws nothing at random; and both response types define the one
-interface the README lists."""
+`model.py` draws nothing at random and writes the scalar softplus step once
+per scalar loop; and both response types define the one interface the README
+lists."""
 
 import ast
 import functools
@@ -311,3 +312,61 @@ def test_interface_check_has_teeth():
     tree = ast.parse(source)
     assert _public_methods(tree, "A") == {"k", "from_flat", "vjp"}
     assert _public_methods(tree, "B") == {"check"}
+
+
+def _called(node):
+    """The name a call node calls: `f` for f(...) and for m.f(...)."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def _softplus_steps(tree):
+    """(function, line) for every conditional expression with a branch that
+    calls log1p(exp(...)), the scalar softplus step, under the innermost
+    function that encloses it (None at module level)."""
+    def step(node):
+        return any(_called(n) == "log1p" and n.args and _called(n.args[0]) == "exp" for n in ast.walk(node))
+
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if isinstance(child, ast.IfExp) and (step(child.body) or step(child.orelse)):
+                found.append((func, child.lineno))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_scalar_softplus_step_per_loop():
+    # the scalar loops of model.py (the linear mean path, the linear draw loop
+    # and the scalar network) each write the sign-split softplus step once
+    path = SRC / "model.py"
+    found = _softplus_steps(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    per_function = {}
+    for func, line in found:
+        per_function.setdefault(func, []).append(line)
+    repeated = {func: lines for func, lines in per_function.items() if len(lines) > 1}
+    assert not repeated, f"scalar softplus step written more than once in: {repeated}"
+    assert len(found) <= 3, f"{len(found)} scalar softplus steps in model.py: {found}"
+
+
+def test_softplus_step_check_has_teeth():
+    source = (
+        "import math\n"
+        "from math import exp, log1p\n"
+        "y = log1p(exp(1.0)) if True else 0.0\n"
+        "def draw(e, c):\n"
+        "    a = e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))\n"
+        "    b = math.log1p(math.exp(e)) if e < 30.0 else e\n"
+        "    d = log1p(e) if e > 0.0 else exp(e)\n"
+        "    def step(z):\n"
+        "        return z + log1p(exp(-z)) if z > 0.0 else log1p(exp(z))\n"
+        "    return a, b, d, step, lambda z: 0.0 if z else log1p(exp(z))\n"
+    )
+    assert _softplus_steps(ast.parse(source)) == [(None, 3), ("draw", 5), ("draw", 6), ("step", 9),
+                                                  ("<lambda>", 10)]

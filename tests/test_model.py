@@ -1,5 +1,7 @@
 """Conditional-mean recursion, stationarity checks, and linear moment formulas."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -163,13 +165,27 @@ class TestLinearResponse:
         for p, q in [(1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (2, 2)]:
             spec = ModelSpec(NEGBIN, SOFTPLUS_LINEAR, p, q, 0.8)
             params = LinearParams(0.6, (0.3, -0.15)[:p], (0.25, -0.1)[:q], 2.3)
-            lam = conditional_mean_path(spec, params, series, presample=params.chain_start(spec))
             means = np.array(recorded_draws(params, spec, series, gammas))
-            expected = (lam / params.n) * np.array(gammas)
             if q:  # the path's feedback loop runs draw_path's scalar arithmetic
-                np.testing.assert_array_equal(means, expected, err_msg=f"order ({p},{q})")
+                lam = conditional_mean_path(spec, params, series, presample=params.chain_start(spec))
             else:  # numpy's SIMD exp and log1p may round differently from math's
-                np.testing.assert_allclose(means, expected, rtol=1e-15, atol=0, err_msg=f"order ({p},{q})")
+                lam = np.array(observation_lag_loop(params, spec, series))
+            np.testing.assert_array_equal(means, (lam / params.n) * np.array(gammas), err_msg=f"order ({p},{q})")
+
+
+def observation_lag_loop(params, spec, series):
+    """The means lambda_1..lambda_s of a q = 0 chain run along `series` from
+    `chain_start`, as one scalar loop with math's exp and log1p: the reference
+    for `draw_path` at q = 0."""
+    p, c = spec.p, spec.c
+    xs = [params.chain_start(spec)] * p + list(series)
+    lam = []
+    for t in range(len(series)):
+        e = params.alpha0
+        for i in range(1, p + 1):
+            e += params.alpha[i - 1] * xs[t + p - i]
+        lam.append(e + c * math.log1p(math.exp(-e / c)) if e > 0.0 else c * math.log1p(math.exp(e / c)))
+    return lam
 
 
 def lag_adjoint_loop(r, partials):
@@ -199,7 +215,7 @@ def lag_tangent_loop(r, partials):
 
 
 class TestLagAdjoint:
-    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("q", [0, 1, 2, 3])
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 50])
     def test_banded_solve_matches_the_scalar_loop(self, q, s):
         rng = np.random.default_rng(10 * q + s)
@@ -209,7 +225,7 @@ class TestLagAdjoint:
         r[rng.random(s) < 0.2] = 0.0
         np.testing.assert_allclose(_lag_adjoint(r, partials), lag_adjoint_loop(r, partials), rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("q", [0, 1, 2, 3])
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 50])
     def test_tangent_solve_matches_the_forward_loop(self, q, s):
         rng = np.random.default_rng(100 + 10 * q + s)
