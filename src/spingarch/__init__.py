@@ -31,6 +31,7 @@ from .estimate import (
     init_params,
     negloglik,
     negloglik_and_grad,
+    select_fit,
     select_hidden_units,
     standard_errors,
 )

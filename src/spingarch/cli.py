@@ -6,8 +6,8 @@ parses, and records the options it read, given or defaulted, in every output,
 so that passing the record back replays the run.  Every run is fully
 determined by its flags and input file -- no clocks, no hidden state -- so
 rerunning a command reproduces its outputs byte for byte.
-Exit codes: 0 ok, 1 usage, 2 parse, 3 numeric, 4 non-convergence (the fit
-document is still written).
+Exit codes: 0 ok, 1 usage, 2 parse, 3 numeric, 4 non-convergence, of every
+candidate with a --model list (the fit document is still written).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .diagnostics import (
     sample_pacf,
 )
 from .distributions import RngStream
-from .estimate import FitResult, OptimizerOptions, fit_cml, fit_neural
+from .estimate import FitResult, OptimizerOptions, fit_cml, fit_neural, select_fit
 from .exceptions import DataError, NumericError, ParameterError
 from .model import NEGBIN, NEURAL, POISSON, SOFTPLUS_LINEAR, LinearParams, ModelSpec, NeuralWeights
 from .simulate import SimConfig, moment_study, simulate_path, simulation_study
@@ -139,15 +139,9 @@ def parse_counts_csv(path) -> CountSeries:
                 continue
             cells = [cell.strip() for cell in row]
             if header is None:
-                lowered = [c.lower() for c in cells]
-                if lowered == ["count"]:
-                    header = lowered
-                elif lowered == ["timestamp", "count"]:
-                    header = lowered
-                else:
-                    raise DataError(
-                        f"line {lineno}: header must be 'count' or 'timestamp,count', got {row!r}"
-                    )
+                header = [c.lower() for c in cells]
+                if header not in (["count"], ["timestamp", "count"]):
+                    raise DataError(f"line {lineno}: header must be 'count' or 'timestamp,count', got {row!r}")
                 continue
             if len(cells) != len(header):
                 raise DataError(f"line {lineno}: expected {len(header)} columns, got {len(cells)}")
@@ -328,10 +322,8 @@ def _fit_one(spec: ModelSpec, series, config: RunConfig) -> FitResult:
 
 def _write_text(path, text: str):
     path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def _document(config: RunConfig, body: Dict[str, object]) -> str:
@@ -340,11 +332,12 @@ def _document(config: RunConfig, body: Dict[str, object]) -> str:
     return dumps(tree)
 
 
-def _csv_provenance(config: RunConfig) -> List[str]:
-    """Header lines; the config is one shell-quoted `key=value` word per option, lists comma-joined."""
+def _write_csv(path, config: RunConfig, lines: List[str]):
+    """Write `lines` under two header lines; the config is one shell-quoted
+    `key=value` word per option, lists comma-joined."""
     pairs = " ".join(shlex.quote(f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}")
                      for k, v in config.provenance().items())
-    return [f"# artifact: {_ARTIFACT}", f"# config: {pairs}"]
+    _write_text(path, "\n".join([f"# artifact: {_ARTIFACT}", f"# config: {pairs}", *lines]) + "\n")
 
 
 def _series_summary(series: CountSeries) -> Dict[str, object]:
@@ -365,34 +358,22 @@ def _cmd_simulate(config: RunConfig) -> int:
     sim = SimConfig(spec=spec, params=params, length=config.length, burn_in=config.burn_in,
                     rng=RngStream(config.seed))
     path = simulate_path(sim)
-    lines = _csv_provenance(config) + ["count"] + [str(int(v)) for v in path]
-    _write_text(config.out, "\n".join(lines) + "\n")
+    _write_csv(config.out, config, ["count"] + [str(int(v)) for v in path])
     return 0
 
 
 def _cmd_fit(config: RunConfig) -> int:
     series = parse_counts_csv(config.input)
-
-    if config.models:
+    body: Dict[str, object] = {"series": _series_summary(series)}
+    if config.models:  # exit 4 only when no candidate converged
         fits = {token: _fit_one(_spec(config, token), series, config) for token in config.models}
-        crit = config.criterion
-        ranked = sorted(
-            fits.items(),
-            key=lambda item: (getattr(item[1], crit), item[1].estimates.k(),
-                              item[1].spec.p + item[1].spec.q),
-        )
-        best_label = ranked[0][0]
-        body: Dict[str, object] = {
-            "series": _series_summary(series),
-            "fits": {label: fit_to_tree(fit) for label, fit in fits.items()},
-            "selection": {"criterion": crit, "best": best_label},
-        }
-        _write_text(config.out, _document(config, body))
-        return 0 if fits[best_label].converged else 4
-
-    spec = _spec(config)
-    fit = _fit_one(spec, series, config)
-    body = {"series": _series_summary(series), "fit": fit_to_tree(fit)}
+        best_label = select_fit(fits, config.criterion)
+        body["fits"] = {label: fit_to_tree(fit) for label, fit in fits.items()}
+        body["selection"] = {"criterion": config.criterion, "best": best_label}
+        fit = fits[best_label]
+    else:
+        fit = _fit_one(_spec(config), series, config)
+        body["fit"] = fit_to_tree(fit)
     _write_text(config.out, _document(config, body))
     return 0 if fit.converged else 4
 
@@ -426,7 +407,7 @@ def _cmd_moments(config: RunConfig) -> int:
               "sp_mean", "sp_dispersion"]
     header += [f"sp_acf{h}" for h in range(1, lags + 1)]
     header += ["lin_mean", "lin_dispersion"] + [f"lin_acf{h}" for h in range(1, lags + 1)]
-    lines = _csv_provenance(config) + [",".join(header)]
+    lines = [",".join(header)]
     for idx, row in enumerate(rows):
         params = row.config.params
         cells = [
@@ -449,7 +430,7 @@ def _cmd_moments(config: RunConfig) -> int:
         else:
             cells += [""] * (2 + lags)
         lines.append(",".join(cells))
-    _write_text(config.out, "\n".join(lines) + "\n")
+    _write_csv(config.out, config, lines)
     return 0
 
 
@@ -491,15 +472,12 @@ def _cmd_diagnose(config: RunConfig) -> int:
     outdir = Path(config.out)  # _write_text makes it
     body = {"series": _series_summary(series), "fit": fit_to_tree(fit)}
     _write_text(outdir / "fit.txt", _document(config, body))
-    lines = _csv_provenance(config) + ["z"] + [format_float(v) for v in z]
-    _write_text(outdir / "residuals.csv", "\n".join(lines) + "\n")
-    lines = _csv_provenance(config) + ["lag,acf,pacf"]
-    lines += [f"{h + 1},{format_float(acf[h])},{format_float(pacf[h])}" for h in range(max_lag)]
-    _write_text(outdir / "correlogram.csv", "\n".join(lines) + "\n")
-    lines = _csv_provenance(config) + [f"# band_half_width: {format_float(band)}"]
-    lines += ["frequency,cumulative_fraction"]
-    lines += [f"{format_float(f)},{format_float(c)}" for f, c in zip(freqs, fractions)]
-    _write_text(outdir / "periodogram.csv", "\n".join(lines) + "\n")
+    _write_csv(outdir / "residuals.csv", config, ["z"] + [format_float(v) for v in z])
+    _write_csv(outdir / "correlogram.csv", config, ["lag,acf,pacf"] + [
+        f"{h + 1},{format_float(acf[h])},{format_float(pacf[h])}" for h in range(max_lag)])
+    _write_csv(outdir / "periodogram.csv", config, [
+        f"# band_half_width: {format_float(band)}", "frequency,cumulative_fraction",
+        *(f"{format_float(f)},{format_float(c)}" for f, c in zip(freqs, fractions))])
     return 0 if fit.converged else 4
 
 

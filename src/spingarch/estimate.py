@@ -30,10 +30,11 @@ point passes a stationarity test on the decrement and on the gradient along
 non-positive curvature.  Standard errors invert the winning point's Hessian.
 
 The links differ in their starts.  A linear fit starts at the method of
-moments, with jittered restarts while no run has converged.  A network
-starts from random weights, each run to completion, plus warm starts;
-`select_hidden_units` warm-starts each larger network from the previous
-winner with an idle extra unit.
+moments, in closed form for (1,1) models, with jittered restarts while no
+run has converged.  A network starts from random weights, each run to
+completion, plus warm starts; `select_hidden_units` warm-starts each larger
+network from the previous winner with an idle extra unit.  Every NB start
+takes n from `_dispersion_n`; `select_fit` ranks the fits of either link.
 """
 
 from __future__ import annotations
@@ -62,11 +63,11 @@ __all__ = [
     "fit_neural",
     "extend_with_idle_unit",
     "select_hidden_units",
+    "select_fit",
     "standard_errors",
     "information_criteria",
 ]
 
-_PENALTY = 1e15  # the objective off the valid region: a trial step there is rejected
 _N_BOUNDS = (0.1, 1e4)  # the clamp of a start's dispersion
 # The trust region's boundary on ln n.  At n = 1e15 the NB variance
 # lambda (1 + lambda / n) is within a factor 1 + 1e-9 of the Poisson one for
@@ -179,30 +180,44 @@ def negloglik_and_grad(spec: ModelSpec, params, series) -> Tuple[float, np.ndarr
     return point.value, point.derivatives()[0]
 
 
-def _dispersion_n(xbar: float, disp: float) -> float:
-    """Clamp-rule dispersion start: n = mean / (dispersion - 1)."""
+def _mean_and_dispersion(x: np.ndarray) -> Tuple[float, float]:
+    """The sample mean and dispersion ratio var/mean, 1 for an all-zero series."""
+    xbar = float(x.mean())
+    return xbar, float(x.var(ddof=1)) / xbar if xbar > 0 else 1.0
+
+
+def _dispersion_n(xbar: float, disp: float, a1: float = 0.0, b1: float = 0.0) -> float:
+    """The n at which the linear (1,1) model with coefficients a1, b1 and mean
+    xbar has dispersion ratio D = disp, (1 + xbar/n) A / (A - a1^2 - a1^2/n)
+    with A = 1 - 2 a1 b1 - b1^2: n = (D a1^2 + xbar A) / (D (A - a1^2) - A),
+    xbar / (D - 1) at a1 = b1 = 0.  A denominator <= 0 (data no more
+    dispersed than Poisson) gives the upper end of the clamp [0.1, 1e4]."""
     lo, hi = _N_BOUNDS
-    if disp <= 1.0 + 1e-9:
+    acf_den = 1.0 - 2.0 * a1 * b1 - b1 * b1
+    den = disp * (acf_den - a1 * a1) - acf_den
+    if den <= 0.0:
         return hi
-    return min(max(xbar / (disp - 1.0), lo), hi)
+    return min(max((disp * a1 * a1 + xbar * acf_den) / den, lo), hi)
 
 
 def init_params(spec: ModelSpec, series) -> LinearParams:
     """Method-of-moments starting values.
 
-    For (1,1) models the sample mean, lag-1 ACF and dispersion ratio are
-    matched against the linear-model approximation formulas; the geometric
-    ACF decay rate rho(2)/rho(1) pins alpha1 + beta1.  Other orders fall back
-    to a conservative generic rule.  The dispersion start is clamped to
-    [0.1, 1e4].
+    For (1,1) models alpha0, alpha1 and beta1 solve the `linear_moments_11`
+    equations for the sample mean, lag-1 ACF r1 and decay rate phi = r2/r1
+    (0 when |r1| <= 0.05, clamped to +/-0.9) in closed form: with
+    beta1 = phi - alpha1 the lag-1 equation is the quadratic
+    (phi - r1) a^2 + (1 - phi^2) a - r1 (1 - phi^2) = 0 of the ARMA(1,1)
+    moment estimator (Box & Jenkins 1976, ch. 6), solved by its root that is
+    r1 at phi = r1 (r1 itself when the roots are complex).  Both coefficients
+    are clamped to +/-0.9 and scaled down to sum 0.95 at most; n is
+    `_dispersion_n`'s.  Other orders fall back to a conservative generic rule.
     """
     x = as_counts(series)
     s = x.size
     if s < 10 * (spec.p + spec.q + 2):
         raise ParameterError(f"series too short for initialization: need >= {10 * (spec.p + spec.q + 2)} points")
-    xbar = float(x.mean())
-    var = float(x.var(ddof=1))
-    disp = var / xbar if xbar > 0 else 1.0
+    xbar, disp = _mean_and_dispersion(x)
     try:
         rho = sample_acf(x, max(spec.p, 2))
     except DataError:  # constant series: no autocorrelation to match
@@ -210,38 +225,17 @@ def init_params(spec: ModelSpec, series) -> LinearParams:
 
     if (spec.p, spec.q) == (1, 1):
         r1, r2 = float(rho[0]), float(rho[1])
-        decay = r2 / r1 if abs(r1) > 0.05 else 0.0
-        decay = min(max(decay, -0.9), 0.9)
-        a1 = r1
-        for _ in range(8):
-            b1 = decay - a1
-            acf_den = 1.0 - 2.0 * a1 * b1 - b1 * b1
-            num = 1.0 - a1 * b1 - b1 * b1
-            if abs(num) < 1e-8 or not math.isfinite(acf_den):
-                break
-            a1 = r1 * acf_den / num
-            a1 = min(max(a1, -0.9), 0.9)
+        decay = min(max(r2 / r1 if abs(r1) > 0.05 else 0.0, -0.9), 0.9)
+        radicand = 1.0 + 4.0 * r1 * (decay - r1) / (1.0 - decay * decay)
+        a1 = 2.0 * r1 / (1.0 + math.sqrt(radicand)) if radicand >= 0.0 else r1
+        a1 = min(max(a1, -0.9), 0.9)
         b1 = min(max(decay - a1, -0.9), 0.9)
         tot = a1 + b1
         if tot >= 0.95:
             a1 *= 0.95 / tot
             b1 *= 0.95 / tot
         alpha0 = xbar * (1.0 - a1 - b1)
-        n = None
-        if spec.family == NEGBIN:
-            n = _dispersion_n(xbar, disp)
-            # refine against the (1,1) variance formula, keeping the clamp
-            for _ in range(3):
-                omega0 = 1.0 + 1.0 / n
-                var_den = 1.0 - omega0 * a1 * a1 - 2.0 * a1 * b1 - b1 * b1
-                acf_den = 1.0 - 2.0 * a1 * b1 - b1 * b1
-                if var_den <= 1e-6 or acf_den <= 1e-6:
-                    break
-                factor = acf_den / var_den
-                if disp <= factor + 1e-9 or xbar <= 0:
-                    n = _N_BOUNDS[1]
-                    break
-                n = min(max(xbar * factor / (disp - factor), _N_BOUNDS[0]), _N_BOUNDS[1])
+        n = _dispersion_n(xbar, disp, a1, b1) if spec.family == NEGBIN else None
         return LinearParams(alpha0=alpha0, alpha=(a1,), beta=(b1,), n=n)
 
     alpha = tuple(0.1 * float(rho[i]) for i in range(spec.p))
@@ -263,11 +257,7 @@ def _initial_weights(spec: ModelSpec, series, gen: np.random.Generator) -> Neura
     target = softplus_inverse(max(xbar, 0.1), 1.0)
     common = target / max(float(levels.sum()), 1e-6)
     u1 = np.full(L, common)
-    n = None
-    if spec.family == NEGBIN:
-        var = float(x.var(ddof=1))
-        disp = var / xbar if xbar > 0 else 1.0
-        n = _dispersion_n(xbar, disp)
+    n = _dispersion_n(*_mean_and_dispersion(x)) if spec.family == NEGBIN else None
     return NeuralWeights(u0=u0, u1=u1, n=n)
 
 
@@ -275,8 +265,7 @@ class _Objective:
     """The Newton driver's view of one fit's likelihood.
 
     Called at a flat point theta of the parameter type `kind` (ln n for the
-    dispersion), it returns the negated log-likelihood there with its
-    `_Point`, or (_PENALTY, None) off the valid region.
+    dispersion), it returns the `_Point` there, or None off the valid region.
     """
 
     def __init__(self, spec: ModelSpec, series, kind):
@@ -284,12 +273,11 @@ class _Objective:
         # validated once here; every later as_counts on a CountSeries skips the checks
         self.series = series if isinstance(series, CountSeries) else CountSeries(series)
 
-    def __call__(self, theta: np.ndarray) -> Tuple[float, Optional[_Point]]:
+    def __call__(self, theta: np.ndarray) -> Optional[_Point]:
         try:
-            point = _Point(self.spec, self.kind.from_flat(theta, self.spec), self.series)
+            return _Point(self.spec, self.kind.from_flat(theta, self.spec), self.series)
         except (NumericError, ParameterError, OverflowError):
-            return _PENALTY, None
-        return point.value, point
+            return None
 
 
 def _finite_derivatives(point: _Point):
@@ -330,7 +318,9 @@ def _trust_step(w: np.ndarray, a: np.ndarray, radius: float) -> np.ndarray:
     secular equation 1/|c(mu)| = 1/radius, which converges monotonically from
     the left.  In the hard case -- no gradient along the lowest eigenvector
     and a shifted step shorter than the radius -- the lowest eigenvector fills
-    the step up to the boundary."""
+    the step up to the boundary.  Where the eigenvalues span so many decades
+    that the start is not left of the root, each Newton update at most halves
+    the shift, and the search ends once c underflows."""
     if w[0] > 0.0:
         c = -a / w
         if c @ c <= radius * radius:
@@ -356,19 +346,24 @@ def _trust_step(w: np.ndarray, a: np.ndarray, radius: float) -> np.ndarray:
         if abs(norm - radius) <= 1e-10 * radius:
             break
         slope = float(np.sum(np.divide(c * c, D, out=np.zeros_like(c), where=c != 0.0)))
-        sigma += (norm / radius - 1.0) * norm * norm / slope
+        if slope == 0.0:
+            break
+        sigma = max(sigma + (norm / radius - 1.0) * norm * norm / slope, 0.5 * sigma)
     return c
 
 
 @dataclass
 class _Run:
-    """The end of one Newton run: its last accepted point and objective, its
-    trial steps, and whether the point passes the test of `FitResult.converged`."""
+    """The end of one Newton run: its last accepted point, its trial steps,
+    and whether the point passes the test of `FitResult.converged`."""
 
-    value: float
     point: Optional[_Point]
     iterations: int
     converged: bool
+
+    @property
+    def value(self) -> float:  # +inf without a point
+        return math.inf if self.point is None else self.point.value
 
 
 def _newton(objective: _Objective, theta: np.ndarray) -> _Run:
@@ -389,10 +384,10 @@ def _newton(objective: _Objective, theta: np.ndarray) -> _Run:
       along which every step gains about as much as the last);
     - a model gain the objective cannot resolve, or _MAX_ITERATIONS trial steps.
     """
-    value, point = objective(theta)
+    point = objective(theta)
     derivatives = None if point is None else _finite_derivatives(point)
     if derivatives is None:
-        return _Run(_PENALTY, None, 0, False)
+        return _Run(None, 0, False)
     capped = point.params.n is not None
     settled = 0  # points in a row that pass the converged test
     radius = None
@@ -422,26 +417,26 @@ def _newton(objective: _Objective, theta: np.ndarray) -> _Run:
         elif crossing:
             step *= (_LOG_N_CAP - theta[-1]) / step[-1]
         gain_model = -(g @ step + 0.5 * step @ H @ step)
-        if gain_model <= 1e-15 * max(abs(value), 1.0):
+        if gain_model <= 1e-15 * max(abs(point.value), 1.0):
             break
         trial = theta + step
         if crossing:
             trial[-1] = _LOG_N_CAP
         iterations += 1
-        trial_value, trial_point = objective(trial)
-        ratio = (value - trial_value) / gain_model
-        if trial_point is not None and ratio > 1e-2:
+        trial_point = objective(trial)
+        ratio = -math.inf if trial_point is None else (point.value - trial_point.value) / gain_model
+        if ratio > 1e-2:
             derivatives = _finite_derivatives(trial_point)
             if derivatives is None:
-                trial_point, ratio = None, -math.inf
+                ratio = -math.inf
         length = float(np.linalg.norm(step))
         if ratio < 0.25:
             radius = 0.25 * length
         elif ratio > 0.75 and length > 0.99 * radius:
             radius = 2.0 * radius
-        if trial_point is not None and ratio > 1e-2:
-            theta, value, point, fresh = trial, trial_value, trial_point, True
-    return _Run(value, point, iterations, passes)
+        if ratio > 1e-2:
+            theta, point, fresh = trial, trial_point, True
+    return _Run(point, iterations, passes)
 
 
 def _fit(objective: _Objective, starts, stage: str, until_converged: bool = False) -> FitResult:
@@ -546,6 +541,19 @@ def extend_with_idle_unit(weights: NeuralWeights) -> NeuralWeights:
     return NeuralWeights(u0=u0, u1=u1, n=weights.n)
 
 
+def select_fit(fits: Dict[object, FitResult], criterion: str = "aic"):
+    """The label of the criterion winner among the converged `fits` (a mapping
+    from labels), or among all with a ConvergenceWarning when none converged;
+    ties go to fewer parameters, then the smaller p + q, then the earlier label."""
+    if criterion not in ("aic", "bic"):
+        raise ParameterError("criterion must be 'aic' or 'bic'")
+    ranked = [label for label, fit in fits.items() if fit.converged]
+    if not ranked:
+        warnings.warn("no candidate fit converged; ranking every fit", ConvergenceWarning)
+    return min(ranked or fits, key=lambda label: (getattr(fits[label], criterion), fits[label].estimates.k(),
+                                                  fits[label].spec.p + fits[label].spec.q))
+
+
 def select_hidden_units(spec: ModelSpec, series, L_range: Sequence[int],
                         opts: Optional[OptimizerOptions] = None,
                         criterion: str = "aic") -> Tuple[int, Dict[int, FitResult]]:
@@ -553,8 +561,8 @@ def select_hidden_units(spec: ModelSpec, series, L_range: Sequence[int],
 
     Larger networks are additionally warm-started from the previous winner
     with an idle extra unit, so the in-sample fit is monotone in L up to
-    optimizer tolerance.  Only converged fits are ranked; when none converged,
-    every fit is, with a ConvergenceWarning.  Ties go to the smaller network.
+    optimizer tolerance.  `select_fit` picks the winner, so ties go to the
+    smaller network.
     """
     if criterion not in ("aic", "bic"):
         raise ParameterError("criterion must be 'aic' or 'bic'")
@@ -570,10 +578,7 @@ def select_hidden_units(spec: ModelSpec, series, L_range: Sequence[int],
             extra.append(extend_with_idle_unit(prev))
         fits[L] = fit_neural(spec_L, series, opts, extra_starts=extra)
         prev = fits[L].estimates
-    ranked = [L for L in Ls if fits[L].converged]
-    if not ranked:
-        warnings.warn("no hidden-unit count converged; ranking every fit", ConvergenceWarning)
-    return min(ranked or Ls, key=lambda L: getattr(fits[L], criterion)), fits
+    return select_fit(fits, criterion), fits
 
 
 def _derivatives(spec: ModelSpec, params, counts, lam: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

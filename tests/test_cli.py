@@ -8,21 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spingarch import LinearParams, ModelSpec, NeuralWeights, fit_cml, simulate
+from spingarch import NEGBIN, POISSON, LinearParams, ModelSpec, NeuralWeights, fit_cml, simulate
 from spingarch.cli import (
     RunConfig,
     _attach_negative_lists,
     _build_parser,
-    _csv_provenance,
     _flag,
     _parse,
+    _write_csv,
     fit_from_tree,
     fit_to_tree,
     main,
     parse_counts_csv,
 )
 from spingarch.estimate import FitResult
-from spingarch.exceptions import DataError, NumericError
+from spingarch.exceptions import ConvergenceWarning, DataError, NumericError
 from spingarch.textdoc import dumps, format_float, loads
 
 
@@ -530,6 +530,38 @@ class TestExitCodes:
         doc = loads(out.read_text())
         assert doc["fit"]["converged"] is False
 
+    def test_model_list_selects_among_converged_fits(self, tmp_path, monkeypatch):
+        # the lowest AIC belongs to a candidate that did not converge: the best
+        # converged one wins and the run exits 0; exit 4 means none converged
+        import spingarch.cli as cli_mod
+
+        data = write_series(tmp_path, seed=4)
+        out = tmp_path / "sel.txt"
+        argv = ["fit", str(data), "--model", "nb(1,0)", "--model", "nb(2,0)", "--model", "pois(1,0)",
+                "--out", str(out)]
+        real_fit = cli_mod.fit_cml
+        unconverged = {POISSON}
+
+        def fake_fit(spec, series, opts):
+            fit = real_fit(spec, series, opts)
+            if spec.family in unconverged:
+                fit.converged = False
+                if spec.family == POISSON:
+                    fit.aic -= 1e3  # now the lowest AIC of the list
+            return fit
+
+        monkeypatch.setattr(cli_mod, "fit_cml", fake_fit)
+        assert main(argv) == 0
+        doc = loads(out.read_text())
+        fits = doc["fits"]
+        assert doc["selection"]["best"] == min(["nb(1,0)", "nb(2,0)"], key=lambda m: fits[m]["aic"])
+        assert fits["pois(1,0)"]["aic"] < fits[doc["selection"]["best"]]["aic"]
+
+        unconverged.add(NEGBIN)
+        with pytest.warns(ConvergenceWarning, match="no candidate fit converged"):
+            assert main(argv) == 4
+        assert loads(out.read_text())["selection"]["best"] == "pois(1,0)"
+
 
 class TestOptionTable:
     def _subparsers(self):
@@ -597,7 +629,9 @@ class TestRunConfigProvenance:
     def _assert_csv_replays(self, path):
         line = next(line for line in path.read_text().splitlines() if line.startswith("# config: "))
         record = dict(word.split("=", 1) for word in shlex.split(line)[2:])
-        assert _csv_provenance(_parse(self._argv(record)))[1] == line
+        replay = path.with_name(path.name + ".replay")
+        _write_csv(replay, _parse(self._argv(record)), [])
+        assert replay.read_text().splitlines()[1] == line
 
     def _assert_document_replays(self, path):
         record = loads(path.read_text())["config"]

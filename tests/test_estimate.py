@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spingarch import (
     NEGBIN,
@@ -31,10 +33,11 @@ from spingarch import (
     standard_errors,
 )
 from spingarch import estimate, simulate
-from spingarch.data import CountSeries
-from spingarch.estimate import (_LOG_N_CAP, _MAX_ITERATIONS, _PENALTY, _Objective, _Point, _fit,
+from spingarch.data import CountSeries, sample_acf
+from spingarch.estimate import (_LOG_N_CAP, _MAX_ITERATIONS, _Objective, _Point, _dispersion_n, _fit,
                                 _stationarity, _trust_step)
-from spingarch.exceptions import NumericError, ParameterError
+from spingarch.exceptions import ConvergenceWarning, NumericError, ParameterError
+from spingarch.model import linear_moments_11
 
 
 def nb_spec(p=1, q=1, c=1.0):
@@ -98,7 +101,7 @@ class TestNegloglik:
         theta = params.to_flat()
         # the optimizer's view of the objective is exactly the public
         # likelihood at the decoded parameters (bit-identical)
-        assert fobj(theta)[0] == negloglik(spec, LinearParams.from_flat(theta, spec), series)
+        assert fobj(theta).value == negloglik(spec, LinearParams.from_flat(theta, spec), series)
         assert negloglik(spec, LinearParams.from_flat(theta, spec), series) == pytest.approx(
             negloglik(spec, params, series), rel=1e-12
         )
@@ -225,6 +228,88 @@ class TestInitParams:
         with pytest.raises(ParameterError):
             init_params(nb_spec(), [1, 2, 3])
 
+    def test_closed_form_matches_the_moments(self):
+        # a (1,1) start that hits no clamp solves the moment equations of
+        # `linear_moments_11` exactly: lag-1 ACF, decay rate, dispersion
+        # ratio and mean
+        spec = nb_spec()
+        checked = 0
+        for seed in range(60):
+            for truth in (LinearParams(0.75, (0.25,), (0.45,), 3.0), LinearParams(1.8, (0.3,), (0.4,), 3.0)):
+                x = table_path(500, seed, truth).astype(float)
+                r1, r2 = sample_acf(x, 2)
+                start = init_params(spec, x)
+                a1, b1 = start.alpha[0], start.beta[0]
+                if abs(r1) <= 0.05 or abs(r2 / r1) >= 0.9 or max(abs(a1), abs(b1)) >= 0.9 \
+                        or a1 + b1 >= 0.95 or not 0.1 < start.n < 1e4:
+                    continue
+                m = linear_moments_11(start, 2)
+                sample = [r1, r2 / r1, x.var(ddof=1) / x.mean(), x.mean()]
+                implied = [m.acf[0], m.acf[1] / m.acf[0], m.variance / m.mu, m.mu]
+                np.testing.assert_allclose(implied, sample, rtol=0, atol=1e-12)
+                checked += 1
+        assert checked >= 60
+
+    @pytest.mark.parametrize("xbar", [1e-3, 0.37, 5.0, 123.456, 1e5])
+    @pytest.mark.parametrize("disp", [-1.0, 0.0, 0.5, 1.0, 1.0 + 1e-12, 1.01, 1.7, 3.0, 40.0, 1e6])
+    def test_generic_dispersion_rule_is_pinned(self, xbar, disp):
+        # a1 = b1 = 0, the generic and network starts: n = xbar / (D - 1) bit for bit
+        expected = min(max(xbar / (disp - 1), 0.1), 1e4) if disp > 1 else 1e4
+        assert _dispersion_n(xbar, disp) == expected
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["zeros", "constant", "spike", "poisson 1e7", "alternating 0/30", "trend"]),
+           length=st.integers(40, 120), level=st.integers(1, 500), negbin=st.booleans())
+    @example(kind="constant", length=69, level=38, negbin=True)
+    def test_edge_series_starts_and_fits(self, kind, length, level, negbin):
+        # 40 = 10 (p + q + 2) is the shortest series a (1,1) start accepts.
+        # The example once stopped the fit with a ZeroDivisionError: its
+        # Hessian's eigenvalues spanned 1e-2..1e157, and `_trust_step`'s
+        # shift search ran until its slope underflowed to zero
+        x = {"zeros": np.zeros(length, dtype=int), "constant": np.full(length, level),
+             "spike": np.where(np.arange(length) == level % length, level, 0),
+             "poisson 1e7": np.random.default_rng(level).poisson(1e7, length),
+             "alternating 0/30": np.arange(length) % 2 * 30, "trend": np.arange(length)}[kind]
+        spec = nb_spec() if negbin else ModelSpec(POISSON, SOFTPLUS_LINEAR, 1, 1)
+        start = init_params(spec, x)
+        a1, b1 = start.alpha[0], start.beta[0]
+        assert math.isfinite(start.alpha0)
+        assert abs(a1) <= 0.9 and abs(b1) <= 0.9 and a1 + b1 <= 0.95 + 1e-12
+        assert 0.1 <= start.n <= 1e4 if negbin else start.n is None
+        with warnings.catch_warnings():  # non-convergence and handled overflows are expected here
+            warnings.simplefilter("ignore")
+            try:
+                fit = fit_cml(spec, x, OptimizerOptions(restarts=1))
+            except (ParameterError, NumericError):
+                return
+        assert math.isfinite(fit.loglik)
+
+
+class TestSelectFit:
+    @staticmethod
+    def _fit(family, p, q, aic, converged=True):
+        spec = ModelSpec(family, SOFTPLUS_LINEAR, p, q)
+        params = LinearParams(1.0, (0.1,) * p, (0.1,) * q, 2.0 if family == NEGBIN else None)
+        return estimate.FitResult(spec=spec, estimates=params, std_errors=np.full(params.k(), np.nan),
+                                  loglik=0.0, aic=aic, bic=aic, lambda_path=np.ones(50), converged=converged,
+                                  iterations=1, restarts_used=0)
+
+    def test_ties_go_to_fewer_parameters_then_smaller_orders_then_earlier_labels(self):
+        fit = self._fit
+        assert estimate.select_fit({"a": fit(NEGBIN, 1, 0, 10.0), "b": fit(POISSON, 1, 0, 10.0)}) == "b"
+        assert estimate.select_fit({"a": fit(POISSON, 1, 1, 10.0), "b": fit(NEGBIN, 1, 0, 10.0)}) == "b"
+        assert estimate.select_fit({"a": fit(POISSON, 1, 0, 10.0), "b": fit(POISSON, 1, 0, 10.0)}) == "a"
+        assert estimate.select_fit({"a": fit(POISSON, 1, 0, 10.0), "b": fit(POISSON, 1, 0, 9.0)}, "bic") == "b"
+
+    def test_unconverged_fits_rank_only_when_none_converged(self):
+        fits = {"a": self._fit(POISSON, 1, 0, 5.0, converged=False), "b": self._fit(POISSON, 2, 0, 9.0)}
+        assert estimate.select_fit(fits) == "b"
+        fits["b"].converged = False
+        with pytest.warns(ConvergenceWarning, match="no candidate fit converged"):
+            assert estimate.select_fit(fits) == "a"
+        with pytest.raises(ParameterError, match="criterion"):
+            estimate.select_fit(fits, "hqc")
+
 
 class TestFitCml:
     def test_recovery_single_fit(self):
@@ -273,35 +358,35 @@ class TestFitCml:
         fit = fit_cml(spec, path, OptimizerOptions(restarts=1))
         theta = fit.estimates.to_flat()
         fobj = _Objective(spec, path, LinearParams)
-        f0 = fobj(theta)[0]
+        f0 = fobj(theta).value
         for i in range(theta.size):
             h = 1e-6 * max(1.0, abs(theta[i]))
             e = np.zeros(theta.size)
             e[i] = h
-            grad = (fobj(theta + e)[0] - fobj(theta - e)[0]) / (2 * h)
+            grad = (fobj(theta + e).value - fobj(theta - e).value) / (2 * h)
             scaled = abs(grad) * max(1.0, abs(theta[i])) / max(1.0, abs(f0))
             assert scaled <= 1e-3
 
     def test_trust_region_backs_off_from_penalty_region(self, monkeypatch):
         # from beta1 = 0.9 with alpha0 far too small, the first trial step
         # lands where the lambda recursion overflows on this long
-        # negative-alpha1 series; the objective answers (_PENALTY, None), the
+        # negative-alpha1 series; the objective answers None there, the
         # step is rejected, and the shrunken trust region still finds the optimum
         spec = nb_spec()
         path = table_path(2000, 5, LinearParams(3.0, (-0.3,), (0.5,), 4.0))
         reference = fit_cml(spec, path, OptimizerOptions(restarts=0))
-        values = []
+        points = []
         evaluate = _Objective.__call__
 
         def recording(self, z):
             out = evaluate(self, z)
-            values.append(out[0])
+            points.append(out)
             return out
 
         monkeypatch.setattr(_Objective, "__call__", recording)
         start = np.array([0.2, 0.0, 0.9, 0.0])
         fit = _fit(_Objective(spec, path, LinearParams), [start], "CML optimization")
-        assert values[1] == _PENALTY  # the first trial step
+        assert points[0] is not None and points[1] is None  # the start and the first trial step
         assert fit.converged
         assert fit.loglik == pytest.approx(reference.loglik, abs=1e-6)
 

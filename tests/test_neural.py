@@ -411,6 +411,6 @@ class TestSelectHiddenUnits:
 
     def test_ranks_every_fit_when_none_converged(self, monkeypatch):
         self._stub_fits(monkeypatch, {1: (100.0, False), 2: (90.0, False), 3: (98.0, False)})
-        with pytest.warns(ConvergenceWarning, match="no hidden-unit count converged"):
+        with pytest.warns(ConvergenceWarning, match="no candidate fit converged"):
             best, _ = select_hidden_units(nspec(L=1), [1, 2, 3, 4], [1, 2, 3])
         assert best == 2
