@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .data import CountSeries
+from .data import CountSeries, dispersion_ratio
 from .diagnostics import (
     cumulative_periodogram,
     one_step_forecasts,
@@ -344,7 +344,7 @@ def _series_summary(series: CountSeries) -> Dict[str, object]:
     values = np.asarray(series.values, dtype=float)
     summary: Dict[str, object] = {"s": int(values.size), "mean": float(values.mean())}
     if values.mean() > 0 and values.size > 1:
-        summary["dispersion"] = float(values.var(ddof=1) / values.mean())
+        summary["dispersion"] = dispersion_ratio(series)
     return summary
 
 

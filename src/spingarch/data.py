@@ -1,5 +1,5 @@
 """Count series container, its table of distinct counts, coercion helpers,
-and the sample ACF."""
+the sample ACF and the dispersion ratio."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from .exceptions import DataError, ParameterError
 
-__all__ = ["CountTable", "CountSeries", "as_counts", "sample_acf"]
+__all__ = ["CountTable", "CountSeries", "as_counts", "sample_acf", "dispersion_ratio"]
 
 
 @dataclass(frozen=True)
@@ -81,3 +81,15 @@ def sample_acf(series, max_lag: int) -> np.ndarray:
     if denom <= 0.0:
         raise DataError("degenerate series: zero variance")
     return np.array([float(d[: y.size - h] @ d[h:]) / denom for h in range(1, max_lag + 1)])
+
+
+def dispersion_ratio(series) -> float:
+    """Sample variance over sample mean (divisor s-1), from two counts on
+    and for a positive mean."""
+    x = as_counts(series)
+    if x.size < 2:
+        raise DataError("dispersion ratio undefined for fewer than two counts")
+    mean = float(x.mean())
+    if mean == 0.0:
+        raise DataError("dispersion ratio undefined for a zero-mean series")
+    return float(x.var(ddof=1)) / mean

@@ -18,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .data import as_counts, sample_acf
+from .data import as_counts, dispersion_ratio, sample_acf
 from .exceptions import DataError, ParameterError
 from .model import ModelSpec, conditional_mean_path, presample_init
 
@@ -148,12 +148,3 @@ def rmse(forecasts, actuals) -> float:
     if f.size == 0:
         raise DataError("need at least one forecast")
     return float(np.sqrt(np.mean((f - a) ** 2)))
-
-
-def dispersion_ratio(series) -> float:
-    """Sample variance over sample mean (divisor s-1)."""
-    x = as_counts(series)
-    mean = float(x.mean())
-    if mean == 0.0:
-        raise DataError("dispersion ratio undefined for a zero-mean series")
-    return float(x.var(ddof=1)) / mean

@@ -9,6 +9,12 @@ overdispersed counts; as n -> infinity it converges to Poisson(lambda).
 Sampling uses the gamma-Poisson mixture construction: X | mu ~ Poisson(mu)
 with mu = (lambda/n) * Gamma(shape=n, scale=1) is NB(n, n/(n+lambda)).  This
 keeps real-valued n on a single code path.
+
+The conditional likelihoods of both families come from one pair of functions:
+`loglik_terms` for the log pmf and `loglik_derivatives` for its first and
+second derivatives in lambda and n.  The dispersion enters the derivatives
+only through the digamma and trigamma gaps of `_gamma_gaps`, the one place
+where digamma and zeta are called.
 """
 
 from __future__ import annotations
@@ -24,8 +30,7 @@ from .exceptions import ParameterError
 __all__ = [
     "RngStream",
     "loglik_terms",
-    "loglik_scores",
-    "loglik_curvatures",
+    "loglik_derivatives",
     "nb_log_pmf",
     "poisson_log_pmf",
     "nb_sample",
@@ -98,38 +103,22 @@ def loglik_terms(counts: CountTable, lam: np.ndarray, n=None) -> np.ndarray:
     return x * (np.log(lam) - np.log(n + lam)) - n * np.log1p(lam / n) + log_coef
 
 
-def loglik_scores(counts: CountTable, lam: np.ndarray, n=None):
-    """Derivatives of `loglik_terms`: the per-observation d/d lam, and the sum
-    over observations of d/d n (None for the Poisson family, n=None).  The
-    digamma gap psi(x + n) - psi(n) is evaluated once per level."""
-    x, v = counts.x, counts.levels
-    if n is None:
-        return x / lam - 1.0, None
-    d_lam = x / lam - (n + x) / (n + lam)
-    if n < 1e3:
-        gap = digamma(v + n) - digamma(n)
-    else:  # the asymptotic series of digamma, differenced term by term, where the direct form cancels
-        u, m = v / n, n + v
-        gap = np.log1p(u) + u / (2.0 * m) + u * (2.0 + u) / (12.0 * m) / m
-    d_n = gap[counts.index] - np.log1p(lam / n) + (lam - x) / (n + lam)
-    return d_lam, float(np.sum(d_n))
-
-
-def loglik_curvatures(counts: CountTable, lam: np.ndarray, n=None):
-    """Second derivatives of `loglik_terms`: the per-observation d2/d lam2
-    and, for the negative binomial family, the per-observation d2/d lam d n
-    and the sum over observations of d2/d n2 (both None for Poisson, n=None).
-    The trigamma gap psi'(x + n) - psi'(n) is evaluated once per level."""
+def loglik_derivatives(counts: CountTable, lam: np.ndarray, n=None):
+    """First and second derivatives of `loglik_terms`: per observation
+    d/d lam, d2/d lam2 and d2/d lam d n, and summed over observations d/d n
+    and d2/d n2.  The three n terms are None for the Poisson family (n=None);
+    n enters them only through the gaps of `_gamma_gaps`, one per level."""
     x = counts.x
     # x / lam**2, exactly 0 at x = 0 even where lam**2 underflows (lam below ~1e-154)
     count_term = np.divide(x, lam * lam, out=np.zeros_like(lam), where=x > 0)
     if n is None:
-        return -count_term, None, None
+        return x / lam - 1.0, -count_term, None, None, None
     m = n + lam  # divided by twice, not squared, so that n up to 1e300 cannot overflow
-    d_lam2 = (n + x) / m / m - count_term
-    d_lam_n = (x - lam) / m / m
-    d_nn = _trigamma_gap(counts.levels, n)[counts.index] + lam / n / m - (lam - x) / m / m
-    return d_lam2, d_lam_n, float(np.sum(d_nn))
+    digamma_gap, trigamma_gap = _gamma_gaps(counts.levels, n)
+    d_n = digamma_gap[counts.index] - np.log1p(lam / n) + (lam - x) / m
+    d_nn = trigamma_gap[counts.index] + lam / n / m - (lam - x) / m / m
+    return (x / lam - (n + x) / m, (n + x) / m / m - count_term, (x - lam) / m / m,
+            float(np.sum(d_n)), float(np.sum(d_nn)))
 
 
 def _log_nb_coef(v, n):
@@ -141,13 +130,15 @@ def _log_nb_coef(v, n):
     return (n - 0.5) * np.log1p(u) + v * np.log(m) - v - u / (12.0 * m) - gammaln(v + 1.0)
 
 
-def _trigamma_gap(v: np.ndarray, n: float) -> np.ndarray:
-    """psi'(v + n) - psi'(n) = -sum_{i<v} 1/(n+i)^2 for counts v >= 0."""
+def _gamma_gaps(v: np.ndarray, n: float):
+    """The digamma and trigamma gaps psi(v + n) - psi(n) = sum_{i<v} 1/(n+i)
+    and psi'(v + n) - psi'(n) = -sum_{i<v} 1/(n+i)^2 for counts v >= 0."""
     if n < 1e3:
-        return zeta(2.0, v + n) - zeta(2.0, n)
-    # the asymptotic series of trigamma, differenced term by term, where the direct form cancels
+        return digamma(v + n) - digamma(n), zeta(2.0, v + n) - zeta(2.0, n)
+    # the asymptotic series of digamma and trigamma, differenced term by term, where the direct forms cancel
     u, m = v / n, n + v
-    return -(u + u * (2.0 + u) / (2.0 * m) + u * (3.0 + u * (3.0 + u)) / (6.0 * m) / m) / m
+    return (np.log1p(u) + u / (2.0 * m) + u * (2.0 + u) / (12.0 * m) / m,
+            -(u + u * (2.0 + u) / (2.0 * m) + u * (3.0 + u * (3.0 + u)) / (6.0 * m) / m) / m)
 
 
 def nb_log_pmf(x, n, lam):

@@ -16,7 +16,8 @@ the parameter type's `hessian_parts` solves the lambda-lag band forward for
 the sensitivities S = d lambda / d theta and backward for the adjoints that
 weight the second derivatives of lambda, one LAPACK banded triangular solve
 each, and is vectorised over the series otherwise.  The gradient is
-S^T dl/dlambda, and the family adds the dispersion row.
+S^T dl/dlambda, and the family adds the dispersion row; the count terms'
+derivatives in lambda and n all come from `loglik_derivatives`.
 
 One driver fits both links: trust-region Newton on that gradient and
 Hessian (`_newton`), each subproblem solved exactly from the Hessian's
@@ -47,8 +48,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import expit
 
-from .data import CountSeries, as_counts, sample_acf
-from .distributions import RngStream, loglik_curvatures, loglik_scores, loglik_terms
+from .data import CountSeries, as_counts, dispersion_ratio, sample_acf
+from .distributions import RngStream, loglik_derivatives, loglik_terms
 from .exceptions import ConvergenceWarning, DataError, NumericError, ParameterError
 from .model import NEGBIN, LinearParams, ModelSpec, NeuralWeights, conditional_mean_path
 from .special import softplus_inverse
@@ -147,16 +148,25 @@ class _Point:
         self.value = float(-ll)
 
     def derivatives(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The exact gradient and Hessian in the layout of `params.to_flat()`
-        (ln n), from one `_derivatives` pass; the Hessian on the n scale, the
-        observed information, is kept as `information`."""
-        grad, self.information = _derivatives(self.spec, self.params, self.counts, self.lam)
+        """The exact gradient and Hessian of `value` in the layout of
+        `params.to_flat()` (ln n), from the one derivative pass of the module
+        docstring: S and C from `hessian_parts`, the gradient S^T l' and the
+        block S^T diag(l'') S + C, then the dispersion row.  The symmetrized
+        Hessian on the n scale, the observed information of Fokianos, Rahbek
+        & Tjostheim (2009), is kept as `information`."""
         n = self.params.n
+        d_lam, d_lam2, d_lam_n, d_n, d_nn = loglik_derivatives(self.counts, self.lam, n)
+        S, C = self.params.hessian_parts(self.spec, self.counts.x, self.lam, d_lam)
+        grad = -(S.T @ d_lam)
+        H = S.T @ (d_lam2[:, None] * S) + C
+        if n is not None:
+            cross = S.T @ d_lam_n
+            H = np.block([[H, cross[:, None]], [cross[None, :], d_nn]])
+        self.information = -(H + H.T) / 2.0
         if n is None:
             return grad, self.information
         # d/d ln n: g_l = n g_n, H_ll = n^2 H_nn + n g_n and H_tl = n H_tn
-        grad, hess = grad.copy(), self.information.copy()
-        grad[-1] *= n
+        grad, hess = np.append(grad, -d_n * n), self.information.copy()
         hess[-1] *= n
         hess[:, -1] *= n
         hess[-1, -1] += grad[-1]
@@ -180,10 +190,10 @@ def negloglik_and_grad(spec: ModelSpec, params, series) -> Tuple[float, np.ndarr
     return point.value, point.derivatives()[0]
 
 
-def _mean_and_dispersion(x: np.ndarray) -> Tuple[float, float]:
-    """The sample mean and dispersion ratio var/mean, 1 for an all-zero series."""
-    xbar = float(x.mean())
-    return xbar, float(x.var(ddof=1)) / xbar if xbar > 0 else 1.0
+def _mean_and_dispersion(series) -> Tuple[float, float]:
+    """The sample mean and `dispersion_ratio`, 1 for an all-zero series."""
+    xbar = float(as_counts(series).mean())
+    return xbar, dispersion_ratio(series) if xbar > 0 else 1.0
 
 
 def _dispersion_n(xbar: float, disp: float, a1: float = 0.0, b1: float = 0.0) -> float:
@@ -210,14 +220,14 @@ def init_params(spec: ModelSpec, series) -> LinearParams:
     (phi - r1) a^2 + (1 - phi^2) a - r1 (1 - phi^2) = 0 of the ARMA(1,1)
     moment estimator (Box & Jenkins 1976, ch. 6), solved by its root that is
     r1 at phi = r1 (r1 itself when the roots are complex).  Both coefficients
-    are clamped to +/-0.9 and scaled down to sum 0.95 at most; n is
+    are clamped to +/-0.9, which keeps their sum at most 0.9; n is
     `_dispersion_n`'s.  Other orders fall back to a conservative generic rule.
     """
     x = as_counts(series)
     s = x.size
     if s < 10 * (spec.p + spec.q + 2):
         raise ParameterError(f"series too short for initialization: need >= {10 * (spec.p + spec.q + 2)} points")
-    xbar, disp = _mean_and_dispersion(x)
+    xbar, disp = _mean_and_dispersion(series)
     try:
         rho = sample_acf(x, max(spec.p, 2))
     except DataError:  # constant series: no autocorrelation to match
@@ -230,10 +240,6 @@ def init_params(spec: ModelSpec, series) -> LinearParams:
         a1 = 2.0 * r1 / (1.0 + math.sqrt(radicand)) if radicand >= 0.0 else r1
         a1 = min(max(a1, -0.9), 0.9)
         b1 = min(max(decay - a1, -0.9), 0.9)
-        tot = a1 + b1
-        if tot >= 0.95:
-            a1 *= 0.95 / tot
-            b1 *= 0.95 / tot
         alpha0 = xbar * (1.0 - a1 - b1)
         n = _dispersion_n(xbar, disp, a1, b1) if spec.family == NEGBIN else None
         return LinearParams(alpha0=alpha0, alpha=(a1,), beta=(b1,), n=n)
@@ -257,7 +263,7 @@ def _initial_weights(spec: ModelSpec, series, gen: np.random.Generator) -> Neura
     target = softplus_inverse(max(xbar, 0.1), 1.0)
     common = target / max(float(levels.sum()), 1e-6)
     u1 = np.full(L, common)
-    n = _dispersion_n(*_mean_and_dispersion(x)) if spec.family == NEGBIN else None
+    n = _dispersion_n(*_mean_and_dispersion(series)) if spec.family == NEGBIN else None
     return NeuralWeights(u0=u0, u1=u1, n=n)
 
 
@@ -579,32 +585,6 @@ def select_hidden_units(spec: ModelSpec, series, L_range: Sequence[int],
         fits[L] = fit_neural(spec_L, series, opts, extra_starts=extra)
         prev = fits[L].estimates
     return select_fit(fits, criterion), fits
-
-
-def _derivatives(spec: ModelSpec, params, counts, lam: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact gradient and Hessian of `negloglik` in the layout of
-    `params.to_flat(log_n=False)`, the Hessian symmetrized, given the mean path
-    lam of params on the series tabulated as `counts`.
-
-    Forward over reverse: the parameter type's `hessian_parts` (the
-    sensitivities S = d lambda / d theta from one banded forward solve with k
-    right-hand sides, and the second derivatives of lambda weighted by the
-    adjoints of one banded backward solve) give the coefficient block
-    S^T diag(l'') S + C and the gradient S^T l'; the family adds the
-    dispersion row.  The Hessian is the observed information of Fokianos,
-    Rahbek & Tjostheim (2009) for the INGARCH recursion.
-    """
-    n = params.n
-    d_lam, d_n = loglik_scores(counts, lam, n)
-    d_lam2, d_lam_n, d_nn = loglik_curvatures(counts, lam, n)
-    S, C = params.hessian_parts(spec, counts.x, lam, d_lam)
-    grad = S.T @ d_lam
-    H = S.T @ (d_lam2[:, None] * S) + C
-    if n is not None:
-        grad = np.append(grad, d_n)
-        cross = S.T @ d_lam_n
-        H = np.block([[H, cross[:, None]], [cross[None, :], d_nn]])
-    return -grad, -(H + H.T) / 2.0
 
 
 def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:

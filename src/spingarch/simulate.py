@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .data import as_counts, sample_acf
+from .data import as_counts, dispersion_ratio, sample_acf
 from .distributions import RngStream
 from .estimate import OptimizerOptions, fit_cml
 from .exceptions import DataError, NumericError, ParameterError
@@ -107,11 +107,11 @@ def empirical_moments(series, max_lag: int) -> EmpiricalMoments:
     x = as_counts(series)
     if max_lag < 1 or x.size <= max_lag:
         raise ParameterError("need series length > max_lag >= 1")
-    var = float(x.var(ddof=1))
-    if var <= 0.0:
-        raise DataError("degenerate series: sample variance is zero")
     mean = float(x.mean())
-    return EmpiricalMoments(mean=mean, dispersion=var / mean, acf=sample_acf(x, max_lag))
+    dispersion = dispersion_ratio(x) if mean > 0.0 else 0.0
+    if dispersion <= 0.0:
+        raise DataError("degenerate series: sample variance is zero")
+    return EmpiricalMoments(mean=mean, dispersion=dispersion, acf=sample_acf(x, max_lag))
 
 
 @dataclass

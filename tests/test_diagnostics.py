@@ -289,3 +289,8 @@ class TestDispersionRatio:
     def test_zero_mean_errors(self):
         with pytest.raises(DataError):
             dispersion_ratio(np.zeros(50, dtype=int))
+
+    def test_one_count_errors(self):
+        # the divisor s - 1 is 0, where numpy's variance is nan with two RuntimeWarnings
+        with pytest.raises(DataError, match="fewer than two counts"):
+            dispersion_ratio([5])

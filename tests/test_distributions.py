@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from scipy.special import betaln, digamma, gammaln
+from scipy.special import betaln, digamma, gammaln, zeta
 
 from spingarch import CountSeries, RngStream, nb_log_pmf, nb_sample, poisson_log_pmf
-from spingarch.distributions import _log_nb_coef, _trigamma_gap, loglik_curvatures, loglik_scores, loglik_terms
+from spingarch.distributions import _gamma_gaps, _log_nb_coef, loglik_derivatives, loglik_terms
 from spingarch.exceptions import ParameterError
 
 PARAM_GRID = [(n, lam) for n in (0.5, 1.0, 3.0, 10.0) for lam in (0.5, 2.0, 6.0, 12.0)]
@@ -111,7 +111,7 @@ class TestLoglikScores:
         lam = np.array([0.4, 2.0, 3.5, 5.0, 9.0])
         h = 1e-6 * lam
         fd = (loglik_terms(table(x), lam + h, n) - loglik_terms(table(x), lam - h, n)) / (2 * h)
-        np.testing.assert_allclose(loglik_scores(table(x), lam, n)[0], fd, rtol=1e-7)
+        np.testing.assert_allclose(loglik_derivatives(table(x), lam, n)[0], fd, rtol=1e-7)
 
     @pytest.mark.parametrize("n", [0.7, 5.0, 999.0, 5e3, 1e6, 1e9])
     def test_dispersion_score_against_finite_sum(self, n):
@@ -120,7 +120,7 @@ class TestLoglikScores:
         lam = np.array([0.4, 2.0, 3.5, 5.0, 9.0, 30.0])
         terms = [math.fsum(1.0 / (n + v) for v in range(int(xt))) - math.log1p(lt / n) + (lt - xt) / (n + lt)
                  for xt, lt in zip(x, lam)]
-        assert loglik_scores(table(x), lam, n)[1] == pytest.approx(math.fsum(terms), rel=1e-6, abs=0)
+        assert loglik_derivatives(table(x), lam, n)[3] == pytest.approx(math.fsum(terms), rel=1e-6, abs=0)
 
     @pytest.mark.parametrize("n", [1e100, 1e160, 1e300])
     def test_dispersion_score_far_past_the_poisson_limit(self, n):
@@ -129,13 +129,12 @@ class TestLoglikScores:
         lam = np.array([0.4, 2.0, 3.5, 5.0, 9.0, 30.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d_n = loglik_scores(table(x), lam, n)[1]
-            d_lam2, d_lam_n, d_nn = loglik_curvatures(table(x), lam, n)
+            _, d_lam2, d_lam_n, d_n, d_nn = loglik_derivatives(table(x), lam, n)
         assert math.isfinite(d_n) and abs(d_n) * n < 1e-6
         assert np.all(np.isfinite(d_lam2)) and np.all(np.isfinite(d_lam_n)) and math.isfinite(d_nn)
 
-    def test_poisson_has_no_dispersion_score(self):
-        assert loglik_scores(table([1]), np.array([2.0]))[1] is None
+    def test_poisson_has_no_dispersion_terms(self):
+        assert loglik_derivatives(table([1]), np.array([2.0]))[2:] == (None, None, None)
 
 
 class TestLoglikCurvatures:
@@ -146,38 +145,42 @@ class TestLoglikCurvatures:
     def test_lambda_curvatures_match_central_differences_of_the_scores(self, n):
         x, lam = self.X, self.LAM
         h = 1e-6 * lam
-        d_lam2, d_lam_n, _ = loglik_curvatures(table(x), lam, n)
-        fd = (loglik_scores(table(x), lam + h, n)[0] - loglik_scores(table(x), lam - h, n)[0]) / (2 * h)
+        d_lam2, d_lam_n = loglik_derivatives(table(x), lam, n)[1:3]
+        fd = (loglik_derivatives(table(x), lam + h, n)[0] - loglik_derivatives(table(x), lam - h, n)[0]) / (2 * h)
         np.testing.assert_allclose(d_lam2, fd, rtol=1e-6)
         if n is None:
             assert d_lam_n is None
             return
         # the cross term per observation: the n-derivative of the lambda score
         hn = 1e-6 * n
-        fd_n = (loglik_scores(table(x), lam, n + hn)[0] - loglik_scores(table(x), lam, n - hn)[0]) / (2 * hn)
+        fd_n = (loglik_derivatives(table(x), lam, n + hn)[0] - loglik_derivatives(table(x), lam, n - hn)[0]) / (2 * hn)
         np.testing.assert_allclose(d_lam_n, fd_n, rtol=1e-6, atol=1e-12)
 
     @pytest.mark.parametrize("n", [0.7, 5.0, 999.0, 5e3])
     def test_dispersion_curvature_matches_central_differences_of_the_score(self, n):
         x, lam = self.X, self.LAM
         h = 1e-5 * n
-        fd = (loglik_scores(table(x), lam, n + h)[1] - loglik_scores(table(x), lam, n - h)[1]) / (2 * h)
-        assert loglik_curvatures(table(x), lam, n)[2] == pytest.approx(fd, rel=1e-5)
+        fd = (loglik_derivatives(table(x), lam, n + h)[3] - loglik_derivatives(table(x), lam, n - h)[3]) / (2 * h)
+        assert loglik_derivatives(table(x), lam, n)[4] == pytest.approx(fd, rel=1e-5)
 
     @pytest.mark.parametrize("n", [None, 3.0])
     def test_zero_count_at_a_vanishing_mean(self, n):
         # lam**2 underflows to 0 below lam ~ 1e-154, where x / lam**2 was 0/0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d_lam2 = loglik_curvatures(table([0.0]), np.array([1e-200]), n)[0]
+            d_lam2 = loglik_derivatives(table([0.0]), np.array([1e-200]), n)[1]
         assert d_lam2[0] == (0.0 if n is None else 1.0 / n)
 
     @pytest.mark.parametrize("n", [0.5, 3.0, 999.0, 1e3, 1e6, 1e9])
-    def test_trigamma_gap_against_finite_sum(self, n):
-        # psi'(x + n) - psi'(n) is minus the finite sum of 1/(n + v)^2 over v < x
+    def test_gamma_gaps_against_finite_sums(self, n):
+        # psi(x + n) - psi(n) is the finite sum of 1/(n + v) over v < x, and
+        # psi'(x + n) - psi'(n) minus the finite sum of 1/(n + v)^2
         v = np.array([0.0, 1.0, 2.0, 5.0, 17.0, 60.0, 250.0, 3000.0])
+        digamma_gap, trigamma_gap = _gamma_gaps(v, n)
         expected = [-math.fsum(1.0 / (n + i) ** 2 for i in range(int(k))) for k in v]
-        np.testing.assert_allclose(_trigamma_gap(v, n), expected, rtol=1e-11, atol=0)
+        np.testing.assert_allclose(trigamma_gap, expected, rtol=1e-11, atol=0)
+        expected = [math.fsum(1.0 / (n + i) for i in range(int(k))) for k in v]
+        np.testing.assert_allclose(digamma_gap, expected, rtol=1e-11, atol=0)
 
 
 def direct_terms(x, lam, n):
@@ -194,18 +197,22 @@ def direct_terms(x, lam, n):
     return x * (np.log(lam) - np.log(n + lam)) - n * np.log1p(lam / n) + log_coef
 
 
-def direct_scores(x, lam, n):
-    """`loglik_scores` written over the full count array."""
+def direct_derivatives(x, lam, n):
+    """`loglik_derivatives` written over the full count array."""
+    count_term = np.divide(x, lam * lam, out=np.zeros_like(lam), where=x > 0)
     if n is None:
-        return x / lam - 1.0, None
-    d_lam = x / lam - (n + x) / (n + lam)
+        return x / lam - 1.0, -count_term, None, None, None
     if n < 1e3:
         gap = digamma(x + n) - digamma(n)
+        gap2 = zeta(2.0, x + n) - zeta(2.0, n)
     else:
         u, m = x / n, n + x
         gap = np.log1p(u) + u / (2.0 * m) + u * (2.0 + u) / (12.0 * m) / m
+        gap2 = -(u + u * (2.0 + u) / (2.0 * m) + u * (3.0 + u * (3.0 + u)) / (6.0 * m) / m) / m
     d_n = gap - np.log1p(lam / n) + (lam - x) / (n + lam)
-    return d_lam, float(np.sum(d_n))
+    d_nn = gap2 + lam / n / (n + lam) - (lam - x) / (n + lam) / (n + lam)
+    return (x / lam - (n + x) / (n + lam), (n + x) / (n + lam) / (n + lam) - count_term,
+            (x - lam) / (n + lam) / (n + lam), float(np.sum(d_n)), float(np.sum(d_nn)))
 
 
 def _series(kind):
@@ -227,16 +234,17 @@ class TestCountTables:
 
     @pytest.mark.parametrize("kind", ["zeros", "spike", "huge", "typical"])
     @pytest.mark.parametrize("n", [None, 1e-3, 4.0, 999.0, 1e3, 1e12])
-    def test_terms_and_scores_match_the_direct_expression(self, kind, n):
+    def test_terms_and_derivatives_match_the_direct_expression(self, kind, n):
         counts = table(_series(kind))
         x = counts.x
         lam = np.random.default_rng(3).uniform(0.2, 1.5, x.size) * max(float(x.mean()), 1.0)
         np.testing.assert_array_equal(counts.levels[counts.index], x)
         np.testing.assert_array_equal(loglik_terms(counts, lam, n), direct_terms(x, lam, n))
-        d_lam, d_n = loglik_scores(counts, lam, n)
-        ref_lam, ref_n = direct_scores(x, lam, n)
-        np.testing.assert_array_equal(d_lam, ref_lam)
-        assert d_n == ref_n
+        for got, ref in zip(loglik_derivatives(counts, lam, n), direct_derivatives(x, lam, n)):
+            if ref is None or np.ndim(ref) == 0:
+                assert got == ref
+            else:
+                np.testing.assert_array_equal(got, ref)
 
     def test_levels_are_the_distinct_counts(self):
         counts = table([3, 0, 3, 7, 0, 3])

@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "spingarch"
 
 
@@ -174,9 +176,9 @@ def test_scipy_import_check_has_teeth():
     assert "scipy.optimize" in _scipy_subpackages("import spingarch.cli, scipy.optimize") - _scipy_floor()
 
 
-def _dtbtrs_uses(tree):
-    """(line, where) for every reference to the name `dtbtrs`: "import" for
-    an import of it, else the enclosing function, None at module level."""
+def _name_uses(tree, name):
+    """(line, where) for every reference to `name`: "import" for an import of
+    it, else the enclosing function, None at module level."""
     found = []
 
     def visit(node, func):
@@ -184,10 +186,10 @@ def _dtbtrs_uses(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.ImportFrom) and any(a.name == "dtbtrs" for a in child.names):
+            if isinstance(child, ast.ImportFrom) and any(a.name == name for a in child.names):
                 found.append((child.lineno, "import"))
-            elif (isinstance(child, ast.Name) and child.id == "dtbtrs") or (
-                    isinstance(child, ast.Attribute) and child.attr == "dtbtrs"):
+            elif (isinstance(child, ast.Name) and child.id == name) or (
+                    isinstance(child, ast.Attribute) and child.attr == name):
                 found.append((child.lineno, func))
             visit(child, func)
 
@@ -195,14 +197,18 @@ def _dtbtrs_uses(tree):
     return found
 
 
-def test_one_home_for_the_band_solve():
-    # the lambda-lag band of both passes, reverse and forward, is solved by
-    # one helper: `model._lag_adjoint`
+@pytest.mark.parametrize("name, module, home", [
+    ("dtbtrs", "model.py", "_lag_adjoint"),  # the lambda-lag band of both passes, reverse and forward
+    ("digamma", "distributions.py", "_gamma_gaps"),  # the gaps of every dispersion derivative
+    ("zeta", "distributions.py", "_gamma_gaps"),
+])
+def test_one_home_for_a_special_routine(name, module, home):
+    # each routine is called from one helper, the one place to replace it
     offenders = [f"{path.name}:{line} in {where or 'module scope'}"
                  for path in sorted(SRC.glob("*.py"))
-                 for line, where in _dtbtrs_uses(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-                 if path.name != "model.py" or where not in ("import", "_lag_adjoint")]
-    assert not offenders, "dtbtrs outside model._lag_adjoint: " + ", ".join(offenders)
+                 for line, where in _name_uses(ast.parse(path.read_text(encoding="utf-8"), str(path)), name)
+                 if path.name != module or where not in ("import", home)]
+    assert not offenders, f"{name} outside {module[:-3]}.{home}: " + ", ".join(offenders)
 
 
 def test_band_solve_check_has_teeth():
@@ -215,7 +221,8 @@ def test_band_solve_check_has_teeth():
         "def forward(ab, r):\n"
         "    return lapack.dtbtrs(ab, r, uplo='L')\n"
     )
-    assert _dtbtrs_uses(ast.parse(source)) == [(1, "import"), (3, None), (5, "_lag_adjoint"), (7, "forward")]
+    assert _name_uses(ast.parse(source), "dtbtrs") == [(1, "import"), (3, None), (5, "_lag_adjoint"), (7, "forward")]
+    assert _name_uses(ast.parse(source), "zeta") == []
 
 
 _DRAW_NAMES = ("poisson", "standard_gamma")

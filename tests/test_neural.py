@@ -326,7 +326,7 @@ class TestFitNeural:
         # 400 iterations.  Each start now ends after 9-11 trial steps.
         series = np.random.default_rng(5).poisson(5.0, 200)
         calls = {"value": 0, "hessian": 0}
-        point, derivatives = estimate._Point.__init__, estimate._derivatives
+        point, derivatives = estimate._Point.__init__, estimate._Point.derivatives
 
         def counted_point(self, *args):
             calls["value"] += 1
@@ -337,7 +337,7 @@ class TestFitNeural:
             return derivatives(*args)
 
         monkeypatch.setattr(estimate._Point, "__init__", counted_point)
-        monkeypatch.setattr(estimate, "_derivatives", counted_derivatives)
+        monkeypatch.setattr(estimate._Point, "derivatives", counted_derivatives)
         fit = fit_neural(nspec(L=1), series, OptimizerOptions(restarts=2))
         assert fit.converged
         assert calls["value"] <= 45 and calls["hessian"] <= 30  # 3 starts: 33 and 23 today
@@ -391,6 +391,15 @@ class TestSelectHiddenUnits:
                                           criterion="bic")
             hits += best == 1
         assert hits >= 16  # >= 80% of seeded trials
+
+    @pytest.mark.parametrize("L_range, criterion", [([1, 2], "hqic"), ([], "aic")])
+    def test_bad_arguments_refused_before_any_fit(self, monkeypatch, L_range, criterion):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_neural ran")
+
+        monkeypatch.setattr(estimate, "fit_neural", no_fit)
+        with pytest.raises(ParameterError):
+            select_hidden_units(nspec(L=1), [1, 2, 3, 4], L_range, criterion=criterion)
 
     @staticmethod
     def _stub_fits(monkeypatch, outcomes):
