@@ -43,7 +43,7 @@ train, test_len = path[:4500], 500
 fit = fit_cml(spec, train, OptimizerOptions(restarts=1, seed=0))
 print(f"fit converged={fit.converged}, AIC {fit.aic:.1f}")
 
-z = pearson_residuals(fit, train).values
+z = pearson_residuals(fit, train)
 print(f"\nPearson residuals: mean {z.mean():+.4f}, variance {z.var(ddof=1):.4f}")
 acf = sample_acf(z, 8)
 pacf = sample_pacf(z, 8)

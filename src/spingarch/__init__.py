@@ -9,16 +9,13 @@ negative binomial conditional distributions.
 
 __version__ = "0.1.0"
 
-from .data import CountSeries, as_counts
+from .data import CountSeries, as_counts, dispersion_ratio, sample_acf
 from .diagnostics import (
-    ResidualSeries,
     cumulative_periodogram,
-    dispersion_ratio,
     one_step_forecasts,
     pacf_from_acf,
     pearson_residuals,
     rmse,
-    sample_acf,
     sample_pacf,
 )
 from .distributions import RngStream, nb_log_pmf, nb_sample, poisson_log_pmf

@@ -27,15 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .data import CountSeries, dispersion_ratio
-from .diagnostics import (
-    cumulative_periodogram,
-    one_step_forecasts,
-    pearson_residuals,
-    rmse,
-    sample_acf,
-    sample_pacf,
-)
+from .data import CountSeries, dispersion_ratio, sample_acf
+from .diagnostics import cumulative_periodogram, one_step_forecasts, pearson_residuals, rmse, sample_pacf
 from .distributions import RngStream
 from .estimate import FitResult, OptimizerOptions, fit_cml, fit_neural, select_fit
 from .exceptions import DataError, NumericError, ParameterError
@@ -125,7 +118,8 @@ def parse_counts_csv(path) -> CountSeries:
 
     Lines starting with '#' are provenance comments and are skipped.  Counts
     must be non-negative integers; violations raise a DataError citing the
-    file line number.  Unevenly spaced timestamps only produce a warning.
+    file line number.  Timestamps are not kept; uneven spacing only produces
+    a warning.
     """
     path = Path(path)
     if not path.exists():
@@ -161,7 +155,7 @@ def parse_counts_csv(path) -> CountSeries:
         raise DataError(f"{path}: no count rows found")
     if stamps:
         _warn_on_gaps(stamps)
-    return CountSeries(np.asarray(counts), timestamps=stamps or None)
+    return CountSeries(np.asarray(counts))
 
 
 def _warn_on_gaps(stamps: Sequence[str]):
@@ -464,7 +458,7 @@ def _cmd_diagnose(config: RunConfig) -> int:
     fit = _fit_one(spec, series, config)
     # every diagnostic is computed before the first file is written, so a
     # failing one leaves no partial output directory
-    z = pearson_residuals(fit, series).values
+    z = pearson_residuals(fit, series)
     max_lag = min(config.max_lag, len(series) - 1)
     acf, pacf = sample_acf(z, max_lag), sample_pacf(z, max_lag)
     freqs, fractions, band = cumulative_periodogram(z)

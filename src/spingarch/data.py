@@ -3,9 +3,9 @@ the sample ACF and the dispersion ratio."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Optional, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -30,10 +30,9 @@ class CountTable:
 
 @dataclass
 class CountSeries:
-    """Ordered non-negative integer observations with optional timestamps."""
+    """Ordered non-negative integer observations, stored as int64 `values`."""
 
     values: np.ndarray
-    timestamps: Optional[Sequence[str]] = field(default=None)
 
     def __post_init__(self):
         arr = np.asarray(self.values)
@@ -45,8 +44,6 @@ class CountSeries:
         if np.any(farr < 0) or np.any(farr != np.floor(farr)):
             raise DataError("counts must be non-negative integers")
         self.values = np.asarray(farr, dtype=np.int64)
-        if self.timestamps is not None and len(self.timestamps) != len(self.values):
-            raise DataError("timestamps must align with counts")
 
     def __len__(self):
         return len(self.values)

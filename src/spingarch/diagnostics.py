@@ -6,46 +6,34 @@ v_t = lambda_t (1 + lambda_t/n) for negative binomial fits; under a correctly
 specified model they are approximately white with unit variance, which the
 correlogram and cumulative periodogram make visible.
 
-Conventions: sample variances use divisor s-1 throughout, except the ACF,
-which uses the standard divisor-N autocovariance normalization.
+The sample ACF (divisor-N autocovariance) and the dispersion ratio (divisor
+s-1) are defined in `data`; `sample_pacf` builds on the ACF.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .data import as_counts, dispersion_ratio, sample_acf
+from .data import as_counts, sample_acf
 from .exceptions import DataError, ParameterError
-from .model import ModelSpec, conditional_mean_path, presample_init
+from .model import conditional_mean_path, presample_init
 
 __all__ = [
-    "ResidualSeries",
     "pearson_residuals",
-    "sample_acf",
     "sample_pacf",
     "pacf_from_acf",
     "cumulative_periodogram",
     "one_step_forecasts",
     "rmse",
-    "dispersion_ratio",
 ]
 
 
-@dataclass(frozen=True)
-class ResidualSeries:
-    """Pearson residuals with the provenance needed to interpret them."""
-
-    values: np.ndarray
-    spec: ModelSpec
-
-
-def pearson_residuals(fit, series) -> ResidualSeries:
-    """Standardized one-step residuals of a fitted model on its series; the
-    variance is Poisson when the estimates carry no n."""
+def pearson_residuals(fit, series) -> np.ndarray:
+    """Standardized one-step residuals Z_t of a fitted model on its series, as
+    an array; the variance is Poisson when the estimates carry no n."""
     fit.estimates.check(fit.spec)
     x = as_counts(series)
     lam = np.asarray(fit.lambda_path, dtype=float)
@@ -55,7 +43,7 @@ def pearson_residuals(fit, series) -> ResidualSeries:
     z = (x - lam) / np.sqrt(lam if n is None else lam * (1.0 + lam / n))
     if not np.all(np.isfinite(z)):
         raise DataError("non-finite residuals")
-    return ResidualSeries(values=z, spec=fit.spec)
+    return z
 
 
 def pacf_from_acf(rho) -> np.ndarray:

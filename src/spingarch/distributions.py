@@ -59,14 +59,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise ParameterError(f"rng must be an RngStream or numpy Generator, got {type(rng)!r}")
-
-
 def _validate_count(x):
     arr = np.asarray(x)
     if not np.all(np.isfinite(np.asarray(arr, dtype=float))):
@@ -86,7 +78,7 @@ def _validate_positive(v, name):
 def loglik_terms(counts: CountTable, lam: np.ndarray, n=None) -> np.ndarray:
     """Per-observation log pmf at counts.x and means lam, without validation.
 
-    n is the negative binomial dispersion; n=None gives the Poisson terms.
+    n is the scalar negative binomial dispersion; n=None gives the Poisson terms.
     The one expression behind both likelihoods and both public pmfs.  The
     terms that depend on a count only through its value -- the Poisson
     log x! and the NB coefficient log C(x+n-1, x) -- are evaluated once per
@@ -94,13 +86,11 @@ def loglik_terms(counts: CountTable, lam: np.ndarray, n=None) -> np.ndarray:
     betaln(n, x) (0 at x = 0), which stays accurate as n grows where
     gammaln(x+n) - gammaln(n) cancels; from n = 1e3 on, where betaln loses
     digits for x << n, it is the differenced asymptotic series of log Gamma.
-    An array of n (`nb_log_pmf`) takes each entry by its own rule.
     """
     x, levels, index = counts.x, counts.levels, counts.index
     if n is None:
         return x * np.log(lam) - lam - gammaln(levels + 1.0)[index]
-    log_coef = (np.vectorize(_log_nb_coef) if np.ndim(n) else _log_nb_coef)(levels, n)[index]
-    return x * (np.log(lam) - np.log(n + lam)) - n * np.log1p(lam / n) + log_coef
+    return x * (np.log(lam) - np.log(n + lam)) - n * np.log1p(lam / n) + _log_nb_coef(levels, n)[index]
 
 
 def loglik_derivatives(counts: CountTable, lam: np.ndarray, n=None):
@@ -146,9 +136,11 @@ def nb_log_pmf(x, n, lam):
 
     log C(x+n-1, n-1) + n*log(p) + x*log(1-p) with p = n/(n+lambda), the
     binomial coefficient evaluated through log-gamma so real-valued n is
-    supported.  Broadcasts over array inputs.
+    supported.  n is one scalar; x and lambda broadcast.
     """
-    x, n, lam = _validate_count(x), _validate_positive(n, "n"), _validate_positive(lam, "lambda")
+    if np.ndim(n):
+        raise ParameterError("n must be a scalar")
+    x, n, lam = _validate_count(x), float(_validate_positive(n, "n")), _validate_positive(lam, "lambda")
     out = loglik_terms(CountTable(x, x, ...), lam, n)
     return out if out.ndim else float(out)
 
@@ -165,14 +157,17 @@ def nb_sample(rng, n, lam, size=None):
 
     Parameters
     ----------
-    rng : RngStream or numpy Generator
-        Source of randomness; an RngStream is materialized once per call.
+    rng : RngStream
+        Source of randomness, materialized once per call; anything else
+        raises ParameterError.
     n, lam : float
         Dispersion and mean, both > 0.
     size : int or tuple, optional
         Number of draws; None gives a single integer.
     """
-    gen = _as_generator(rng)
+    if not isinstance(rng, RngStream):
+        raise ParameterError(f"rng must be an RngStream, got {type(rng)!r}")
+    gen = rng.generator()
     n = float(_validate_positive(n, "n"))
     lam = float(_validate_positive(lam, "lambda"))
     g = gen.gamma(shape=n, scale=1.0, size=size)

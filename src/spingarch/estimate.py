@@ -332,7 +332,7 @@ def _trust_step(w: np.ndarray, a: np.ndarray, radius: float) -> np.ndarray:
         if c @ c <= radius * radius:
             return c
     d = w - w[0]  # w + mu = d + sigma with sigma = w_min + mu, exact on the lowest eigenspace
-    low = d <= 1e-12 * max(abs(w[0]), abs(w[-1]), 1.0)
+    low = d <= 1e-12 * max(abs(w[0]), 1.0)  # not w_max: on a wide spectrum that merges distant eigenvalues
     sigma = max(w[0], 0.0)
     a_low = float(np.linalg.norm(a[low]))
     if w[0] <= 0.0:

@@ -191,7 +191,7 @@ class LinearParams:
         for i in range(1, p + 1):
             eta += self.alpha[i - 1] * padded[p - i : p - i + s]
         if q == 0:
-            return np.atleast_1d(softplus(eta, c))
+            return _softplus_or_nan(eta, c)
 
         # Feedback part: one scalar loop, beta_1 inline and beta_2..beta_q after it.
         exp, log1p = math.exp, math.log1p
@@ -353,7 +353,7 @@ class NeuralWeights:
         self.check(spec)
         init = _pre_sample(x, presample)
         if spec.q == 0:
-            return np.atleast_1d(softplus(expit(_inputs(x, None, spec.p, 0, init) @ self.u0) @ self.u1, 1.0))
+            return _softplus_or_nan(expit(_inputs(x, None, spec.p, 0, init) @ self.u0) @ self.u1, 1.0)
         step = self._scalar_network(spec.p, spec.q)
         xs, lam = [init] * spec.p, [init] * spec.q
         for v in x.tolist():
@@ -552,6 +552,17 @@ def _lag_adjoint(r: np.ndarray, partials: np.ndarray, tangent: bool = False) -> 
     if info != 0:
         raise NumericError(f"banded lambda-lag solve failed (LAPACK info {info})")
     return a.reshape(r.shape)
+
+
+def _softplus_or_nan(eta: np.ndarray, c: float) -> np.ndarray:
+    """softplus(eta, c) with NaN where the predictor eta is not finite, so that
+    `conditional_mean_path` reports the first such step as it does for q > 0.
+    A finite eta costs no pass beyond softplus's own check."""
+    try:
+        return softplus(eta, c)
+    except ParameterError:  # softplus refuses a non-finite eta; ModelSpec has checked c
+        finite = np.isfinite(eta)
+        return np.where(finite, softplus(np.where(finite, eta, 0.0), c), np.nan)
 
 
 def _draw_error(lam: float, t: int) -> NumericError:

@@ -169,8 +169,6 @@ class StudyTable:
     or "not converged"; it holds only the reasons that occurred.
     """
 
-    spec: ModelSpec
-    truth: LinearParams
     sizes: Tuple[int, ...]
     replications: int
     param_names: Tuple[str, ...]
@@ -257,8 +255,6 @@ def simulation_study(
                 )
         cells[int(size)] = table
     return StudyTable(
-        spec=spec,
-        truth=truth,
         sizes=tuple(int(s) for s in sizes),
         replications=replications,
         param_names=names,

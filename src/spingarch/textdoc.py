@@ -95,10 +95,8 @@ def loads(text: str) -> Dict[str, Any]:
         if indent % len(_INDENT) != 0:
             raise DataError(f"bad indentation at line {lineno}")
         depth = indent // len(_INDENT)
-        while stack and stack[-1][0] >= depth:
+        while stack[-1][0] >= depth:  # the root, at depth -1, stays
             stack.pop()
-        if not stack:
-            raise DataError(f"orphan node at line {lineno}")
         parent = stack[-1][1]
         if stripped.endswith(":"):
             key = stripped[:-1]

@@ -32,7 +32,6 @@ class TestParseCountsCsv:
         f.write_text("count\n2\n3\n0\n")
         series = parse_counts_csv(f)
         np.testing.assert_array_equal(series.values, [2, 3, 0])
-        assert series.timestamps is None
 
     def test_negative_cites_line(self, tmp_path):
         f = tmp_path / "c.csv"
@@ -52,12 +51,12 @@ class TestParseCountsCsv:
         with pytest.raises(DataError, match="non-numeric"):
             parse_counts_csv(f)
 
-    def test_timestamps_kept_and_gap_warns(self, tmp_path):
+    def test_timestamped_counts_and_gap_warns(self, tmp_path):
         f = tmp_path / "c.csv"
         f.write_text("timestamp,count\n0,2\n1,3\n5,0\n")
         with pytest.warns(UserWarning, match="equally spaced"):
             series = parse_counts_csv(f)
-        assert series.timestamps == ["0", "1", "5"]
+        np.testing.assert_array_equal(series.values, [2, 3, 0])
 
     def test_comment_lines_skipped(self, tmp_path):
         f = tmp_path / "c.csv"
@@ -126,6 +125,14 @@ class TestDocumentRoundTrip:
             assert set(tree["estimates"]) == {"kind", "K", "L", "weights"} | ({"n"} if n is not None else set())
             rebuilt = fit_from_tree(loads(dumps({"fit": tree}))["fit"])
             self._assert_fits_equal(fit, rebuilt)
+
+    @pytest.mark.parametrize("text, message", [
+        ("fit:\n   s: 3\n", "bad indentation at line 2"),
+        ("fit:\n  s 3\n", "expected 'key: value' at line 2"),
+    ], ids=["indentation", "no-colon"])
+    def test_malformed_document_cites_the_line(self, text, message):
+        with pytest.raises(DataError, match=message):
+            loads(text)
 
     def test_model_labels_round_trip(self):
         tree = {"models": ["nb(1,0)", "neu-pois(2,1)"], "vals": [1.5, -2.0]}
@@ -471,6 +478,30 @@ class TestExitCodes:
         out = tmp_path / "o.txt"
         assert main(["fit", str(data), "--model", "nb(1,0)", "--c", "2", "--out", str(out)]) == 0
         assert loads(out.read_text())["fits"]["nb(1,0)"]["c"] == 2.0
+
+    @pytest.mark.parametrize("split", ["120", "500"])
+    def test_forecast_split_past_the_series_is_usage_error(self, tmp_path, split):
+        data = write_series(tmp_path, seed=7, n=120)
+        out = tmp_path / "fc.txt"
+        assert main(["forecast", str(data), "--p", "1", "--q", "0", "--split", split, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_malformed_model_token_is_usage_error(self, tmp_path):
+        data = write_series(tmp_path, seed=4, n=120)
+        out = tmp_path / "o.txt"
+        assert main(["fit", str(data), "--model", "nb(1)", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_moments_grid_errors_are_parse_errors(self, tmp_path, capsys):
+        out = tmp_path / "mom.csv"
+        assert main(["moments", "--grid", str(tmp_path / "missing.csv"), "--length", "200",
+                     "--out", str(out)]) == 2
+        grid = tmp_path / "grid.csv"
+        grid.write_text("alpha0,alpha1,n\n1.8,0.3,3\n")
+        capsys.readouterr()
+        assert main(["moments", "--grid", str(grid), "--length", "200", "--out", str(out)]) == 2
+        assert "grid row 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.csv"

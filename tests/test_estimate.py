@@ -623,10 +623,16 @@ class TestTrustStep:
         points *= radius * rng.random((2000, 1)) ** (1 / 3) / np.linalg.norm(points, axis=1, keepdims=True)
         assert self.model(w, a, c) <= min(self.model(w, a, p) for p in points)
 
-    def test_hard_case(self):
+    @pytest.mark.parametrize("w, a, radius", [
+        ([-1.0, 2.0, 4.0], [0.0, 1.0, -2.0], 3.0),
+        # the Hessian spectrum of the NB(1,1) fit of np.full(69, 38): the
+        # lowest eigenspace is w_min alone, however large w_max is
+        ([-2.9e137, 6.5e-3, 1e141, 1.8e157], [0.0, 1.0, 1.0, 1.0], 1.0),
+    ], ids=["narrow", "many-decades"])
+    def test_hard_case(self, w, a, radius):
         # no gradient along the lowest eigenvector and a shifted step shorter
         # than the radius: the lowest eigenvector fills the step up to it
-        w, a, radius = np.array([-1.0, 2.0, 4.0]), np.array([0.0, 1.0, -2.0]), 3.0
+        w, a = np.array(w), np.array(a)
         c = _trust_step(w, a, radius)
         np.testing.assert_allclose(c[1:], -a[1:] / (w[1:] - w[0]))
         assert np.linalg.norm(c) == pytest.approx(radius, rel=1e-12)

@@ -4,8 +4,8 @@ driver is `estimate`'s own trust-region Newton) or runs a Nelder-Mead search;
 importing the package loads no scipy subpackage beyond those of
 `scipy.special` and `scipy.linalg`; one home for the banded lambda-lag solve;
 `model.py` draws nothing at random and writes the scalar softplus step once
-per scalar loop; and both response types define the one interface the README
-lists."""
+per scalar loop; both response types define the one interface the README
+lists; and each module's `__all__` lists only names the module defines."""
 
 import ast
 import functools
@@ -377,3 +377,43 @@ def test_softplus_step_check_has_teeth():
     )
     assert _softplus_steps(ast.parse(source)) == [(None, 3), ("draw", 5), ("draw", 6), ("step", 9),
                                                   ("<lambda>", 10)]
+
+
+def _foreign_exports(tree):
+    """The names of a module's `__all__` that no module-level `def`, `class`
+    or assignment binds: re-exports of an imported name, or names bound only
+    inside a function."""
+    own, listed = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            own |= names
+            if "__all__" in names:
+                listed = ast.literal_eval(node.value)
+    return [name for name in listed if name not in own]
+
+
+def test_all_lists_only_own_names():
+    # a public name has one home: the module that defines it exports it
+    offenders = [f"{path.name} exports {name}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for name in _foreign_exports(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert not offenders, "names in __all__ that the module only imports: " + ", ".join(offenders)
+
+
+def test_own_names_check_has_teeth():
+    source = (
+        "from .data import sample_acf\n"
+        "import numpy as np\n"
+        "__all__ = ['f', 'C', 'X', 'Y', 'Z', 'sample_acf', 'np']\n"
+        "def f():\n"
+        "    Z = 1\n"
+        "class C:\n"
+        "    pass\n"
+        "X = Y0 = 1\n"
+        "Y: int = 2\n"
+    )
+    assert _foreign_exports(ast.parse(source)) == ["Z", "sample_acf", "np"]

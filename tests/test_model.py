@@ -26,7 +26,7 @@ from spingarch import (
     softplus,
     standard_errors,
 )
-from spingarch.exceptions import ParameterError
+from spingarch.exceptions import NumericError, ParameterError
 from spingarch.model import _inputs, _lag_adjoint
 
 
@@ -134,6 +134,21 @@ class TestConditionalMeanPath:
     def test_order_mismatch(self):
         with pytest.raises(ParameterError):
             conditional_mean_path(spec11(), LinearParams(1.0, (0.1,), (), 3.0), [1, 2])
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_overflowing_predictor_reports_its_step(self, q):
+        # alpha1 x_0 overflows to inf at step 1; the vectorised q = 0 branch
+        # reports it as the q = 1 loop does
+        series = np.random.default_rng(0).poisson(3.0, 200)
+        spec, params = ModelSpec(NEGBIN, SOFTPLUS_LINEAR, 1, q), LinearParams(1.0, (1e308,), (0.0,) * q, 3.0)
+        for evaluate in (conditional_mean_path, negloglik):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="at step 1$") as err:
+                evaluate(spec, params, series)
+            assert err.value.index == 1
+
+    def test_non_positive_presample_rejected(self):
+        with pytest.raises(ParameterError, match="presample"):
+            conditional_mean_path(spec11(), LinearParams(1.0, (0.1,), (0.2,), 3.0), [1, 2], presample=0.0)
 
     def test_link_mismatch(self):
         spec = ModelSpec(NEGBIN, NEURAL, 1, 1, hidden=1)

@@ -22,6 +22,7 @@ from spingarch import (
     select_hidden_units,
     simulate_path,
     slfn_forward,
+    standard_errors,
 )
 from spingarch import estimate
 from spingarch.exceptions import ConvergenceWarning, ParameterError
@@ -186,6 +187,15 @@ class TestNegloglik:
             )
             prev_x, prev_l = float(xt), g
         assert negloglik(spec, w, series) == pytest.approx(-total, rel=1e-9)
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_standard_errors_are_nan_where_the_mean_overflows(self, q):
+        # u1 . h overflows to inf at step 1; the lambda-lag row, if any, is zero
+        series = np.random.default_rng(0).poisson(3.0, 200)
+        w = NeuralWeights(np.vstack([np.ones((2, 2)), np.zeros((q, 2))]), np.array([1e308, 1e308]), 3.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            se = standard_errors(nspec(NEGBIN, p=1, q=q, L=2), w, series)
+        assert se.shape == (7 + 2 * q,) and np.all(np.isnan(se))
 
 
 class TestGradient:

@@ -152,6 +152,14 @@ class TestSimulatePath:
             simulate_path(config(params, 10, 1, spec=spec))
         assert err.value.index == 1
 
+    def test_neural_overflowing_mean_raises(self):
+        # a finite network mean of 1e300 that numpy cannot draw at
+        spec = ModelSpec(NEGBIN, NEURAL, 1, 1, hidden=1)
+        weights = NeuralWeights(np.array([[1.0], [0.0], [0.0]]), np.array([1e300]), 3.0)
+        with pytest.raises(NumericError, match=r"^conditional mean overflow at simulation step 1$") as err:
+            simulate_path(SimConfig(spec=spec, params=weights, length=10, rng=RngStream(1)))
+        assert err.value.index == 1
+
     @pytest.mark.parametrize("field, value", [("length", 2.5), ("length", 100.0), ("burn_in", 2.5),
                                               ("burn_in", "10"), ("length", True)])
     def test_non_integer_sizes_are_rejected(self, field, value):
