@@ -1,6 +1,6 @@
 """Softplus and neural-network INGARCH models for overdispersed count series.
 
-A numpy/scipy library covering simulation, conditional maximum likelihood
+A numpy-only library covering simulation, conditional maximum likelihood
 estimation, moment approximation, residual diagnostics, and one-step-ahead
 forecasting for count time series whose conditional mean follows a softplus
 link on a linear predictor or a single-hidden-layer network, with Poisson or

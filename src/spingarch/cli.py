@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import locale  # noqa: F401 -- argparse's gettext imports it at the first parser; load it with the CLI
 import math
 import re
 import shlex

@@ -16,6 +16,7 @@ import math
 from typing import Tuple
 
 import numpy as np
+from numpy.fft import rfft
 
 from .data import as_counts, sample_acf
 from .exceptions import DataError, ParameterError
@@ -87,7 +88,7 @@ def cumulative_periodogram(residuals) -> Tuple[np.ndarray, np.ndarray, float]:
     if s < 16:
         raise DataError("need at least 16 points for a cumulative periodogram")
     m = (s - 1) // 2
-    dft = np.fft.rfft(v)
+    dft = rfft(v)
     ordinates = np.abs(dft[1 : m + 1]) ** 2
     total = float(ordinates.sum())
     if total <= 0.0:

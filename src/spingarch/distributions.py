@@ -12,17 +12,22 @@ keeps real-valued n on a single code path.
 
 The conditional likelihoods of both families come from one pair of functions:
 `loglik_terms` for the log pmf and `loglik_derivatives` for its first and
-second derivatives in lambda and n.  The dispersion enters the derivatives
-only through the digamma and trigamma gaps of `_gamma_gaps`, the one place
-where digamma and zeta are called.
+second derivatives in lambda and n.  The dispersion enters the terms through
+the log binomial coefficient of `_log_nb_coef` and the derivatives through
+the digamma and trigamma gaps of `_gamma_gaps`.  The coefficient, and the
+gaps below n = 1e3, are sums over the first `_SHIFT` counts carried on by
+differenced asymptotic series of log Gamma, digamma and trigamma (Abramowitz
+& Stegun 6.1.40, 6.3.18, 6.4.12); from n = 1e3 the gaps are a series in v/n
+alone.  So their cost does not grow with the count, and no step subtracts
+two large values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln, zeta
 
 from .data import CountTable
 from .exceptions import ParameterError
@@ -82,14 +87,11 @@ def loglik_terms(counts: CountTable, lam: np.ndarray, n=None) -> np.ndarray:
     The one expression behind both likelihoods and both public pmfs.  The
     terms that depend on a count only through its value -- the Poisson
     log x! and the NB coefficient log C(x+n-1, x) -- are evaluated once per
-    level of the table and gathered.  The NB coefficient is -log x -
-    betaln(n, x) (0 at x = 0), which stays accurate as n grows where
-    gammaln(x+n) - gammaln(n) cancels; from n = 1e3 on, where betaln loses
-    digits for x << n, it is the differenced asymptotic series of log Gamma.
+    level of the table and gathered.
     """
     x, levels, index = counts.x, counts.levels, counts.index
     if n is None:
-        return x * np.log(lam) - lam - gammaln(levels + 1.0)[index]
+        return x * np.log(lam) - lam - _log_factorial(levels)[index]
     return x * (np.log(lam) - np.log(n + lam)) - n * np.log1p(lam / n) + _log_nb_coef(levels, n)[index]
 
 
@@ -111,24 +113,84 @@ def loglik_derivatives(counts: CountTable, lam: np.ndarray, n=None):
             float(np.sum(d_n)), float(np.sum(d_nn)))
 
 
+def _log_factorial(v: np.ndarray) -> np.ndarray:
+    """log v! for each count of v, one `math.lgamma` call per entry."""
+    return np.array([math.lgamma(c + 1.0) for c in np.ravel(v).tolist()]).reshape(np.shape(v))
+
+
+# Counts up to _SHIFT are summed term by term.  Past it, asymptotic series
+# carry the sums on, each truncated where its next term is below 1e-19 at
+# z = _SHIFT; coefficients run from the highest power of 1/z**2 down.
+_SHIFT = 64
+_TERMS = np.arange(_SHIFT, dtype=float)  # i = 0 .. _SHIFT - 1
+_LOG_GAMMA_SERIES = (-1 / 1680, 1 / 1260, -1 / 360, 1 / 12)  # log Gamma(z) less Stirling's formula, times z
+_DIGAMMA_SERIES = (-1 / 240, 1 / 252, -1 / 120, 1 / 12)  # ln z - 1/(2z) - psi(z), times z**2
+_TRIGAMMA_SERIES = (-1 / 30, 1 / 42, -1 / 30, 1 / 6)  # psi'(z) - 1/z - 1/(2z**2), times z**3
+
+
+def _series(z, coefficients, power: int):
+    """z**-power times the polynomial in 1/z**2 with the given coefficients;
+    1/z is formed first, so that z up to 1e300 cannot overflow."""
+    r = 1.0 / z
+    r2 = r * r
+    acc = coefficients[0]
+    for coefficient in coefficients[1:]:
+        acc = acc * r2 + coefficient
+    for _ in range(power):
+        acc = acc * r
+    return acc
+
+
+def _head(terms: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The sums of the first min(v, _SHIFT) terms."""
+    return np.concatenate(([0.0], np.cumsum(terms)))[np.minimum(v, _SHIFT).astype(np.intp)]
+
+
 def _log_nb_coef(v, n):
-    """log C(v+n-1, v) = log Gamma(v+n) - log Gamma(n) - log v! for counts v >= 0, exactly 0 at v = 0."""
-    if n < 1e3:
-        v1 = np.maximum(v, 1.0)
-        return np.where(v > 0, -np.log(v1) - betaln(n, v1), 0.0)
-    u, m = v / n, n + v  # the Stirling series, differenced term by term
-    return (n - 0.5) * np.log1p(u) + v * np.log(m) - v - u / (12.0 * m) - gammaln(v + 1.0)
+    """log C(v+n-1, v) = log Gamma(v+n) - log Gamma(n) - log v! for counts v >= 0, exactly 0 at v = 0.
+
+    Up to _SHIFT it is the sum of log((n-1+i)/i) over 1 <= i <= v.  Past it,
+    the increment from _SHIFT to w is [log Gamma(n+w) - log Gamma(n+_SHIFT)] -
+    [log Gamma(w+1) - log Gamma(_SHIFT+1)]: two differenced Stirling series
+    whose arguments differ by h = n - 1, combined so that every term carries
+    its factor h or d = w - _SHIFT and none cancels, for n near 1 or near 1e300.
+    """
+    terms = np.empty(_SHIFT)
+    terms[0] = math.log(n)  # log1p(n - 1) would lose an n below 1e-16 to the rounding of n - 1
+    terms[1:] = np.log1p((n - 1.0) / (_TERMS[1:] + 1.0))
+    out = _head(terms, v)
+    if np.all(v <= _SHIFT):
+        return out
+    w = np.maximum(v, _SHIFT)
+    h, d, a1, b1, a2, b2 = n - 1.0, w - _SHIFT, n + _SHIFT, n + w, _SHIFT + 1.0, w + 1.0
+    return out + (h * np.log1p(d / a1) + (_SHIFT + 0.5) * np.log1p(-(h / a1) * (d / b2)) + d * np.log1p(h / b2)
+                  + (_series(b1, _LOG_GAMMA_SERIES, 1) - _series(a1, _LOG_GAMMA_SERIES, 1))
+                  - (_series(b2, _LOG_GAMMA_SERIES, 1) - _series(a2, _LOG_GAMMA_SERIES, 1)))
 
 
 def _gamma_gaps(v: np.ndarray, n: float):
     """The digamma and trigamma gaps psi(v + n) - psi(n) = sum_{i<v} 1/(n+i)
-    and psi'(v + n) - psi'(n) = -sum_{i<v} 1/(n+i)^2 for counts v >= 0."""
-    if n < 1e3:
-        return digamma(v + n) - digamma(n), zeta(2.0, v + n) - zeta(2.0, n)
-    # the asymptotic series of digamma and trigamma, differenced term by term, where the direct forms cancel
-    u, m = v / n, n + v
-    return (np.log1p(u) + u / (2.0 * m) + u * (2.0 + u) / (12.0 * m) / m,
-            -(u + u * (2.0 + u) / (2.0 * m) + u * (3.0 + u * (3.0 + u)) / (6.0 * m) / m) / m)
+    and psi'(v + n) - psi'(n) = -sum_{i<v} 1/(n+i)^2 for counts v >= 0.
+
+    Below n = 1e3 they are those sums up to _SHIFT; past it, psi(b) - psi(a)
+    and psi'(b) - psi'(a) from a = n + _SHIFT to b = n + w are the asymptotic
+    series differenced term by term.  From n = 1e3 on, where the series in
+    1/n needs three terms, they are that series differenced in u = v/n at
+    every count, which skips the sums."""
+    if n >= 1e3:
+        u, m = v / n, n + v
+        return (np.log1p(u) + u / (2.0 * m) + u * (2.0 + u) / (12.0 * m) / m,
+                -(u + u * (2.0 + u) / (2.0 * m) + u * (3.0 + u * (3.0 + u)) / (6.0 * m) / m) / m)
+    inv = 1.0 / (n + _TERMS)
+    digamma_gap, trigamma_gap = _head(inv, v), -_head(inv * inv, v)
+    if np.all(v <= _SHIFT):
+        return digamma_gap, trigamma_gap
+    w = np.maximum(v, _SHIFT)
+    d, a, b = w - _SHIFT, n + _SHIFT, n + w
+    step = d / a / b
+    return (digamma_gap + np.log1p(d / a) + 0.5 * step + _series(a, _DIGAMMA_SERIES, 2) - _series(b, _DIGAMMA_SERIES, 2),
+            trigamma_gap - step * (1.0 + 0.5 * (a + b) / a / b)
+            + _series(b, _TRIGAMMA_SERIES, 3) - _series(a, _TRIGAMMA_SERIES, 3))
 
 
 def nb_log_pmf(x, n, lam):

@@ -46,13 +46,12 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit
 
 from .data import CountSeries, as_counts, dispersion_ratio, sample_acf
 from .distributions import RngStream, loglik_derivatives, loglik_terms
 from .exceptions import ConvergenceWarning, DataError, NumericError, ParameterError
 from .model import NEGBIN, LinearParams, ModelSpec, NeuralWeights, conditional_mean_path
-from .special import softplus_inverse
+from .special import expit, softplus_inverse
 
 __all__ = [
     "OptimizerOptions",

@@ -37,12 +37,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
-from scipy.special import expit
 
 from .data import as_counts
 from .exceptions import NumericError, ParameterError
-from .special import softplus
+from .special import expit, softplus
 
 __all__ = [
     "POISSON",
@@ -223,7 +221,7 @@ class LinearParams:
         p, q = spec.p, spec.q
         B = _inputs(x, lam, p, q, _pre_sample(x))
         theta = np.array([self.alpha0, *self.alpha, *self.beta])
-        d = expit(B @ theta / spec.c)  # sp'(eta_t)
+        d = -np.expm1(-lam / spec.c)  # sp'(eta_t) = 1 - exp(-lambda_t / c), read off lambda_t
         d2 = d * (1.0 - d) / spec.c  # sp''(eta_t)
         partials = d[:, None] * theta[1 + p :]
         S = _lag_adjoint(d[:, None] * B, partials, tangent=True)
@@ -532,26 +530,49 @@ def _lag_adjoint(r: np.ndarray, partials: np.ndarray, tangent: bool = False) -> 
     """Adjoints a_t = r_t + sum_j partials[t+j, j-1] a_{t+j} of lambda_1..lambda_s,
     where partials[t, j-1] is the direct d lambda_t / d lambda_{t-j}: the
     lambda-lag feedback of a reverse-mode pass.  The a_t solve the unit upper
-    triangular system (I - C) a = r of bandwidth q, C[t, t+j] = partials[t+j, j-1],
-    in one LAPACK banded back substitution.
+    triangular system (I - C) a = r of bandwidth q, C[t, t+j] = partials[t+j, j-1].
 
     With `tangent` it solves the lower triangle (I - C)^T y = r instead,
     y_t = r_t + sum_j partials[t, j-1] y_{t-j}: the same feedback carried
-    forward, as forward-mode tangents, by forward substitution.  r may then
-    have one column per direction (s x k).  With q = 0 it returns r itself,
-    not a copy, which no caller writes to."""
+    forward, as forward-mode tangents.  r may then have one column per
+    direction (s x k).  With q = 0 it returns r itself, not a copy, which no
+    caller writes to.
+
+    Either way it is the recursion Y_t = A_t Y_{t-1} + R_t on the states
+    Y_t = (y_t, .., y_{t-q+1}), with q x q companion matrices A_t and zero
+    states before the first step, run forward in time for tangents and
+    backward for adjoints.  Recursive doubling solves it in ceil(log2 s)
+    vectorised passes: after the pass of span d, each (A_t, R_t) is the
+    composite map from Y_{t-2d} to Y_t.  It only multiplies and adds, never
+    divides by a product of partials, so a partial that underflows to 0
+    (where sp' does) cuts the chain exactly, as substitution would."""
     s, q = partials.shape
     if not q:
         return r
-    # LAPACK upper band storage: row q - j holds the j-th superdiagonal, whose
-    # column t+j is -partials[t+j, j-1]; the first j entries of that row and
-    # the diagonal row q (unit, diag="U") are never read.
-    ab = np.empty((q + 1, s))
-    ab[:q] = -partials[:, ::-1].T
-    a, info = dtbtrs(ab, r.reshape(s, -1), uplo="U", trans="T" if tangent else "N", diag="U")
-    if info != 0:
-        raise NumericError(f"banded lambda-lag solve failed (LAPACK info {info})")
-    return a.reshape(r.shape)
+    rows = r.reshape(s, -1)
+    # Z[:, :q, t] is A_t and Z[:, q:, t] is R_t, time last so that each pass
+    # works on contiguous rows
+    Z = np.zeros((q, q + rows.shape[1], s))
+    if tangent:
+        Z[0, :q] = partials.T
+        Z[0, q:] = rows.T
+    else:  # in reversed time u = s-1-t, a_{t+j} is the lag-j state, with coefficient partials[t+j, j-1]
+        for j in range(1, q + 1):
+            Z[0, j - 1, j:] = partials[: j - 1 : -1, j - 1]
+        Z[0, q:] = rows[::-1].T
+    for i in range(1, q):
+        Z[i, i - 1] = 1.0
+    d = 1
+    while d < s:
+        A = Z[:, :q, d:]  # composite (A_t, R_t) <- (A_t A_{t-d}, A_t R_{t-d} + R_t)
+        composed = A[:, 0, None] * Z[0, :, :-d]
+        for m in range(1, q):
+            composed += A[:, m, None] * Z[m, :, :-d]
+        Z[:, q:, d:] += composed[:, q:]
+        Z[:, :q, d:] = composed[:, :q]
+        d *= 2
+    y = Z[0, q:].T
+    return (y if tangent else y[::-1]).reshape(r.shape)
 
 
 def _softplus_or_nan(eta: np.ndarray, c: float) -> np.ndarray:

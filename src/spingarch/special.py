@@ -9,7 +9,6 @@ accept scalars or arrays and broadcast in the usual numpy way.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _sps
 
 from .exceptions import ParameterError
 
@@ -17,6 +16,7 @@ __all__ = [
     "softplus",
     "softplus_deriv",
     "softplus_inverse",
+    "expit",
     "logistic",
     "relu",
 ]
@@ -67,14 +67,23 @@ def softplus_deriv(x, c: float = 1.0):
     """Derivative of `softplus` with respect to x: 1/(1 + exp(-x/c)), in (0, 1)."""
     c = _validate_c(c)
     x = _validate_finite(x)
-    out = _sps.expit(x / c)
+    out = expit(x / c)
     return out if out.ndim else float(out)
+
+
+def expit(x) -> np.ndarray:
+    """The logistic function 1/(1 + exp(-x)) of an array, without validation:
+    with e = exp(-|x|) it is 1/(1 + e) for x >= 0 and e/(1 + e) otherwise, so
+    exp never overflows, and a tail that underflows comes out as 0 or 1."""
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def logistic(x):
     """Logistic (sigmoid) function 1/(1 + exp(-x)); equals softplus_deriv with c=1."""
     x = _validate_finite(x)
-    out = _sps.expit(x)
+    out = expit(x)
     return out if out.ndim else float(out)
 
 
@@ -88,15 +97,18 @@ def relu(x):
 def softplus_inverse(y, c: float = 1.0):
     """Inverse of `softplus`: the x with sp(x) = y, for y > 0.
 
-    Computed as c*ln(expm1(y/c)); for large y/c this reduces smoothly to
-    y + c*log1p(-exp(-y/c)) so no overflow occurs.
+    Computed as c*ln(expm1(y/c)) below y/c = 30 and as y + c*log1p(-exp(-y/c))
+    from there on, each form only on its own entries, so neither overflows
+    nor takes the log of 0.
     """
     c = _validate_c(c)
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)) or np.any(y <= 0.0):
         raise ParameterError("softplus_inverse requires finite y > 0")
     z = y / c
-    small = z < 30.0
-    out = np.where(small, np.log(np.expm1(np.where(small, z, 1.0))), z + np.log1p(-np.exp(-z)))
+    small, large = z < 30.0, z >= 30.0
+    out = np.empty_like(z)
+    out[small] = np.log(np.expm1(z[small]))
+    out[large] = z[large] + np.log1p(-np.exp(-z[large]))
     out = c * out
     return out if out.ndim else float(out)

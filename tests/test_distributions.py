@@ -3,10 +3,9 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-
-from scipy.special import betaln, digamma, gammaln, zeta
 
 from spingarch import CountSeries, RngStream, nb_log_pmf, nb_sample, poisson_log_pmf
 from spingarch.distributions import _gamma_gaps, _log_nb_coef, loglik_derivatives, loglik_terms
@@ -183,17 +182,11 @@ class TestLoglikCurvatures:
 
 
 def direct_terms(x, lam, n):
-    """`loglik_terms` written over the full count array, the reference for
-    the per-level evaluation."""
+    """`loglik_terms` written over the full count array, every count evaluated
+    on its own, the reference for the per-level evaluation."""
     if n is None:
-        return x * np.log(lam) - lam - gammaln(x + 1.0)
-    if n < 1e3:
-        x1 = np.maximum(x, 1.0)
-        log_coef = np.where(x > 0, -np.log(x1) - betaln(n, x1), 0.0)
-    else:
-        u, m = x / n, n + x
-        log_coef = (n - 0.5) * np.log1p(u) + x * np.log(m) - x - u / (12.0 * m) - gammaln(x + 1.0)
-    return x * (np.log(lam) - np.log(n + lam)) - n * np.log1p(lam / n) + log_coef
+        return x * np.log(lam) - lam - np.array([math.lgamma(v + 1.0) for v in x])
+    return x * (np.log(lam) - np.log(n + lam)) - n * np.log1p(lam / n) + _log_nb_coef(x, n)
 
 
 def direct_derivatives(x, lam, n):
@@ -201,13 +194,7 @@ def direct_derivatives(x, lam, n):
     count_term = np.divide(x, lam * lam, out=np.zeros_like(lam), where=x > 0)
     if n is None:
         return x / lam - 1.0, -count_term, None, None, None
-    if n < 1e3:
-        gap = digamma(x + n) - digamma(n)
-        gap2 = zeta(2.0, x + n) - zeta(2.0, n)
-    else:
-        u, m = x / n, n + x
-        gap = np.log1p(u) + u / (2.0 * m) + u * (2.0 + u) / (12.0 * m) / m
-        gap2 = -(u + u * (2.0 + u) / (2.0 * m) + u * (3.0 + u * (3.0 + u)) / (6.0 * m) / m) / m
+    gap, gap2 = _gamma_gaps(x, n)
     d_n = gap - np.log1p(lam / n) + (lam - x) / (n + lam)
     d_nn = gap2 + lam / n / (n + lam) - (lam - x) / (n + lam) / (n + lam)
     return (x / lam - (n + x) / (n + lam), (n + x) / (n + lam) / (n + lam) - count_term,
@@ -254,6 +241,55 @@ class TestCountTables:
     def test_table_is_built_once_per_series(self):
         series = CountSeries([1, 2, 2, 5])
         assert series.table is series.table
+
+
+def _mp_log_nb_coef(v, n):
+    return mpmath.loggamma(v + n) - mpmath.loggamma(n) - mpmath.loggamma(v + 1)
+
+
+ORACLE_COUNTS = np.array([0.0, 1.0, 2.0, 7.0, 63.0, 64.0, 65.0, 100.0, 1000.0, 12345.0, 1e6, 9999997.0, 1e7])
+
+
+class TestSpecialFunctionOracle:
+    """The log-gamma, digamma and trigamma replacements against mpmath at 40
+    digits, for dispersions on both sides of 1 and counts up to 1e7."""
+
+    @pytest.mark.parametrize("n", [1e-3, 0.02, 0.37, 0.999, 1.0, 1.001, 2.5, 37.3, 999.0, 1e3, 1e6, 1e12])
+    def test_nb_coefficient(self, n):
+        got = _log_nb_coef(ORACLE_COUNTS, n)
+        assert got[0] == 0.0
+        with mpmath.workdps(40):
+            expected = [float(_mp_log_nb_coef(mpmath.mpf(v), mpmath.mpf(n))) for v in ORACLE_COUNTS[1:]]
+        np.testing.assert_allclose(got[1:], expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [1e-20, 1e-300])
+    def test_nb_coefficient_at_a_vanishing_dispersion(self, n):
+        # log1p(n - 1) would round n away; the first term is log n itself
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _log_nb_coef(ORACLE_COUNTS, n)
+        with mpmath.workdps(40):
+            expected = [float(_mp_log_nb_coef(mpmath.mpf(v), mpmath.mpf(n))) for v in ORACLE_COUNTS[1:]]
+        np.testing.assert_allclose(got[1:], expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [1e-3, 0.37, 1.0, 2.5, 37.3, 999.0, 1e3, 1e6, 1e12])
+    def test_gamma_gaps(self, n):
+        digamma_gap, trigamma_gap = _gamma_gaps(ORACLE_COUNTS, n)
+        assert digamma_gap[0] == 0.0 and trigamma_gap[0] == 0.0
+        with mpmath.workdps(40):
+            nm = mpmath.mpf(n)
+            expected = [(float(mpmath.digamma(nm + v) - mpmath.digamma(nm)),
+                         float(mpmath.polygamma(1, nm + v) - mpmath.polygamma(1, nm))) for v in ORACLE_COUNTS[1:]]
+        np.testing.assert_allclose(digamma_gap[1:], [e[0] for e in expected], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trigamma_gap[1:], [e[1] for e in expected], rtol=1e-12, atol=0)
+
+    def test_zero_count_stays_zero_beside_counts_past_the_sums(self):
+        # the series part is added to every level once any level passes the
+        # sums, and must add exactly 0 at v = 0
+        v = np.array([0.0, 3.0, 5e6])
+        for n in (0.3, 4.0, 999.0):
+            assert _log_nb_coef(v, n)[0] == 0.0
+            assert [gap[0] for gap in _gamma_gaps(v, n)] == [0.0, 0.0]
 
 
 class TestPoissonLogPmf:

@@ -1,14 +1,14 @@
 """Source layout checks: no import hides inside a function body; no private
-name crosses a module boundary; no module imports `scipy.optimize` (the fit
-driver is `estimate`'s own trust-region Newton) or runs a Nelder-Mead search;
-importing the package loads no scipy subpackage beyond those of
-`scipy.special` and `scipy.linalg`; one home for the banded lambda-lag solve;
-`model.py` draws nothing at random and writes the scalar softplus step once
-per scalar loop; both response types define the one interface the README
-lists; and each module's `__all__` lists only names the module defines."""
+name crosses a module boundary; no module imports scipy (the runtime is numpy
+alone, and the fit driver is `estimate`'s own trust-region Newton) or runs a
+Nelder-Mead search; importing the CLI loads no scipy module; one home each
+for the lambda-lag solve, the asymptotic series of the count terms, log x!
+and the logistic `expit`; `model.py` draws nothing at random and writes the
+scalar softplus step once per scalar loop; both response types define the one
+interface the README lists; and each module's `__all__` lists only names the
+module defines."""
 
 import ast
-import functools
 import os
 import re
 import subprocess
@@ -108,77 +108,77 @@ def test_private_import_check_has_teeth():
     assert _private_imports(ast.parse(source)) == [(4, "_pre_sample"), (5, "_fit"), (7, "_lag_matrix")]
 
 
-def _optimizer_uses(tree):
-    """(line, what) for every import of or from scipy.optimize and every call
-    passing method="Nelder-Mead"."""
+def _is_scipy(module):
+    return module == "scipy" or module.startswith("scipy.")
+
+
+def _scipy_uses(tree):
+    """(line, what) for every import of or from scipy or a scipy submodule and
+    every call passing method="Nelder-Mead"."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and ((node.module or "").startswith("scipy.optimize") or (
-                node.module == "scipy" and any(a.name == "optimize" for a in node.names))):
-            found.append((node.lineno, "imports scipy.optimize"))
-        elif isinstance(node, ast.Import) and any(a.name.startswith("scipy.optimize") for a in node.names):
-            found.append((node.lineno, "imports scipy.optimize"))
+        if isinstance(node, ast.ImportFrom) and not node.level and _is_scipy(node.module or ""):
+            found.append((node.lineno, "imports scipy"))
+        elif isinstance(node, ast.Import) and any(_is_scipy(a.name) for a in node.names):
+            found.append((node.lineno, "imports scipy"))
         elif isinstance(node, ast.Call) and any(
             kw.arg == "method" and isinstance(kw.value, ast.Constant) and kw.value.value == "Nelder-Mead"
             for kw in node.keywords
         ):
             found.append((node.lineno, "calls Nelder-Mead"))
-    return found
+    return sorted(found)
 
 
-def test_one_fit_driver():
-    # every fit, linear or neural, runs `estimate._newton` on the exact Hessian
+def test_numpy_only_runtime():
+    # numpy is the one runtime dependency, and every fit, linear or neural,
+    # runs `estimate._newton` on the exact Hessian
     offenders = [f"{path.name}:{line} {what}"
                  for path in sorted(SRC.glob("*.py"))
-                 for line, what in _optimizer_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))]
-    assert not offenders, "scipy.optimize or Nelder-Mead: " + ", ".join(offenders)
+                 for line, what in _scipy_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))]
+    assert not offenders, "scipy or Nelder-Mead: " + ", ".join(offenders)
 
 
-def test_one_fit_driver_check_has_teeth():
+def test_numpy_only_check_has_teeth():
     source = (
         "from scipy.optimize import minimize\n"
         "import scipy.optimize\n"
         "from scipy import optimize, special\n"
-        "import scipy.optimize as opt\n"
-        "from scipy import special\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "from scipy.special import expit\n"
         "minimize(f, x0, method='Nelder-Mead')\n"
+        "import scipy, numpy\n"
+        "import scipyish\n"
+        "from .scipy import special\n"
     )
-    assert _optimizer_uses(ast.parse(source)) == [
-        (1, "imports scipy.optimize"), (2, "imports scipy.optimize"), (3, "imports scipy.optimize"),
-        (4, "imports scipy.optimize"), (6, "calls Nelder-Mead")]
+    assert _scipy_uses(ast.parse(source)) == [
+        (1, "imports scipy"), (2, "imports scipy"), (3, "imports scipy"), (4, "imports scipy"),
+        (5, "imports scipy"), (6, "calls Nelder-Mead"), (7, "imports scipy")]
 
 
-def _scipy_subpackages(code):
-    """The scipy subpackages (`scipy.<name>`) in sys.modules after running
-    `code` in a fresh interpreter that finds this checkout's package first."""
-    probe = code + "\nimport sys\nprint(' '.join(sorted({'.'.join(m.split('.')[:2]) "
-    probe += "for m in sys.modules if m.startswith('scipy.')})))"
+def _scipy_modules(code):
+    """The scipy modules in sys.modules after running `code` in a fresh
+    interpreter that finds this checkout's package first."""
+    probe = code + "\nimport sys\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     return set(out.stdout.split())
 
 
-@functools.lru_cache(maxsize=None)
-def _scipy_floor():
-    return _scipy_subpackages("import scipy.special, scipy.linalg")
+def test_cli_import_loads_no_scipy():
+    # importing scipy.special and scipy.linalg took about 0.3 s of every
+    # command's start-up and about 26 MB
+    loaded = _scipy_modules("import spingarch.cli")
+    assert not loaded, f"scipy modules loaded by the CLI: {sorted(loaded)}"
 
 
-def test_package_import_loads_no_extra_scipy():
-    # scipy.stats alone adds about 0.4 s to every command's start-up, and
-    # scipy.optimize about 0.2 s and 17 MB
-    loaded = _scipy_subpackages("import spingarch.cli")
-    assert not {"scipy.stats", "scipy.optimize"} & loaded
-    assert loaded <= _scipy_floor(), f"scipy subpackages beyond special and linalg: {sorted(loaded - _scipy_floor())}"
-
-
-def test_scipy_import_check_has_teeth():
-    assert "scipy.stats" in _scipy_subpackages("import spingarch.cli, scipy.stats") - _scipy_floor()
-    assert "scipy.optimize" in _scipy_subpackages("import spingarch.cli, scipy.optimize") - _scipy_floor()
+def test_scipy_module_check_has_teeth():
+    assert {"scipy", "scipy.special"} <= _scipy_modules("import spingarch.cli, scipy.special")
 
 
 def _name_uses(tree, name):
     """(line, where) for every reference to `name`: "import" for an import of
-    it, else the enclosing function, None at module level."""
+    it, "bind" for an assignment to it, else the enclosing function, None at
+    module level."""
     found = []
 
     def visit(node, func):
@@ -188,6 +188,8 @@ def _name_uses(tree, name):
                 continue
             if isinstance(child, ast.ImportFrom) and any(a.name == name for a in child.names):
                 found.append((child.lineno, "import"))
+            elif isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Store):
+                found.append((child.lineno, "bind"))
             elif (isinstance(child, ast.Name) and child.id == name) or (
                     isinstance(child, ast.Attribute) and child.attr == name):
                 found.append((child.lineno, func))
@@ -198,31 +200,70 @@ def _name_uses(tree, name):
 
 
 @pytest.mark.parametrize("name, module, home", [
-    ("dtbtrs", "model.py", "_lag_adjoint"),  # the lambda-lag band of both passes, reverse and forward
-    ("digamma", "distributions.py", "_gamma_gaps"),  # the gaps of every dispersion derivative
-    ("zeta", "distributions.py", "_gamma_gaps"),
+    ("_lag_adjoint", "model.py", "hessian_parts"),  # the lambda-lag band of both derivative passes
+    ("_LOG_GAMMA_SERIES", "distributions.py", "_log_nb_coef"),  # the NB coefficient past its sums
+    ("_DIGAMMA_SERIES", "distributions.py", "_gamma_gaps"),  # the gaps of every dispersion derivative
+    ("_TRIGAMMA_SERIES", "distributions.py", "_gamma_gaps"),
+    ("lgamma", "distributions.py", "_log_factorial"),  # log x! of the Poisson terms
 ])
 def test_one_home_for_a_special_routine(name, module, home):
-    # each routine is called from one helper, the one place to replace it
+    # each routine is used by one helper (or the methods of one name), the
+    # one place to change it
     offenders = [f"{path.name}:{line} in {where or 'module scope'}"
                  for path in sorted(SRC.glob("*.py"))
                  for line, where in _name_uses(ast.parse(path.read_text(encoding="utf-8"), str(path)), name)
-                 if path.name != module or where not in ("import", home)]
+                 if path.name != module or where not in ("import", "bind", home)]
     assert not offenders, f"{name} outside {module[:-3]}.{home}: " + ", ".join(offenders)
 
 
-def test_band_solve_check_has_teeth():
+def test_one_home_check_has_teeth():
     source = (
-        "from scipy.linalg.lapack import dtbtrs\n"
-        "import scipy.linalg.lapack as lapack\n"
-        "solve = dtbtrs\n"
-        "def _lag_adjoint(ab, r):\n"
-        "    return dtbtrs(ab, r)\n"
-        "def forward(ab, r):\n"
-        "    return lapack.dtbtrs(ab, r, uplo='L')\n"
+        "import math\n"
+        "from .model import _lag_adjoint\n"
+        "solve = _lag_adjoint\n"
+        "def hessian_parts(r, partials):\n"
+        "    return _lag_adjoint(r, partials)\n"
+        "def forward(v):\n"
+        "    return math.lgamma(v + 1.0)\n"
+        "_SERIES = (1 / 12,)\n"
+        "def _gaps(z):\n"
+        "    return _SERIES[0] / z\n"
     )
-    assert _name_uses(ast.parse(source), "dtbtrs") == [(1, "import"), (3, None), (5, "_lag_adjoint"), (7, "forward")]
-    assert _name_uses(ast.parse(source), "zeta") == []
+    assert _name_uses(ast.parse(source), "_lag_adjoint") == [(2, "import"), (3, None), (5, "hessian_parts")]
+    assert _name_uses(ast.parse(source), "lgamma") == [(7, "forward")]
+    assert _name_uses(ast.parse(source), "_SERIES") == [(8, "bind"), (10, "_gaps")]
+    assert _name_uses(ast.parse(source), "_DIGAMMA_SERIES") == []
+
+
+def _expit_sources(tree):
+    """(line, module) for every import of `expit`, and (line, "def") for every
+    function so named."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "expit" for a in node.names):
+            found.append((node.lineno, "." * node.level + (node.module or "")))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "expit":
+            found.append((node.lineno, "def"))
+    return found
+
+
+def test_one_home_for_expit():
+    # the overflow-free logistic is written once, in special.py, and imported from there
+    offenders = [f"{path.name}:{line} {what}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for line, what in _expit_sources(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                 if what != (".special" if path.name != "special.py" else "def")]
+    assert not offenders, "expit defined or imported outside special.py: " + ", ".join(offenders)
+
+
+def test_expit_check_has_teeth():
+    source = (
+        "from .special import expit\n"
+        "from scipy.special import expit\n"
+        "def expit(x):\n"
+        "    return x\n"
+    )
+    assert _expit_sources(ast.parse(source)) == [(1, ".special"), (2, "scipy.special"), (3, "def")]
 
 
 _DRAW_NAMES = ("poisson", "standard_gamma")

@@ -229,7 +229,45 @@ def lag_tangent_loop(r, partials):
     return y
 
 
+def dense_lag_system(partials):
+    """The unit upper triangular I - C of the reverse λ-lag pass as a dense
+    matrix, C[t, t+j] = partials[t+j, j-1]; its transpose is the tangent pass's."""
+    s, q = partials.shape
+    system = np.eye(s)
+    for j in range(1, q + 1):
+        system[np.arange(s - j), np.arange(j, s)] = -partials[j:, j - 1]
+    return system
+
+
+def lag_partials(kind, s, q, rng):
+    if kind == "exact zeros":
+        partials = rng.uniform(-0.9, 0.9, (s, q))
+        partials[rng.random((s, q)) < 0.3] = 0.0
+    elif kind == "near one":
+        partials = rng.choice([-1.0, 1.0], (s, q)) * rng.uniform(0.97, 1.0, (s, q))
+    else:  # products underflow to exactly 0, as where sp' underflows
+        partials = rng.uniform(0.0, 1e-160, (s, q))
+    return partials
+
+
 class TestLagAdjoint:
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("tangent", [False, True])
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("kind", ["exact zeros", "near one", "underflowing"])
+    @pytest.mark.parametrize("s", [1, 2, 7, 200])
+    def test_solve_matches_the_dense_system(self, q, tangent, k, kind, s):
+        rng = np.random.default_rng([q, int(tangent), k or 1, len(kind), s])
+        partials = lag_partials(kind, s, q, rng)
+        r = rng.normal(size=s if k is None else (s, k))
+        system = dense_lag_system(partials)
+        expected = np.linalg.solve(system.T if tangent else system, r)
+        got = _lag_adjoint(r, partials, tangent=tangent)
+        assert got.shape == r.shape
+        # normwise per column: the doubling and the dense LU round differently
+        scale = np.max(np.abs(expected), axis=0)
+        assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
     @pytest.mark.parametrize("q", [0, 1, 2, 3])
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 50])
     def test_banded_solve_matches_the_scalar_loop(self, q, s):

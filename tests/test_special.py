@@ -1,12 +1,15 @@
 """Softplus family, logistic and ReLU primitives."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from spingarch import logistic, relu, softplus, softplus_deriv, softplus_inverse
 from spingarch.exceptions import ParameterError
+from spingarch.special import expit
 
 
 class TestSoftplusValues:
@@ -72,6 +75,21 @@ class TestLogistic:
         np.testing.assert_allclose(logistic(xs) * (1 - logistic(xs)), fd, atol=1e-9)
 
 
+class TestExpit:
+    def test_against_mpmath(self):
+        x = np.array([-745.0, -700.0, -300.0, -40.0, -1.0, -1e-3, 0.0, 1e-3, 1.0, 40.0, 300.0, 700.0])
+        with mpmath.workdps(40):
+            expected = [float(1 / (1 + mpmath.exp(-mpmath.mpf(v)))) for v in x]
+        np.testing.assert_allclose(expit(x), expected, rtol=4.5e-16, atol=0)
+
+    def test_tails_raise_no_warning(self):
+        # exp(800) overflows; exp(-800) underflows to exactly 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(expit(np.array([-800.0, 800.0])), [0.0, 1.0])
+            assert expit(-800.0) == 0.0 and expit(800.0) == 1.0
+
+
 class TestRelu:
     @pytest.mark.parametrize("x,expected", [(-3.0, 0.0), (3.0, 3.0), (0.0, 0.0)])
     def test_values(self, x, expected):
@@ -83,6 +101,17 @@ class TestSoftplusInverse:
         rng = np.random.default_rng(3)
         y = rng.uniform(0.01, 50, 500)
         np.testing.assert_allclose(softplus(softplus_inverse(y, 0.8), 0.8), y, rtol=1e-12)
+
+    @pytest.mark.parametrize("y", [5e-324, 1e-300, 1e-20, 50.0, 1e300])
+    def test_extremes_raise_no_warning(self, y):
+        # each branch runs only on its own entries: the large-y form at
+        # y = 1e-20 took log1p(-1) and warned, though its value was discarded
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = softplus_inverse(y)
+            both = softplus_inverse(np.array([y, 1.0, 40.0]))
+        assert x == both[0]
+        assert x == (y if y >= 50.0 else pytest.approx(math.log(y), rel=1e-15))
 
 
 class TestSoftplusProperties:
