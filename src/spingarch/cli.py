@@ -22,20 +22,21 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .data import CountSeries, dispersion_ratio, sample_acf
+from .data import COUNT_LIMIT, CountSeries, dispersion_ratio, sample_acf
 from .diagnostics import cumulative_periodogram, one_step_forecasts, pearson_residuals, rmse, sample_pacf
 from .distributions import RngStream
 from .estimate import FitResult, OptimizerOptions, fit_cml, fit_neural, select_fit
 from .exceptions import DataError, NumericError, ParameterError
 from .model import NEGBIN, NEURAL, POISSON, SOFTPLUS_LINEAR, LinearParams, ModelSpec, NeuralWeights
 from .simulate import SimConfig, moment_study, simulate_path, simulation_study
-from .textdoc import dumps, format_float
+from .textdoc import dumps, format_float, format_floats
 
 __all__ = ["RunConfig", "parse_counts_csv", "run", "main", "entry", "fit_to_tree", "fit_from_tree"]
 
@@ -114,20 +115,42 @@ class RunConfig:
 # CSV ingestion
 
 
+_HEADERS = (["count"], ["timestamp", "count"])
+
+
 def parse_counts_csv(path) -> CountSeries:
     """Read a counts CSV: a `count` column, or `timestamp,count` with header.
 
     Lines starting with '#' are provenance comments and are skipped.  Counts
-    must be non-negative integers; violations raise a DataError citing the
-    file line number.  Timestamps are not kept; uneven spacing only produces
-    a warning.
+    must be non-negative integers below 2**53; violations raise a DataError
+    citing the file line number.  Timestamps are not kept; uneven spacing
+    only produces a warning.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
+    # one pass over the whole count column; a refused file is read again, row
+    # by row, to name its first offending line
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
+    header = [cell.strip().lower() for cell in rows[0]] if rows else None
+    try:
+        if header not in _HEADERS or len(rows) < 2 or set(map(len, rows)) != {len(header)}:
+            raise ValueError
+        values = np.array(list(map(float, map(str.strip, map(itemgetter(-1), rows[1:])))))
+        if not np.all((values >= 0) & (values < COUNT_LIMIT) & (values == np.floor(values))):
+            raise ValueError
+    except ValueError:
+        raise _first_error(path) from None
+    if len(header) == 2:
+        _warn_on_gaps([row[0].strip() for row in rows[1:]])
+    return CountSeries(values)
+
+
+def _first_error(path: Path) -> DataError:
+    """The DataError of the first line of counts CSV `path` that is not a
+    header or a count as `parse_counts_csv` reads them, in file order."""
     header: Optional[List[str]] = None
-    counts: List[int] = []
-    stamps: List[str] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (row[0].lstrip().startswith("#")):
@@ -135,28 +158,23 @@ def parse_counts_csv(path) -> CountSeries:
             cells = [cell.strip() for cell in row]
             if header is None:
                 header = [c.lower() for c in cells]
-                if header not in (["count"], ["timestamp", "count"]):
-                    raise DataError(f"line {lineno}: header must be 'count' or 'timestamp,count', got {row!r}")
+                if header not in _HEADERS:
+                    return DataError(f"line {lineno}: header must be 'count' or 'timestamp,count', got {row!r}")
                 continue
             if len(cells) != len(header):
-                raise DataError(f"line {lineno}: expected {len(header)} columns, got {len(cells)}")
+                return DataError(f"line {lineno}: expected {len(header)} columns, got {len(cells)}")
             raw = cells[-1]
             try:
                 value = float(raw)
             except ValueError:
-                raise DataError(f"line {lineno}: non-numeric count {raw!r}") from None
+                return DataError(f"line {lineno}: non-numeric count {raw!r}")
             if not math.isfinite(value) or value != int(value):
-                raise DataError(f"line {lineno}: counts must be integers, got {raw!r}")
+                return DataError(f"line {lineno}: counts must be integers, got {raw!r}")
             if value < 0:
-                raise DataError(f"line {lineno}: counts must be non-negative, got {raw!r}")
-            counts.append(int(value))
-            if len(header) == 2:
-                stamps.append(cells[0])
-    if header is None or not counts:
-        raise DataError(f"{path}: no count rows found")
-    if stamps:
-        _warn_on_gaps(stamps)
-    return CountSeries(np.asarray(counts))
+                return DataError(f"line {lineno}: counts must be non-negative, got {raw!r}")
+            if value >= COUNT_LIMIT:
+                return DataError(f"line {lineno}: counts must be below 2**53, got {raw!r}")
+    return DataError(f"{path}: no count rows found")
 
 
 def _warn_on_gaps(stamps: Sequence[str]):
@@ -207,14 +225,14 @@ def fit_to_tree(fit: FitResult) -> Dict[str, object]:
             "kind": "neural",
             "K": est.input_width,
             "L": est.hidden,
-            "weights": [float(w) for w in np.concatenate([est.u0.ravel(), est.u1])],
+            "weights": np.concatenate([est.u0.ravel(), est.u1]).tolist(),
         }
     if est.n is not None:
         sub["n"] = float(est.n)
     tree["k"] = est.k()
     tree["estimates"] = sub
-    tree["std_errors"] = [float(v) for v in np.asarray(fit.std_errors, dtype=float)]
-    tree["lambda_path"] = [float(v) for v in np.asarray(fit.lambda_path, dtype=float)]
+    tree["std_errors"] = np.asarray(fit.std_errors, dtype=float).tolist()
+    tree["lambda_path"] = np.asarray(fit.lambda_path, dtype=float).tolist()
     return tree
 
 
@@ -353,7 +371,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     sim = SimConfig(spec=spec, params=params, length=config.length, burn_in=config.burn_in,
                     rng=RngStream(config.seed))
     path = simulate_path(sim)
-    _write_csv(config.out, config, ["count"] + [str(int(v)) for v in path])
+    _write_csv(config.out, config, ["count", "\n".join(map(str, path.tolist()))])
     return 0
 
 
@@ -467,12 +485,12 @@ def _cmd_diagnose(config: RunConfig) -> int:
     outdir = Path(config.out)  # _write_text makes it
     body = {"series": _series_summary(series), "fit": fit_to_tree(fit)}
     _write_text(outdir / "fit.txt", _document(config, body))
-    _write_csv(outdir / "residuals.csv", config, ["z"] + [format_float(v) for v in z])
+    _write_csv(outdir / "residuals.csv", config, ["z", format_floats(z, "\n")])
     _write_csv(outdir / "correlogram.csv", config, ["lag,acf,pacf"] + [
         f"{h + 1},{format_float(acf[h])},{format_float(pacf[h])}" for h in range(max_lag)])
     _write_csv(outdir / "periodogram.csv", config, [
         f"# band_half_width: {format_float(band)}", "frequency,cumulative_fraction",
-        *(f"{format_float(f)},{format_float(c)}" for f, c in zip(freqs, fractions))])
+        format_floats(np.column_stack([freqs, fractions]))])
     return 0 if fit.converged else 4
 
 
@@ -492,8 +510,8 @@ def _cmd_forecast(config: RunConfig) -> int:
             "split": config.split,
             "horizon": horizon,
             "rmse": rmse(preds, actuals),
-            "forecasts": [float(v) for v in preds],
-            "actuals": [int(v) for v in actuals],
+            "forecasts": preds.tolist(),
+            "actuals": actuals.tolist(),
         },
         "fit": fit_to_tree(fit),
     }
@@ -563,19 +581,25 @@ def _read_options(command: str, model_list: bool) -> List[str]:
     return [o.rstrip("!") for o in _SUBCOMMANDS[command][1].split() if o.rstrip("!") not in unread]
 
 
-def _build_parser() -> _Parser:
-    """One subparser per command.  An option left out stays out of the
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """One subparser per command, with every command's options or, given
+    `command`, that one's alone: the others keep only their help line, all
+    that the top-level parser reads of them.  An option left out stays out of the
     namespace, so RunConfig supplies every default but two: `moments`
     defaults to --max-lag 3 and --length 100000."""
     parser = _Parser(prog="spingarch", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     for name, (help_text, options) in _SUBCOMMANDS.items():
+        if command not in (None, name):
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
         sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         for option in options.split():
             dest = option.rstrip("!")
             sp.add_argument(_flag(dest), **_FIELDS[dest].metadata["settings"],
                             **({"required": True} if option.endswith("!") else {}))
-    sub.choices["moments"].set_defaults(max_lag=3, length=100000)
+        if name == "moments":
+            sp.set_defaults(max_lag=3, length=100000)
     return parser
 
 
@@ -598,8 +622,12 @@ def _attach_negative_lists(argv: Sequence[str]) -> List[str]:
 
 
 def _parse(argv: Sequence[str]) -> RunConfig:
-    """The run that an argument list names."""
-    given = vars(_build_parser().parse_args(_attach_negative_lists(argv)))
+    """The run that an argument list names.  argparse takes the first word
+    that is not an option as the command; no option word names a command, so
+    that is the first word that does."""
+    argv = _attach_negative_lists(argv)
+    parser = _build_parser(next((word for word in argv if word in _SUBCOMMANDS), None))
+    given = vars(parser.parse_args(argv))
     if not given.get("command"):
         raise UsageError("a command is required (simulate, fit, moments, study, diagnose, forecast)")
     model_list = "models" in given

@@ -11,7 +11,12 @@ import numpy as np
 
 from .exceptions import DataError, ParameterError
 
-__all__ = ["CountTable", "CountSeries", "as_counts", "sample_acf", "dispersion_ratio"]
+__all__ = ["COUNT_LIMIT", "CountTable", "CountSeries", "as_counts", "sample_acf", "dispersion_ratio"]
+
+# Every count lies below 2**53.  float64 holds each integer below it exactly,
+# and rounds every integer from it on to a float at least 2**53, so one test on
+# the float counts refuses every count float64 would corrupt, 2**53 + 1 too.
+COUNT_LIMIT = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,8 @@ class CountTable:
 
 @dataclass
 class CountSeries:
-    """Ordered non-negative integer observations, stored as int64 `values`."""
+    """Ordered non-negative integer observations below `COUNT_LIMIT` (2**53),
+    stored as int64 `values`."""
 
     values: np.ndarray
 
@@ -43,6 +49,8 @@ class CountSeries:
             raise DataError("counts must be finite")
         if np.any(farr < 0) or np.any(farr != np.floor(farr)):
             raise DataError("counts must be non-negative integers")
+        if np.any(farr >= COUNT_LIMIT):
+            raise DataError("counts must be below 2**53, where float64 stops holding every integer")
         self.values = np.asarray(farr, dtype=np.int64)
 
     def __len__(self):

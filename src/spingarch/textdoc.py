@@ -1,9 +1,13 @@
-"""Human-readable structured-text documents (key/value trees).
+"""Human-readable structured-text documents (key/value trees), and the one
+home of float text.
 
 Floats are written with 17 significant digits so every float64 round-trips
-exactly and rerun outputs can be compared byte-for-byte.  Lists of scalars
-are written comma-separated on one line; a comma inside parentheses, as in
-the model label `nb(1,0)`, belongs to its item.
+exactly and rerun outputs can be compared byte-for-byte; an integral value
+gets ".0" so that it reads back as a float.  `format_float` writes one value,
+and `format_floats` a whole column with one "%" format call, the same bytes
+as `format_float` per value.  Lists of scalars are written comma-separated on
+one line, an all-float list through `format_floats`; a comma inside
+parentheses, as in the model label `nb(1,0)`, belongs to its item.
 """
 
 from __future__ import annotations
@@ -11,9 +15,11 @@ from __future__ import annotations
 import re
 from typing import Any, Dict
 
+import numpy as np
+
 from .exceptions import DataError
 
-__all__ = ["dumps", "loads", "format_float"]
+__all__ = ["dumps", "loads", "format_float", "format_floats"]
 
 _INDENT = "  "
 _ITEM_SEPARATOR = re.compile(r",(?![^(]*\))")
@@ -27,6 +33,24 @@ def format_float(v: float) -> str:
     if s.lstrip("+-").isdigit():
         s += ".0"
     return s
+
+
+# "%.17g" writes an integral float below 1e17 in magnitude without "." or an
+# exponent, and every other float with one or as "nan"/"inf"
+_FLOAT_SPECS = ("%.17g", "%.17g.0")
+
+
+def format_floats(values, sep: str = ",") -> str:
+    """`sep.join(map(format_float, values))` in one format call; a 2-d array
+    is written one row per line, its cells joined by `sep`."""
+    v = np.asarray(values, dtype=float)
+    specs = map(_FLOAT_SPECS.__getitem__, ((v == np.floor(v)) & (np.abs(v) < 1e17)).ravel().tolist())
+    sep = sep.replace("%", "%%")
+    if v.ndim < 2:
+        template = sep.join(specs)
+    else:  # zipping one iterator with itself takes a row's specs at a time
+        template = "\n".join(map(sep.join, zip(*[specs] * v.shape[-1])))
+    return template % tuple(v.ravel().tolist())
 
 
 def _format_scalar(v) -> str:
@@ -44,7 +68,10 @@ def _dump_node(node: Dict[str, Any], depth: int, lines):
             lines.append(f"{pad}{key}:")
             _dump_node(value, depth + 1, lines)
         elif isinstance(value, (list, tuple)):
-            joined = ",".join(_format_scalar(v) for v in value)
+            if set(map(type, value)) == {float}:  # item types in one C-level pass, not a Python test per item
+                joined = format_floats(value)
+            else:
+                joined = ",".join(map(_format_scalar, value))
             lines.append(f"{pad}{key}: [{joined}]")
         else:
             lines.append(f"{pad}{key}: {_format_scalar(value)}")

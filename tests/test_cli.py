@@ -1,16 +1,22 @@
 """CSV ingestion, document round-trips, exit codes, and rerun determinism."""
 
 import argparse
+import csv
 import dataclasses
+import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spingarch import NEGBIN, POISSON, LinearParams, ModelSpec, NeuralWeights, fit_cml, simulate
 from spingarch.cli import (
     RunConfig,
+    UsageError,
     _attach_negative_lists,
     _build_parser,
     _flag,
@@ -69,6 +75,105 @@ class TestParseCountsCsv:
         f.write_text("value\n1\n")
         with pytest.raises(DataError, match="header"):
             parse_counts_csv(f)
+
+
+def _parse_row_by_row(path):
+    """The counts of a counts CSV, or the message of its first refused line:
+    the row-by-row reader that `parse_counts_csv`'s one numpy pass replaced,
+    with the 2**53 bound."""
+    header, counts = None, []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            cells = [cell.strip() for cell in row]
+            if header is None:
+                header = [c.lower() for c in cells]
+                if header not in (["count"], ["timestamp", "count"]):
+                    return f"line {lineno}: header must be 'count' or 'timestamp,count', got {row!r}"
+                continue
+            if len(cells) != len(header):
+                return f"line {lineno}: expected {len(header)} columns, got {len(cells)}"
+            raw = cells[-1]
+            try:
+                value = float(raw)
+            except ValueError:
+                return f"line {lineno}: non-numeric count {raw!r}"
+            if not math.isfinite(value) or value != int(value):
+                return f"line {lineno}: counts must be integers, got {raw!r}"
+            if value < 0:
+                return f"line {lineno}: counts must be non-negative, got {raw!r}"
+            if value >= 2.0**53:
+                return f"line {lineno}: counts must be below 2**53, got {raw!r}"
+            counts.append(int(value))
+    return counts if header is not None and counts else f"{path}: no count rows found"
+
+
+def _parse_or_message(path):
+    try:
+        return parse_counts_csv(path).values.tolist()
+    except DataError as exc:
+        return str(exc)
+
+
+_CELLS = ["0", "7", " 12 ", '"4"', "3.0", "-2", "-0", "2.5", "1e3", "inf", "-inf", "nan", "", "abc",
+          "9007199254740991", "9007199254740992", "9007199254740993", "1e20", "1_000"]
+
+
+class TestParseCountsCsvRowOrder:
+    """The one-pass reader refuses what the row-by-row reader refused, with the
+    message of the first offending line in file order."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("count\n1\n-2\n4\n2.5\n", "line 3: counts must be non-negative, got '-2'"),
+        ("count\n1\n2.5\n4\n-2\n", "line 3: counts must be integers, got '2.5'"),
+        ("timestamp,count\n0,1\n1\n2,abc\n", "line 3: expected 2 columns, got 1"),
+        ("timestamp,count\n0,1\n1,abc\n2\n", "line 3: non-numeric count 'abc'"),
+        ("# artifact\ncount\n1\n\n# note\n-1\n", "line 6: counts must be non-negative, got '-1'"),
+        ("count\n1\ninf\n", "line 3: counts must be integers, got 'inf'"),
+        ("count\n1\nnan\n", "line 3: counts must be integers, got 'nan'"),
+        ("timestamp,count\n0,1\n1,\n", "line 3: non-numeric count ''"),
+        ("count\n1\n9007199254740993\n", "line 3: counts must be below 2**53, got '9007199254740993'"),
+        ("count\n1\n9007199254740992\n", "line 3: counts must be below 2**53, got '9007199254740992'"),
+        ("count\n1\n1e20\n", "line 3: counts must be below 2**53, got '1e20'"),
+        ("value\n1\n", "line 1: header must be 'count' or 'timestamp,count', got ['value']"),
+        ("count\n", "{path}: no count rows found"),
+        ("# only a comment\n", "{path}: no count rows found"),
+    ], ids=["negative-before-fraction", "fraction-before-negative", "columns-before-non-numeric",
+            "non-numeric-before-columns", "comments-and-blanks-counted", "inf", "nan", "empty-cell",
+            "above-2**53", "at-2**53", "1e20", "header", "header-only", "comment-only"])
+    def test_first_offending_line(self, tmp_path, text, message):
+        f = tmp_path / "c.csv"
+        f.write_text(text)
+        with pytest.raises(DataError) as exc:
+            parse_counts_csv(f)
+        assert str(exc.value) == message.format(path=f)
+
+    def test_quoted_cells_and_integral_floats_are_accepted(self, tmp_path):
+        f = tmp_path / "c.csv"
+        f.write_text('count\n"4"\n3.0\n" 5 "\n-0\n9007199254740991\n')
+        assert parse_counts_csv(f).values.tolist() == [4, 3, 5, 0, 2**53 - 1]
+
+    def test_count_bound_is_a_parse_error(self, tmp_path, capsys):
+        f = tmp_path / "c.csv"
+        f.write_text("count\n1\n9007199254740993\n2\n")
+        assert main(["fit", str(f), "--out", str(tmp_path / "o.txt")]) == 2
+        assert capsys.readouterr().err == \
+            "parse error: line 3: counts must be below 2**53, got '9007199254740993'\n"
+        assert not (tmp_path / "o.txt").exists()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(header=st.sampled_from(["count", "Timestamp, Count", "timestamp,count", "value"]),
+           rows=st.lists(st.one_of(
+               st.tuples(st.sampled_from(["", "0", "x"]), st.sampled_from(_CELLS)).map(",".join),
+               st.sampled_from(_CELLS),
+               st.sampled_from(["", "# note", "1,2,3"])), max_size=8))
+    def test_agrees_with_the_row_by_row_reader(self, tmp_path_factory, header, rows):
+        f = tmp_path_factory.mktemp("csv") / "c.csv"
+        f.write_text("\n".join(["# artifact", header, *rows]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # uneven timestamps
+            assert _parse_or_message(f) == _parse_row_by_row(f)
 
 
 class TestDocumentRoundTrip:
@@ -629,6 +734,68 @@ class TestOptionTable:
             if name == "moments":
                 expected.update(max_lag=3, length=100000)
             assert vars(sp.parse_args(argv)) == expected
+
+
+_COMMANDS = ("simulate", "fit", "moments", "study", "diagnose", "forecast")
+_REQUIRED = {"simulate": ["--out", "o", "--length", "7"], "fit": ["in.csv", "--out", "o"],
+             "moments": ["--out", "o", "--grid", "g.csv"], "study": ["--out", "o", "--sizes", "7"],
+             "diagnose": ["in.csv", "--out", "o"], "forecast": ["in.csv", "--out", "o", "--split", "7"]}
+
+
+class TestOneCommandParser:
+    """`_parse` builds only the invoked command's options; what it prints and
+    refuses is what the parser of all six commands prints and refuses."""
+
+    @staticmethod
+    def _outcome(parser, argv, capsys):
+        try:
+            return "namespace", vars(parser.parse_args(argv))
+        except UsageError as exc:
+            return "usage error", str(exc)
+        except SystemExit as exc:
+            return "exit", exc.code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_only_the_command_is_built(self, command):
+        subparsers = next(a for a in _build_parser(command)._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        built = {name for name, sp in subparsers.items() if sp._actions}
+        assert built == {command}
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    @pytest.mark.parametrize("case", ["help", "top-level help", "unknown option", "missing required option",
+                                      "out of range", "another command's option", "valid"])
+    def test_same_output_as_the_full_parser(self, command, case, capsys):
+        argv = {
+            "help": [command, "--help"],
+            "top-level help": ["--help", command],
+            "unknown option": [command, *_REQUIRED[command], "--bogus", "1"],
+            "missing required option": [command, *_REQUIRED[command][:-2]],
+            "out of range": [command, *_REQUIRED[command], "--seed", "-1"],
+            "another command's option": [command, *_REQUIRED[command],
+                                         *(["--split", "5"] if command == "moments" else ["--grid", "g.csv"])],
+            "valid": [command, *_REQUIRED[command]],
+        }[case]
+        full = self._outcome(_build_parser(), argv, capsys)
+        assert full[0] == {"help": "exit", "top-level help": "exit", "valid": "namespace"}.get(case, "usage error")
+        assert self._outcome(_build_parser(command), argv, capsys) == full
+        if case in ("unknown option", "missing required option", "out of range", "another command's option"):
+            with pytest.raises(UsageError) as exc:
+                _parse(argv)
+            assert str(exc.value) == full[1]
+        elif case == "help":
+            with pytest.raises(SystemExit):
+                _parse(argv)
+            assert capsys.readouterr().out == full[2]
+
+    def test_no_command(self, capsys):
+        assert self._outcome(_build_parser(), ["--help"], capsys) == \
+            self._outcome(_build_parser(None), ["--help"], capsys)
+        with pytest.raises(UsageError, match="a command is required"):
+            _parse([])
+        with pytest.raises(UsageError) as exc:
+            _parse(["--seed", "frobnicate", "fit"])
+        assert "invalid choice: 'frobnicate'" in str(exc.value)
 
 
 class TestRunConfigProvenance:

@@ -2,11 +2,11 @@
 name crosses a module boundary; no module imports scipy (the runtime is numpy
 alone, and the fit driver is `estimate`'s own trust-region Newton) or runs a
 Nelder-Mead search; importing the CLI loads no scipy module; one home each
-for the lambda-lag solve, the asymptotic series of the count terms, log x!
-and the logistic `expit`; `model.py` draws nothing at random and writes the
-scalar softplus step once per scalar loop; both response types define the one
-interface the README lists; and each module's `__all__` lists only names the
-module defines."""
+for the lambda-lag solve, the asymptotic series of the count terms, log x!,
+the logistic `expit` and float text; `model.py` draws nothing at random and
+writes the scalar softplus step once per scalar loop; both response types
+define the one interface the README lists; and each module's `__all__` lists
+only names the module defines."""
 
 import ast
 import os
@@ -264,6 +264,49 @@ def test_expit_check_has_teeth():
         "    return x\n"
     )
     assert _expit_sources(ast.parse(source)) == [(1, ".special"), (2, "scipy.special"), (3, "def")]
+
+
+_FLOAT_TEXT_NAMES = ("format_float", "format_floats")
+
+
+def _float_text_sources(tree):
+    """(line, what) for every function named `format_float` or
+    `format_floats` ("def <name>") and every string constant holding ".17g"
+    (a format spec, in a `format` call, a "%" template or an f-string)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in _FLOAT_TEXT_NAMES:
+            found.append((node.lineno, f"def {node.name}"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value:
+            found.append((node.lineno, ".17g"))
+    return sorted(found)
+
+
+def test_one_home_for_float_text():
+    # every float an output file holds is written by textdoc's two functions,
+    # so the 17-digit bytes of the determinism contract have one definition
+    offenders = [f"{path.name}:{line} {what}"
+                 for path in sorted(SRC.glob("*.py")) if path.name != "textdoc.py"
+                 for line, what in _float_text_sources(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert not offenders, "float text outside textdoc.py: " + ", ".join(offenders)
+    home = SRC / "textdoc.py"
+    defined = {what for _, what in _float_text_sources(ast.parse(home.read_text(encoding="utf-8"), str(home)))}
+    assert {"def format_float", "def format_floats"} <= defined
+
+
+def test_float_text_check_has_teeth():
+    source = (
+        "from .textdoc import format_float, format_floats\n"
+        "def format_floats(values):\n"
+        "    return ','.join('%.17g' % v for v in values)\n"
+        "def f(v):\n"
+        "    return format(v, '.17g') + f'{v:.17g}' + '{:.17g}'.format(v) + format(v, '.16g')\n"
+        "class C:\n"
+        "    def format_float(self, v):\n"
+        "        return format_float(v)\n"
+    )
+    assert _float_text_sources(ast.parse(source)) == [
+        (2, "def format_floats"), (3, ".17g"), (5, ".17g"), (5, ".17g"), (5, ".17g"), (7, "def format_float")]
 
 
 _DRAW_NAMES = ("poisson", "standard_gamma")
