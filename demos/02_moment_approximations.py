@@ -45,7 +45,7 @@ print(header)
 print("-" * len(header))
 for (a0, a1, b1), row in zip(CONFIGS, rows):
     emp, lin = row.empirical, row.linear
-    print(f"({a0:4.1f},{a1:5.2f},{b1:5.2f}) | {emp.mean:7.3f} {lin.mu:7.3f} | "
+    print(f"({a0:4.1f},{a1:5.2f},{b1:5.2f}) | {emp.mean:7.3f} {lin.mean:7.3f} | "
           f"{emp.dispersion:8.3f} {lin.dispersion:8.3f} | {emp.acf[0]:8.3f} {lin.acf[0]:8.3f}")
 
 print("""

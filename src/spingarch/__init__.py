@@ -38,9 +38,9 @@ from .model import (
     NEURAL,
     POISSON,
     SOFTPLUS_LINEAR,
-    LinearMoments,
     LinearParams,
     ModelSpec,
+    Moments,
     NeuralWeights,
     StationarityReport,
     check_stationarity,
@@ -50,7 +50,6 @@ from .model import (
     slfn_forward,
 )
 from .simulate import (
-    EmpiricalMoments,
     MomentRow,
     SimConfig,
     StudyCell,

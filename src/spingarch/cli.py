@@ -137,22 +137,24 @@ def parse_counts_csv(path) -> CountSeries:
     try:
         if header not in _HEADERS or len(rows) < 2 or set(map(len, rows)) != {len(header)}:
             raise ValueError
-        values = np.array(list(map(float, map(str.strip, map(itemgetter(-1), rows[1:])))))
-        if not np.all((values >= 0) & (values < COUNT_LIMIT) & (values == np.floor(values))):
-            raise ValueError
-    except ValueError:
+        series = CountSeries(np.array(list(map(float, map(str.strip, map(itemgetter(-1), rows[1:]))))))
+    except ValueError:  # DataError too: name the first offending line
         raise _first_error(path) from None
     if len(header) == 2:
         _warn_on_gaps([row[0].strip() for row in rows[1:]])
-    return CountSeries(values)
+    return series
 
 
 def _first_error(path: Path) -> DataError:
-    """The DataError of the first line of counts CSV `path` that is not a
-    header or a count as `parse_counts_csv` reads them, in file order."""
+    """The DataError of the first record of counts CSV `path` that is not a
+    header or a count as `parse_counts_csv` reads them, in file order, citing
+    the file line on which that record starts."""
     header: Optional[List[str]] = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        end = 0  # the line on which the previous record ended
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
             if not row or (row[0].lstrip().startswith("#")):
                 continue
             cells = [cell.strip() for cell in row]
@@ -432,16 +434,11 @@ def _cmd_moments(config: RunConfig) -> int:
             format_float(row.config.spec.c),
             "true" if row.flagged else "false",
         ]
-        if row.empirical is not None:
-            cells += [format_float(row.empirical.mean), format_float(row.empirical.dispersion)]
-            cells += [format_float(v) for v in row.empirical.acf]
-        else:
-            cells += [""] * (2 + lags)
-        if row.linear is not None:
-            cells += [format_float(row.linear.mu), format_float(row.linear.dispersion)]
-            cells += [format_float(v) for v in row.linear.acf]
-        else:
-            cells += [""] * (2 + lags)
+        for side in (row.empirical, row.linear):
+            if side is None:
+                cells += [""] * (2 + lags)
+            else:
+                cells += [format_float(v) for v in (side.mean, side.dispersion, *side.acf)]
         lines.append(",".join(cells))
     _write_csv(config.out, config, lines)
     return 0

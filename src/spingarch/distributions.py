@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CountTable
-from .exceptions import ParameterError
+from .data import CountSeries, CountTable
+from .exceptions import DataError, ParameterError
 
 __all__ = [
     "RngStream",
@@ -65,12 +65,14 @@ class RngStream:
 
 
 def _validate_count(x):
-    arr = np.asarray(x)
-    if not np.all(np.isfinite(np.asarray(arr, dtype=float))):
-        raise ParameterError("counts must be finite")
-    if np.any(arr < 0) or np.any(arr != np.floor(arr)):
-        raise ParameterError("counts must be non-negative integers")
-    return np.asarray(arr, dtype=float)
+    """x as float counts of its own shape, held to the `CountSeries` count rule."""
+    arr = np.asarray(x, dtype=float)
+    if arr.size:
+        try:
+            CountSeries(arr.ravel())
+        except DataError as exc:
+            raise ParameterError(str(exc)) from None
+    return arr
 
 
 def _validate_positive(v, name):

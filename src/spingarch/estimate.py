@@ -14,10 +14,10 @@ built once per series).  The gradient and the Hessian are exact for both
 links and come from one pass, forward over reverse (`_Point.derivatives`):
 the parameter type's `hessian_parts` solves the lambda-lag band forward for
 the sensitivities S = d lambda / d theta and backward for the adjoints that
-weight the second derivatives of lambda, one LAPACK banded triangular solve
-each, and is vectorised over the series otherwise.  The gradient is
-S^T dl/dlambda, and the family adds the dispersion row; the count terms'
-derivatives in lambda and n all come from `loglik_derivatives`.
+weight the second derivatives of lambda, each by one recursive-doubling
+solve (`_lag_adjoint`), and is vectorised over the series otherwise.  The
+gradient is S^T dl/dlambda, and the family adds the dispersion row; the
+count terms' derivatives in lambda and n all come from `loglik_derivatives`.
 
 One driver fits both links: trust-region Newton on that gradient and
 Hessian (`_newton`), each subproblem solved exactly from the Hessian's
@@ -287,11 +287,9 @@ class _Objective:
 
 def _finite_derivatives(point: _Point):
     """`point.derivatives()`, or None where the gradient or Hessian is not
-    finite there: such a point counts as off the valid region."""
-    try:
-        g, H = point.derivatives()
-    except NumericError:
-        return None
+    finite there: such a point counts as off the valid region.  The
+    derivative pass raises nothing; a bad point shows as non-finite entries."""
+    g, H = point.derivatives()
     return (g, H) if np.all(np.isfinite(g)) and np.all(np.isfinite(H)) else None
 
 
@@ -592,7 +590,8 @@ def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:
 
     Computed in the natural parameter space at the estimates, from the
     `information` of one `_Point.derivatives` pass.  Every entry is NaN when
-    the mean path or the likelihood is invalid there or the Hessian is not
+    the mean path or the likelihood is invalid there (the `_Point` raises
+    NumericError; the derivative pass raises nothing) or the Hessian is not
     finite, singular or not positive definite; single entries whose
     inverse-Hessian diagonal is not positive are NaN as well.  Estimates that
     do not match `spec` raise ParameterError.
@@ -606,9 +605,9 @@ def standard_errors(spec: ModelSpec, estimates, series) -> np.ndarray:
     estimates.check(spec)
     try:
         point = _Point(spec, estimates, series)
-        point.derivatives()
     except NumericError:
         return np.full(estimates.k(), np.nan)
+    point.derivatives()
     return _inverse_information_se(point.information)
 
 

@@ -52,7 +52,7 @@ __all__ = [
     "NeuralWeights",
     "slfn_forward",
     "StationarityReport",
-    "LinearMoments",
+    "Moments",
     "conditional_mean_path",
     "check_stationarity",
     "linear_moments_11",
@@ -489,16 +489,12 @@ class StationarityReport:
 
 
 @dataclass(frozen=True)
-class LinearMoments:
-    """Mean, variance and ACF of the linear-model approximation."""
+class Moments:
+    """Mean, variance/mean ratio and ACF at lags 1..max_lag of a path or of the linear approximation."""
 
-    mu: float
-    variance: float
+    mean: float
+    dispersion: float
     acf: np.ndarray
-
-    @property
-    def dispersion(self) -> float:
-        return self.variance / self.mu
 
 
 def presample_init(series) -> float:
@@ -656,8 +652,8 @@ def check_stationarity(params: LinearParams) -> StationarityReport:
     return StationarityReport(True, first_ok, second_ok, c11, second_val)
 
 
-def linear_moments_11(params: LinearParams, max_lag: int = 3) -> LinearMoments:
-    """Closed-form mean, variance, and ACF of the linear (1,1) approximation.
+def linear_moments_11(params: LinearParams, max_lag: int = 3) -> Moments:
+    """Closed-form mean, dispersion var/mu and ACF of the linear (1,1) approximation.
 
     mu    = alpha0 / (1 - alpha1 - beta1)
     var   = mu (1 + mu/n) (1 - 2 a b - b^2) / (1 - w0 a^2 - 2 a b - b^2)
@@ -689,7 +685,7 @@ def linear_moments_11(params: LinearParams, max_lag: int = 3) -> LinearMoments:
     rho1_fac = (1.0 - a * b - b * b) / acf_den
     h = np.arange(1, max_lag + 1)
     acf = a * (a + b) ** (h - 1.0) * rho1_fac
-    return LinearMoments(mu=mu, variance=variance, acf=acf)
+    return Moments(mean=mu, dispersion=variance / mu, acf=acf)
 
 
 def linear_acvf_general(params: LinearParams, max_lag: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:

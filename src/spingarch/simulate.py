@@ -29,9 +29,9 @@ from .exceptions import DataError, NumericError, ParameterError
 from .model import (
     NEGBIN,
     SOFTPLUS_LINEAR,
-    LinearMoments,
     LinearParams,
     ModelSpec,
+    Moments,
     NeuralWeights,
     check_stationarity,
     linear_moments_11,
@@ -40,7 +40,6 @@ from .model import (
 __all__ = [
     "SimConfig",
     "simulate_path",
-    "EmpiricalMoments",
     "empirical_moments",
     "MomentRow",
     "moment_study",
@@ -93,16 +92,7 @@ def simulate_path(config: SimConfig) -> np.ndarray:
     return np.array(counts, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class EmpiricalMoments:
-    """Sample mean, variance/mean ratio, and ACF at lags 1..max_lag."""
-
-    mean: float
-    dispersion: float
-    acf: np.ndarray
-
-
-def empirical_moments(series, max_lag: int) -> EmpiricalMoments:
+def empirical_moments(series, max_lag: int) -> Moments:
     """Sample moments of a count series; errors on constant input."""
     x = as_counts(series)
     if max_lag < 1 or x.size <= max_lag:
@@ -111,7 +101,7 @@ def empirical_moments(series, max_lag: int) -> EmpiricalMoments:
     dispersion = dispersion_ratio(x) if mean > 0.0 else 0.0
     if dispersion <= 0.0:
         raise DataError("degenerate series: sample variance is zero")
-    return EmpiricalMoments(mean=mean, dispersion=dispersion, acf=sample_acf(x, max_lag))
+    return Moments(mean=mean, dispersion=dispersion, acf=sample_acf(x, max_lag))
 
 
 @dataclass
@@ -124,8 +114,8 @@ class MomentRow:
     """
 
     config: SimConfig
-    empirical: Optional[EmpiricalMoments]
-    linear: Optional[LinearMoments]
+    empirical: Optional[Moments]
+    linear: Optional[Moments]
     flagged: bool
 
 

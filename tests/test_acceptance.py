@@ -49,7 +49,7 @@ def report(criterion: int, message: str):
 
 def test_criterion_1_moment_formulas_exact():
     m = linear_moments_11(LinearParams(1.8, (0.3,), (0.4,), 3.0), max_lag=3)
-    values = (m.mu, m.dispersion, m.acf[0], m.acf[1], m.acf[2])
+    values = (m.mean, m.dispersion, m.acf[0], m.acf[1], m.acf[2])
     targets = (6.000, 3.750, 0.360, 0.252, 0.176)
     for got, want in zip(values, targets):
         assert abs(got - want) <= 0.0005, f"{got} vs {want}"

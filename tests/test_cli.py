@@ -139,9 +139,11 @@ class TestParseCountsCsvRowOrder:
         ("value\n1\n", "line 1: header must be 'count' or 'timestamp,count', got ['value']"),
         ("count\n", "{path}: no count rows found"),
         ("# only a comment\n", "{path}: no count rows found"),
+        ('count\n"1\n"\n-1\n', "line 4: counts must be non-negative, got '-1'"),
     ], ids=["negative-before-fraction", "fraction-before-negative", "columns-before-non-numeric",
             "non-numeric-before-columns", "comments-and-blanks-counted", "inf", "nan", "empty-cell",
-            "above-2**53", "at-2**53", "1e20", "header", "header-only", "comment-only"])
+            "above-2**53", "at-2**53", "1e20", "header", "header-only", "comment-only",
+            "cell-spanning-lines"])
     def test_first_offending_line(self, tmp_path, text, message):
         f = tmp_path / "c.csv"
         f.write_text(text)
@@ -481,6 +483,22 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([*argv, *grid_args, *input_args, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("usage error: argument --")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "simulate/study with a linear link needs --alpha0"),
+        (["--alpha0", "1", "--q", "1", "--alpha", "0.1", "--n", "3"], "need 1 --alpha and 1 --beta coefficients"),
+        (["--link", "neural"], "simulate with a neural link needs --weights"),
+        (["--alpha0", "1", "--alpha", "0.1"], "negbin family needs --n"),
+        (["--link", "neural", "--weights", "0.1,0.2", "--n", "2"], "flat weight vector must have 4 entries, got 3"),
+        (["--alpha0", "1", "--alpha", "0.1", "--n", "3", "--seed", "x"],
+         "argument --seed: expected int values, got 'x'"),
+        (["--alpha0", "1", "--alpha", "0.1,x", "--n", "3"], "argument --alpha: expected float values, got '0.1,x'"),
+    ], ids=["no-alpha0", "beta-count", "no-weights", "no-n", "weight-count", "seed-text", "alpha-text"])
+    def test_simulate_parameter_guards(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--length", "10", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
     def test_bad_max_lag_is_usage_error(self, tmp_path):

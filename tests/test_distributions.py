@@ -306,6 +306,37 @@ class TestPoissonLogPmf:
             poisson_log_pmf(-2, 1.0)
 
 
+PMFS = {"poisson": lambda x: poisson_log_pmf(x, 3.0), "negbin": lambda x: nb_log_pmf(x, 2.0, 3.0)}
+
+
+@pytest.mark.parametrize("pmf", PMFS.values(), ids=PMFS.keys())
+class TestPmfCountRule:
+    """Both pmfs hold their counts to the `CountSeries` rule, bound included."""
+
+    @pytest.mark.parametrize("x", [2**53, 2**53 + 1, 1e20, np.uint64(2**63), np.array([[1, 2], [3, 2**53]])],
+                             ids=["2**53", "2**53+1", "1e20", "uint64-2**63", "2-d"])
+    def test_bound_refused(self, pmf, x):
+        with pytest.raises(ParameterError, match=r"below 2\*\*53"):
+            pmf(x)
+
+    def test_below_bound_accepted(self, pmf):
+        assert math.isfinite(pmf(2**53 - 1))
+
+    @pytest.mark.parametrize("x, message", [(-1, "non-negative integers"), (2.5, "non-negative integers"),
+                                            (np.nan, "finite"), (np.inf, "finite")])
+    def test_messages(self, pmf, x, message):
+        with pytest.raises(ParameterError, match=f"^counts must be {message}"):
+            pmf(x)
+
+    def test_shapes_kept(self, pmf):
+        x = np.array([[0, 1, 2], [3, 4, 5]])
+        out = pmf(x)
+        assert out.shape == (2, 3)
+        np.testing.assert_array_equal(out.ravel(), pmf(x.ravel()))
+        assert pmf(np.array([])).shape == (0,)
+        assert pmf(np.zeros((0, 3))).shape == (0, 3)
+
+
 class TestNbSampling:
     def test_moments(self):
         draws = nb_sample(RngStream(100), 3.0, 6.0, size=100_000)

@@ -246,7 +246,7 @@ class TestInitParams:
                     continue
                 m = linear_moments_11(start, 2)
                 sample = [r1, r2 / r1, x.var(ddof=1) / x.mean(), x.mean()]
-                implied = [m.acf[0], m.acf[1] / m.acf[0], m.variance / m.mu, m.mu]
+                implied = [m.acf[0], m.acf[1] / m.acf[0], m.dispersion, m.mean]
                 np.testing.assert_allclose(implied, sample, rtol=0, atol=1e-12)
                 checked += 1
         assert checked >= 60

@@ -3,7 +3,8 @@ name crosses a module boundary; no module imports scipy (the runtime is numpy
 alone, and the fit driver is `estimate`'s own trust-region Newton) or runs a
 Nelder-Mead search; importing the CLI loads no scipy module; one home each
 for the lambda-lag solve, the asymptotic series of the count terms, log x!,
-the logistic `expit` and float text; `model.py` draws nothing at random and
+the logistic `expit`, float text and the count rule; `model.py` draws
+nothing at random and
 writes the scalar softplus step once per scalar loop; both response types
 define the one interface the README lists; and each module's `__all__` lists
 only names the module defines."""
@@ -307,6 +308,57 @@ def test_float_text_check_has_teeth():
     )
     assert _float_text_sources(ast.parse(source)) == [
         (2, "def format_floats"), (3, ".17g"), (5, ".17g"), (5, ".17g"), (5, ".17g"), (7, "def format_float")]
+
+
+def _count_bound_tests(tree):
+    """(line, function) for every comparison with an operand that is the
+    count bound: the name `COUNT_LIMIT`, an attribute so named, or the literal
+    2**53; function is the innermost one enclosing it, None at module level."""
+    def bound(node):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            return getattr(node, "id", getattr(node, "attr", None)) == "COUNT_LIMIT"
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and \
+            [getattr(node.left, "value", None), getattr(node.right, "value", None)] == [2, 53]
+
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Compare) and any(map(bound, [child.left, *child.comparators])):
+                found.append((child.lineno, func))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_home_for_the_count_rule():
+    # `CountSeries` states which counts are valid; every other reader of
+    # counts builds one, and only `cli._first_error` repeats the bound, to
+    # name the offending line of a refused file
+    offenders = [f"{path.name}:{line} in {func or 'module scope'}"
+                 for path in sorted(SRC.glob("*.py")) if path.name != "data.py"
+                 for line, func in _count_bound_tests(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                 if (path.name, func) != ("cli.py", "_first_error")]
+    assert not offenders, "count bound tested outside data.py: " + ", ".join(offenders)
+
+
+def test_count_rule_check_has_teeth():
+    source = (
+        "import numpy as np\n"
+        "from . import data\n"
+        "from .data import COUNT_LIMIT\n"
+        "LIMIT = COUNT_LIMIT\n"
+        "ok = 1 < data.COUNT_LIMIT\n"
+        "def parse(values):\n"
+        "    if not np.all((values >= 0) & (values < COUNT_LIMIT)):\n"
+        "        raise ValueError\n"
+        "    return np.any(values >= 2.0**53) or values[0] == 2 ** 53 or values[0] < 2 ** 52\n"
+    )
+    assert _count_bound_tests(ast.parse(source)) == [(5, None), (7, "parse"), (9, "parse"), (9, "parse")]
 
 
 _DRAW_NAMES = ("poisson", "standard_gamma")

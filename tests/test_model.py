@@ -367,20 +367,20 @@ class TestCheckStationarity:
         assert report.first_order_ok is None and report.second_order_ok is None
 
 
-class TestLinearMoments11:
+class TestClosedFormMoments11:
     def test_reference_row(self):
         m = linear_moments_11(LinearParams(1.8, (0.3,), (0.4,), 3.0))
-        assert m.mu == pytest.approx(6.000, abs=1e-12)
+        assert m.mean == pytest.approx(6.000, abs=1e-12)
         assert m.dispersion == pytest.approx(3.750, abs=1e-12)
         np.testing.assert_allclose(m.acf, [0.36, 0.252, 0.1764], atol=1e-12)
 
     def test_larger_intercept_row(self):
         m = linear_moments_11(LinearParams(3.6, (0.3,), (0.4,), 3.0))
-        assert m.mu == pytest.approx(12.000, abs=1e-12)
+        assert m.mean == pytest.approx(12.000, abs=1e-12)
 
     def test_iid_case(self):
         m = linear_moments_11(LinearParams(4.0, (0.0,), (0.0,), 3.0), max_lag=5)
-        assert m.mu == pytest.approx(4.0)
+        assert m.mean == pytest.approx(4.0)
         assert m.dispersion == pytest.approx(1.0 + 4.0 / 3.0)
         np.testing.assert_allclose(m.acf, 0.0, atol=1e-15)
 
@@ -402,13 +402,13 @@ class TestLinearMoments11:
             except ParameterError:
                 continue
             checked += 1
-            assert m.mu * (1.0 - a1 - b1) == pytest.approx(a0, abs=1e-12)
+            assert m.mean * (1.0 - a1 - b1) == pytest.approx(a0, abs=1e-12)
             # geometric ACF decay with ratio a1 + b1
             for h in range(1, 3):
                 if abs(m.acf[h - 1]) > 1e-12:
                     assert m.acf[h] / m.acf[h - 1] == pytest.approx(a1 + b1, abs=1e-9)
             # overdispersion: variance at least the mean
-            assert m.variance >= m.mu - 1e-9
+            assert m.dispersion * m.mean >= m.mean - 1e-9
 
 
 class TestLinearAcvfGeneral:
@@ -426,7 +426,7 @@ class TestLinearAcvfGeneral:
             except ParameterError:
                 continue
             done += 1
-            assert gx[0] == pytest.approx(m.variance, abs=1e-10 * max(1, m.variance))
+            assert gx[0] == pytest.approx(m.dispersion * m.mean, abs=1e-10 * max(1, m.dispersion * m.mean))
             np.testing.assert_allclose(gx[1:] / gx[0], m.acf, atol=1e-10)
 
     def test_white_noise_inarch2(self):

@@ -173,7 +173,7 @@ class TestSimulatePath:
         np.testing.assert_array_equal(path, simulate_path(config(params, 100, 1, burn_in=10)))
 
 
-class TestEmpiricalMoments:
+class TestSampleMoments:
     def test_constant_series_errors(self):
         with pytest.raises(DataError):
             empirical_moments([2, 2, 2, 2], 1)
@@ -197,13 +197,13 @@ class TestMomentStudy:
         ]
         rows = moment_study(grid, max_lag=3)
         lin = rows[0].linear
-        assert round(lin.mu, 3) == 6.000
+        assert round(lin.mean, 3) == 6.000
         assert round(lin.dispersion, 3) == 3.750
         assert [round(v, 3) for v in lin.acf] == [0.360, 0.252, 0.176]
-        assert round(rows[1].linear.mu, 3) == 12.000
+        assert round(rows[1].linear.mean, 3) == 12.000
         for row in rows:
             assert not row.flagged
-            assert abs(row.empirical.mean - row.linear.mu) < 0.3
+            assert abs(row.empirical.mean - row.linear.mean) < 0.3
 
     def test_degenerate_entry_flagged(self):
         grid = [config(LinearParams(2.0, (0.9,), (0.5,), 3.0), 2000, 3)]

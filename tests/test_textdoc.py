@@ -64,3 +64,9 @@ def test_dumps_writes_float_lists_by_column_and_mixed_lists_by_value():
                     "numpy: [2.0]\n"
                     "empty: []\n")
     assert loads(text)["floats"] == [1.0, 0.1, -0.0, 1e17]
+
+
+def test_loads_skips_comment_and_blank_lines():
+    # a comment may sit at any indent, and a blank line may hold spaces
+    text = "# spingarch 0.1.0\nfit:\n  n: 3\n\n  # a note\n   # odd indent\n  k: [1,2.5]\n   \ntop: x\n"
+    assert loads(text) == {"fit": {"n": 3, "k": [1, 2.5]}, "top": "x"}
