@@ -3,12 +3,12 @@
 The conditional mean becomes g(1, X_{t-1}..X_{t-p}, lambda_{t-1}..lambda_{t-q})
 where g is a feedforward network with logistic hidden units and a softplus
 output unit.  The network weights take the place of the linear coefficients
-everywhere: `negloglik`, `conditional_mean_path` and `simulate_path` serve
-both links.  The likelihood gradient is exact, from the same pass as the
-Hessian the fit steps on; when q > 0 the lagged conditional means depend on
-the weights too, so the gradient is carried through the recursion (a
-truncated gradient would be wrong, and the finite-difference gate below would
-catch it).
+everywhere: `negloglik`, `conditional_mean_path`, `simulate_path` and the
+fitter `fit_cml` serve both links.  The likelihood gradient is exact, from
+the same pass as the Hessian the fit steps on; when q > 0 the lagged
+conditional means depend on the weights too, so the gradient is carried
+through the recursion (a truncated gradient would be wrong, and the
+finite-difference gate below would catch it).
 """
 
 import warnings
@@ -23,7 +23,7 @@ from spingarch import (
     OptimizerOptions,
     RngStream,
     SimConfig,
-    fit_neural,
+    fit_cml,
     negloglik,
     negloglik_and_grad,
     select_hidden_units,
@@ -58,7 +58,7 @@ print("\ntrain on data from a known one-unit network")
 gen_spec = ModelSpec(POISSON, NEURAL, 1, 0, hidden=1)
 truth = NeuralWeights(np.array([[1.0], [0.25]]), np.array([2.2]))
 path = simulate_path(SimConfig(spec=gen_spec, params=truth, length=500, rng=RngStream(3)))
-fit = fit_neural(gen_spec, path, OptimizerOptions(restarts=5, seed=1))
+fit = fit_cml(gen_spec, path, OptimizerOptions(restarts=5, seed=1))
 print(f"  fitted loglik {fit.loglik:.3f} vs generating weights "
       f"{-negloglik(gen_spec, truth, path):.3f}")
 

@@ -23,7 +23,6 @@ from .estimate import (
     FitResult,
     OptimizerOptions,
     fit_cml,
-    fit_neural,
     information_criteria,
     init_params,
     negloglik,

@@ -32,7 +32,7 @@ from . import __version__
 from .data import COUNT_LIMIT, CountSeries, dispersion_ratio, sample_acf
 from .diagnostics import cumulative_periodogram, one_step_forecasts, pearson_residuals, rmse, sample_pacf
 from .distributions import RngStream
-from .estimate import FitResult, OptimizerOptions, fit_cml, fit_neural, select_fit
+from .estimate import FitResult, OptimizerOptions, fit_cml, select_fit
 from .exceptions import DataError, NumericError, ParameterError
 from .model import NEGBIN, NEURAL, POISSON, SOFTPLUS_LINEAR, LinearParams, ModelSpec, NeuralWeights
 from .simulate import SimConfig, moment_study, simulate_path, simulation_study
@@ -323,16 +323,9 @@ def _params_from_config(config: RunConfig, spec: ModelSpec):
         raise UsageError(str(exc)) from exc
 
 
-def _opts_from_config(config: RunConfig, default_restarts: int) -> OptimizerOptions:
-    restarts = config.restarts if config.restarts is not None else default_restarts
-    return OptimizerOptions(restarts=restarts, seed=config.seed)
-
-
 def _fit_one(spec: ModelSpec, series, config: RunConfig) -> FitResult:
-    """Fit with the link's driver; --restarts defaults to 10 for neural and 2 for linear fits."""
-    if spec.link == NEURAL:
-        return fit_neural(spec, series, _opts_from_config(config, default_restarts=10))
-    return fit_cml(spec, series, _opts_from_config(config, default_restarts=2))
+    """Fit with --restarts, defaulting to the link's number, and --seed."""
+    return fit_cml(spec, series, OptimizerOptions(config.restarts, config.seed))
 
 
 def _write_text(path, text: str):
@@ -411,7 +404,10 @@ def _cmd_moments(config: RunConfig) -> int:
                 n = float(row["n"]) if config.family == NEGBIN else None
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"grid row {idx + 1}: need alpha0,alpha1,beta1[,n] columns") from exc
-            params = LinearParams(alpha0, (alpha1,), (beta1,), n)
+            try:
+                params = LinearParams(alpha0, (alpha1,), (beta1,), n)
+            except ParameterError as exc:
+                raise DataError(f"grid row {idx + 1}: {exc}") from exc
             entries.append(
                 SimConfig(spec=spec, params=params, length=config.length, burn_in=config.burn_in,
                           rng=RngStream(config.seed, idx))
@@ -447,9 +443,8 @@ def _cmd_moments(config: RunConfig) -> int:
 def _cmd_study(config: RunConfig) -> int:
     spec = _spec(config)
     truth = _params_from_config(config, spec)
-    opts = _opts_from_config(config, default_restarts=0)
-    table = simulation_study(spec, truth, config.sizes, config.replications,
-                             seed=config.seed, opts=opts, burn_in=config.burn_in)
+    table = simulation_study(spec, truth, config.sizes, config.replications, seed=config.seed,
+                             opts=OptimizerOptions(config.restarts or 0, config.seed), burn_in=config.burn_in)
     body: Dict[str, object] = {"study": {
         "sizes": list(table.sizes),
         "replications": table.replications,
@@ -632,6 +627,10 @@ def _parse(argv: Sequence[str]) -> RunConfig:
     unread = [_flag(name) for name in given if name not in read]
     if unread:
         raise UsageError(f"{', '.join(unread)} {'conflicts with' if model_list else 'needs'} --model")
+    for name in ("models", "sizes"):  # each entry names one output section
+        values = given.get(name, ())
+        if len(set(values)) < len(values):
+            raise UsageError(f"{_flag(name)} lists a value twice: {', '.join(map(str, values))}")
     return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in given.items()})
 
 

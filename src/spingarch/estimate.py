@@ -30,12 +30,13 @@ sec. 9.5.1) or on a flat drift, and a fit is `converged` when its winning
 point passes a stationarity test on the decrement and on the gradient along
 non-positive curvature.  Standard errors invert the winning point's Hessian.
 
-The links differ in their starts.  A linear fit starts at the method of
-moments, in closed form for (1,1) models, with jittered restarts while no
-run has converged.  A network starts from random weights, each run to
-completion, plus warm starts; `select_hidden_units` warm-starts each larger
-network from the previous winner with an idle extra unit.  Every NB start
-takes n from `_dispersion_n`; `select_fit` ranks the fits of either link.
+`fit_cml` is the one fitter of both links, which differ only in their
+starts.  A linear fit starts at the method of moments, in closed form for
+(1,1) models, with jittered restarts while no run has converged.  A network
+starts from random weights, each run to completion, plus warm starts;
+`select_hidden_units` warm-starts each larger network from the previous
+winner with an idle extra unit.  Every NB start takes n from
+`_dispersion_n`; `select_fit` ranks the fits of either link.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 from .data import CountSeries, as_counts, dispersion_ratio, sample_acf
 from .distributions import RngStream, loglik_derivatives, loglik_terms
 from .exceptions import ConvergenceWarning, DataError, NumericError, ParameterError
-from .model import NEGBIN, LinearParams, ModelSpec, NeuralWeights, conditional_mean_path
+from .model import NEGBIN, NEURAL, LinearParams, ModelSpec, NeuralWeights, conditional_mean_path
 from .special import expit, softplus_inverse
 
 __all__ = [
@@ -60,7 +61,6 @@ __all__ = [
     "negloglik_and_grad",
     "init_params",
     "fit_cml",
-    "fit_neural",
     "extend_with_idle_unit",
     "select_hidden_units",
     "select_fit",
@@ -87,13 +87,14 @@ _STRAY_TOL = 1e-5
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Restarts of a fit and the seed of their starts."""
+    """Restarts of a fit and the seed of their starts; `restarts` of None
+    means the link's default, 2 for linear and 10 for neural fits."""
 
-    restarts: int = 2
+    restarts: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0 or self.seed < 0:
+        if (self.restarts is not None and self.restarts < 0) or self.seed < 0:
             raise ParameterError(f"restarts >= 0 and seed >= 0 required, got {self.restarts} and {self.seed}")
 
 
@@ -485,55 +486,39 @@ def _fit(objective: _Objective, starts, stage: str, until_converged: bool = Fals
     )
 
 
-def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None) -> FitResult:
-    """Fit a softplus-linear model by conditional maximum likelihood.
+def fit_cml(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None,
+            extra_starts: Sequence = ()) -> FitResult:
+    """Fit either link by conditional maximum likelihood: trust-region Newton
+    from each start in turn, the best log-likelihood winning (ties go to the
+    earliest start).
 
-    Runs trust-region Newton on the exact gradient and Hessian from the
-    method-of-moments start; while the best run has not converged, up to
-    `opts.restarts` jittered restarts (multiplicative 1 +/- 0.2 on the
-    start) are tried.  The best log-likelihood wins, ties broken by the
-    earliest attempt.  The result is deterministic given `opts.seed` and
-    never raises on non-convergence: `converged=False` carries the best point
-    found.
+    A linear fit starts at the method of moments and, while no run has
+    converged, tries up to `opts.restarts` jittered restarts (1 +/- 0.2 times
+    that start).  A network runs `opts.restarts + 1` random starts to
+    completion and warns below its identifiability floor.  `extra_starts`
+    (e.g. warm starts from a smaller network) come last.  `opts.restarts` of
+    None means 2 for a linear fit and 10 for a network.  Deterministic given
+    `opts.seed`; never raises on non-convergence: `converged=False` carries
+    the best point found.
     """
     opts = opts if opts is not None else OptimizerOptions()
-    objective = _Objective(spec, series, LinearParams)
-    theta0 = init_params(spec, objective.series).to_flat()
-    starts = [theta0] + [
-        theta0 * RngStream(opts.seed, attempt).generator().uniform(0.8, 1.2, size=theta0.size)
-        for attempt in range(1, opts.restarts + 1)
-    ]
-    return _fit(objective, starts, "CML optimization", until_converged=True)
-
-
-def fit_neural(spec: ModelSpec, series, opts: Optional[OptimizerOptions] = None,
-               extra_starts: Sequence[NeuralWeights] = ()) -> FitResult:
-    """Train the network by maximum likelihood with multi-start trust-region
-    Newton on the exact gradient and Hessian.
-
-    Every start (fresh random initializations plus any `extra_starts`, e.g.
-    warm starts from a smaller network) is run to completion and the best
-    log-likelihood wins, ties broken by the earliest start.  Deterministic
-    given `opts.seed`.
-    """
-    opts = opts if opts is not None else OptimizerOptions(restarts=10)
-    objective = _Objective(spec, series, NeuralWeights)
+    neural = spec.link == NEURAL
+    restarts = opts.restarts if opts.restarts is not None else (10 if neural else 2)
+    objective = _Objective(spec, series, NeuralWeights if neural else LinearParams)
     series = objective.series
-    s = len(series)
-    K, L = spec.input_width, spec.hidden
-    floor = 20 * (K * L + L) / (spec.p + spec.q + 1)
-    if s < floor:
-        warnings.warn(
-            f"series length {s} is below the identifiability floor {floor:.0f} for this network",
-            UserWarning,
-        )
-
-    starts = [
-        _initial_weights(spec, series, RngStream(opts.seed, k).generator()).to_flat()
-        for k in range(opts.restarts + 1)
-    ]
+    if neural:
+        floor = 20 * (spec.input_width + 1) * spec.hidden / (spec.p + spec.q + 1)
+        if len(series) < floor:
+            warnings.warn(f"series length {len(series)} is below the identifiability floor {floor:.0f} "
+                          "for this network", UserWarning)
+        starts = [_initial_weights(spec, series, RngStream(opts.seed, k).generator()).to_flat()
+                  for k in range(restarts + 1)]
+    else:
+        theta0 = init_params(spec, series).to_flat()
+        starts = [theta0] + [theta0 * RngStream(opts.seed, k).generator().uniform(0.8, 1.2, size=theta0.size)
+                             for k in range(1, restarts + 1)]
     starts.extend(w.to_flat() for w in extra_starts)
-    return _fit(objective, starts, "neural training")
+    return _fit(objective, starts, "neural training" if neural else "CML optimization", not neural)
 
 
 def extend_with_idle_unit(weights: NeuralWeights) -> NeuralWeights:
@@ -579,7 +564,7 @@ def select_hidden_units(spec: ModelSpec, series, L_range: Sequence[int],
         extra = []
         if prev is not None and prev.hidden == L - 1:
             extra.append(extend_with_idle_unit(prev))
-        fits[L] = fit_neural(spec_L, series, opts, extra_starts=extra)
+        fits[L] = fit_cml(spec_L, series, opts, extra_starts=extra)
         prev = fits[L].estimates
     return select_fit(fits, criterion), fits
 

@@ -199,14 +199,18 @@ def simulation_study(
     replication index) and refitted.  Replications whose simulation or fit
     fails, or whose fit does not converge, are excluded from the summaries;
     the exclusions are counted by reason so the rate can be reported
-    alongside.  `fit_cml` fits the softplus-linear link only, so the spec
-    must be softplus-linear.
+    alongside.  The spec must be softplus-linear: a network's weights are
+    identified only up to a permutation of its hidden units, so their
+    per-parameter bias and MSE mean nothing.  Repeated sizes raise
+    ParameterError.
     """
     if spec.link != SOFTPLUS_LINEAR:
         raise ParameterError("simulation_study fits the softplus-linear link only")
     truth.check(spec)
     if replications < 1:
         raise ParameterError("need at least one replication")
+    if len(set(map(int, sizes))) < len(sizes):
+        raise ParameterError(f"sample sizes must be distinct, got {list(sizes)}")
     report = check_stationarity(truth)
     if report.applicable and not report.first_order_ok:
         warnings.warn("study truth violates the first-order stationarity condition", UserWarning)

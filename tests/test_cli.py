@@ -625,6 +625,31 @@ class TestExitCodes:
         assert main(["moments", "--grid", str(grid), "--length", "200", "--out", str(out)]) == 2
         assert "grid row 1" in capsys.readouterr().err
         assert not out.exists()
+        # a value the parameters refuse, in the row after a good one: a parse error, not a numeric one
+        for bad_row in ("nan,0.3,0.4,3", "1.8,0.3,0.4,-4"):
+            grid.write_text(f"alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3\n{bad_row}\n")
+            assert main(["moments", "--grid", str(grid), "--length", "200", "--out", str(out)]) == 2
+            assert "grid row 2" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_repeated_list_entries_are_usage_errors(self, tmp_path, monkeypatch, capsys):
+        # each used to run twice, the second result overwriting the first under
+        # one key while the document still listed both entries
+        import spingarch.cli as cli_mod
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a repeated entry ran")
+
+        monkeypatch.setattr(cli_mod, "fit_cml", no_run)
+        monkeypatch.setattr(cli_mod, "simulation_study", no_run)
+        data = write_series(tmp_path, seed=4, n=120)
+        out = tmp_path / "o.txt"
+        assert main(["fit", str(data), "--model", "nb(1,0)", "--model", "nb(1,0)", "--out", str(out)]) == 1
+        assert "--model" in capsys.readouterr().err
+        assert main(["study", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3", "--n", "3",
+                     "--sizes", "100,100", "--replications", "1", "--out", str(out)]) == 1
+        assert "--sizes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.csv"

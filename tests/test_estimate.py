@@ -474,6 +474,51 @@ class TestFitCml:
         assert fit.bic - fit.aic == pytest.approx(k * (math.log(300) - 2.0), abs=1e-10)
 
 
+class TestStartPolicy:
+    """The starts `fit_cml` hands to the Newton driver, with `_newton` replaced
+    by a stub that runs nothing and reports every run converged or none."""
+
+    SERIES = np.random.default_rng(0).poisson(4.0, 200)
+    LINEAR = ModelSpec(POISSON, SOFTPLUS_LINEAR, 1, 0)
+    NETWORK = ModelSpec(POISSON, NEURAL, 1, 0, hidden=1)
+
+    @staticmethod
+    def starts(monkeypatch, spec, opts, converged, extra_starts=()):
+        seen = []
+
+        def no_newton(objective, theta):
+            seen.append(theta)
+            point = objective(theta)
+            point.derivatives()  # the Hessian that a converged fit's standard errors read
+            return estimate._Run(point, 0, converged)
+
+        monkeypatch.setattr(estimate, "_newton", no_newton)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            fit = fit_cml(spec, TestStartPolicy.SERIES, opts, extra_starts)
+        assert fit.restarts_used == len(seen) - 1
+        return seen
+
+    def test_linear_stops_at_the_first_converged_run(self, monkeypatch):
+        assert len(self.starts(monkeypatch, self.LINEAR, OptimizerOptions(restarts=4), True)) == 1
+
+    def test_linear_tries_every_restart_while_none_converges(self, monkeypatch):
+        assert len(self.starts(monkeypatch, self.LINEAR, OptimizerOptions(restarts=4), False)) == 5
+
+    @pytest.mark.parametrize("converged", [True, False])
+    def test_network_runs_every_start_and_then_the_extra_ones(self, monkeypatch, converged):
+        warm = NeuralWeights(np.array([[0.1], [0.2]]), np.array([1.5]))
+        seen = self.starts(monkeypatch, self.NETWORK, OptimizerOptions(restarts=2), converged, [warm])
+        assert len(seen) == 4
+        np.testing.assert_array_equal(seen[-1], warm.to_flat())
+
+    @pytest.mark.parametrize("spec, converged, count", [(LINEAR, False, 3), (NETWORK, True, 11)],
+                             ids=["linear", "neural"])
+    def test_default_restarts_follow_the_link(self, monkeypatch, spec, converged, count):
+        assert len(self.starts(monkeypatch, spec, OptimizerOptions(), converged)) == count
+        assert len(self.starts(monkeypatch, spec, None, converged)) == count
+
+
 class TestStandardErrors:
     def test_sqrt_s_shrinkage(self):
         spec = nb_spec(q=0)
@@ -759,6 +804,15 @@ class TestSimulationStudy:
             simulation_study(spec, truth, sizes=[100], replications=2, seed=1)
         with pytest.raises(ParameterError):  # linear link, neural weights
             simulation_study(nb_spec(), truth, sizes=[100], replications=2, seed=1)
+        assert calls == []
+
+    def test_repeated_sizes_are_refused_before_any_replication(self, monkeypatch):
+        # the second size_100 used to overwrite the first in every summary
+        calls = []
+        monkeypatch.setattr(simulate, "simulate_path", lambda config: calls.append(config))
+        truth = LinearParams(0.75, (0.25,), (0.45,), 3.0)
+        with pytest.raises(ParameterError, match="distinct"):
+            simulation_study(nb_spec(), truth, sizes=[100, 150, 100], replications=1, seed=1)
         assert calls == []
 
     def test_exclusions_counted_by_reason(self, monkeypatch):

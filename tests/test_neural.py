@@ -15,7 +15,7 @@ from spingarch import (
     RngStream,
     SimConfig,
     conditional_mean_path,
-    fit_neural,
+    fit_cml,
     negloglik,
     negloglik_and_grad,
     poisson_log_pmf,
@@ -297,7 +297,7 @@ class TestFitNeural:
         spec = nspec(p=1, q=0, L=1)
         truth = NeuralWeights(np.array([[1.0], [0.25]]), np.array([2.2]))
         path = simulate_path(SimConfig(spec=spec, params=truth, length=400, rng=RngStream(3)))
-        fit = fit_neural(spec, path, OptimizerOptions(restarts=3, seed=1))
+        fit = fit_cml(spec, path, OptimizerOptions(restarts=3, seed=1))
         assert fit.converged
         assert fit.loglik >= -negloglik(spec, truth, path) - 1e-3
 
@@ -306,8 +306,8 @@ class TestFitNeural:
         rng = np.random.default_rng(6)
         series = rng.poisson(3.0, 150)
         opts = OptimizerOptions(restarts=2, seed=9)
-        a = fit_neural(spec, series, opts)
-        b = fit_neural(spec, series, opts)
+        a = fit_cml(spec, series, opts)
+        b = fit_cml(spec, series, opts)
         assert a.loglik == b.loglik
         np.testing.assert_array_equal(a.estimates.u0, b.estimates.u0)
         np.testing.assert_array_equal(a.estimates.u1, b.estimates.u1)
@@ -317,14 +317,14 @@ class TestFitNeural:
         series = rng.poisson(4.0, 300)
         # the best constant-mean fit: iid Poisson likelihood at the sample mean
         const_loglik = float(np.sum(poisson_log_pmf(series, series.mean())))
-        fit = fit_neural(nspec(p=1, q=0, L=1), series, OptimizerOptions(restarts=3, seed=2))
+        fit = fit_cml(nspec(p=1, q=0, L=1), series, OptimizerOptions(restarts=3, seed=2))
         assert fit.loglik >= const_loglik - 0.5
 
     def test_parameter_count(self):
         spec = nspec(NEGBIN, p=1, q=1, L=2)
         rng = np.random.default_rng(8)
         series = rng.poisson(3.0, 200)
-        fit = fit_neural(spec, series, OptimizerOptions(restarts=1, seed=0))
+        fit = fit_cml(spec, series, OptimizerOptions(restarts=1, seed=0))
         k = 3 * 2 + 2 + 1  # K*L + L + dispersion
         assert fit.estimates.k() == k
         assert fit.bic - fit.aic == pytest.approx(k * (math.log(200) - 2.0), abs=1e-9)
@@ -348,7 +348,7 @@ class TestFitNeural:
 
         monkeypatch.setattr(estimate._Point, "__init__", counted_point)
         monkeypatch.setattr(estimate._Point, "derivatives", counted_derivatives)
-        fit = fit_neural(nspec(L=1), series, OptimizerOptions(restarts=2))
+        fit = fit_cml(nspec(L=1), series, OptimizerOptions(restarts=2))
         assert fit.converged
         assert calls["value"] <= 45 and calls["hessian"] <= 30  # 3 starts: 33 and 23 today
         assert fit.loglik == pytest.approx(-440.849348, abs=1e-5)
@@ -356,7 +356,7 @@ class TestFitNeural:
     def test_short_series_warns(self):
         spec = nspec(p=1, q=0, L=4)
         with pytest.warns(UserWarning):
-            fit_neural(spec, np.arange(12) % 4, OptimizerOptions(restarts=0, seed=0))
+            fit_cml(spec, np.arange(12) % 4, OptimizerOptions(restarts=0, seed=0))
 
 
 class TestNesting:
@@ -364,11 +364,11 @@ class TestNesting:
         spec = nspec(p=1, q=1, L=1)
         rng = np.random.default_rng(9)
         series = rng.poisson(3.0, 200)
-        fit1 = fit_neural(spec, series, OptimizerOptions(restarts=2, seed=4))
+        fit1 = fit_cml(spec, series, OptimizerOptions(restarts=2, seed=4))
         warm = extend_with_idle_unit(fit1.estimates)
         spec2 = nspec(p=1, q=1, L=2)
         assert negloglik(spec2, warm, series) == pytest.approx(-fit1.loglik, rel=1e-12)
-        fit2 = fit_neural(spec2, series, OptimizerOptions(restarts=2, seed=4), extra_starts=[warm])
+        fit2 = fit_cml(spec2, series, OptimizerOptions(restarts=2, seed=4), extra_starts=[warm])
         assert fit2.loglik >= fit1.loglik - 1e-6
 
 
@@ -405,22 +405,22 @@ class TestSelectHiddenUnits:
     @pytest.mark.parametrize("L_range, criterion", [([1, 2], "hqic"), ([], "aic")])
     def test_bad_arguments_refused_before_any_fit(self, monkeypatch, L_range, criterion):
         def no_fit(*args, **kwargs):
-            raise AssertionError("fit_neural ran")
+            raise AssertionError("fit_cml ran")
 
-        monkeypatch.setattr(estimate, "fit_neural", no_fit)
+        monkeypatch.setattr(estimate, "fit_cml", no_fit)
         with pytest.raises(ParameterError):
             select_hidden_units(nspec(L=1), [1, 2, 3, 4], L_range, criterion=criterion)
 
     @staticmethod
     def _stub_fits(monkeypatch, outcomes):
-        """Replace fit_neural by stubs: hidden units L -> (aic, converged)."""
+        """Replace fit_cml by stubs: hidden units L -> (aic, converged)."""
         def stub(spec, series, opts=None, extra_starts=()):
             aic, converged = outcomes[spec.hidden]
             w = NeuralWeights(np.zeros((spec.input_width, spec.hidden)), np.zeros(spec.hidden))
             return FitResult(spec=spec, estimates=w, std_errors=np.full(w.k(), np.nan), loglik=-aic / 2,
                              aic=aic, bic=aic, lambda_path=np.ones(len(series)), converged=converged,
                              iterations=1, restarts_used=0)
-        monkeypatch.setattr(estimate, "fit_neural", stub)
+        monkeypatch.setattr(estimate, "fit_cml", stub)
 
     def test_ranks_converged_fits_only(self, monkeypatch):
         # the lowest AIC belongs to a fit that did not converge
