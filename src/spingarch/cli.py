@@ -275,23 +275,22 @@ def _spec(config: RunConfig, token: Optional[str] = None) -> ModelSpec:
     """The spec of the run's model, or of one `--model` token: the one place
     that gives neural models their default of 1 hidden unit.  One --hidden
     serves a --model list's networks; a single linear model rejects it."""
-    if token is None:
-        family, link, p, q = config.family, config.link, config.p, config.q
-    else:
-        m = _MODEL_RE.fullmatch(token)
-        if not m:
-            raise UsageError(
-                f"bad --model {token!r}; expected e.g. 'nb(1,1)', 'pois(2,0)' or 'neu-nb(1,1)'"
-            )
-        link = NEURAL if m.group(1) else SOFTPLUS_LINEAR
-        family = POISSON if m.group(2) in ("pois", "poisson") else NEGBIN
-        p, q = int(m.group(3)), int(m.group(4))
+    family, link, p, q = (config.family, config.link, config.p, config.q) if token is None else _named(token)
     hidden = None if token and link != NEURAL else config.hidden  # ModelSpec rejects it on a linear link
     hidden = 1 if hidden is None and link == NEURAL else hidden
     try:
         return ModelSpec(family, link, p, q, config.c, hidden)
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _named(token: str) -> Tuple[str, str, int, int]:
+    """The family, link, p and q that a `--model` token names, aliases folded."""
+    m = _MODEL_RE.fullmatch(token)
+    if not m:
+        raise UsageError(f"bad --model {token!r}; expected e.g. 'nb(1,1)', 'pois(2,0)' or 'neu-nb(1,1)'")
+    family = POISSON if m.group(2) in ("pois", "poisson") else NEGBIN
+    return family, NEURAL if m.group(1) else SOFTPLUS_LINEAR, int(m.group(3)), int(m.group(4))
 
 
 def _params_from_config(config: RunConfig, spec: ModelSpec):
@@ -627,9 +626,9 @@ def _parse(argv: Sequence[str]) -> RunConfig:
     unread = [_flag(name) for name in given if name not in read]
     if unread:
         raise UsageError(f"{', '.join(unread)} {'conflicts with' if model_list else 'needs'} --model")
-    for name in ("models", "sizes"):  # each entry names one output section
+    for name, key in (("models", _named), ("sizes", int)):  # each entry names one output section
         values = given.get(name, ())
-        if len(set(values)) < len(values):
+        if len(set(map(key, values))) < len(values):
             raise UsageError(f"{_flag(name)} lists a value twice: {', '.join(map(str, values))}")
     return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in given.items()})
 

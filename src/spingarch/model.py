@@ -17,7 +17,8 @@ The neural response replaces the linear predictor with a single hidden layer,
 with logistic f0 and softplus f1 (c = 1) on the input vector
 x = (1, X_{t-1}..X_{t-p}, lambda_{t-1}..lambda_{t-q}) of width K = p + q + 1.
 Since f1' = f0 and f0' = f0 (1 - f0), the derivatives need only the forward
-activations.
+activations.  One scalar loop, `NeuralWeights._run`, draws, fits, starts and
+evaluates the network; only the q = 0 mean path is vectorised.
 
 The parameters carry the family: NB parameters hold the dispersion n, Poisson
 ones (the n -> inf limit) none, and every function below reads it from n.
@@ -34,6 +35,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Optional, Tuple
 
 import numpy as np
@@ -345,19 +348,17 @@ class NeuralWeights:
         _check_dispersion(spec, self.n)
 
     def mean_path(self, spec: ModelSpec, x: np.ndarray, presample: Optional[float]) -> np.ndarray:
-        """The recursion behind `conditional_mean_path` on the coerced series x:
-        the network, fed its own lagged outputs when q > 0, its output
-        unchecked; `presample=None` means the floored sample mean of x."""
+        """The recursion behind `conditional_mean_path` on the coerced series x,
+        its output unchecked: vectorised when q = 0, else `_run` with the
+        observed counts as the draws; `presample=None` means the floored
+        sample mean of x."""
         self.check(spec)
         init = _pre_sample(x, presample)
         if spec.q == 0:
             return _softplus_or_nan(expit(_inputs(x, None, spec.p, 0, init) @ self.u0) @ self.u1, 1.0)
-        step = self._scalar_network(spec.p, spec.q)
-        xs, lam = [init] * spec.p, [init] * spec.q
-        for v in x.tolist():
-            lam.append(step(xs, lam))
-            xs.append(v)
-        return np.array(lam[spec.q :])
+        observed = partial(next, iter(x.tolist()))
+        lams = self._run([init] * spec.p, [init] * spec.q, observed, repeat(1.0, x.size), 1.0)
+        return np.array(lams[spec.q :])
 
     def hessian_parts(self, spec: ModelSpec, x: np.ndarray, lam: np.ndarray, r: np.ndarray):
         """The pieces of the derivatives of sum_t l_t(lambda_t) in w = [u0
@@ -406,61 +407,59 @@ class NeuralWeights:
         return S, C
 
     def draw_path(self, spec: ModelSpec, draw, mixing) -> list:
-        """Counts drawn along the recursion from `chain_start(spec)`, as
-        `LinearParams.draw_path`: for each g of `mixing`, the step's mean
-        lambda_t from the scalar network, then the count draw((lambda_t / n) * g),
-        with n = 1 and every g = 1 for Poisson weights.  A ValueError of
-        `draw` becomes a NumericError carrying the 1-based step."""
+        """Counts drawn along the recursion from `chain_start(spec)` by one
+        `_run` that holds q means, as `LinearParams.draw_path`: n = 1 and
+        every g = 1 for Poisson weights."""
         start = self.chain_start(spec)
-        p, q = spec.p, spec.q
-        n = 1.0 if self.n is None else self.n
-        step = self._scalar_network(p, q)
-        xs, lams = [start] * p, deque([start] * q, maxlen=q)  # newest last
-        try:
-            for g in mixing:
-                lam = step(xs, lams)
-                xs.append(draw((lam / n) * g))
-                lams.append(lam)
-        except ValueError as exc:
-            raise _draw_error(lam, len(xs) - p + 1) from exc
-        del xs[:p]
+        xs = [start] * spec.p
+        self._run(xs, deque([start] * spec.q, maxlen=spec.q), draw, mixing, 1.0 if self.n is None else self.n)
+        del xs[: spec.p]
         return xs
-
-    def _scalar_network(self, p: int, q: int):
-        """The one scalar network formula behind `draw_path`, `mean_path`,
-        `chain_start` and `slfn_forward`: the step f(xs, lams) -> lambda_t of
-        the input row (1, xs[-1..-p], lams[-1..-q]), histories newest last.
-        The logistic and softplus split on the sign so that `math.exp` cannot
-        overflow."""
-        lags = tuple(range(-1, -p - 1, -1))
-        llags = tuple(range(-1, -q - 1, -1))
-        units = tuple(
-            (col[0], tuple(zip(col[1 : p + 1], lags)), tuple(zip(col[p + 1 :], llags)), w)
-            for col, w in zip(self.u0.T.tolist(), self.u1.tolist())
-        )
-        exp, log1p = math.exp, math.log1p
-
-        def step(xs, lams) -> float:
-            z = 0.0
-            for a, taps, ltaps, w in units:
-                for u, i in taps:
-                    a += u * xs[i]
-                for u, j in ltaps:
-                    a += u * lams[j]
-                if a >= 0.0:
-                    h = 1.0 / (1.0 + exp(-a))
-                else:
-                    e = exp(a)
-                    h = e / (1.0 + e)
-                z += w * h
-            return z + log1p(exp(-z)) if z > 0.0 else log1p(exp(z))
-
-        return step
 
     def chain_start(self, spec: ModelSpec) -> float:
         """Start of a simulated chain: the network output with every lag input zero."""
         self.check(spec)
-        return self._scalar_network(spec.p, spec.q)([0.0] * spec.p, [0.0] * spec.q)
+        return self._run([0.0] * spec.p, [0.0] * spec.q, float, (1.0,), 1.0)[-1]
+
+    def _run(self, xs: list, lams, draw, mixing, n: float):
+        """The network recursion, the one scalar loop of the neural link; it
+        returns lams.  xs and lams are the count and mean histories, newest
+        last, of lengths p and q on entry.  For each g of `mixing` it appends
+        the mean lambda_t of the row (1, xs[-1..-p], lams[-1..-q]) to lams and
+        the count draw((lambda_t / n) * g) to xs.  Each unit adds bias, count
+        lags and mean lags in that order, the first lags as scalars (weight
+        0.0 when p or q is 0); the logistic and softplus split on the sign so
+        that `math.exp` cannot overflow.  A ValueError of `draw` becomes a
+        NumericError carrying the 1-based step."""
+        p, q = len(xs), len(lams)
+        units = tuple((col[0], col[1] if p else 0.0, tuple(zip(col[2 : p + 1], range(-2, -p - 1, -1))),
+                       col[p + 1] if q else 0.0, tuple(zip(col[p + 2 :], range(-2, -q - 1, -1))), w)
+                      for col, w in zip(self.u0.T.tolist(), self.u1.tolist()))
+        exp, log1p = math.exp, math.log1p
+        x1, lam = xs[-1] if p else 0.0, lams[-1] if q else 0.0
+        try:
+            for g in mixing:
+                z = 0.0
+                for a, ux, taps, ul, ltaps, w in units:
+                    a += ux * x1
+                    for u, i in taps:
+                        a += u * xs[i]
+                    a += ul * lam
+                    for v, j in ltaps:
+                        a += v * lams[j]
+                    if a >= 0.0:
+                        h = 1.0 / (1.0 + exp(-a))
+                    else:
+                        e = exp(a)
+                        h = e / (1.0 + e)
+                    z += w * h
+                lam = z + log1p(exp(-z)) if z > 0.0 else log1p(exp(z))
+                lams.append(lam)
+                x1 = draw((lam / n) * g)
+                xs.append(x1)
+        except ValueError as exc:
+            raise _draw_error(lam, len(xs) - p + 1) from exc
+        return lams
 
 
 def slfn_forward(weights: NeuralWeights, x) -> float:
@@ -468,8 +467,8 @@ def slfn_forward(weights: NeuralWeights, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (weights.input_width,):
         raise ParameterError(f"input must have {weights.input_width} entries, got {x.shape}")
-    # the non-constant inputs, reversed, as a count history newest last
-    return weights._scalar_network(x.size - 1, 0)(x[:0:-1].tolist(), ())
+    # one step of the recursion, the non-constant inputs reversed as a count history newest last
+    return weights._run(x[:0:-1].tolist(), [], float, (1.0,), 1.0)[0]
 
 
 @dataclass(frozen=True)

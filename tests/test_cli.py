@@ -609,11 +609,14 @@ class TestExitCodes:
         assert main(["forecast", str(data), "--p", "1", "--q", "0", "--split", split, "--out", str(out)]) == 1
         assert not out.exists()
 
-    def test_malformed_model_token_is_usage_error(self, tmp_path):
+    def test_malformed_model_token_is_usage_error(self, tmp_path, capsys):
         data = write_series(tmp_path, seed=4, n=120)
         out = tmp_path / "o.txt"
-        assert main(["fit", str(data), "--model", "nb(1)", "--out", str(out)]) == 1
-        assert not out.exists()
+        for models in (["nb(1)"], ["nb(1,0)", "nb(1)"]):
+            argv = [word for token in models for word in ("--model", token)]
+            assert main(["fit", str(data), *argv, "--out", str(out)]) == 1
+            assert "bad --model 'nb(1)'" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_moments_grid_errors_are_parse_errors(self, tmp_path, capsys):
         out = tmp_path / "mom.csv"
@@ -644,8 +647,11 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "simulation_study", no_run)
         data = write_series(tmp_path, seed=4, n=120)
         out = tmp_path / "o.txt"
-        assert main(["fit", str(data), "--model", "nb(1,0)", "--model", "nb(1,0)", "--out", str(out)]) == 1
-        assert "--model" in capsys.readouterr().err
+        # two spellings of one model name it twice too
+        for first, second in [("nb(1,0)", "nb(1,0)"), ("nb(1,0)", "negbin(1,0)"),
+                              ("pois(2,1)", "poisson(2,1)"), ("neu-nb(1,0)", "neu-negbin(1,0)")]:
+            assert main(["fit", str(data), "--model", first, "--model", second, "--out", str(out)]) == 1
+            assert "--model" in capsys.readouterr().err
         assert main(["study", "--p", "1", "--q", "0", "--alpha0", "1", "--alpha", "0.3", "--n", "3",
                      "--sizes", "100,100", "--replications", "1", "--out", str(out)]) == 1
         assert "--sizes" in capsys.readouterr().err

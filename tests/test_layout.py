@@ -5,9 +5,10 @@ Nelder-Mead search; importing the CLI loads no scipy module; one home each
 for the lambda-lag solve, the asymptotic series of the count terms, log x!,
 the logistic `expit`, float text and the count rule; `model.py` draws
 nothing at random and
-writes the scalar softplus step once per scalar loop; both response types
-define the one interface the README lists; and each module's `__all__` lists
-only names the module defines."""
+writes the scalar softplus step once per scalar loop; the network's draw,
+mean path, chain start and `slfn_forward` call its one loop; both response
+types define the one interface the README lists; and each module's `__all__`
+lists only names the module defines."""
 
 import ast
 import os
@@ -487,7 +488,7 @@ def _softplus_steps(tree):
 
 def test_one_scalar_softplus_step_per_loop():
     # the scalar loops of model.py (the linear mean path, the linear draw loop
-    # and the scalar network) each write the sign-split softplus step once
+    # and `NeuralWeights._run`) each write the sign-split softplus step once
     path = SRC / "model.py"
     found = _softplus_steps(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     per_function = {}
@@ -513,6 +514,68 @@ def test_softplus_step_check_has_teeth():
     )
     assert _softplus_steps(ast.parse(source)) == [(None, 3), ("draw", 5), ("draw", 6), ("step", 9),
                                                   ("<lambda>", 10)]
+
+
+_NETWORK_ENTRIES = ("NeuralWeights.draw_path", "NeuralWeights.mean_path", "NeuralWeights.chain_start",
+                    "slfn_forward")
+
+
+def _own_network_loops(tree, names):
+    """(name, line, what) for the named functions, methods as Class.method:
+    "loop" for every for or while loop and comprehension, "softplus" for every
+    scalar softplus step, "no _run" for a function that never calls `_run`,
+    and "missing" (line 0) for a name the source does not define."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = {node.name: node for node in tree.body if isinstance(node, defs)}
+    defined.update((f"{cls.name}.{node.name}", node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, defs))
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+    for name in names:
+        func = defined.get(name)
+        if func is None:
+            found.append((name, 0, "missing"))
+            continue
+        nodes = list(ast.walk(func))
+        own = [(node.lineno, "loop") for node in nodes if isinstance(node, loops)]
+        own += [(line, "softplus") for _, line in _softplus_steps(func)]
+        if not any(_called(node) == "_run" for node in nodes):
+            own.append((func.lineno, "no _run"))
+        found += [(name, line, what) for line, what in sorted(own)]
+    return found
+
+
+def test_network_entries_run_the_one_loop():
+    # the network recursion is written once, in `NeuralWeights._run`: drawing,
+    # the q >= 1 mean path, the chain start and `slfn_forward` each call it
+    path = SRC / "model.py"
+    found = _own_network_loops(ast.parse(path.read_text(encoding="utf-8"), str(path)), _NETWORK_ENTRIES)
+    assert not found, "network recursion outside NeuralWeights._run: " + ", ".join(map(str, found))
+
+
+def test_network_loop_check_has_teeth():
+    source = (
+        "class NeuralWeights:\n"
+        "    def draw_path(self, spec, draw, mixing):\n"
+        "        return self._run([], [], draw, mixing, 1.0)\n"
+        "    def mean_path(self, spec, x, presample):\n"
+        "        lams = [self._run([v], [], float, (1.0,), 1.0)[0] for v in x]\n"
+        "        while lams:\n"
+        "            lams.pop()\n"
+        "    def chain_start(self, spec):\n"
+        "        for u in self.u1:\n"
+        "            z = u + log1p(exp(-u)) if u > 0.0 else log1p(exp(u))\n"
+        "        return z\n"
+        "def slfn_forward(weights, x):\n"
+        "    return weights._run(x, [], float, (1.0,), 1.0)[0]\n"
+        "def draw_path(draw):\n"
+        "    for g in range(3):\n"
+        "        draw(g)\n"
+    )
+    assert _own_network_loops(ast.parse(source), _NETWORK_ENTRIES + ("NeuralWeights.k",)) == [
+        ("NeuralWeights.mean_path", 5, "loop"), ("NeuralWeights.mean_path", 6, "loop"),
+        ("NeuralWeights.chain_start", 8, "no _run"), ("NeuralWeights.chain_start", 9, "loop"),
+        ("NeuralWeights.chain_start", 10, "softplus"), ("NeuralWeights.k", 0, "missing")]
 
 
 def _foreign_exports(tree):

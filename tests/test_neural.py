@@ -25,7 +25,8 @@ from spingarch import (
     standard_errors,
 )
 from spingarch import estimate
-from spingarch.exceptions import ConvergenceWarning, ParameterError
+from spingarch.exceptions import ConvergenceWarning, NumericError, ParameterError
+from spingarch.special import expit, softplus
 from spingarch.estimate import FitResult, extend_with_idle_unit
 
 LN2 = math.log(2.0)
@@ -103,15 +104,56 @@ class TestLambdaPath:
         expected = slfn_forward(w, np.array([1.0, 123.0, 456.0]))  # lags irrelevant
         np.testing.assert_allclose(lam, expected, rtol=1e-14)
 
-    def test_step_reproduces_path_exactly(self, recorded_draws):
-        spec = nspec(NEGBIN, p=2, q=1, L=2)
+    @pytest.mark.parametrize("p, q, L", [(2, 1, 2), (1, 2, 3), (2, 2, 3)])
+    def test_step_reproduces_path_exactly(self, recorded_draws, p, q, L):
+        spec = nspec(NEGBIN, p=p, q=q, L=L)
         rng = np.random.default_rng(3)
-        w = NeuralWeights(rng.normal(scale=0.5, size=(4, 2)), rng.normal(scale=0.5, size=2), 2.3)
+        w = NeuralWeights(rng.normal(scale=0.5, size=(p + q + 1, L)), rng.normal(scale=0.5, size=L), 2.3)
         series = [int(v) for v in rng.integers(0, 9, 200)]
         gammas = rng.gamma(2.0, 0.5, 200).tolist()
         lam = conditional_mean_path(spec, w, series, presample=w.chain_start(spec))
         means = np.array(recorded_draws(w, spec, series, gammas))
         np.testing.assert_array_equal(means, (lam / w.n) * np.array(gammas))
+
+    @pytest.mark.parametrize("family", [POISSON, NEGBIN])
+    @pytest.mark.parametrize("p, q, L", [(1, 1, 1), (2, 2, 3)])
+    def test_feedback_path_matches_per_row_oracle(self, family, p, q, L):
+        # the q >= 1 path against a per-row evaluation written with the
+        # vectorised logistic and softplus, which share no code with the loop
+        spec = nspec(family, p=p, q=q, L=L)
+        rng = np.random.default_rng(11)
+        w = NeuralWeights(rng.normal(scale=0.6, size=(p + q + 1, L)), rng.normal(scale=1.2, size=L),
+                          2.0 if family == NEGBIN else None)
+        series = rng.integers(0, 12, 300)
+        init = max(series.mean(), 1e-4)
+        counts, means = [init] * p + series.tolist(), [init] * q
+        for t in range(series.size):
+            row = np.array([1.0, *counts[t : t + p][::-1], *means[t : t + q][::-1]])
+            means.append(softplus(expit(row @ w.u0) @ w.u1))
+        lam = conditional_mean_path(spec, w, series)
+        np.testing.assert_allclose(lam, means[q:], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("p, q, L", [(1, 0, 2), (2, 1, 2), (1, 2, 3)])
+    def test_chain_start_is_forward_of_the_unit_row(self, p, q, L):
+        spec = nspec(NEGBIN, p=p, q=q, L=L)
+        rng = np.random.default_rng(8)
+        w = NeuralWeights(rng.normal(size=(p + q + 1, L)), rng.normal(size=L), 1.5)
+        assert w.chain_start(spec) == slfn_forward(w, np.eye(p + q + 1)[0])
+
+    def test_draw_error_names_its_step(self):
+        spec = nspec(p=2, q=1, L=2)
+        w = NeuralWeights(np.full((4, 2), 0.1), np.array([0.5, -0.3]))
+        calls = []
+
+        def draw(mean):
+            calls.append(mean)
+            if len(calls) == 5:
+                raise ValueError("lam value too large")
+            return 3
+
+        with pytest.raises(NumericError) as info:
+            w.draw_path(spec, draw, [1.0] * 10)
+        assert info.value.index == 5 and "step 5" in str(info.value)
 
     def test_draw_path_matches_vectorised_network(self, recorded_draws):
         # the scalar formula against the vectorised q = 0 path, with units
