@@ -21,7 +21,7 @@ import shlex
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
-from datetime import datetime
+from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -186,9 +186,10 @@ def _warn_on_gaps(stamps: Sequence[str]):
             values.append(float(stamp))
         except ValueError:
             try:
-                values.append(datetime.fromisoformat(stamp).timestamp())
+                when = datetime.fromisoformat(stamp)
             except ValueError:
                 return
+            values.append(when.replace(tzinfo=when.tzinfo or timezone.utc).timestamp())  # naive: UTC, not host time
     diffs = np.diff(values)
     if diffs.size and (diffs.max() - diffs.min()) > 1e-9 * max(1.0, abs(diffs.max())):
         warnings.warn("timestamps are not equally spaced; continuing", UserWarning)
@@ -464,12 +465,14 @@ def _cmd_study(config: RunConfig) -> int:
 
 def _cmd_diagnose(config: RunConfig) -> int:
     series = parse_counts_csv(config.input)
+    max_lag = config.max_lag
+    if max_lag >= len(series):
+        raise UsageError(f"--max-lag must lie in [1, {len(series) - 1}]")
     spec = _spec(config)
     fit = _fit_one(spec, series, config)
     # every diagnostic is computed before the first file is written, so a
     # failing one leaves no partial output directory
     z = pearson_residuals(fit, series)
-    max_lag = min(config.max_lag, len(series) - 1)
     acf, pacf = sample_acf(z, max_lag), sample_pacf(z, max_lag)
     freqs, fractions, band = cumulative_periodogram(z)
 

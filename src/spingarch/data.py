@@ -82,9 +82,10 @@ def sample_acf(series, max_lag: int) -> np.ndarray:
     if max_lag < 1 or y.size <= max_lag:
         raise ParameterError("need series length > max_lag >= 1")
     d = y - y.mean()
-    denom = float(d @ d)
-    if denom <= 0.0:
+    # deviations within the rounding that the mean can carry are no variance
+    if max(d.max(), -d.min()) <= y.size * np.finfo(float).eps * max(y.max(), -y.min()):
         raise DataError("degenerate series: zero variance")
+    denom = float(d @ d)
     return np.array([float(d[: y.size - h] @ d[h:]) / denom for h in range(1, max_lag + 1)])
 
 

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import math
 import shlex
+import time
 import warnings
 from pathlib import Path
 
@@ -56,6 +57,22 @@ class TestParseCountsCsv:
         f.write_text("count\n2\nabc\n")
         with pytest.raises(DataError, match="non-numeric"):
             parse_counts_csv(f)
+
+    def test_naive_timestamps_ignore_the_host_time_zone(self, tmp_path, monkeypatch):
+        # hourly stamps across the night New York's clocks jump from 02:00 to
+        # 03:00; read in host time they used to warn of a gap under that zone
+        f = tmp_path / "c.csv"
+        f.write_text("timestamp,count\n" + "".join(f"2024-03-10T{h:02d}:00,{h}\n" for h in range(5)))
+        monkeypatch.setenv("TZ", "EST5EDT,M3.2.0,M11.1.0")
+        time.tzset()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                series = parse_counts_csv(f)
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        np.testing.assert_array_equal(series.values, range(5))
 
     def test_timestamped_counts_and_gap_warns(self, tmp_path):
         f = tmp_path / "c.csv"
@@ -501,7 +518,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
-    def test_bad_max_lag_is_usage_error(self, tmp_path):
+    def test_bad_max_lag_is_usage_error(self, tmp_path, capsys):
         grid = tmp_path / "grid.csv"
         grid.write_text("alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3\n")
         for lag in ("0", "-2"):
@@ -517,6 +534,14 @@ class TestExitCodes:
         data = write_series(tmp_path, seed=4, n=120)
         assert main(["diagnose", str(data), "--p", "1", "--q", "0", "--max-lag", "0",
                      "--out", str(tmp_path / "diag")]) == 1
+        # a --max-lag the series cannot hold is refused before the fit; it
+        # used to be clipped to s - 1 while the config line kept the request
+        capsys.readouterr()
+        for lag in ("120", "400"):
+            assert main(["diagnose", str(data), "--p", "1", "--q", "0", "--max-lag", lag,
+                         "--out", str(tmp_path / "diag")]) == 1
+            assert capsys.readouterr().err == "usage error: --max-lag must lie in [1, 119]\n"
+        assert not (tmp_path / "diag").exists()
 
     @pytest.mark.parametrize("argv", [
         ["--p", "2"], ["--link", "neural"], ["--hidden", "4"], ["--restarts", "9"],
@@ -678,6 +703,12 @@ class TestExitCodes:
         with pytest.warns(UserWarning, match="identifiability floor"):
             assert main(["diagnose", str(data), "--link", "neural", "--family", "poisson", "--p", "1", "--q", "0",
                          "--restarts", "0", "--out", str(outdir)]) == 2
+        assert not outdir.exists()
+        # the residuals of pois(1,0) on 100 zeros are constant up to rounding
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("count\n" + "0\n" * 100)
+        assert main(["diagnose", str(zeros), "--family", "poisson", "--p", "1", "--q", "0",
+                     "--out", str(outdir)]) == 2
         assert not outdir.exists()
         # a fit that did not converge still gets every file, and exit 4
         import spingarch.cli as cli_mod

@@ -97,6 +97,15 @@ class TestSampleAcf:
         with pytest.raises(DataError):
             sample_acf(np.full(100, 3.0), 5)
 
+    def test_constant_up_to_rounding_errors(self):
+        # the Pearson residuals of pois(1,0) fitted to 100 zeros differ only
+        # in their last digits; their lag-1 ACF used to read 0.55
+        z = np.full(100, -3.0310013267839387e-4)
+        z[-1] = -3.0310013267839436e-4
+        with pytest.raises(DataError, match="zero variance"):
+            sample_acf(z, 5)
+        assert np.all(np.isfinite(sample_acf(1.0 + 1e-9 * np.arange(100), 5)))
+
     def test_known_ar1_structure(self):
         # INARCH(1)-style count path: ACF ~ alpha1^h
         spec = ModelSpec(NEGBIN, SOFTPLUS_LINEAR, 1, 0, c=0.05)

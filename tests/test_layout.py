@@ -1,160 +1,303 @@
-"""Source layout checks: no import hides inside a function body; no private
-name crosses a module boundary; no module imports scipy (the runtime is numpy
-alone, and the fit driver is `estimate`'s own trust-region Newton) or runs a
-Nelder-Mead search; importing the CLI loads no scipy module; one home each
-for the lambda-lag solve, the asymptotic series of the count terms, log x!,
-the logistic `expit`, float text and the count rule; `model.py` draws
-nothing at random and
-writes the scalar softplus step once per scalar loop; the network's draw,
-mean path, chain start and `slfn_forward` call its one loop; both response
-types define the one interface the README lists; and each module's `__all__`
-lists only names the module defines."""
+"""Source layout rules, as one table read by one walker.
+
+`_facts` parses each module of `src/spingarch` once and yields its facts:
+imports, references to and bindings of names and attributes, definitions,
+string constants, comparisons with the count bound, loops and
+comprehensions, scalar softplus steps and calls, each with its module, its
+scope (the dotted path of the enclosing classes and functions, "" at module
+level) and its line.  Each row of `RULES` names the facts it reads and where
+they may appear: no import hides inside a function body; no private name
+crosses a module boundary; no module imports scipy or runs a Nelder-Mead
+search; one home each for the lambda-lag solve, the asymptotic series of the
+count terms, log x!, the logistic `expit`, float text and the count bound;
+`model.py` draws nothing at random; the scalar softplus step is written once
+in each of model.py's three scalar loops; the network's draw, mean path,
+chain start and `slfn_forward` run its one loop; and no module reads a clock
+or the environment.  `test_source_keeps_every_rule` runs every row over
+`src/`, and `test_rule_has_teeth` runs each row over a planted violation.
+
+Three checks cannot be stated as a row and stay bespoke: importing the CLI
+loads no scipy module, both response types define the interface the README
+lists, and each module's `__all__` lists only names the module defines."""
 
 import ast
+import math
 import os
 import re
 import subprocess
 import sys
+from collections import Counter, namedtuple
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spingarch"
 
+Fact = namedtuple("Fact", "module scope line kind name")
 
-class _FunctionImports(ast.NodeVisitor):
-    """(function, line, relative) for every import inside a function body."""
-
-    def __init__(self):
-        self.stack = []
-        self.found = []
-
-    def visit_FunctionDef(self, node):
-        self.stack.append(node.name)
-        self.generic_visit(node)
-        self.stack.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Import(self, node):
-        if self.stack:
-            self.found.append((self.stack[-1], node.lineno, bool(getattr(node, "level", 0))))
-
-    visit_ImportFrom = visit_Import
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
-def _function_imports(source, filename="<source>"):
-    finder = _FunctionImports()
-    finder.visit(ast.parse(source, filename=filename))
-    return finder.found
+def _dotted(node):
+    """a.b.c for a name or an attribute chain; a chain on any other value
+    (a call, a subscript) starts with "."."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return f"{_dotted(node.value)}.{node.attr}" if isinstance(node, ast.Attribute) else ""
 
 
-def _offenders(relative):
+def _last(dotted):
+    return dotted.rsplit(".", 1)[-1]
+
+
+def _is_step(node):
+    """Whether `node` holds log1p(exp(...)), the scalar softplus step."""
+    return any(isinstance(n, ast.Call) and _last(_dotted(n.func)) == "log1p" and n.args
+               and isinstance(n.args[0], ast.Call) and _last(_dotted(n.args[0].func)) == "exp"
+               for n in ast.walk(node))
+
+
+def _is_bound(node):
+    """Whether `node` is the count bound: `COUNT_LIMIT`, an attribute so
+    named, or the literal 2**53."""
+    return _last(_dotted(node)) == "COUNT_LIMIT" or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
+        and [getattr(node.left, "value", None), getattr(node.right, "value", None)] == [2, 53]
+
+
+def _kinds(node, prefix):
+    """The (kind, name) facts that `node` itself states."""
+    if isinstance(node, ast.Import):
+        return [("import", alias.name) for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = "." * node.level + (f"{node.module}." if node.module else "")
+        return [("import", base + alias.name) for alias in node.names]
+    if isinstance(node, ast.Name):
+        return [("bind" if isinstance(node.ctx, ast.Store) else "ref", node.id)]
+    if isinstance(node, ast.Attribute):
+        return [("ref", _dotted(node))]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [("def", prefix + node.name)]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [("str", node.value)]
+    if isinstance(node, ast.Compare):
+        return [("bound", ast.unparse(n)) for n in [node.left, *node.comparators] if _is_bound(n)][:1]
+    if isinstance(node, _LOOPS):
+        return [("loop", type(node).__name__)]
+    if isinstance(node, ast.IfExp) and (_is_step(node.body) or _is_step(node.orelse)):
+        return [("softplus", "log1p(exp)")]
+    if isinstance(node, ast.Call):
+        return [("call", _dotted(node.func))]
+    return []
+
+
+def _facts(module, source):
+    """Every fact of one module, in source order."""
+    found = []
+
+    def visit(node, scope, prefix):
+        for child in ast.iter_child_nodes(node):
+            found.extend(Fact(module, scope, child.lineno, kind, name) for kind, name in _kinds(child, prefix))
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope, f"{prefix}{child.name}.")
+            elif isinstance(child, _FUNCTIONS):
+                inner = prefix + getattr(child, "name", "<lambda>")
+                visit(child, inner, inner + ".")
+            else:
+                visit(child, scope, prefix)
+
+    visit(ast.parse(source, filename=module), "", "")
+    return found
+
+
+def _hits(row, facts):
+    """The facts that break `row` as "module:line scope: kind name", then
+    "no <need>" for each fact it needs and no module states."""
+    hits, seen = [], Counter()
+    for f in facts:
+        if f.kind in row.reads.split() and re.fullmatch(row.name, f.name, re.S):
+            place = f"{f.kind} {f.module}:{f.scope}"
+            seen[place] += 1
+            if (seen[place] > row.most or not any(fnmatchcase(place, p) for p in row.allow)
+                    or any(fnmatchcase(place, p) for p in row.deny)):
+                hits.append(f"{f.module}:{f.line} {f.scope or '<module>'}: {f.kind} {f.name}")
+    return hits + [f"no {need}" for need in row.needs
+                   if not any(fnmatchcase(f"{f.kind} {f.module}:{f.scope} {f.name}", need) for f in facts)]
+
+
+# A row reads the facts of the kinds in `reads` whose name fully matches the
+# regex `name`.  Such a fact breaks the row unless its place, "kind
+# module:scope", matches a pattern of `allow` and none of `deny`; it also
+# breaks it as the (most + 1)-th at one place.  Each pattern of `needs`,
+# matched against "kind module:scope name", must match some fact.
+Row = namedtuple("Row", "reads name allow deny most needs", defaults=((), (), math.inf, ()))
+
+
+def _home(module, scope):
+    """Imported or bound only in `module`, referenced only in `scope` there."""
+    return [f"import {module}:*", f"bind {module}:*", f"ref {module}:{scope}"]
+
+
+_LOOP_SCOPES = ("LinearParams.mean_path", "LinearParams.draw_path", "NeuralWeights._run")
+_ENTRIES = ("NeuralWeights.draw_path", "NeuralWeights.mean_path", "NeuralWeights.chain_start", "slfn_forward")
+
+RULES = {
+    # every import runs at module level, so no import cycle hides in a body
+    "function_relative_import": Row("import", r"\..*", allow=["import *:"]),
+    "function_absolute_import": Row("import", r"[^.].*", allow=["import *:"]),
+    # a private name stays in its module; dunder names such as __version__ are public
+    "private_name_import": Row("import", r"\.(.*\.)?_\w*(?<!__)"),
+    # numpy is the one runtime dependency, and every fit runs `estimate._newton`
+    "scipy_import": Row("import", r"scipy(\..*)?"),
+    "nelder_mead_search": Row("str", "Nelder-Mead"),
+    # each special routine is used by one helper, the one place to change it
+    "lag_adjoint_home": Row("import bind ref", r"(.*\.)?_lag_adjoint", _home("model.py", "*.hessian_parts")),
+    "log_gamma_series_home": Row("import bind ref", r"(.*\.)?_LOG_GAMMA_SERIES",
+                                 _home("distributions.py", "_log_nb_coef")),
+    "gamma_gap_series_home": Row("import bind ref", r"(.*\.)?_(DI|TRI)GAMMA_SERIES",
+                                 _home("distributions.py", "_gamma_gaps")),
+    "lgamma_home": Row("import bind ref", r"(.*\.)?lgamma", _home("distributions.py", "_log_factorial")),
+    # the overflow-free logistic is written once and imported from special.py
+    "expit_home": Row("import def", r"(?!\.special\.)(.*\.)?expit", allow=["def special.py:"]),
+    # the 17-digit bytes of the determinism contract have one definition
+    "float_text_home": Row("def str", r"(.*\.)?format_floats?|.*\.17g.*", allow=["* textdoc.py:*"],
+                           needs=["def textdoc.py: format_float", "def textdoc.py: format_floats"]),
+    # `CountSeries` states the count rule; `cli._first_error` repeats the
+    # bound only to name the offending line of a refused file
+    "count_bound_home": Row("bound", ".*", allow=["* data.py:*", "* cli.py:_first_error"]),
+    # the draw is passed in by `simulate.simulate_path`, which owns the generator
+    "model_draws_nothing": Row("import ref", r"(numpy|np)\.random(\..*)?|(.*\.)?(poisson|standard_gamma)",
+                               allow=["*"], deny=["* model.py:*"]),
+    # the scalar loops of model.py each write the sign-split softplus step once
+    "scalar_softplus_steps": Row("softplus", ".*", allow=[f"* model.py:{s}" for s in _LOOP_SCOPES], most=1),
+    # the network recursion is written once, in `NeuralWeights._run`
+    "network_entries_run": Row("loop softplus", ".*", allow=["*"],
+                               deny=[f"* model.py:{e}{tail}" for e in _ENTRIES for tail in ("", ".*")],
+                               needs=[f"call model.py:{e} *_run" for e in _ENTRIES]),
+    # the CLI's bytes depend on its inputs alone
+    "clock_or_environment": Row("import ref", r"time(\..*)?|os\.(environ|getenv)(\..*)?"
+                                r"|(.*\.)?(datetime\.(now|today|utcnow)|date\.today)"),
+}
+
+
+def test_source_keeps_every_rule():
+    assert list(RULES) == [name for name, *_ in PLANTS], "every row has one planted violation"
     paths = sorted(SRC.glob("*.py"))
     assert paths, f"no modules under {SRC}"
-    return [f"{path.name}:{line} in {func}()"
-            for path in paths
-            for func, line, rel in _function_imports(path.read_text(encoding="utf-8"), str(path))
-            if rel == relative]
+    facts = [f for path in paths for f in _facts(path.name, path.read_text(encoding="utf-8"))]
+    broken = {name: hits for name, row in RULES.items() if (hits := _hits(row, facts))}
+    assert not broken, "layout rules broken: " + "; ".join(f"{n}: {', '.join(h)}" for n, h in broken.items())
 
 
-def test_no_function_level_relative_imports():
-    offenders = _offenders(relative=True)
-    assert not offenders, "relative imports inside functions: " + ", ".join(offenders)
+_IMPORTS = "import math\ndef f():\n    from datetime import datetime\n    import os\n    from . import data\n"
+_SCIPY = (
+    "from scipy.optimize import minimize\n"
+    "import scipy.optimize\n"
+    "from scipy import optimize, special\n"
+    "import scipy.linalg.lapack as lapack\n"
+    "from scipy.special import expit\n"
+    "minimize(f, x0, method='Nelder-Mead')\n"
+    "import scipy, numpy\n"
+    "import scipyish\n"
+    "from .scipy import special\n"
+)
+
+# (row, module, planted source, the hits it gives)
+PLANTS = [
+    ("function_relative_import", "cli.py", _IMPORTS, ["cli.py:5 f: import .data"]),
+    ("function_absolute_import", "cli.py", _IMPORTS, ["cli.py:3 f: import datetime.datetime", "cli.py:4 f: import os"]),
+    ("private_name_import", "cli.py",
+     "from scipy import special as _sps\nfrom . import __version__\nfrom .model import ModelSpec as _Spec\n"
+     "from .model import _pre_sample\nfrom .estimate import OptimizerOptions, _fit\n"
+     "def f():\n    from ..model import _lag_matrix\n",
+     ["cli.py:4 <module>: import .model._pre_sample", "cli.py:5 <module>: import .estimate._fit",
+      "cli.py:7 f: import ..model._lag_matrix"]),
+    ("scipy_import", "estimate.py", _SCIPY,
+     [f"estimate.py:{line} <module>: import {name}" for line, name in [
+         (1, "scipy.optimize.minimize"), (2, "scipy.optimize"), (3, "scipy.optimize"), (3, "scipy.special"),
+         (4, "scipy.linalg.lapack"), (5, "scipy.special.expit"), (7, "scipy")]]),
+    ("nelder_mead_search", "estimate.py", _SCIPY, ["estimate.py:6 <module>: str Nelder-Mead"]),
+    ("lag_adjoint_home", "model.py",
+     "from .model import _lag_adjoint\nsolve = _lag_adjoint\nclass LinearParams:\n"
+     "    def hessian_parts(self, r, partials):\n        return _lag_adjoint(r, partials)\n"
+     "    def mean_path(self, r, partials):\n        return model._lag_adjoint(r, partials)\n",
+     ["model.py:2 <module>: ref _lag_adjoint", "model.py:7 LinearParams.mean_path: ref model._lag_adjoint"]),
+    ("log_gamma_series_home", "distributions.py",
+     "_LOG_GAMMA_SERIES = (1 / 12,)\nBIAS = _LOG_GAMMA_SERIES[0]\ndef _log_nb_coef(z):\n"
+     "    return _LOG_GAMMA_SERIES[0] / z\ndef _gamma_gaps(z):\n    return _LOG_GAMMA_SERIES[0] / z\n",
+     ["distributions.py:2 <module>: ref _LOG_GAMMA_SERIES", "distributions.py:6 _gamma_gaps: ref _LOG_GAMMA_SERIES"]),
+    ("gamma_gap_series_home", "model.py",
+     "from .distributions import _DIGAMMA_SERIES\n_TRIGAMMA_SERIES = (1 / 6,)\ndef _gamma_gaps(z):\n"
+     "    return distributions._TRIGAMMA_SERIES[0] / z\n",
+     ["model.py:1 <module>: import .distributions._DIGAMMA_SERIES", "model.py:2 <module>: bind _TRIGAMMA_SERIES",
+      "model.py:4 _gamma_gaps: ref distributions._TRIGAMMA_SERIES"]),
+    ("lgamma_home", "distributions.py",
+     "import math\ndef _log_factorial(v):\n    return [math.lgamma(c + 1.0) for c in v]\n"
+     "def forward(v):\n    return math.lgamma(v + 1.0)\n",
+     ["distributions.py:5 forward: ref math.lgamma"]),
+    ("expit_home", "model.py",
+     "from .special import expit\nfrom scipy.special import expit\ndef expit(x):\n    return x\n",
+     ["model.py:2 <module>: import scipy.special.expit", "model.py:3 <module>: def expit"]),
+    ("float_text_home", "cli.py",
+     "from .textdoc import format_float, format_floats\ndef format_floats(values):\n"
+     "    return ','.join('%.17g' % v for v in values)\ndef f(v):\n"
+     "    return format(v, '.17g') + f'{v:.17g}' + '{:.17g}'.format(v) + format(v, '.16g')\n"
+     "class C:\n    def format_float(self, v):\n        return format_float(v)\n",
+     ["cli.py:2 <module>: def format_floats", "cli.py:3 format_floats: str %.17g", "cli.py:5 f: str .17g",
+      "cli.py:5 f: str .17g", "cli.py:5 f: str {:.17g}", "cli.py:7 <module>: def C.format_float",
+      "no def textdoc.py: format_float", "no def textdoc.py: format_floats"]),
+    ("count_bound_home", "cli.py",
+     "from .data import COUNT_LIMIT\nLIMIT = COUNT_LIMIT\nok = 1 < data.COUNT_LIMIT\ndef parse(values):\n"
+     "    if not np.all((values >= 0) & (values < COUNT_LIMIT)):\n        raise ValueError\n"
+     "    return np.any(values >= 2.0**53) or values[0] == 2 ** 53 or values[0] < 2 ** 52\n"
+     "def _first_error(value):\n    return value >= COUNT_LIMIT\n",
+     ["cli.py:3 <module>: bound data.COUNT_LIMIT", "cli.py:5 parse: bound COUNT_LIMIT",
+      "cli.py:7 parse: bound 2.0 ** 53", "cli.py:7 parse: bound 2 ** 53"]),
+    ("model_draws_nothing", "model.py",
+     "import numpy as np\nimport numpy.random\nfrom numpy.random import default_rng\nfrom numpy import random\n"
+     "gen = np.random.default_rng(1)\nx = gen.poisson(3.0)\ndraw = gen.standard_gamma\n"
+     "def f(draw, lam):\n    return draw(lam)\n",
+     [f"model.py:{line} <module>: {fact}" for line, fact in [
+         (2, "import numpy.random"), (3, "import numpy.random.default_rng"), (4, "import numpy.random"),
+         (5, "ref np.random.default_rng"), (5, "ref np.random"), (6, "ref gen.poisson"),
+         (7, "ref gen.standard_gamma")]]),
+    ("scalar_softplus_steps", "model.py",
+     "from math import exp, log1p\ny = log1p(exp(1.0)) if True else 0.0\ndef draw(e, c):\n"
+     "    a = e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))\n"
+     "    b = math.log1p(math.exp(e)) if e < 30.0 else e\n    d = log1p(e) if e > 0.0 else exp(e)\n"
+     "    def step(z):\n        return z + log1p(exp(-z)) if z > 0.0 else log1p(exp(z))\n"
+     "    return a, b, d, step, lambda z: 0.0 if z else log1p(exp(z))\n"
+     "class NeuralWeights:\n    def _run(self, z):\n"
+     "        a = z + log1p(exp(-z)) if z > 0.0 else log1p(exp(z))\n        return log1p(exp(a)) if a else a\n",
+     ["model.py:2 <module>: softplus log1p(exp)", "model.py:4 draw: softplus log1p(exp)",
+      "model.py:5 draw: softplus log1p(exp)", "model.py:8 draw.step: softplus log1p(exp)",
+      "model.py:9 draw.<lambda>: softplus log1p(exp)", "model.py:13 NeuralWeights._run: softplus log1p(exp)"]),
+    ("network_entries_run", "model.py",
+     "class NeuralWeights:\n    def draw_path(self, spec, draw, mixing):\n"
+     "        return self._run([], [], draw, mixing, 1.0)\n    def mean_path(self, spec, x, presample):\n"
+     "        lams = [self._run([v], [], float, (1.0,), 1.0)[0] for v in x]\n"
+     "        while lams:\n            lams.pop()\n    def chain_start(self, spec):\n"
+     "        for u in self.u1:\n            z = u + log1p(exp(-u)) if u > 0.0 else log1p(exp(u))\n"
+     "        return z\ndef draw_path(draw):\n    for g in range(3):\n        draw(g)\n",
+     ["model.py:5 NeuralWeights.mean_path: loop ListComp", "model.py:6 NeuralWeights.mean_path: loop While",
+      "model.py:9 NeuralWeights.chain_start: loop For", "model.py:10 NeuralWeights.chain_start: softplus log1p(exp)",
+      "no call model.py:NeuralWeights.chain_start *_run", "no call model.py:slfn_forward *_run"]),
+    ("clock_or_environment", "cli.py",
+     "import os, time\nfrom time import perf_counter\nfrom datetime import date, datetime\nimport datetime as dt\n"
+     "stamp = datetime.fromisoformat('2024-03-10T00:00')\n"
+     "now = datetime.now() or dt.datetime.utcnow() or date.today() or datetime.today()\n"
+     "home = os.environ.get('HOME') or os.getenv('HOME')\nfrom os import environ\n",
+     [f"cli.py:{line} <module>: {fact}" for line, fact in [
+         (1, "import time"), (2, "import time.perf_counter"), (6, "ref datetime.now"),
+         (6, "ref dt.datetime.utcnow"), (6, "ref date.today"), (6, "ref datetime.today"),
+         (7, "ref os.environ.get"), (7, "ref os.environ"), (7, "ref os.getenv"), (8, "import os.environ")]]),
+]
 
 
-def test_no_function_level_absolute_imports():
-    offenders = _offenders(relative=False)
-    assert not offenders, "absolute imports inside functions: " + ", ".join(offenders)
-
-
-def test_function_import_check_has_teeth():
-    source = (
-        "import math\n"
-        "def f():\n"
-        "    from datetime import datetime\n"
-        "    import os\n"
-        "    from . import data\n"
-    )
-    assert _function_imports(source) == [("f", 3, False), ("f", 4, False), ("f", 5, True)]
-
-
-def _private_imports(tree):
-    """(line, name) for every `from .<module> import _<name>`; dunder names
-    such as `__version__` are public, and imports from outside the package
-    (`from scipy import special as _sps`) are not package names at all."""
-    return [(node.lineno, alias.name)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level
-            for alias in node.names
-            if alias.name.startswith("_") and not alias.name.endswith("__")]
-
-
-def test_no_private_names_across_modules():
-    offenders = [f"{path.name}:{line} imports {name}"
-                 for path in sorted(SRC.glob("*.py"))
-                 for line, name in _private_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
-    assert not offenders, "private names imported from another module: " + ", ".join(offenders)
-
-
-def test_private_import_check_has_teeth():
-    source = (
-        "from scipy import special as _sps\n"
-        "from . import __version__\n"
-        "from .model import ModelSpec as _Spec\n"
-        "from .model import _pre_sample\n"
-        "from .estimate import OptimizerOptions, _fit\n"
-        "def f():\n"
-        "    from ..model import _lag_matrix\n"
-    )
-    assert _private_imports(ast.parse(source)) == [(4, "_pre_sample"), (5, "_fit"), (7, "_lag_matrix")]
-
-
-def _is_scipy(module):
-    return module == "scipy" or module.startswith("scipy.")
-
-
-def _scipy_uses(tree):
-    """(line, what) for every import of or from scipy or a scipy submodule and
-    every call passing method="Nelder-Mead"."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and not node.level and _is_scipy(node.module or ""):
-            found.append((node.lineno, "imports scipy"))
-        elif isinstance(node, ast.Import) and any(_is_scipy(a.name) for a in node.names):
-            found.append((node.lineno, "imports scipy"))
-        elif isinstance(node, ast.Call) and any(
-            kw.arg == "method" and isinstance(kw.value, ast.Constant) and kw.value.value == "Nelder-Mead"
-            for kw in node.keywords
-        ):
-            found.append((node.lineno, "calls Nelder-Mead"))
-    return sorted(found)
-
-
-def test_numpy_only_runtime():
-    # numpy is the one runtime dependency, and every fit, linear or neural,
-    # runs `estimate._newton` on the exact Hessian
-    offenders = [f"{path.name}:{line} {what}"
-                 for path in sorted(SRC.glob("*.py"))
-                 for line, what in _scipy_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))]
-    assert not offenders, "scipy or Nelder-Mead: " + ", ".join(offenders)
-
-
-def test_numpy_only_check_has_teeth():
-    source = (
-        "from scipy.optimize import minimize\n"
-        "import scipy.optimize\n"
-        "from scipy import optimize, special\n"
-        "import scipy.linalg.lapack as lapack\n"
-        "from scipy.special import expit\n"
-        "minimize(f, x0, method='Nelder-Mead')\n"
-        "import scipy, numpy\n"
-        "import scipyish\n"
-        "from .scipy import special\n"
-    )
-    assert _scipy_uses(ast.parse(source)) == [
-        (1, "imports scipy"), (2, "imports scipy"), (3, "imports scipy"), (4, "imports scipy"),
-        (5, "imports scipy"), (6, "calls Nelder-Mead"), (7, "imports scipy")]
+@pytest.mark.parametrize("name, module, source, expected", PLANTS, ids=[p[0] for p in PLANTS])
+def test_rule_has_teeth(name, module, source, expected):
+    assert _hits(RULES[name], _facts(module, source)) == expected
 
 
 def _scipy_modules(code):
@@ -175,240 +318,6 @@ def test_cli_import_loads_no_scipy():
 
 def test_scipy_module_check_has_teeth():
     assert {"scipy", "scipy.special"} <= _scipy_modules("import spingarch.cli, scipy.special")
-
-
-def _name_uses(tree, name):
-    """(line, where) for every reference to `name`: "import" for an import of
-    it, "bind" for an assignment to it, else the enclosing function, None at
-    module level."""
-    found = []
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.ImportFrom) and any(a.name == name for a in child.names):
-                found.append((child.lineno, "import"))
-            elif isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Store):
-                found.append((child.lineno, "bind"))
-            elif (isinstance(child, ast.Name) and child.id == name) or (
-                    isinstance(child, ast.Attribute) and child.attr == name):
-                found.append((child.lineno, func))
-            visit(child, func)
-
-    visit(tree, None)
-    return found
-
-
-@pytest.mark.parametrize("name, module, home", [
-    ("_lag_adjoint", "model.py", "hessian_parts"),  # the lambda-lag band of both derivative passes
-    ("_LOG_GAMMA_SERIES", "distributions.py", "_log_nb_coef"),  # the NB coefficient past its sums
-    ("_DIGAMMA_SERIES", "distributions.py", "_gamma_gaps"),  # the gaps of every dispersion derivative
-    ("_TRIGAMMA_SERIES", "distributions.py", "_gamma_gaps"),
-    ("lgamma", "distributions.py", "_log_factorial"),  # log x! of the Poisson terms
-])
-def test_one_home_for_a_special_routine(name, module, home):
-    # each routine is used by one helper (or the methods of one name), the
-    # one place to change it
-    offenders = [f"{path.name}:{line} in {where or 'module scope'}"
-                 for path in sorted(SRC.glob("*.py"))
-                 for line, where in _name_uses(ast.parse(path.read_text(encoding="utf-8"), str(path)), name)
-                 if path.name != module or where not in ("import", "bind", home)]
-    assert not offenders, f"{name} outside {module[:-3]}.{home}: " + ", ".join(offenders)
-
-
-def test_one_home_check_has_teeth():
-    source = (
-        "import math\n"
-        "from .model import _lag_adjoint\n"
-        "solve = _lag_adjoint\n"
-        "def hessian_parts(r, partials):\n"
-        "    return _lag_adjoint(r, partials)\n"
-        "def forward(v):\n"
-        "    return math.lgamma(v + 1.0)\n"
-        "_SERIES = (1 / 12,)\n"
-        "def _gaps(z):\n"
-        "    return _SERIES[0] / z\n"
-    )
-    assert _name_uses(ast.parse(source), "_lag_adjoint") == [(2, "import"), (3, None), (5, "hessian_parts")]
-    assert _name_uses(ast.parse(source), "lgamma") == [(7, "forward")]
-    assert _name_uses(ast.parse(source), "_SERIES") == [(8, "bind"), (10, "_gaps")]
-    assert _name_uses(ast.parse(source), "_DIGAMMA_SERIES") == []
-
-
-def _expit_sources(tree):
-    """(line, module) for every import of `expit`, and (line, "def") for every
-    function so named."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and any(a.name == "expit" for a in node.names):
-            found.append((node.lineno, "." * node.level + (node.module or "")))
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "expit":
-            found.append((node.lineno, "def"))
-    return found
-
-
-def test_one_home_for_expit():
-    # the overflow-free logistic is written once, in special.py, and imported from there
-    offenders = [f"{path.name}:{line} {what}"
-                 for path in sorted(SRC.glob("*.py"))
-                 for line, what in _expit_sources(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-                 if what != (".special" if path.name != "special.py" else "def")]
-    assert not offenders, "expit defined or imported outside special.py: " + ", ".join(offenders)
-
-
-def test_expit_check_has_teeth():
-    source = (
-        "from .special import expit\n"
-        "from scipy.special import expit\n"
-        "def expit(x):\n"
-        "    return x\n"
-    )
-    assert _expit_sources(ast.parse(source)) == [(1, ".special"), (2, "scipy.special"), (3, "def")]
-
-
-_FLOAT_TEXT_NAMES = ("format_float", "format_floats")
-
-
-def _float_text_sources(tree):
-    """(line, what) for every function named `format_float` or
-    `format_floats` ("def <name>") and every string constant holding ".17g"
-    (a format spec, in a `format` call, a "%" template or an f-string)."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in _FLOAT_TEXT_NAMES:
-            found.append((node.lineno, f"def {node.name}"))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value:
-            found.append((node.lineno, ".17g"))
-    return sorted(found)
-
-
-def test_one_home_for_float_text():
-    # every float an output file holds is written by textdoc's two functions,
-    # so the 17-digit bytes of the determinism contract have one definition
-    offenders = [f"{path.name}:{line} {what}"
-                 for path in sorted(SRC.glob("*.py")) if path.name != "textdoc.py"
-                 for line, what in _float_text_sources(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
-    assert not offenders, "float text outside textdoc.py: " + ", ".join(offenders)
-    home = SRC / "textdoc.py"
-    defined = {what for _, what in _float_text_sources(ast.parse(home.read_text(encoding="utf-8"), str(home)))}
-    assert {"def format_float", "def format_floats"} <= defined
-
-
-def test_float_text_check_has_teeth():
-    source = (
-        "from .textdoc import format_float, format_floats\n"
-        "def format_floats(values):\n"
-        "    return ','.join('%.17g' % v for v in values)\n"
-        "def f(v):\n"
-        "    return format(v, '.17g') + f'{v:.17g}' + '{:.17g}'.format(v) + format(v, '.16g')\n"
-        "class C:\n"
-        "    def format_float(self, v):\n"
-        "        return format_float(v)\n"
-    )
-    assert _float_text_sources(ast.parse(source)) == [
-        (2, "def format_floats"), (3, ".17g"), (5, ".17g"), (5, ".17g"), (5, ".17g"), (7, "def format_float")]
-
-
-def _count_bound_tests(tree):
-    """(line, function) for every comparison with an operand that is the
-    count bound: the name `COUNT_LIMIT`, an attribute so named, or the literal
-    2**53; function is the innermost one enclosing it, None at module level."""
-    def bound(node):
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            return getattr(node, "id", getattr(node, "attr", None)) == "COUNT_LIMIT"
-        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and \
-            [getattr(node.left, "value", None), getattr(node.right, "value", None)] == [2, 53]
-
-    found = []
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Compare) and any(map(bound, [child.left, *child.comparators])):
-                found.append((child.lineno, func))
-            visit(child, func)
-
-    visit(tree, None)
-    return found
-
-
-def test_one_home_for_the_count_rule():
-    # `CountSeries` states which counts are valid; every other reader of
-    # counts builds one, and only `cli._first_error` repeats the bound, to
-    # name the offending line of a refused file
-    offenders = [f"{path.name}:{line} in {func or 'module scope'}"
-                 for path in sorted(SRC.glob("*.py")) if path.name != "data.py"
-                 for line, func in _count_bound_tests(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-                 if (path.name, func) != ("cli.py", "_first_error")]
-    assert not offenders, "count bound tested outside data.py: " + ", ".join(offenders)
-
-
-def test_count_rule_check_has_teeth():
-    source = (
-        "import numpy as np\n"
-        "from . import data\n"
-        "from .data import COUNT_LIMIT\n"
-        "LIMIT = COUNT_LIMIT\n"
-        "ok = 1 < data.COUNT_LIMIT\n"
-        "def parse(values):\n"
-        "    if not np.all((values >= 0) & (values < COUNT_LIMIT)):\n"
-        "        raise ValueError\n"
-        "    return np.any(values >= 2.0**53) or values[0] == 2 ** 53 or values[0] < 2 ** 52\n"
-    )
-    assert _count_bound_tests(ast.parse(source)) == [(5, None), (7, "parse"), (9, "parse"), (9, "parse")]
-
-
-_DRAW_NAMES = ("poisson", "standard_gamma")
-
-
-def _random_draws(tree):
-    """(line, what) for every use of `numpy.random` (an import of it, from it,
-    or an attribute `random` of numpy) and every reference to an attribute
-    named `poisson` or `standard_gamma`."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random"):
-            found.append((node.lineno, "numpy.random"))
-        elif isinstance(node, ast.ImportFrom) and node.module == "numpy" and any(
-                a.name == "random" for a in node.names):
-            found.append((node.lineno, "numpy.random"))
-        elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.random") for a in node.names):
-            found.append((node.lineno, "numpy.random"))
-        elif isinstance(node, ast.Attribute) and node.attr == "random" and isinstance(node.value, ast.Name) \
-                and node.value.id in ("np", "numpy"):
-            found.append((node.lineno, "numpy.random"))
-        elif isinstance(node, ast.Attribute) and node.attr in _DRAW_NAMES:
-            found.append((node.lineno, f".{node.attr}"))
-    return sorted(found)
-
-
-def test_model_draws_nothing():
-    # the response types run the recursion; the draw is passed in by
-    # `simulate.simulate_path`, which owns the generator
-    path = SRC / "model.py"
-    found = _random_draws(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    assert not found, "random draws in model.py: " + ", ".join(f"line {line} {what}" for line, what in found)
-
-
-def test_model_draw_check_has_teeth():
-    source = (
-        "import numpy as np\n"
-        "import numpy.random\n"
-        "from numpy.random import default_rng\n"
-        "from numpy import random\n"
-        "gen = np.random.default_rng(1)\n"
-        "x = gen.poisson(3.0)\n"
-        "draw = gen.standard_gamma\n"
-        "def f(draw, lam):\n"
-        "    return draw(lam)\n"
-    )
-    assert _random_draws(ast.parse(source)) == [
-        (2, "numpy.random"), (3, "numpy.random"), (4, "numpy.random"), (5, "numpy.random"),
-        (6, ".poisson"), (7, ".standard_gamma")]
 
 
 def _public_methods(tree, name):
@@ -456,126 +365,6 @@ def test_interface_check_has_teeth():
     tree = ast.parse(source)
     assert _public_methods(tree, "A") == {"k", "from_flat", "vjp"}
     assert _public_methods(tree, "B") == {"check"}
-
-
-def _called(node):
-    """The name a call node calls: `f` for f(...) and for m.f(...)."""
-    func = node.func if isinstance(node, ast.Call) else None
-    return getattr(func, "id", None) or getattr(func, "attr", None)
-
-
-def _softplus_steps(tree):
-    """(function, line) for every conditional expression with a branch that
-    calls log1p(exp(...)), the scalar softplus step, under the innermost
-    function that encloses it (None at module level)."""
-    def step(node):
-        return any(_called(n) == "log1p" and n.args and _called(n.args[0]) == "exp" for n in ast.walk(node))
-
-    found = []
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                visit(child, getattr(child, "name", "<lambda>"))
-                continue
-            if isinstance(child, ast.IfExp) and (step(child.body) or step(child.orelse)):
-                found.append((func, child.lineno))
-            visit(child, func)
-
-    visit(tree, None)
-    return found
-
-
-def test_one_scalar_softplus_step_per_loop():
-    # the scalar loops of model.py (the linear mean path, the linear draw loop
-    # and `NeuralWeights._run`) each write the sign-split softplus step once
-    path = SRC / "model.py"
-    found = _softplus_steps(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    per_function = {}
-    for func, line in found:
-        per_function.setdefault(func, []).append(line)
-    repeated = {func: lines for func, lines in per_function.items() if len(lines) > 1}
-    assert not repeated, f"scalar softplus step written more than once in: {repeated}"
-    assert len(found) <= 3, f"{len(found)} scalar softplus steps in model.py: {found}"
-
-
-def test_softplus_step_check_has_teeth():
-    source = (
-        "import math\n"
-        "from math import exp, log1p\n"
-        "y = log1p(exp(1.0)) if True else 0.0\n"
-        "def draw(e, c):\n"
-        "    a = e + c * log1p(exp(-e / c)) if e > 0.0 else c * log1p(exp(e / c))\n"
-        "    b = math.log1p(math.exp(e)) if e < 30.0 else e\n"
-        "    d = log1p(e) if e > 0.0 else exp(e)\n"
-        "    def step(z):\n"
-        "        return z + log1p(exp(-z)) if z > 0.0 else log1p(exp(z))\n"
-        "    return a, b, d, step, lambda z: 0.0 if z else log1p(exp(z))\n"
-    )
-    assert _softplus_steps(ast.parse(source)) == [(None, 3), ("draw", 5), ("draw", 6), ("step", 9),
-                                                  ("<lambda>", 10)]
-
-
-_NETWORK_ENTRIES = ("NeuralWeights.draw_path", "NeuralWeights.mean_path", "NeuralWeights.chain_start",
-                    "slfn_forward")
-
-
-def _own_network_loops(tree, names):
-    """(name, line, what) for the named functions, methods as Class.method:
-    "loop" for every for or while loop and comprehension, "softplus" for every
-    scalar softplus step, "no _run" for a function that never calls `_run`,
-    and "missing" (line 0) for a name the source does not define."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    defined = {node.name: node for node in tree.body if isinstance(node, defs)}
-    defined.update((f"{cls.name}.{node.name}", node) for cls in tree.body if isinstance(cls, ast.ClassDef)
-                   for node in cls.body if isinstance(node, defs))
-    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-    found = []
-    for name in names:
-        func = defined.get(name)
-        if func is None:
-            found.append((name, 0, "missing"))
-            continue
-        nodes = list(ast.walk(func))
-        own = [(node.lineno, "loop") for node in nodes if isinstance(node, loops)]
-        own += [(line, "softplus") for _, line in _softplus_steps(func)]
-        if not any(_called(node) == "_run" for node in nodes):
-            own.append((func.lineno, "no _run"))
-        found += [(name, line, what) for line, what in sorted(own)]
-    return found
-
-
-def test_network_entries_run_the_one_loop():
-    # the network recursion is written once, in `NeuralWeights._run`: drawing,
-    # the q >= 1 mean path, the chain start and `slfn_forward` each call it
-    path = SRC / "model.py"
-    found = _own_network_loops(ast.parse(path.read_text(encoding="utf-8"), str(path)), _NETWORK_ENTRIES)
-    assert not found, "network recursion outside NeuralWeights._run: " + ", ".join(map(str, found))
-
-
-def test_network_loop_check_has_teeth():
-    source = (
-        "class NeuralWeights:\n"
-        "    def draw_path(self, spec, draw, mixing):\n"
-        "        return self._run([], [], draw, mixing, 1.0)\n"
-        "    def mean_path(self, spec, x, presample):\n"
-        "        lams = [self._run([v], [], float, (1.0,), 1.0)[0] for v in x]\n"
-        "        while lams:\n"
-        "            lams.pop()\n"
-        "    def chain_start(self, spec):\n"
-        "        for u in self.u1:\n"
-        "            z = u + log1p(exp(-u)) if u > 0.0 else log1p(exp(u))\n"
-        "        return z\n"
-        "def slfn_forward(weights, x):\n"
-        "    return weights._run(x, [], float, (1.0,), 1.0)[0]\n"
-        "def draw_path(draw):\n"
-        "    for g in range(3):\n"
-        "        draw(g)\n"
-    )
-    assert _own_network_loops(ast.parse(source), _NETWORK_ENTRIES + ("NeuralWeights.k",)) == [
-        ("NeuralWeights.mean_path", 5, "loop"), ("NeuralWeights.mean_path", 6, "loop"),
-        ("NeuralWeights.chain_start", 8, "no _run"), ("NeuralWeights.chain_start", 9, "loop"),
-        ("NeuralWeights.chain_start", 10, "softplus"), ("NeuralWeights.k", 0, "missing")]
 
 
 def _foreign_exports(tree):
