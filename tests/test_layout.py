@@ -13,8 +13,9 @@ count terms, log x!, the logistic `expit`, float text and the count bound;
 `model.py` draws nothing at random; the scalar softplus step is written once
 in each of model.py's three scalar loops; the network's draw, mean path,
 chain start and `slfn_forward` run its one loop; and no module reads a clock
-or the environment.  `test_source_keeps_every_rule` runs every row over
-`src/`, and `test_rule_has_teeth` runs each row over a planted violation.
+or the environment.  `test_source_keeps_rule` runs each row over `src/`,
+`test_rule_has_teeth` runs each row over a planted violation, and
+`test_every_rule_has_one_plant` keeps the two lists of rows the same.
 
 Three checks cannot be stated as a row and stay bespoke: importing the CLI
 loads no scipy module, both response types define the interface the README
@@ -28,6 +29,7 @@ import subprocess
 import sys
 from collections import Counter, namedtuple
 from fnmatch import fnmatchcase
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -181,13 +183,21 @@ RULES = {
 }
 
 
-def test_source_keeps_every_rule():
-    assert list(RULES) == [name for name, *_ in PLANTS], "every row has one planted violation"
+@cache
+def _source_facts():
+    """The facts of every module of `src/spingarch`, parsed once per run."""
     paths = sorted(SRC.glob("*.py"))
-    assert paths, f"no modules under {SRC}"
-    facts = [f for path in paths for f in _facts(path.name, path.read_text(encoding="utf-8"))]
-    broken = {name: hits for name, row in RULES.items() if (hits := _hits(row, facts))}
-    assert not broken, "layout rules broken: " + "; ".join(f"{n}: {', '.join(h)}" for n, h in broken.items())
+    return tuple(f for path in paths for f in _facts(path.name, path.read_text(encoding="utf-8")))
+
+
+def test_source_is_walked():
+    assert _source_facts(), f"no modules under {SRC}"
+
+
+@pytest.mark.parametrize("name", list(RULES))
+def test_source_keeps_rule(name):
+    hits = _hits(RULES[name], _source_facts())
+    assert not hits, f"layout rule {name} broken: " + ", ".join(hits)
 
 
 _IMPORTS = "import math\ndef f():\n    from datetime import datetime\n    import os\n    from . import data\n"
@@ -293,6 +303,10 @@ PLANTS = [
          (6, "ref dt.datetime.utcnow"), (6, "ref date.today"), (6, "ref datetime.today"),
          (7, "ref os.environ.get"), (7, "ref os.environ"), (7, "ref os.getenv"), (8, "import os.environ")]]),
 ]
+
+
+def test_every_rule_has_one_plant():
+    assert list(RULES) == [name for name, *_ in PLANTS], "every row has one planted violation"
 
 
 @pytest.mark.parametrize("name, module, source, expected", PLANTS, ids=[p[0] for p in PLANTS])
