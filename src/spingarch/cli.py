@@ -118,10 +118,15 @@ class RunConfig:
 _HEADERS = (["count"], ["timestamp", "count"])
 
 
+def _is_comment(row: List[str]) -> bool:
+    """A blank CSV record, or a comment: its first cell starts with '#' after any spaces."""
+    return not row or row[0].lstrip().startswith("#")
+
+
 def parse_counts_csv(path) -> CountSeries:
     """Read a counts CSV: a `count` column, or `timestamp,count` with header.
 
-    Lines starting with '#' are provenance comments and are skipped.  Counts
+    Blank records and comments, whose first cell starts with '#', are skipped.  Counts
     must be non-negative integers below 2**53; violations raise a DataError
     citing the file line number.  Timestamps are not kept; uneven spacing
     only produces a warning.
@@ -132,7 +137,7 @@ def parse_counts_csv(path) -> CountSeries:
     # one pass over the whole count column; a refused file is read again, row
     # by row, to name its first offending line
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
+        rows = [row for row in csv.reader(fh) if not _is_comment(row)]
     header = [cell.strip().lower() for cell in rows[0]] if rows else None
     try:
         if header not in _HEADERS or len(rows) < 2 or set(map(len, rows)) != {len(header)}:
@@ -155,7 +160,7 @@ def _first_error(path: Path) -> DataError:
         end = 0  # the line on which the previous record ended
         for row in reader:
             lineno, end = end + 1, reader.line_num
-            if not row or (row[0].lstrip().startswith("#")):
+            if _is_comment(row):
                 continue
             cells = [cell.strip() for cell in row]
             if header is None:
@@ -395,8 +400,9 @@ def _cmd_moments(config: RunConfig) -> int:
         raise DataError(f"grid file not found: {grid_path}")
     entries: List[SimConfig] = []
     with open(grid_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        for idx, row in enumerate(reader):
+        records = [row for row in csv.reader(fh) if not _is_comment(row)]
+        header = [cell.strip().lower() for cell in records[0]] if records else []
+        for idx, row in enumerate(dict(zip(header, cells)) for cells in records[1:]):
             try:
                 alpha0 = float(row["alpha0"])
                 alpha1 = float(row["alpha1"])

@@ -191,9 +191,9 @@ def negloglik_and_grad(spec: ModelSpec, params, series) -> Tuple[float, np.ndarr
 
 
 def _mean_and_dispersion(series) -> Tuple[float, float]:
-    """The sample mean and `dispersion_ratio`, 1 for an all-zero series."""
-    xbar = float(as_counts(series).mean())
-    return xbar, dispersion_ratio(series) if xbar > 0 else 1.0
+    """The sample mean and `dispersion_ratio`, 1 for an all-zero series or a single count."""
+    x = as_counts(series)
+    return float(x.mean()), dispersion_ratio(series) if x.size > 1 and x.any() else 1.0
 
 
 def _dispersion_n(xbar: float, disp: float, a1: float = 0.0, b1: float = 0.0) -> float:

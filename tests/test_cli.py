@@ -401,6 +401,18 @@ class TestCommands:
         assert ",false," in rows[1]
         assert ",true," in rows[2]  # explosive entry flagged
 
+    @pytest.mark.parametrize("header", ["  # note\nalpha0,alpha1,beta1,n", "alpha0, alpha1, beta1, n",
+                                        "Alpha0,alpha1,beta1,n"], ids=["indented-comment", "spaced", "capitalised"])
+    def test_moments_grid_follows_the_counts_file_rules(self, tmp_path, header):
+        # comments and header cells read as in a counts file; each of these grids was a parse error
+        def moments(name, header):
+            grid, out = tmp_path / f"{name}.csv", tmp_path / f"{name}-moments.csv"
+            grid.write_text(f"{header}\n1.8,0.3,0.4,3\n2.0,0.9,0.5,3\n")
+            assert main(["moments", "--grid", str(grid), "--length", "2000", "--seed", "2", "--out", str(out)]) == 0
+            return [line for line in out.read_text().splitlines() if not line.startswith("# config:")]
+
+        assert moments("variant", header) == moments("plain", "alpha0,alpha1,beta1,n")
+
     def test_moments_header_records_default_length(self, tmp_path):
         grid = tmp_path / "grid.csv"
         grid.write_text("alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3\n")
@@ -693,6 +705,14 @@ class TestExitCodes:
         short.write_text("count\n1\n2\n3\n")
         assert main(["fit", str(short), "--p", "1", "--q", "1",
                      "--out", str(tmp_path / "o.txt")]) == 3
+
+    def test_single_count_negbin_network_fits(self, tmp_path):
+        # one count has no dispersion ratio; the network's NB start used to exit 2 on it
+        one = tmp_path / "one.csv"
+        one.write_text("count\n3\n")
+        with pytest.warns(UserWarning, match="identifiability floor"):
+            assert main(["fit", str(one), "--link", "neural", "--family", "negbin", "--p", "1", "--q", "0",
+                         "--restarts", "0", "--out", str(tmp_path / "o.txt")]) == 0
 
     def test_diagnose_writes_nothing_when_a_diagnostic_fails(self, tmp_path, monkeypatch):
         # 12 points are too few for the cumulative periodogram; fit.txt,

@@ -65,34 +65,6 @@ class TestNegloglik:
         expected = -(nb_log_pmf(2, 3.0, lam) + nb_log_pmf(3, 3.0, lam))
         assert value == pytest.approx(expected, rel=1e-14)
 
-    def test_against_term_by_term_oracle(self):
-        # independent reimplementation: explicit per-step product of the
-        # conditional pmfs, with the rising-factorial sum done term by term
-        rng = np.random.default_rng(2)
-        spec = nb_spec()
-        for _ in range(20):
-            params = LinearParams(
-                rng.uniform(0.2, 3), (rng.uniform(-0.5, 0.5),), (rng.uniform(-0.5, 0.5),),
-                rng.uniform(0.5, 8),
-            )
-            series = rng.integers(0, 12, size=25)
-            xbar = max(series.mean(), 1e-4)
-            n = params.n
-            prev_x, prev_l = xbar, xbar
-            total = 0.0
-            for xt in series:
-                eta = params.alpha0 + params.alpha[0] * prev_x + params.beta[0] * prev_l
-                lam = math.log1p(math.exp(eta)) if eta <= 0 else eta + math.log1p(math.exp(-eta))
-                rising = sum(math.log(v + n - 1.0) for v in range(1, int(xt) + 1))
-                total += (
-                    xt * math.log(lam / n)
-                    - (n + xt) * math.log(1.0 + lam / n)
-                    + rising
-                    - math.lgamma(xt + 1.0)
-                )
-                prev_x, prev_l = float(xt), lam
-            assert negloglik(spec, params, series) == pytest.approx(-total, rel=1e-9)
-
     def test_encoding_round_trip_consistency(self):
         spec = nb_spec()
         series = table_path(200, 4)
@@ -105,96 +77,6 @@ class TestNegloglik:
         assert negloglik(spec, LinearParams.from_flat(theta, spec), series) == pytest.approx(
             negloglik(spec, params, series), rel=1e-12
         )
-
-
-class TestGradient:
-    @pytest.mark.parametrize("family", [POISSON, NEGBIN])
-    @pytest.mark.parametrize("p", [1, 2])
-    @pytest.mark.parametrize("q", [0, 1, 2])
-    def test_gate_against_central_differences(self, family, p, q):
-        rng = np.random.default_rng(100 + 10 * p + q)
-        spec = ModelSpec(family, SOFTPLUS_LINEAR, p, q)
-        series = rng.integers(0, 10, 60)
-        params = LinearParams(rng.uniform(0.5, 2.0), tuple(rng.uniform(-0.4, 0.4, p)),
-                              tuple(rng.uniform(-0.4, 0.4, q)),
-                              rng.uniform(1.0, 5.0) if family == NEGBIN else None)
-        value, grad = negloglik_and_grad(spec, params, series)
-        assert value == negloglik(spec, params, series)
-        theta = params.to_flat()
-        fd = np.empty(theta.size)
-        for i in range(theta.size):
-            h = 1e-6 * max(1.0, abs(theta[i]))
-            e = np.zeros(theta.size)
-            e[i] = h
-            fd[i] = (negloglik(spec, LinearParams.from_flat(theta + e, spec), series)
-                     - negloglik(spec, LinearParams.from_flat(theta - e, spec), series)) / (2 * h)
-        assert np.max(np.abs(grad - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-6
-
-    @pytest.mark.parametrize("size", [1, 2, 3])
-    def test_series_not_longer_than_q(self, size):
-        # only pre-sample means feed back; the lag taps past the end are zero
-        spec = ModelSpec(POISSON, SOFTPLUS_LINEAR, 1, 3)
-        params = LinearParams(1.0, (0.2,), (0.3, -0.2, 0.1))
-        series = np.array([4, 1, 6][:size])
-        grad = negloglik_and_grad(spec, params, series)[1]
-        theta = params.to_flat()
-        fd = np.array([(negloglik(spec, LinearParams.from_flat(theta + e, spec), series)
-                        - negloglik(spec, LinearParams.from_flat(theta - e, spec), series)) / 2e-6
-                       for e in 1e-6 * np.eye(theta.size)])
-        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
-
-
-def gradient_difference_hessian(spec, params, series):
-    """Central differences of the exact gradient in the optimizer's
-    coordinates (ln n for the dispersion): the reference for the exact
-    Hessian."""
-    theta, kind = params.to_flat(), type(params)
-    H = np.empty((theta.size, theta.size))
-    for i in range(theta.size):
-        e = np.zeros(theta.size)
-        e[i] = 1e-5 * max(1.0, abs(theta[i]))
-        H[i] = (negloglik_and_grad(spec, kind.from_flat(theta + e, spec), series)[1]
-                - negloglik_and_grad(spec, kind.from_flat(theta - e, spec), series)[1]) / (2 * e[i])
-    return (H + H.T) / 2
-
-
-def assert_hessian_matches_differences(spec, params, series):
-    series = CountSeries(series)
-    H = _Point(spec, params, series).derivatives()[1]
-    fd = gradient_difference_hessian(spec, params, series)
-    assert np.max(np.abs(H - fd)) / np.max(np.abs(fd)) < 1e-6
-
-
-class TestHessian:
-    @pytest.mark.parametrize("family", [POISSON, NEGBIN])
-    @pytest.mark.parametrize("p", [1, 2])
-    @pytest.mark.parametrize("q", [0, 1, 2])
-    def test_gate_against_central_differences(self, family, p, q):
-        rng = np.random.default_rng(200 + 10 * p + q)
-        spec = ModelSpec(family, SOFTPLUS_LINEAR, p, q)
-        params = LinearParams(rng.uniform(0.5, 2.0), tuple(rng.uniform(-0.4, 0.4, p)),
-                              tuple(rng.uniform(-0.4, 0.4, q)),
-                              rng.uniform(1.0, 5.0) if family == NEGBIN else None)
-        assert_hessian_matches_differences(spec, params, rng.integers(0, 10, 80))
-
-    @pytest.mark.parametrize("family", [POISSON, NEGBIN])
-    def test_gate_with_smoothness(self, family):
-        rng = np.random.default_rng(230)
-        spec = ModelSpec(family, SOFTPLUS_LINEAR, 1, 2, 0.7)
-        params = LinearParams(0.4, (0.35,), (0.3, -0.2), 2.5 if family == NEGBIN else None)
-        assert_hessian_matches_differences(spec, params, rng.integers(0, 10, 80))
-
-    @pytest.mark.parametrize("family", [POISSON, NEGBIN])
-    @pytest.mark.parametrize("L", [1, 2, 3])
-    @pytest.mark.parametrize("p, q", [(1, 0), (1, 1), (2, 1), (1, 2), (2, 2)])
-    def test_neural_gate_against_central_differences(self, family, L, p, q):
-        # p = 2 or q = 2 runs the lag loops of `NeuralWeights.hessian_parts`
-        # past their first term
-        rng = np.random.default_rng(240 + 100 * (p - 1) + 10 * L + q)
-        spec = ModelSpec(family, NEURAL, p, q, hidden=L)
-        weights = NeuralWeights(rng.uniform(-0.8, 0.8, (spec.input_width, L)), rng.uniform(0.5, 2.0, L),
-                                rng.uniform(1.0, 5.0) if family == NEGBIN else None)
-        assert_hessian_matches_differences(spec, weights, rng.integers(0, 8, 60))
 
 
 class TestInitParams:

@@ -13,12 +13,10 @@ from spingarch import (
     NeuralWeights,
     RngStream,
     SimConfig,
-    conditional_mean_path,
     empirical_moments,
     moment_study,
     nb_sample,
     simulate_path,
-    slfn_forward,
     softplus,
 )
 from spingarch.exceptions import DataError, NumericError, ParameterError
@@ -94,40 +92,6 @@ class TestSimulatePath:
                                        length=100_000, rng=RngStream(13)))
         emp = empirical_moments(path, 1)
         assert abs(emp.dispersion - 1.0) < 0.05
-
-    def test_neural_matches_forward_reference(self):
-        # a hand loop over slfn_forward: every gamma first, then one Poisson draw per step
-        spec = ModelSpec(NEGBIN, NEURAL, 1, 1, hidden=2)
-        w = NeuralWeights(np.array([[0.4, -0.3], [0.12, 0.05], [0.3, -0.2]]),
-                          np.array([1.6, 0.9]), 2.5)
-        path = simulate_path(SimConfig(spec=spec, params=w, length=300, burn_in=50,
-                                       rng=RngStream(21)))
-        gen = RngStream(21).generator()
-        gammas = gen.standard_gamma(w.n, size=350)
-        x_lag = lam_lag = slfn_forward(w, np.array([1.0, 0.0, 0.0]))
-        expected = []
-        for g in gammas:
-            lam = slfn_forward(w, np.array([1.0, x_lag, lam_lag]))
-            draw = int(gen.poisson((lam / w.n) * g))
-            expected.append(draw)
-            x_lag, lam_lag = float(draw), lam
-        np.testing.assert_array_equal(path, expected[50:])
-
-    @pytest.mark.parametrize("family", [NEGBIN, POISSON])
-    @pytest.mark.parametrize("p, q", [(2, 1), (1, 1), (1, 2), (2, 2)])
-    def test_linear_matches_mean_path_reference(self, family, p, q):
-        # the path redrawn from its own conditional means, started where the
-        # chain starts, with the NB gammas drawn first
-        spec = ModelSpec(family, SOFTPLUS_LINEAR, p, q, 0.8)
-        n = 2.5 if family == NEGBIN else None
-        params = LinearParams(0.9, (0.35, -0.2)[:p], (0.4, -0.15)[:q], n)
-        path = simulate_path(SimConfig(spec=spec, params=params, length=400, burn_in=0,
-                                       rng=RngStream(23)))
-        lam = conditional_mean_path(spec, params, path, presample=params.chain_start(spec))
-        gen = RngStream(23).generator()
-        if n is not None:
-            lam = (lam / n) * gen.standard_gamma(n, size=400)
-        np.testing.assert_array_equal(path, gen.poisson(lam))
 
     def test_constant_mean_path_is_nb_sample(self):
         # alpha1 = 0: every step has the same mean, so the path is nb_sample's draws
