@@ -136,7 +136,7 @@ def parse_counts_csv(path) -> CountSeries:
         raise DataError(f"input file not found: {path}")
     # one pass over the whole count column; a refused file is read again, row
     # by row, to name its first offending line
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a byte-order mark is not part of the header
         rows = [row for row in csv.reader(fh) if not _is_comment(row)]
     header = [cell.strip().lower() for cell in rows[0]] if rows else None
     try:
@@ -155,7 +155,7 @@ def _first_error(path: Path) -> DataError:
     header or a count as `parse_counts_csv` reads them, in file order, citing
     the file line on which that record starts."""
     header: Optional[List[str]] = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         end = 0  # the line on which the previous record ended
         for row in reader:
@@ -379,7 +379,8 @@ def _cmd_fit(config: RunConfig) -> int:
     series = parse_counts_csv(config.input)
     body: Dict[str, object] = {"series": _series_summary(series)}
     if config.models:  # exit 4 only when no candidate converged
-        fits = {token: _fit_one(_spec(config, token), series, config) for token in config.models}
+        specs = {token: _spec(config, token) for token in config.models}  # refuse any token before the first fit
+        fits = {token: _fit_one(spec, series, config) for token, spec in specs.items()}
         best_label = select_fit(fits, config.criterion)
         body["fits"] = {label: fit_to_tree(fit) for label, fit in fits.items()}
         body["selection"] = {"criterion": config.criterion, "best": best_label}
@@ -399,10 +400,15 @@ def _cmd_moments(config: RunConfig) -> int:
     if not grid_path.exists():
         raise DataError(f"grid file not found: {grid_path}")
     entries: List[SimConfig] = []
-    with open(grid_path, "r", encoding="utf-8", newline="") as fh:
+    with open(grid_path, "r", encoding="utf-8-sig", newline="") as fh:
         records = [row for row in csv.reader(fh) if not _is_comment(row)]
         header = [cell.strip().lower() for cell in records[0]] if records else []
-        for idx, row in enumerate(dict(zip(header, cells)) for cells in records[1:]):
+        for idx, cells in enumerate(records[1:]):
+            if len(cells) != len(header):
+                raise DataError(f"grid row {idx + 1}: expected {len(header)} columns, got {len(cells)}")
+            row = dict(zip(header, cells))
+            if config.family == POISSON and row.get("n", "").strip():
+                raise DataError(f"grid row {idx + 1}: n applies to the negbin family only")
             try:
                 alpha0 = float(row["alpha0"])
                 alpha1 = float(row["alpha1"])
