@@ -116,72 +116,102 @@ class RunConfig:
 
 
 _HEADERS = (["count"], ["timestamp", "count"])
+_GRID_COLUMNS = ("alpha0", "alpha1", "beta1", "n")
 
 
-def _is_comment(row: List[str]) -> bool:
-    """A blank CSV record, or a comment: its first cell starts with '#' after any spaces."""
-    return not row or row[0].lstrip().startswith("#")
+def _read_csv(path: Path, role: str) -> Tuple[List[int], List[List[str]]]:
+    """The file line on which each record of CSV `path` starts, and the records,
+    less blank ones and comments, whose first cell starts with '#' after any
+    spaces; a UTF-8 byte-order mark is not part of the first.  A missing file,
+    named by `role`, or one not readable as UTF-8 text is a DataError."""
+    lines, rows, end = [], [], 0  # end: the line on which the previous record ended
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                if row and not row[0].lstrip().startswith("#"):
+                    lines.append(end + 1)
+                    rows.append(row)
+                end = reader.line_num
+    except (FileNotFoundError, NotADirectoryError):  # a path below a file names no file either
+        raise DataError(f"{role} file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    return lines, rows
 
 
 def parse_counts_csv(path) -> CountSeries:
     """Read a counts CSV: a `count` column, or `timestamp,count` with header.
-
-    Blank records and comments, whose first cell starts with '#', are skipped.  Counts
-    must be non-negative integers below 2**53; violations raise a DataError
-    citing the file line number.  Timestamps are not kept; uneven spacing
-    only produces a warning.
-    """
+    Counts must be non-negative integers below 2**53; a refused file raises a
+    DataError citing the line of its first offending record.  Timestamps are
+    not kept; uneven spacing only produces a warning."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
-    # one pass over the whole count column; a refused file is read again, row
-    # by row, to name its first offending line
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a byte-order mark is not part of the header
-        rows = [row for row in csv.reader(fh) if not _is_comment(row)]
+    lines, rows = _read_csv(path, "input")
     header = [cell.strip().lower() for cell in rows[0]] if rows else None
-    try:
+    try:  # one pass over the whole count column
         if header not in _HEADERS or len(rows) < 2 or set(map(len, rows)) != {len(header)}:
             raise ValueError
         series = CountSeries(np.array(list(map(float, map(str.strip, map(itemgetter(-1), rows[1:]))))))
-    except ValueError:  # DataError too: name the first offending line
-        raise _first_error(path) from None
+    except ValueError:  # DataError too: name the first offending record
+        raise _count_error(path, header, lines, rows) from None
     if len(header) == 2:
         _warn_on_gaps([row[0].strip() for row in rows[1:]])
     return series
 
 
-def _first_error(path: Path) -> DataError:
-    """The DataError of the first record of counts CSV `path` that is not a
-    header or a count as `parse_counts_csv` reads them, in file order, citing
-    the file line on which that record starts."""
-    header: Optional[List[str]] = None
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        end = 0  # the line on which the previous record ended
-        for row in reader:
-            lineno, end = end + 1, reader.line_num
-            if _is_comment(row):
-                continue
-            cells = [cell.strip() for cell in row]
-            if header is None:
-                header = [c.lower() for c in cells]
-                if header not in _HEADERS:
-                    return DataError(f"line {lineno}: header must be 'count' or 'timestamp,count', got {row!r}")
-                continue
-            if len(cells) != len(header):
-                return DataError(f"line {lineno}: expected {len(header)} columns, got {len(cells)}")
-            raw = cells[-1]
-            try:
-                value = float(raw)
-            except ValueError:
-                return DataError(f"line {lineno}: non-numeric count {raw!r}")
-            if not math.isfinite(value) or value != int(value):
-                return DataError(f"line {lineno}: counts must be integers, got {raw!r}")
-            if value < 0:
-                return DataError(f"line {lineno}: counts must be non-negative, got {raw!r}")
-            if value >= COUNT_LIMIT:
-                return DataError(f"line {lineno}: counts must be below 2**53, got {raw!r}")
+def _count_error(path: Path, header: Optional[List[str]], lines: List[int], rows: List[List[str]]) -> DataError:
+    """The DataError of the first of a counts CSV's records that is not a
+    header or a count as `parse_counts_csv` reads them, in file order."""
+    if header is not None and header not in _HEADERS:
+        return DataError(f"line {lines[0]}: header must be 'count' or 'timestamp,count', got {rows[0]!r}")
+    for line, row in zip(lines[1:], rows[1:]):
+        if len(row) != len(header):
+            return DataError(f"line {line}: expected {len(header)} columns, got {len(row)}")
+        raw = row[-1].strip()
+        try:
+            value = float(raw)
+        except ValueError:
+            return DataError(f"line {line}: non-numeric count {raw!r}")
+        if not math.isfinite(value) or value != int(value):
+            return DataError(f"line {line}: counts must be integers, got {raw!r}")
+        if value < 0:
+            return DataError(f"line {line}: counts must be non-negative, got {raw!r}")
+        if value >= COUNT_LIMIT:
+            return DataError(f"line {line}: counts must be below 2**53, got {raw!r}")
     return DataError(f"{path}: no count rows found")
+
+
+def _grid_entries(config: RunConfig, spec: ModelSpec) -> List[SimConfig]:
+    """One simulation of `spec` per row of the `moments` grid, whose header
+    names alpha0, alpha1, beta1 and n once each, in any order; a Poisson grid
+    may leave n out, or its cells empty."""
+    path = Path(config.grid)
+    lines, rows = _read_csv(path, "grid")
+    negbin = config.family == NEGBIN
+    header = [cell.strip().lower() for cell in rows[0]] if rows else None
+    required = _GRID_COLUMNS if negbin else _GRID_COLUMNS[:3]
+    if header is not None and sorted(header) not in (sorted(required), sorted(_GRID_COLUMNS)):
+        names = f"alpha0, alpha1, beta1 and {'n' if negbin else 'optionally n'}"
+        raise DataError(f"line {lines[0]}: header must name {names} once each, got {rows[0]!r}")
+    if len(rows) < 2:
+        raise DataError(f"{path}: no grid rows found")
+    entries: List[SimConfig] = []
+    for idx, (line, row) in enumerate(zip(lines[1:], rows[1:])):
+        if len(row) != len(header):
+            raise DataError(f"line {line}: expected {len(header)} columns, got {len(row)}")
+        cells = dict(zip(header, map(str.strip, row)))
+        if not negbin and cells.pop("n", ""):
+            raise DataError(f"line {line}: n applies to the negbin family only")
+        try:
+            values = {name: float(cell) for name, cell in cells.items()}
+            params = LinearParams(values["alpha0"], (values["alpha1"],), (values["beta1"],), values.get("n"))
+        except ValueError as exc:  # from float, or a ParameterError
+            raise DataError(f"line {line}: {exc}") from None
+        entries.append(SimConfig(spec=spec, params=params, length=config.length, burn_in=config.burn_in,
+                                 rng=RngStream(config.seed, idx)))
+    return entries
 
 
 def _warn_on_gaps(stamps: Sequence[str]):
@@ -395,53 +425,17 @@ def _cmd_fit(config: RunConfig) -> int:
 def _cmd_moments(config: RunConfig) -> int:
     if config.length <= config.max_lag:
         raise UsageError("moments needs --length > --max-lag")
-    spec = _spec(replace(config, link=SOFTPLUS_LINEAR, p=1, q=1))  # the grid's (1,1) model
-    grid_path = Path(config.grid)
-    if not grid_path.exists():
-        raise DataError(f"grid file not found: {grid_path}")
-    entries: List[SimConfig] = []
-    with open(grid_path, "r", encoding="utf-8-sig", newline="") as fh:
-        records = [row for row in csv.reader(fh) if not _is_comment(row)]
-        header = [cell.strip().lower() for cell in records[0]] if records else []
-        for idx, cells in enumerate(records[1:]):
-            if len(cells) != len(header):
-                raise DataError(f"grid row {idx + 1}: expected {len(header)} columns, got {len(cells)}")
-            row = dict(zip(header, cells))
-            if config.family == POISSON and row.get("n", "").strip():
-                raise DataError(f"grid row {idx + 1}: n applies to the negbin family only")
-            try:
-                alpha0 = float(row["alpha0"])
-                alpha1 = float(row["alpha1"])
-                beta1 = float(row["beta1"])
-                n = float(row["n"]) if config.family == NEGBIN else None
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"grid row {idx + 1}: need alpha0,alpha1,beta1[,n] columns") from exc
-            try:
-                params = LinearParams(alpha0, (alpha1,), (beta1,), n)
-            except ParameterError as exc:
-                raise DataError(f"grid row {idx + 1}: {exc}") from exc
-            entries.append(
-                SimConfig(spec=spec, params=params, length=config.length, burn_in=config.burn_in,
-                          rng=RngStream(config.seed, idx))
-            )
+    entries = _grid_entries(config, _spec(replace(config, link=SOFTPLUS_LINEAR, p=1, q=1)))  # the grid's (1,1) model
     lags = config.max_lag
     rows = moment_study(entries, max_lag=lags)
-    header = ["model", "alpha0", "alpha1", "beta1", "n", "c", "flagged",
-              "sp_mean", "sp_dispersion"]
-    header += [f"sp_acf{h}" for h in range(1, lags + 1)]
-    header += ["lin_mean", "lin_dispersion"] + [f"lin_acf{h}" for h in range(1, lags + 1)]
+    stats = ["mean", "dispersion", *(f"acf{h}" for h in range(1, lags + 1))]
+    header = ["model", *_GRID_COLUMNS, "c", "flagged", *(f"{side}_{stat}" for side in ("sp", "lin") for stat in stats)]
     lines = [",".join(header)]
     for idx, row in enumerate(rows):
         params = row.config.params
-        cells = [
-            str(idx + 1),
-            format_float(params.alpha0),
-            format_float(params.alpha[0]),
-            format_float(params.beta[0]),
-            format_float(params.n) if params.n is not None else "",
-            format_float(row.config.spec.c),
-            "true" if row.flagged else "false",
-        ]
+        cells = [str(idx + 1), *map(format_float, (params.alpha0, params.alpha[0], params.beta[0])),
+                 format_float(params.n) if params.n is not None else "", format_float(row.config.spec.c),
+                 "true" if row.flagged else "false"]
         for side in (row.empirical, row.linear):
             if side is None:
                 cells += [""] * (2 + lags)
@@ -538,10 +532,15 @@ _COMMANDS = {
 def run(config: RunConfig) -> int:
     """Execute one workflow; returns the process exit code.  Each option must lie
     in the range `main`'s parser enforces; `run` checks only what depends on
-    several options or on the data."""
+    several options, on the file system or on the data."""
     handler = _COMMANDS.get(config.command)
     if handler is None:
         raise UsageError(f"unknown command {config.command!r}")
+    # an --out no write can create: a directory for a file, a file for diagnose's directory, a path below a file
+    out = Path(config.out)
+    found = next(path for path in (out, *out.parents) if path.exists())
+    if found.is_dir() != (found != out or config.command == "diagnose"):
+        raise UsageError(f"--out {out}: {found} is {'a' if found.is_dir() else 'not a'} directory")
     return handler(config)
 
 

@@ -42,24 +42,6 @@ class TestParseCountsCsv:
         series = parse_counts_csv(f)
         np.testing.assert_array_equal(series.values, [2, 3, 0])
 
-    def test_negative_cites_line(self, tmp_path):
-        f = tmp_path / "c.csv"
-        f.write_text("count\n2\n-1\n3\n")
-        with pytest.raises(DataError, match="line 3"):
-            parse_counts_csv(f)
-
-    def test_fractional_rejected(self, tmp_path):
-        f = tmp_path / "c.csv"
-        f.write_text("count\n2\n2.5\n")
-        with pytest.raises(DataError, match="integers"):
-            parse_counts_csv(f)
-
-    def test_non_numeric_rejected(self, tmp_path):
-        f = tmp_path / "c.csv"
-        f.write_text("count\n2\nabc\n")
-        with pytest.raises(DataError, match="non-numeric"):
-            parse_counts_csv(f)
-
     def test_naive_timestamps_ignore_the_host_time_zone(self, tmp_path, monkeypatch):
         # hourly stamps across the night New York's clocks jump from 02:00 to
         # 03:00; read in host time they used to warn of a gap under that zone
@@ -88,12 +70,6 @@ class TestParseCountsCsv:
         f.write_text("# artifact: spingarch\n# config: x\ncount\n1\n2\n")
         series = parse_counts_csv(f)
         np.testing.assert_array_equal(series.values, [1, 2])
-
-    def test_bad_header(self, tmp_path):
-        f = tmp_path / "c.csv"
-        f.write_text("value\n1\n")
-        with pytest.raises(DataError, match="header"):
-            parse_counts_csv(f)
 
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
         f = tmp_path / "c.csv"
@@ -144,37 +120,59 @@ _CELLS = ["0", "7", " 12 ", '"4"', "3.0", "-2", "-0", "2.5", "1e3", "inf", "-inf
           "9007199254740991", "9007199254740992", "9007199254740993", "1e20", "1_000"]
 
 
+# (id, counts file, message of its first offending record)
+FIRST_OFFENCES = [
+    ("negative-before-fraction", "count\n1\n-2\n4\n2.5\n", "line 3: counts must be non-negative, got '-2'"),
+    ("fraction-before-negative", "count\n1\n2.5\n4\n-2\n", "line 3: counts must be integers, got '2.5'"),
+    ("columns-before-non-numeric", "timestamp,count\n0,1\n1\n2,abc\n", "line 3: expected 2 columns, got 1"),
+    ("non-numeric-before-columns", "timestamp,count\n0,1\n1,abc\n2\n", "line 3: non-numeric count 'abc'"),
+    ("comments-and-blanks-counted", "# artifact\ncount\n1\n\n# note\n-1\n",
+     "line 6: counts must be non-negative, got '-1'"),
+    ("indented-comment", "count\n1\n  # note\n-1\n", "line 4: counts must be non-negative, got '-1'"),
+    ("inf", "count\n1\ninf\n", "line 3: counts must be integers, got 'inf'"),
+    ("nan", "count\n1\nnan\n", "line 3: counts must be integers, got 'nan'"),
+    ("empty-cell", "timestamp,count\n0,1\n1,\n", "line 3: non-numeric count ''"),
+    ("above-2**53", "count\n1\n9007199254740993\n", "line 3: counts must be below 2**53, got '9007199254740993'"),
+    ("at-2**53", "count\n1\n9007199254740992\n", "line 3: counts must be below 2**53, got '9007199254740992'"),
+    ("1e20", "count\n1\n1e20\n", "line 3: counts must be below 2**53, got '1e20'"),
+    ("header", "value\n1\n", "line 1: header must be 'count' or 'timestamp,count', got ['value']"),
+    ("header-without-rows", "value\n", "line 1: header must be 'count' or 'timestamp,count', got ['value']"),
+    ("header-only", "count\n", "{path}: no count rows found"),
+    ("comment-only", "# only a comment\n", "{path}: no count rows found"),
+    ("cell-spanning-lines", 'count\n"1\n"\n-1\n', "line 4: counts must be non-negative, got '-1'"),
+    ("offending-cell-spanning-lines", 'count\n1\n"-1\n"\n', "line 3: counts must be non-negative, got '-1'"),
+    ("byte-order-mark", "\ufeffcount\n1\n-1\n", "line 3: counts must be non-negative, got '-1'"),
+]
+
+
 class TestParseCountsCsvRowOrder:
     """The one-pass reader refuses what the row-by-row reader refused, with the
-    message of the first offending line in file order."""
+    message of the first offending record in file order, read from the one
+    reading of the file."""
 
-    @pytest.mark.parametrize("text, message", [
-        ("count\n1\n-2\n4\n2.5\n", "line 3: counts must be non-negative, got '-2'"),
-        ("count\n1\n2.5\n4\n-2\n", "line 3: counts must be integers, got '2.5'"),
-        ("timestamp,count\n0,1\n1\n2,abc\n", "line 3: expected 2 columns, got 1"),
-        ("timestamp,count\n0,1\n1,abc\n2\n", "line 3: non-numeric count 'abc'"),
-        ("# artifact\ncount\n1\n\n# note\n-1\n", "line 6: counts must be non-negative, got '-1'"),
-        ("count\n1\ninf\n", "line 3: counts must be integers, got 'inf'"),
-        ("count\n1\nnan\n", "line 3: counts must be integers, got 'nan'"),
-        ("timestamp,count\n0,1\n1,\n", "line 3: non-numeric count ''"),
-        ("count\n1\n9007199254740993\n", "line 3: counts must be below 2**53, got '9007199254740993'"),
-        ("count\n1\n9007199254740992\n", "line 3: counts must be below 2**53, got '9007199254740992'"),
-        ("count\n1\n1e20\n", "line 3: counts must be below 2**53, got '1e20'"),
-        ("value\n1\n", "line 1: header must be 'count' or 'timestamp,count', got ['value']"),
-        ("count\n", "{path}: no count rows found"),
-        ("# only a comment\n", "{path}: no count rows found"),
-        ('count\n"1\n"\n-1\n', "line 4: counts must be non-negative, got '-1'"),
-        ("\ufeffcount\n1\n-1\n", "line 3: counts must be non-negative, got '-1'"),
-    ], ids=["negative-before-fraction", "fraction-before-negative", "columns-before-non-numeric",
-            "non-numeric-before-columns", "comments-and-blanks-counted", "inf", "nan", "empty-cell",
-            "above-2**53", "at-2**53", "1e20", "header", "header-only", "comment-only",
-            "cell-spanning-lines", "byte-order-mark"])
+    @pytest.mark.parametrize("text, message", [row[1:] for row in FIRST_OFFENCES],
+                             ids=[row[0] for row in FIRST_OFFENCES])
     def test_first_offending_line(self, tmp_path, text, message):
         f = tmp_path / "c.csv"
         f.write_text(text, encoding="utf-8")
         with pytest.raises(DataError) as exc:
             parse_counts_csv(f)
         assert str(exc.value) == message.format(path=f)
+
+    def test_a_refused_file_is_opened_once(self, tmp_path, monkeypatch):
+        opened = []
+
+        def counted_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counted_open, raising=False)  # shadows the builtin in cli
+        files = [tmp_path / f"{name}.csv" for name, *_ in FIRST_OFFENCES]
+        for f, (_, text, _) in zip(files, FIRST_OFFENCES):
+            f.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError):
+                parse_counts_csv(f)
+        assert opened == files
 
     def test_quoted_cells_and_integral_floats_are_accepted(self, tmp_path):
         f = tmp_path / "c.csv"
@@ -418,6 +416,10 @@ class TestCommands:
         assert _moments(tmp_path, "variant", f"{header}\n{rows}") == \
             _moments(tmp_path, "plain", f"alpha0,alpha1,beta1,n\n{rows}")
 
+    def test_grid_columns_in_any_order(self, tmp_path):
+        assert _moments(tmp_path, "reordered", "n,beta1,alpha0,alpha1\n3,0.4,1.8,0.3\n") == \
+            _moments(tmp_path, "plain", "alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3\n")
+
     def test_poisson_grid_reads_an_empty_n_cell(self, tmp_path):
         assert _moments(tmp_path, "empty-n", "alpha0,alpha1,beta1,n\n1.8,0.3,0.4,\n", "--family", "poisson") == \
             _moments(tmp_path, "no-n", "alpha0,alpha1,beta1\n1.8,0.3,0.4\n", "--family", "poisson")
@@ -487,14 +489,20 @@ class TestNegativeListOptions:
 
 
 _GRID = "alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3\n"
-# the files of the refusal rows, each written as <name>.csv
+# the files of the refusal rows, each written as <name>.csv; `adir` names a directory
 INPUTS = {
     "series": "count\n" + "".join(f"{v}\n" for v in np.random.default_rng(4).poisson(5.0, 120)),
     "short": "count\n1\n2\n3\n", "grid": _GRID, "grid_no_beta1": "alpha0,alpha1,n\n1.8,0.3,3\n",
     "grid_nan": f"{_GRID}nan,0.3,0.4,3\n", "grid_negative_n": f"{_GRID}1.8,0.3,0.4,-4\n",
-    "grid_wide": "alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3,99\n", "negative": "count\n2\n-1\n", "bad_header": "value\n1\n",
+    "grid_wide": "alpha0,alpha1,beta1,n\n1.8,0.3,0.4,3,99\n", "grid_empty": "",
+    "grid_header_only": "alpha0,alpha1,beta1,n\n", "grid_note": "alpha0,alpha1,beta1,n,note\n1.8,0.3,0.4,3,x\n",
+    "grid_twice": "alpha0,alpha0,alpha1,beta1,n\n9,1.8,0.3,0.4,3\n",
+    "grid_no_header": "1.8,0.3,0.4,3\n", "grid_no_n": "alpha0,alpha1,beta1\n1.8,0.3,0.4\n",
+    "grid_text": "# a comment\nalpha0,alpha1,beta1,n\n1.8,abc,0.4,3\n",
+    "negative": "count\n2\n-1\n", "bad_header": "value\n1\n",
     "ragged": "timestamp,count\n0,1\n1\n", "text": "count\n1\nabc\n", "fraction": "count\n2\n2.5\n",
     "huge": "count\n1\n9007199254740993\n", "header_only": "count\n",
+    "cp1252": "count\n1\n# café\n2\n".encode("cp1252"),  # as bytes: not UTF-8
 }
 _SIM = "simulate --out {out} --length 10"
 _SIM_NB = f"{_SIM} --p 1 --q 0 --alpha0 1 --alpha 0.3 --n 3"
@@ -506,6 +514,7 @@ _MODEL = "bad --model 'nb(1)'; expected e.g. 'nb(1,1)', 'pois(2,0)' or 'neu-nb(1
 _NEURAL_C = "c applies to the softplus-linear link only; the network uses c = 1"
 _RANGE = "argument --{}: expected values >= {}, got '{}'"
 _TWICE = "--model lists a value twice:"
+_GRID_HEADER = "header must name alpha0, alpha1, beta1"
 
 # Every refusal of the CLI: (id, argv, exit code, text, run).  Its stderr is the code's "usage error: ",
 # "parse error: " or "numeric error: ", the text and a newline; `run` is None or the one work function it
@@ -586,17 +595,41 @@ REFUSALS = [
     ("diagnose-max-lag-400", "diagnose --out {out} {series} --max-lag 400", 1, "--max-lag must lie in [1, 119]", None),
     ("forecast-split-120", "forecast --out {out} {series} --split 120", 1, "--split must lie in [1, 119]", None),
     ("forecast-split-500", "forecast --out {out} {series} --split 500", 1, "--split must lie in [1, 119]", None),
-    # a grid value the parameters refuse is a parse error, not a numeric one
+    # an unusable --out is refused before the input is read or any work starts
+    ("fit-out-directory", "fit --out {adir} {missing}", 1, "--out {adir}: {adir} is a directory", None),
+    ("diagnose-out-file", "diagnose --out {short} {series}", 1, "--out {short}: {short} is not a directory", None),
+    ("simulate-out-below-file", "simulate --out {short}/x.csv --length 10 --p 1 --q 0 --alpha0 1 --alpha 0.3 --n 3", 1,
+     "--out {short}/x.csv: {short} is not a directory", None),
+    # both files are read by one reader, which refuses a file it cannot read as UTF-8 text
     ("moments-missing-grid", f"{_MOMENTS} {{missing}}", 2, "grid file not found: {missing}", None),
-    ("moments-grid-no-beta1", f"{_MOMENTS} {{grid_no_beta1}}", 2, "grid row 1: need alpha0,alpha1,beta1[,n] columns",
-     None),
-    ("moments-grid-nan", f"{_MOMENTS} {{grid_nan}}", 2, "grid row 2: coefficients must be finite", None),
-    ("moments-grid-negative-n", f"{_MOMENTS} {{grid_negative_n}}", 2,
-     "grid row 2: dispersion n must be finite and > 0", None),
-    ("moments-grid-wide", f"{_MOMENTS} {{grid_wide}}", 2, "grid row 1: expected 4 columns, got 5", None),
-    ("moments-poisson-grid-n", f"{_MOMENTS} {{grid}} --family poisson", 2,
-     "grid row 1: n applies to the negbin family only", None),
+    ("moments-grid-directory", f"{_MOMENTS} {{adir}}", 2, "{adir}: Is a directory", None),
+    ("moments-grid-not-utf8", f"{_MOMENTS} {{cp1252}}", 2, "{cp1252}: not UTF-8 text", None),
     ("fit-missing-input", "fit --out {out} {missing}", 2, "input file not found: {missing}", None),
+    ("fit-directory", "fit --out {out} {adir}", 2, "{adir}: Is a directory", None),
+    ("fit-not-utf8", "fit --out {out} {cp1252}", 2, "{cp1252}: not UTF-8 text", None),
+    # the grid's header names alpha0, alpha1, beta1 and n once each; refusals cite file lines, and a grid
+    # value the parameters refuse is a parse error, not a numeric one
+    ("moments-grid-no-beta1", f"{_MOMENTS} {{grid_no_beta1}}", 2,
+     f"line 1: {_GRID_HEADER} and n once each, got ['alpha0', 'alpha1', 'n']", None),
+    ("moments-poisson-grid-no-beta1", f"{_MOMENTS} {{grid_no_beta1}} --family poisson", 2,
+     f"line 1: {_GRID_HEADER} and optionally n once each, got ['alpha0', 'alpha1', 'n']", None),
+    ("moments-grid-no-n", f"{_MOMENTS} {{grid_no_n}}", 2,
+     f"line 1: {_GRID_HEADER} and n once each, got ['alpha0', 'alpha1', 'beta1']", None),
+    ("moments-grid-unknown-column", f"{_MOMENTS} {{grid_note}}", 2,
+     f"line 1: {_GRID_HEADER} and n once each, got ['alpha0', 'alpha1', 'beta1', 'n', 'note']", None),
+    ("moments-grid-column-twice", f"{_MOMENTS} {{grid_twice}}", 2,
+     f"line 1: {_GRID_HEADER} and n once each, got ['alpha0', 'alpha0', 'alpha1', 'beta1', 'n']", None),
+    ("moments-grid-no-header", f"{_MOMENTS} {{grid_no_header}}", 2,
+     f"line 1: {_GRID_HEADER} and n once each, got ['1.8', '0.3', '0.4', '3']", None),
+    ("moments-grid-empty", f"{_MOMENTS} {{grid_empty}}", 2, "{grid_empty}: no grid rows found", None),
+    ("moments-grid-header-only", f"{_MOMENTS} {{grid_header_only}}", 2, "{grid_header_only}: no grid rows found", None),
+    ("moments-grid-nan", f"{_MOMENTS} {{grid_nan}}", 2, "line 3: coefficients must be finite", None),
+    ("moments-grid-negative-n", f"{_MOMENTS} {{grid_negative_n}}", 2, "line 3: dispersion n must be finite and > 0",
+     None),
+    ("moments-grid-text", f"{_MOMENTS} {{grid_text}}", 2, "line 3: could not convert string to float: 'abc'", None),
+    ("moments-grid-wide", f"{_MOMENTS} {{grid_wide}}", 2, "line 2: expected 4 columns, got 5", None),
+    ("moments-poisson-grid-n", f"{_MOMENTS} {{grid}} --family poisson", 2,
+     "line 2: n applies to the negbin family only", None),
     ("fit-bad-header", "fit --out {out} {bad_header}", 2,
      "line 1: header must be 'count' or 'timestamp,count', got ['value']", None),
     ("fit-ragged", "fit --out {out} {ragged}", 2, "line 3: expected 2 columns, got 1", None),
@@ -615,8 +648,10 @@ _WORK = ("fit_cml", "simulate_path", "moment_study", "simulation_study")  # each
 @pytest.fixture
 def inputs(tmp_path):
     for name, text in INPUTS.items():
-        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
-    return {name: tmp_path / f"{name}.csv" for name in [*INPUTS, "missing"]} | {"out": tmp_path / "out"}
+        (tmp_path / f"{name}.csv").write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    (tmp_path / "adir").mkdir()
+    return {name: tmp_path / f"{name}.csv" for name in [*INPUTS, "missing"]} | {"out": tmp_path / "out",
+                                                                                "adir": tmp_path / "adir"}
 
 
 def _must_not_run(*args, **kwargs):

@@ -10,10 +10,11 @@ they may appear: no import hides inside a function body; no private name
 crosses a module boundary; no module imports scipy or runs a Nelder-Mead
 search; one home each for the lambda-lag solve, the asymptotic series of the
 count terms, log x!, the logistic `expit`, float text and the count bound;
-`model.py` draws nothing at random; the scalar softplus step is written once
-in each of model.py's three scalar loops; the network's draw, mean path,
-chain start and `slfn_forward` run its one loop; and no module reads a clock
-or the environment.  `test_source_keeps_rule` runs each row over `src/`,
+one CLI function opens and reads every input file; `model.py` draws nothing
+at random; the scalar softplus step is written once in each of model.py's
+three scalar loops; the network's draw, mean path, chain start and
+`slfn_forward` run its one loop; and no module reads a clock or the
+environment.  `test_source_keeps_rule` runs each row over `src/`,
 `test_rule_has_teeth` runs each row over a planted violation, and
 `test_every_rule_has_one_plant` keeps the two lists of rows the same.
 
@@ -165,9 +166,13 @@ RULES = {
     # the 17-digit bytes of the determinism contract have one definition
     "float_text_home": Row("def str", r"(.*\.)?format_floats?|.*\.17g.*", allow=["* textdoc.py:*"],
                            needs=["def textdoc.py: format_float", "def textdoc.py: format_floats"]),
-    # `CountSeries` states the count rule; `cli._first_error` repeats the
-    # bound only to name the offending line of a refused file
-    "count_bound_home": Row("bound", ".*", allow=["* data.py:*", "* cli.py:_first_error"]),
+    # `CountSeries` states the count rule; `cli._count_error` repeats the
+    # bound only to name the offending record of a refused file
+    "count_bound_home": Row("bound", ".*", allow=["* data.py:*", "* cli.py:_count_error"]),
+    # one reader opens every input file, so the counts file and the grid share its rules
+    "one_csv_reader": Row("import ref", r"(.*\.)?open|csv\.reader|(.*\.)?read_(text|bytes)",
+                          allow=["ref cli.py:_read_csv"],
+                          needs=["ref cli.py:_read_csv open", "ref cli.py:_read_csv csv.reader"]),
     # the draw is passed in by `simulate.simulate_path`, which owns the generator
     "model_draws_nothing": Row("import ref", r"(numpy|np)\.random(\..*)?|(.*\.)?(poisson|standard_gamma)",
                                allow=["*"], deny=["* model.py:*"]),
@@ -261,9 +266,16 @@ PLANTS = [
      "from .data import COUNT_LIMIT\nLIMIT = COUNT_LIMIT\nok = 1 < data.COUNT_LIMIT\ndef parse(values):\n"
      "    if not np.all((values >= 0) & (values < COUNT_LIMIT)):\n        raise ValueError\n"
      "    return np.any(values >= 2.0**53) or values[0] == 2 ** 53 or values[0] < 2 ** 52\n"
-     "def _first_error(value):\n    return value >= COUNT_LIMIT\n",
+     "def _count_error(value):\n    return value >= COUNT_LIMIT\n",
      ["cli.py:3 <module>: bound data.COUNT_LIMIT", "cli.py:5 parse: bound COUNT_LIMIT",
       "cli.py:7 parse: bound 2.0 ** 53", "cli.py:7 parse: bound 2 ** 53"]),
+    ("one_csv_reader", "cli.py",
+     "import csv\nfrom csv import reader\nfrom io import open\ndef _read_csv(path):\n"
+     "    with open(path) as fh:\n        return list(csv.reader(fh))\ndef parse(path):\n"
+     "    with path.open() as fh:\n        rows = list(csv.reader(fh))\n"
+     "    return Path(path).read_text() + open(path).read()\n",
+     ["cli.py:2 <module>: import csv.reader", "cli.py:3 <module>: import io.open", "cli.py:8 parse: ref path.open",
+      "cli.py:9 parse: ref csv.reader", "cli.py:10 parse: ref .read_text", "cli.py:10 parse: ref open"]),
     ("model_draws_nothing", "model.py",
      "import numpy as np\nimport numpy.random\nfrom numpy.random import default_rng\nfrom numpy import random\n"
      "gen = np.random.default_rng(1)\nx = gen.poisson(3.0)\ndraw = gen.standard_gamma\n"
